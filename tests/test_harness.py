@@ -1,13 +1,14 @@
 """Distribution tables, the disk cache, and the named check suite."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from fishburn.errors import ResourceLimitError, UsageError
-from fishburn.seqcore import ClassId
-from fishburn import harness
+from fishburn.seqcore import ClassId, Seq
+from fishburn import bijections, decomp, harness
 
 
 class TestDistTable:
@@ -174,3 +175,74 @@ class TestDoubleEulerianPairing:
         bad = harness.dist_table(ClassId.PERM_ALL, 2, ("des", "ides"))
         assert bad.counts != harness.dist_table(
             ClassId.INV, 2, ("asc", "rep")).counts
+
+
+# --- pinned counterexamples under injected faults ----------------------------
+#
+# Each fault corrupts one function on one input value only, so the report
+# does not depend on the order in which a check visits its inputs.
+
+def _zeros(_, out):
+    return Seq((0,) * len(out))
+
+
+def _unmoved(x, _):
+    return x
+
+
+def _shifted(field):
+    return lambda _, out: dataclasses.replace(
+        out, **{field: getattr(out, field) + 1})
+
+
+FAULTS = {
+    # name: (check, max_n, module, function, corrupted input, corruption,
+    #        the counterexample the check must report)
+    "drop": ("lemma_suite", 5, decomp, "phi_P_inv", (0, 1, 0), _zeros,
+             {"map": "phi_P", "n": 4, "input": [0, 1, 2, 0],
+              "detail": "round trip failed"}),
+    "reduce": ("lemma_suite", 5, decomp, "s2_insert", (0, 1, 0), _zeros,
+               {"map": "s2_reduce", "n": 4, "input": [0, 1, 0, 0],
+                "detail": "round trip failed"}),
+    "shift": ("lemma_suite", 5, decomp, "mpair_shift", (0, 1, 1, 1),
+              _unmoved,
+              {"map": "mpair_shift", "n": 4, "input": [0, 0, 0, 3],
+               "detail": "down(up) round trip failed"}),
+    "walk": ("lemma_suite", 5, decomp, "theta_R", (0, 1, 0, 0, 1), _unmoved,
+             {"map": "theta_R", "n": 5, "input": [0, 1, 0, 0, 1],
+              "side_index": 0, "output": [0, 1, 0, 0, 1],
+              "detail": "output outside the displaced subset"}),
+    "mirror": ("conjecture1", 4, harness, "scalar_stats", (0, 0, 1, 1),
+               _shifted("zero"),
+               {"n": 4, "tuple": [1, 2, 3, 1], "count": 3,
+                "mirror": [2, 1, 1, 3], "mirror_count": 2}),
+    "setvalued": ("phi_setvalued", 4, bijections, "phi", (2, 1, 3), _zeros,
+                  {"n": 3, "input": [2, 1, 3], "output": [0, 0, 0],
+                   "expected": [[1], [2], [1, 3], [3]],
+                   "actual": [[], [], [1, 2, 3], [3]]}),
+    "pointwise": ("lehmer_quadruple", 4, bijections, "lehmer_code",
+                  (2, 1, 3), _zeros,
+                  {"n": 3, "input": [2, 1, 3], "output": [0, 0, 0],
+                   "expected": [1, 2, 2, 1], "actual": [0, 3, 1, 1]}),
+    "agreement": ("foata", 4, harness, "perm_stats", (2, 1, 3),
+                  _shifted("des"),
+                  {"n": 3, "tables": ["INV (asc,rep)", "PERM_ALL (des,iasc)"],
+                   "tuple": [1, 1], "counts": [4, 3]}),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_injected_fault_is_reported_as_pinned(fault, tmp_path, monkeypatch):
+    check, max_n, module, name, key, corrupt, counterexample = FAULTS[fault]
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    real = getattr(module, name)
+
+    def faulty(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        return corrupt(x, out) if x == key else out
+
+    monkeypatch.setattr(module, name, faulty)
+    report = harness.run_check(check, max_n=max_n).as_dict()
+    del report["seconds"]
+    assert report == {"name": check, "parameters": {"max_n": max_n},
+                      "verdict": "fail", "counterexample": counterexample}
