@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import random
 import sys
@@ -19,8 +20,8 @@ from . import bijections, decomp, stats
 from .errors import DomainError, ResourceLimitError, UsageError
 from .genfun import (SpecPoint, admissible_for_length_series, fishburn_series,
                      random_point, series_G, series_asczero, series_zeromax)
-from .harness import (CHECK_NAMES, check_parameters, dist_table, run_check,
-                      spot_check_cache)
+from .harness import (_SEQ_MARKERS, CHECK_NAMES, check_parameters, dist_table,
+                      run_check, spot_check_cache)
 from .seqcore import ClassId, Perm, Seq, enumerate_class, is_member
 
 
@@ -72,23 +73,12 @@ def _stat_bundle(class_id: ClassId, obj) -> dict:
         raise UsageError(
             f"{obj.to_text()!r} is not a member of {class_id.name}")
     if class_id.is_permutation_class:
-        ps = stats.perm_stats(obj)
-        return {"des": ps.des, "ides": ps.ides, "iasc": ps.iasc,
-                "DES": list(ps.DES), "IDES": list(ps.IDES),
-                "LMAX": list(ps.LMAX), "LMIN": list(ps.LMIN),
-                "RMAX": list(ps.RMAX)}
-    sc = stats.scalar_stats(obj)
-    st = stats.set_stats(obj)
-    bundle = {"asc": sc.asc, "rep": sc.rep, "zero": sc.zero, "max": sc.max,
-              "rmin": sc.rmin, "nasc": sc.nasc,
-              "ASC": list(st.ASC), "DIST": list(st.DIST),
-              "ZERO": list(st.ZERO), "MAX": list(st.MAX),
-              "RMIN": list(st.RMIN), "NASC": list(st.NASC)}
-    if class_id is ClassId.ASC:
-        bundle.update(ealm=stats.ealm(obj), zpair=stats.zpair(obj),
-                      zpos=stats.zpos(obj))
-    elif class_id is ClassId.T21:
-        bundle.update(mpair=stats.mpair(obj), mpos=stats.mpos(obj))
+        return stats.perm_stats(obj).as_dict()
+    bundle = {**stats.scalar_stats(obj).as_dict(),
+              **stats.set_stats(obj).as_dict()}
+    bundle.update((name, marker(obj))
+                  for name, (home, marker) in _SEQ_MARKERS.items()
+                  if home is class_id)
     return bundle
 
 
@@ -106,40 +96,29 @@ def _cmd_stats(args) -> int:
 
 # --- apply -----------------------------------------------------------------
 
-# name -> (input kind, handler); handlers receive (obj, args, trace) where
-# trace is a list collecting (label, sequence) steps, or None
-_FORWARD_INVERSE = {
-    "phi_P": (decomp.phi_P, decomp.phi_P_inv),
-    "psi_F": (decomp.psi_F, decomp.psi_F_inv),
-    "phi_G": (decomp.phi_G, decomp.phi_G_inv),
+# name -> (shape, forward, inverse): the bijections, whose shape is the kind
+# of object they take and whose inverses have names of their own, then the
+# decomposition maps with the shapes of decomp.MAPS
+_MAPS = {
+    "theta_lehmer": ("perm", bijections.lehmer_code, None),
+    "bv": ("perm", bijections.bv_code, None),
+    "bv_inv": ("seq", bijections.bv_decode, None),
+    "beta": ("seq", bijections.beta, None),
+    "beta_inv": ("seq", bijections.beta_inv, None),
+    "gamma": ("seq", bijections.gamma, None),
+    "gamma_inv": ("seq", bijections.gamma_inv, None),
+    "psi": ("perm", bijections.psi, None),
+    "psi_inv": ("seq", bijections.psi_inv, None),
+    "phi": ("perm", bijections.phi, None),
+    "phi_inv": ("seq", bijections.phi_inv, None),
+    "upsilon": ("seq", bijections.upsilon, None),
+    **decomp.MAPS,
 }
-_SHIFT_MAPS = {"ealm_shift": decomp.ealm_shift,
-               "mpair_shift": decomp.mpair_shift,
-               "zpair_shift": decomp.zpair_shift}
-_REDUCE_INSERT = {"s2_reduce": (decomp.s2_reduce, decomp.s2_insert),
-                  "s3_reduce": (decomp.s3_reduce, decomp.s3_insert)}
-_TRACEABLE = {"beta", "beta_inv", "gamma", "gamma_inv",
-              "mpair_shift", "vartheta", "theta_R"}
+_TRACEABLE = frozenset(
+    name for name, (_, forward, _) in _MAPS.items()
+    if "_trace" in inspect.signature(forward).parameters)
 
-_BIJECTION_MAPS = {
-    "theta_lehmer": ("perm", bijections.lehmer_code),
-    "bv": ("perm", bijections.bv_code),
-    "bv_inv": ("seq", bijections.bv_decode),
-    "beta": ("seq", bijections.beta),
-    "beta_inv": ("seq", bijections.beta_inv),
-    "gamma": ("seq", bijections.gamma),
-    "gamma_inv": ("seq", bijections.gamma_inv),
-    "psi": ("perm", bijections.psi),
-    "psi_inv": ("seq", bijections.psi_inv),
-    "phi": ("perm", bijections.phi),
-    "phi_inv": ("seq", bijections.phi_inv),
-    "upsilon": ("seq", bijections.upsilon),
-}
-_DECOMP_MAPS = ("phi_P", "xi_S4", "s2_reduce", "s3_reduce", "ealm_shift",
-                "psi_F", "mpair_shift", "vartheta", "phi_G", "zpair_shift",
-                "theta_R")
-
-MAP_NAMES = tuple(_BIJECTION_MAPS) + _DECOMP_MAPS
+MAP_NAMES = tuple(_MAPS)
 
 
 def _forward_or_inverse(args, name) -> str:
@@ -163,61 +142,31 @@ def _no_side_index(args, name):
 
 
 def _apply_named_map(name, obj, args, trace):
-    if name in _BIJECTION_MAPS:
+    """The map's image of obj: a sequence or permutation, or a MapResult."""
+    shape, forward, inverse = _MAPS[name]
+    traced = {"_trace": trace} if name in _TRACEABLE else {}
+    if shape in ("perm", "seq"):
         if args.direction is not None:
             raise UsageError(
                 f"map {name!r} does not take --direction; inverse maps "
                 f"have their own names")
         _no_side_index(args, name)
-        fn = _BIJECTION_MAPS[name][1]
-        out = fn(obj, _trace=trace) if name in _TRACEABLE else fn(obj)
-        return {"output": out}
-
-    if name in _FORWARD_INVERSE:
-        _no_side_index(args, name)
-        forward, inverse = _FORWARD_INVERSE[name]
-        fn = forward if _forward_or_inverse(args, name) == "forward" \
-            else inverse
-        return {"output": fn(obj)}
-
-    if name in _SHIFT_MAPS:
+        return forward(obj, **traced)
+    if shape == "shift":
         _no_side_index(args, name)
         if args.direction not in ("up", "down"):
             raise UsageError(f"map {name!r} needs --direction up or down")
-        fn = _SHIFT_MAPS[name]
-        if name == "mpair_shift":
-            return {"output": fn(obj, args.direction, _trace=trace)}
-        return {"output": fn(obj, args.direction)}
-
-    if name in _REDUCE_INSERT:
-        reduce_fn, insert_fn = _REDUCE_INSERT[name]
-        if _forward_or_inverse(args, name) == "forward":
-            _no_side_index(args, name)
-            res = reduce_fn(obj)
-            return {"output": res.output, "side_index": res.side_index}
-        return {"output": insert_fn(obj, _require_side_index(args, name))}
-
-    if name == "xi_S4":
-        if _forward_or_inverse(args, name) == "forward":
-            _no_side_index(args, name)
-            res = decomp.xi_S4(obj)
-            return {"output": res.output, "side_index": res.side_index}
-        return {"output": decomp.xi_S4_inv(
-            obj, _require_side_index(args, name))}
-
-    if name in ("vartheta", "theta_R"):
-        forward = decomp.vartheta if name == "vartheta" else decomp.theta_R
-        inverse = (decomp.vartheta_inv if name == "vartheta"
-                   else decomp.theta_R_inv)
-        if _forward_or_inverse(args, name) == "forward":
-            i = _require_side_index(args, name)
-            return {"output": forward(obj, i, _trace=trace)}
+        return forward(obj, args.direction, **traced)
+    if shape == "drop":
         _no_side_index(args, name)
-        res = inverse(obj, _trace=trace)
-        return {"output": res.output, "side_index": res.side_index}
-
-    raise UsageError(
-        f"unknown map {name!r}; available: {', '.join(MAP_NAMES)}")
+    inverting = _forward_or_inverse(args, name) == "inverse"
+    fn = inverse if inverting else forward
+    # a reduce inverse and a walk forward take the side index; a reduce
+    # forward and a walk inverse hand it back in a MapResult
+    if shape != "drop" and inverting == (shape == "reduce"):
+        return fn(obj, _require_side_index(args, name), **traced)
+    _no_side_index(args, name)
+    return fn(obj, **traced)
 
 
 def _cmd_apply(args) -> int:
@@ -229,15 +178,15 @@ def _cmd_apply(args) -> int:
         raise UsageError(
             f"map {name!r} has no trace; traceable maps: "
             f"{', '.join(sorted(_TRACEABLE))}")
-    kind = _BIJECTION_MAPS[name][0] if name in _BIJECTION_MAPS else "seq"
-    obj = (Perm.from_text(args.object) if kind == "perm"
+    obj = (Perm.from_text(args.object) if _MAPS[name][0] == "perm"
            else Seq.from_text(args.object))
     trace = [] if args.trace else None
-    result = _apply_named_map(name, obj, args, trace)
-    payload = {"map": name, "input": obj.to_text(),
-               "output": result["output"].to_text()}
-    if "side_index" in result:
-        payload["side_index"] = result["side_index"]
+    out = _apply_named_map(name, obj, args, trace)
+    side = {}
+    if isinstance(out, decomp.MapResult):
+        out, side = out.output, {"side_index": out.side_index}
+    payload = {"map": name, "input": obj.to_text(), "output": out.to_text(),
+               **side}
     if trace is not None:
         payload["trace"] = [[str(label), step.to_text()]
                             for label, step in trace]

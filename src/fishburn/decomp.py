@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, invariant
 from .seqcore import Seq, is_ascent, is_t21
 from .stats import ealm, maximal_positions, mpair, mpos, zero_positions, zpair, zpos
 
@@ -256,7 +256,7 @@ def psi_F(s: Seq) -> Seq:
     k1 = maximal_positions(s)[j + 1]
     if k1 == len(s):
         return Seq(s[:-1])
-    assert s[k1] == k1
+    invariant(s[k1] == k1)
     out = [v - (1 if v >= k1 else 0)
            for idx, v in enumerate(s) if idx != k1]
     return Seq(out)
@@ -306,8 +306,8 @@ def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
             out = list(s)
             y = out[k_i1]
             popped = out.pop(k_i)
-            assert popped == k_i - 1
-            assert out[k_i1 - 2] == k_i1 - 1
+            invariant(popped == k_i - 1)
+            invariant(out[k_i1 - 2] == k_i1 - 1)
             out[k_i1 - 1] = k_i1 - 1
             out.insert(k_i1 - 2, y)
     elif direction == "down":
@@ -318,7 +318,7 @@ def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
             n0 = len(s)
             out = list(s)
             popped = out.pop(KB[i - 1] - 1)
-            assert popped == KB[i - 1] - 1
+            invariant(popped == KB[i - 1] - 1)
             if i + 1 <= p - 1:
                 X = KB[i + 1] - 2
                 out = [v - 1 if KB[i - 1] <= v <= X else v for v in out]
@@ -332,7 +332,7 @@ def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
             out = list(s)
             y = out[KB[i] - 2]
             del out[KB[i] - 2]
-            assert out[KB[i] - 1] == KB[i] - 1
+            invariant(out[KB[i] - 1] == KB[i] - 1)
             out[KB[i] - 1] = y
             out.insert(KB[i - 1], KB[i - 1] - 1)
     else:
@@ -349,7 +349,7 @@ def _M0(t: list) -> list:
     kp = maximal_positions(t)
     out = list(t)
     popped = out.pop(kp[j] - 1)
-    assert popped == kp[j] - 1
+    invariant(popped == kp[j] - 1)
     out.insert(kp[j - 1], kp[j - 1] - 1)
     return out
 
@@ -361,7 +361,7 @@ def _M1(t: list, c: int) -> list:
     x_c = kp[c] - 1
     out = list(t)
     popped = out.pop(kp[c] - 1)
-    assert popped == x_c
+    invariant(popped == x_c)
     if c + 1 <= p - 1:
         x = kp[c + 1] - 1
         out = [v - 1 if x_c <= v < x else v for v in out]
@@ -388,11 +388,11 @@ def _undo_M0(t: list) -> list:
     c = mpair(tuple(t))
     kp = maximal_positions(t)
     crit = [l for l in range(kp[c] + 2, len(t) + 1) if t[l - 1] == l - 2]
-    assert crit, "no critical maximal to restore"
+    invariant(crit, "no critical maximal to restore")
     lstar = crit[0]
     out = list(t)
     popped = out.pop(kp[c])
-    assert popped == kp[c] - 1
+    invariant(popped == kp[c] - 1)
     out.insert(lstar - 2, lstar - 2)
     return out
 
@@ -404,13 +404,13 @@ def _undo_M1(t: list) -> list:
     out = list(t)
     if q == len(t):
         popped = out.pop()
-        assert popped == len(t) - 1
+        invariant(popped == len(t) - 1)
         out = [v + 1 if idx >= kp[c1] and v >= w else v
                for idx, v in enumerate(out)]
     else:
-        assert kp[c1 + 2] == q + 1
+        invariant(kp[c1 + 2] == q + 1)
         popped = out.pop(q - 1)
-        assert popped == q - 1
+        invariant(popped == q - 1)
         out = [v + 1 if idx >= kp[c1] and w <= v <= q - 2 else v
                for idx, v in enumerate(out)]
     out.insert(kp[c1], w + 1)
@@ -422,7 +422,7 @@ def _undo_M2(t: list) -> list:
     K = kp[c1 + 1]
     out = list(t)
     popped = out.pop(kp[c1])
-    assert popped == kp[c1] - 1
+    invariant(popped == kp[c1] - 1)
     out.insert(K - 2, K - 1)
     out[K - 2], out[K] = out[K], out[K - 2]
     return out
@@ -497,7 +497,7 @@ def phi_G(s: Seq) -> Seq:
     zp = zero_positions(s)
     out = list(s)
     popped = out.pop(zp[j + 1] - 1)
-    assert popped == 0
+    invariant(popped == 0)
     return Seq(out)
 
 def phi_G_inv(t: Seq) -> Seq:
@@ -531,7 +531,7 @@ def zpair_shift(s: Seq, direction: str) -> Seq:
     if direction == "up":
         _require(m < p - 1, f"paired zero already next to top: {tuple(s)!r}")
         ki, ki1 = zp[m], zp[m + 1]
-        assert s[ki] == 1
+        invariant(s[ki] == 1)
         del out[ki]
         for idx in range(ki, ki1 - 2):
             out[idx] -= 1
@@ -540,7 +540,7 @@ def zpair_shift(s: Seq, direction: str) -> Seq:
     if direction == "down":
         _require(m >= 1, f"paired zero already first: {tuple(s)!r}")
         km = zp[m]
-        assert s[km] == 1
+        invariant(s[km] == 1)
         del out[km]
         for idx in range(zp[m - 1], km - 1):
             out[idx] += 1
@@ -555,7 +555,7 @@ def _Z0(t: list) -> list:
     for idx in range(zp[j - 1], zp[j] - 1):
         out[idx] += 1
     popped = out.pop(zp[j] - 1)
-    assert popped == 0
+    invariant(popped == 0)
     out.insert(zp[j - 1], 1)
     return out
 
@@ -565,7 +565,7 @@ def _Z1(t: list, c: int) -> list:
     zp = zero_positions(t)
     out = list(t)
     popped = out.pop(zp[c] - 1)
-    assert popped == 0
+    invariant(popped == 0)
     if c + 1 <= len(zp) - 1:
         out.insert(zp[c + 1] - 1, 0)
     else:
@@ -582,11 +582,11 @@ def _Z2(t: list, c: int) -> list:
     after = t[zp[c] + 1] if zp[c] + 1 < len(t) else None
     if after is not None and after >= 2:
         popped = out.pop(zp[c])
-        assert popped == 1
+        invariant(popped == 1)
         out.insert(zp[c - 1], 1)
     else:
         block = out[zp[c] - 1:zp[c] + 1]
-        assert block == [0, 1]
+        invariant(block == [0, 1])
         del out[zp[c] - 1:zp[c] + 1]
         out[zp[c - 1] - 1:zp[c - 1] - 1] = [0, 1]
     return out
@@ -624,11 +624,11 @@ def _undo_Z0(t: list) -> list:
     c = zpair(tuple(t))
     zp = zero_positions(t)
     crit = [l for l in range(zp[c] + 2, len(t) + 1) if t[l - 1] == 1]
-    assert crit, "no critical one to restore"
+    invariant(crit, "no critical one to restore")
     lstar = crit[0]
     out = list(t)
     popped = out.pop(zp[c])
-    assert popped == 1
+    invariant(popped == 1)
     for idx in range(zp[c], lstar - 2):
         out[idx] -= 1
     out.insert(lstar - 2, 0)
@@ -640,11 +640,11 @@ def _undo_Z1(t: list) -> list:
     out = list(t)
     if zp[c + 1] == len(t):
         popped = out.pop()
-        assert popped == 0
+        invariant(popped == 0)
     else:
-        assert zp[c + 2] == zp[c + 1] + 1
+        invariant(zp[c + 2] == zp[c + 1] + 1)
         popped = out.pop(zp[c + 2] - 1)
-        assert popped == 0
+        invariant(popped == 0)
     out.insert(zp[c], 0)
     return out
 
@@ -655,13 +655,13 @@ def _undo_Z2(t: list) -> list:
     after = t[zp[c] + 1] if zp[c] + 1 < len(t) else None
     if after is not None and after >= 2:
         popped = out.pop(zp[c])
-        assert popped == 1
+        invariant(popped == 1)
         for idx in range(zp[c], zp[c + 1] - 2):
             out[idx] -= 1
         out.insert(zp[c + 1] - 1, 1)
     elif after == 0:
         block = out[zp[c] - 1:zp[c] + 1]
-        assert block == [0, 1]
+        invariant(block == [0, 1])
         del out[zp[c] - 1:zp[c] + 1]
         q = len(out) + 1
         for idx in range(zp[c], len(out)):
@@ -698,3 +698,25 @@ def theta_R_inv(s: Seq, _trace=None) -> MapResult:
         if _trace is not None:
             _trace.append((label, Seq(cur)))
     raise AssertionError(f"paired-zero rewind did not terminate: {tuple(s)!r}")
+
+
+# name -> (shape, forward, inverse) of every length-reducing map, in the
+# order of the lemma ledger.  The shape fixes how the pair is called:
+#   drop    forward(s) -> t and inverse(t) -> s, with t one shorter;
+#   reduce  forward(s) -> MapResult(t, i) and inverse(t, i) -> s;
+#   shift   forward(s, "up" | "down"); a shift is its own inverse, run in the
+#           other direction;
+#   walk    forward(s, i) -> t and inverse(t) -> MapResult(s, i).
+MAPS = {
+    "phi_P": ("drop", phi_P, phi_P_inv),
+    "xi_S4": ("reduce", xi_S4, xi_S4_inv),
+    "s2_reduce": ("reduce", s2_reduce, s2_insert),
+    "s3_reduce": ("reduce", s3_reduce, s3_insert),
+    "ealm_shift": ("shift", ealm_shift, ealm_shift),
+    "psi_F": ("drop", psi_F, psi_F_inv),
+    "mpair_shift": ("shift", mpair_shift, mpair_shift),
+    "vartheta": ("walk", vartheta, vartheta_inv),
+    "phi_G": ("drop", phi_G, phi_G_inv),
+    "zpair_shift": ("shift", zpair_shift, zpair_shift),
+    "theta_R": ("walk", theta_R, theta_R_inv),
+}

@@ -3,7 +3,9 @@
 Three failure families, kept distinct so the CLI can map them to exit codes:
 bad mathematical input (DomainError), bad usage of an API or command
 (UsageError), and work that would exceed a configured size limit
-(ResourceLimitError).
+(ResourceLimitError).  Broken internal invariants raise AssertionError
+through `invariant`, which, unlike an `assert` statement, survives
+``python -O``.
 """
 
 
@@ -25,3 +27,9 @@ class UsageError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An enumeration or computation would exceed the configured size limit."""
+
+
+def invariant(condition, *message) -> None:
+    """Raise AssertionError(*message) unless condition holds."""
+    if not condition:
+        raise AssertionError(*message)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .decomp import classify
-from .errors import DomainError, ResourceLimitError, UsageError
+from .errors import DomainError, ResourceLimitError, UsageError, invariant
 from .seqcore import ClassId, enumerate_class
 from .stats import ealm, scalar_stats
 
@@ -260,7 +260,7 @@ def fishburn_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     total = TruncSeries.zero(order)
     for m in range(1, order + 1):
         partial = partial * (one - shrink_pow)
-        assert partial.vanishes_below(m), "summand order bound violated"
+        invariant(partial.vanishes_below(m), "summand order bound violated")
         total = total + partial
         shrink_pow = shrink_pow * shrink
     return total
@@ -302,7 +302,7 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
         den_left = TruncSeries.constant(x * (1 - u), order) + a.scale(u)
         den_right = TruncSeries.constant(x, order) + a.scale(u * (1 - x))
         term = lead.scale(xpow) * a * running / (den_left * den_right)
-        assert term.vanishes_below(m + 1), "summand order bound violated"
+        invariant(term.vanishes_below(m + 1), "summand order bound violated")
         total = total + term
         running = running * (one + zr_less_one * a) / den_right
         a = a * shrink
@@ -328,7 +328,7 @@ def series_zeromax(order: int = DEFAULT_ORDER, q=1, z=1) -> TruncSeries:
     total = TruncSeries.zero(order)
     for m in range(order):
         term = lead * running
-        assert term.vanishes_below(m + 1), "summand order bound violated"
+        invariant(term.vanishes_below(m + 1), "summand order bound violated")
         total = total + term
         running = running * (one - drop * shrink_pow)
         shrink_pow = shrink_pow * shrink
@@ -367,7 +367,7 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
             running = (running * (one - piece)
                        / (TruncSeries.constant(u, order) + piece.scale(1 - u)))
             term = running.scale(upow)
-            assert term.vanishes_below(m + 1), "summand order bound violated"
+            invariant(term.vanishes_below(m + 1), "summand order bound violated")
             total = total + term
             upow *= u
             shrink_pow = shrink_pow * shrink
@@ -379,7 +379,7 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
         for m in range(order):
             den = TruncSeries.constant(1 - u, order) + shrink_pow.scale(u)
             term = lead * shrink_pow * running / den
-            assert term.vanishes_below(m + 1), "summand order bound violated"
+            invariant(term.vanishes_below(m + 1), "summand order bound violated")
             total = total + term
             running = running * (one - fading * shrink_pow)
             shrink_pow = shrink_pow * shrink

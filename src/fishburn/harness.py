@@ -15,6 +15,7 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,34 +241,34 @@ def _table_diff(left: dict, right: dict):
 # the named checks; each returns None on pass or a counterexample dict
 
 
-def _chk_conjecture1(max_n):
+def _mirror(class_id, names, order, max_n):
+    """The joint table of names is invariant under reordering its keys."""
     for n in range(1, max_n + 1):
-        tbl = dist_table(ClassId.ASC, n, ("asc", "rep", "zero", "max")).counts
+        tbl = dist_table(class_id, n, names).counts
         for key in sorted(tbl):
-            a, r, z, m = key
-            mirror = (r, a, m, z)
+            mirror = tuple(key[k] for k in order)
             if tbl.get(mirror, 0) != tbl[key]:
                 return {"n": n, "tuple": key, "count": tbl[key],
                         "mirror": mirror, "mirror_count": tbl.get(mirror, 0)}
     return None
 
 
-def _chk_upsilon_quadruple(max_n):
+def _pointwise(source, map_name, target, want, got, detail, max_n):
+    """The bijection sends the statistics want of each source object to the
+    statistics got of its image in target, and is onto."""
+    want_of, got_of = _value_fn(source, want), _value_fn(target, got)
     for n in range(1, max_n + 1):
         seen = set()
         count = 0
-        for s in enumerate_class(ClassId.ASC, n):
+        for x in enumerate_class(source, n):
             count += 1
-            out = bijections.upsilon(s)
-            if not is_member(ClassId.ASC, out):
-                return {"n": n, "input": s, "output": out,
-                        "detail": "image is not an ascent sequence"}
-            a, b = scalar_stats(s), scalar_stats(out)
-            want = (a.asc, a.rep, a.zero, a.max)
-            got = (b.rep, b.asc, b.rmin, b.zero)
-            if want != got:
-                return {"n": n, "input": s, "output": out,
-                        "expected": want, "actual": got}
+            out = getattr(bijections, map_name)(x)
+            if not is_member(target, out):
+                return {"n": n, "input": x, "output": out, "detail": detail}
+            expected, actual = want_of(x), got_of(out)
+            if expected != actual:
+                return {"n": n, "input": x, "output": out,
+                        "expected": expected, "actual": actual}
             if out in seen:
                 return {"n": n, "output": out, "detail": "image collision"}
             seen.add(out)
@@ -276,18 +277,20 @@ def _chk_upsilon_quadruple(max_n):
     return None
 
 
-def _chk_psi_setvalued(max_n):
+def _setvalued(source, map_name, perm_sets, seq_sets, max_n):
+    """The bijection onto ascent sequences sends the set-valued statistics
+    perm_sets of each permutation to seq_sets of its image."""
     for n in range(1, max_n + 1):
         targets = set(enumerate_class(ClassId.ASC, n))
         seen = set()
-        for p in enumerate_class(ClassId.PERM_AVOID_A, n):
-            s = bijections.psi(p)
+        for p in enumerate_class(source, n):
+            s = getattr(bijections, map_name)(p)
             if s not in targets:
                 return {"n": n, "input": p, "output": s,
                         "detail": "image is not an ascent sequence"}
             ps, ss = perm_stats(p), set_stats(s)
-            want = (ps.DES, ps.IDES, ps.LMIN, ps.LMAX, ps.RMAX)
-            got = (ss.ASC, ss.DIST, ss.MAX, ss.ZERO, ss.RMIN)
+            want = tuple(getattr(ps, k) for k in perm_sets)
+            got = tuple(getattr(ss, k) for k in seq_sets)
             if want != got:
                 return {"n": n, "input": p, "output": s,
                         "expected": want, "actual": got}
@@ -300,117 +303,17 @@ def _chk_psi_setvalued(max_n):
     return None
 
 
-def _chk_phi_setvalued(max_n):
+def _agree(tables, max_n):
+    """Each (class, statistics) table equals the first one, at every n."""
+    labels = [f"{cls.name} ({','.join(names)})" for cls, names in tables]
     for n in range(1, max_n + 1):
-        targets = set(enumerate_class(ClassId.ASC, n))
-        seen = set()
-        for p in enumerate_class(ClassId.PERM_AVOID_B, n):
-            s = bijections.phi(p)
-            if s not in targets:
-                return {"n": n, "input": p, "output": s,
-                        "detail": "image is not an ascent sequence"}
-            ps, ss = perm_stats(p), set_stats(s)
-            want = (ps.DES, ps.IDES, ps.LMAX, ps.RMAX)
-            got = (ss.ASC, ss.DIST, ss.ZERO, ss.RMIN)
-            if want != got:
-                return {"n": n, "input": p, "output": s,
-                        "expected": want, "actual": got}
-            if s in seen:
-                return {"n": n, "output": s, "detail": "image collision"}
-            seen.add(s)
-        if seen != targets:
-            return {"n": n, "detail": f"image covers {len(seen)} of "
-                                      f"{len(targets)} ascent sequences"}
-    return None
-
-
-def _chk_zeromax_sym(max_n):
-    for n in range(1, max_n + 1):
-        tbl = dist_table(ClassId.ASC, n, ("zero", "max")).counts
-        for key in sorted(tbl):
-            mirror = (key[1], key[0])
-            if tbl.get(mirror, 0) != tbl[key]:
-                return {"n": n, "tuple": key, "count": tbl[key],
-                        "mirror": mirror, "mirror_count": tbl.get(mirror, 0)}
-    return None
-
-
-def _chk_main3(max_n):
-    for n in range(1, max_n + 1):
-        repmax_asc = dist_table(ClassId.ASC, n, ("rep", "max")).counts
-        repmax_t21 = dist_table(ClassId.T21, n, ("rep", "max")).counts
-        asczero = dist_table(ClassId.ASC, n, ("asc", "zero")).counts
-        for label, other in (("T21 (rep,max)", repmax_t21),
-                             ("ASC (asc,zero)", asczero)):
-            diff = _table_diff(repmax_asc, other)
+        counts = [dist_table(cls, n, names).counts for cls, names in tables]
+        for label, other in zip(labels[1:], counts[1:]):
+            diff = _table_diff(counts[0], other)
             if diff:
                 key, a, b = diff
-                return {"n": n, "tables": ["ASC (rep,max)", label],
+                return {"n": n, "tables": [labels[0], label],
                         "tuple": key, "counts": [a, b]}
-    return None
-
-
-def _chk_t_main3(max_n):
-    for n in range(1, max_n + 1):
-        t_triple = dist_table(ClassId.T21, n, ("rep", "max", "mpair")).counts
-        a_triple = dist_table(ClassId.ASC, n, ("rep", "max", "ealm")).counts
-        z_triple = dist_table(ClassId.ASC, n, ("asc", "zero", "zpair")).counts
-        for label, other in (("ASC (rep,max,ealm)", a_triple),
-                             ("ASC (asc,zero,zpair)", z_triple)):
-            diff = _table_diff(t_triple, other)
-            if diff:
-                key, a, b = diff
-                return {"n": n, "tables": ["T21 (rep,max,mpair)", label],
-                        "tuple": key, "counts": [a, b]}
-    return None
-
-
-def _chk_foata(max_n):
-    # the double Eulerian pair on permutations is (des, iasc); pairing rep
-    # with ides instead already fails at n = 2
-    for n in range(1, max_n + 1):
-        inv_tbl = dist_table(ClassId.INV, n, ("asc", "rep")).counts
-        perm_tbl = dist_table(ClassId.PERM_ALL, n, ("des", "iasc")).counts
-        diff = _table_diff(inv_tbl, perm_tbl)
-        if diff:
-            key, a, b = diff
-            return {"n": n, "tables": ["INV (asc,rep)", "PERM_ALL (des,iasc)"],
-                    "tuple": key, "counts": [a, b]}
-    return None
-
-
-def _chk_inv_sym(max_n):
-    for n in range(1, max_n + 1):
-        tbl = dist_table(ClassId.INV, n, ("asc", "rep")).counts
-        for key in sorted(tbl):
-            mirror = (key[1], key[0])
-            if tbl.get(mirror, 0) != tbl[key]:
-                return {"n": n, "tuple": key, "count": tbl[key],
-                        "mirror": mirror, "mirror_count": tbl.get(mirror, 0)}
-    return None
-
-
-def _chk_lehmer_quadruple(max_n):
-    for n in range(1, max_n + 1):
-        seen = set()
-        count = 0
-        for p in enumerate_class(ClassId.PERM_ALL, n):
-            count += 1
-            s = bijections.lehmer_code(p)
-            if not is_member(ClassId.INV, s):
-                return {"n": n, "input": p, "output": s,
-                        "detail": "code is not an inversion sequence"}
-            ps, sc = perm_stats(p), scalar_stats(s)
-            want = (ps.des, len(ps.LMAX), len(ps.LMIN), len(ps.RMAX))
-            got = (sc.asc, sc.zero, sc.max, sc.rmin)
-            if want != got:
-                return {"n": n, "input": p, "output": s,
-                        "expected": want, "actual": got}
-            if s in seen:
-                return {"n": n, "output": s, "detail": "image collision"}
-            seen.add(s)
-        if len(seen) != count:
-            return {"n": n, "detail": "image does not cover the class"}
     return None
 
 
@@ -509,408 +412,301 @@ def _chk_class_counts(max_n, perm_max_n):
 
 
 # --- lemma_suite -----------------------------------------------------------
+#
+# Each decomposition map has one of four shapes (decomp.MAPS), and one
+# verifier per shape checks its lemma over every sequence of length n:
+#   drop    forward is a bijection from the domain block onto the codomain:
+#           it moves the statistics by the deltas, keeps the marker and
+#           round trips, and the inverse takes the whole codomain back into
+#           the block.
+#   reduce  forward is a bijection from the domain block onto the pairs
+#           (t, i) with t in the codomain and i in the side-index range of t;
+#           the statistics move by the deltas, and zero also drops by one
+#           exactly when i is 0.
+#   shift   up and down move the marker by one inside the domain block,
+#           keep the statistics (every delta is 0) and undo each other; the
+#           block's count at fixed statistics must not depend on the marker.
+#   walk    for each side index i in the range of s, forward sends s into
+#           the codomain with marker i and the statistics moved by the
+#           deltas; the inverse recovers (s, i) and the images cover the
+#           codomain.
+# A block is (scheme, *labels) of decomp.classify.  A codomain is (length
+# drop, block or None for the whole class, its description).  A side-index
+# range (lo, hi) is read off the sequence the index is paired with; each
+# bound is 0, a scalar statistic or a marker.  A reduce range's third entry
+# says whether the index must also equal the marker of the input.
+
+# lemma -> (class, domain block, codomain, side-index range,
+#           statistic deltas, marker)
+_LEDGER = {
+    "phi_P": (ClassId.ASC, ("ASC_P", "P"),
+              (1, None, "an ascent sequence of length n-1"), None,
+              {"asc": 1, "max": 1, "rep": 0, "zero": 0}, "ealm"),
+    "xi_S4": (ClassId.ASC, ("ASC_S", "S4"),
+              (0, ("ASC_P", "Pc"),
+               "in the complement of the single-submaximal subset"),
+              (0, "ealm", True), {"asc": 0, "rep": 0, "max": -1}, "ealm"),
+    "s2_reduce": (ClassId.ASC, ("ASC_S", "S2"),
+                  (1, ("ASC_S", "S1", "S2", "S3", "S4"),
+                   "a shorter non-identity-run ascent sequence"),
+                  ("ealm", "max", False), {"asc": 0, "max": 0, "rep": 1},
+                  "ealm"),
+    "s3_reduce": (ClassId.ASC, ("ASC_S", "S3"),
+                  (1, None, "an ascent sequence of length n-1"),
+                  (0, "ealm", False), {"asc": 1, "max": 0, "rep": 1}, "ealm"),
+    "ealm_shift": (ClassId.ASC, ("ASC_S", "S1", "S2", "S3"), None,
+                   (0, "max"), {"rep": 0, "max": 0}, "ealm"),
+    "psi_F": (ClassId.T21, ("T_F", "F"),
+              (1, None, "a (2-1)-avoiding sequence of length n-1"), None,
+              {"max": 1, "rep": 0}, "mpair"),
+    "mpair_shift": (ClassId.T21, ("T_J", "J1"), None,
+                    (0, "max"), {"rep": 0, "max": 0}, "mpair"),
+    "vartheta": (ClassId.T21, ("T_F", "Fc"),
+                 (0, ("T_J", "J2"), "the displaced subset"),
+                 (0, "mpair"), {"rep": 0, "max": 1}, "mpair"),
+    "phi_G": (ClassId.ASC, ("ASC_G", "G"),
+              (1, None, "an ascent sequence of length n-1"), None,
+              {"zero": 1, "asc": 0}, "zpair"),
+    "zpair_shift": (ClassId.ASC, ("ASC_R", "R1"), None,
+                    (0, "zero"), {"asc": 0, "zero": 0}, "zpair"),
+    "theta_R": (ClassId.ASC, ("ASC_G", "Gc"),
+                (0, ("ASC_R", "R2"), "the displaced subset"),
+                (0, "zpair"), {"asc": 0, "zero": 1}, "zpair"),
+}
+
+# schemes that cannot classify the run of maximals (or of zeros) itself,
+# and the statistic that equals the length exactly on that run
+_GUARDS = {"ASC_S": "max", "T_J": "max", "ASC_R": "zero"}
 
 
-def _zero_stat(s) -> int:
-    return scalar_stats(s).zero
+def _block(objs, block):
+    scheme, *labels = block
+    guard = _GUARDS.get(scheme)
+    return [s for s in objs
+            if (guard is None or getattr(scalar_stats(s), guard) < len(s))
+            and decomp.classify(s, scheme) in labels]
 
 
-def _lemma_phi_P(n, asc_n, asc_prev):
-    domain = [s for s in asc_n if decomp.classify(s, "ASC_P") == "P"]
+def _codomain(objs, class_id, codomain):
+    drop, block, _ = codomain
+    pool = objs[class_id][drop]
+    return pool if block is None else _block(pool, block)
+
+
+def _bound(bound, s, sc=None):
+    """0, a scalar statistic (sc = scalar_stats(s), if known) or a marker."""
+    if isinstance(bound, int):
+        return bound
+    if bound in _SEQ_MARKERS:
+        return getattr(stats, bound)(s)
+    return getattr(sc or scalar_stats(s), bound)
+
+
+def _moved(a, b, deltas) -> bool:
+    """Each statistic of a equals that of b plus its delta."""
+    return all(getattr(a, k) == getattr(b, k) + d for k, d in deltas.items())
+
+
+def _map_pair(name):
+    """Forward and inverse of a decomposition map, read off the module at
+    each call so that patched and traced bindings are the ones exercised."""
+    _, forward, inverse = decomp.MAPS[name]
+    return getattr(decomp, forward.__name__), getattr(decomp, inverse.__name__)
+
+
+def _fail(name, n, **detail) -> dict:
+    return {"map": name, "n": n, **detail}
+
+
+def _verify_drop(name, n, objs, class_id, block, codomain, _, deltas,
+                 marker):
+    forward, inverse = _map_pair(name)
+    mark = getattr(stats, marker)
+    domain = _block(objs[class_id][0], block)
     domain_set = set(domain)
-    prev_set = set(asc_prev)
+    targets = _codomain(objs, class_id, codomain)
+    target_set = set(targets)
     images = set()
     for s in domain:
-        out = decomp.phi_P(s)
+        out = forward(s)
         a, b = scalar_stats(s), scalar_stats(out)
-        if out not in prev_set:
-            return {"map": "phi_P", "n": n, "input": s, "output": out,
-                    "detail": "output not an ascent sequence of length n-1"}
-        if (a.asc, a.max, a.rep, a.zero, stats.ealm(s)) != \
-                (b.asc + 1, b.max + 1, b.rep, b.zero, stats.ealm(out)):
-            return {"map": "phi_P", "n": n, "input": s, "output": out,
-                    "detail": "statistic contract violated"}
-        if decomp.phi_P_inv(out) != s:
-            return {"map": "phi_P", "n": n, "input": s,
-                    "detail": "round trip failed"}
+        if out not in target_set:
+            return _fail(name, n, input=s, output=out,
+                         detail=f"output not {codomain[2]}")
+        if mark(s) != mark(out) or not _moved(a, b, deltas):
+            return _fail(name, n, input=s, output=out,
+                         detail="statistic contract violated")
+        if inverse(out) != s:
+            return _fail(name, n, input=s, detail="round trip failed")
         images.add(out)
     if len(images) != len(domain):
-        return {"map": "phi_P", "n": n, "detail": "not injective"}
-    for t in sorted(asc_prev):
-        back = decomp.phi_P_inv(t)
-        if back not in domain_set or decomp.phi_P(back) != t:
-            return {"map": "phi_P", "n": n, "input": t,
-                    "detail": "inverse leaves the stated codomain"}
+        return _fail(name, n, detail="not injective")
+    for t in sorted(targets):
+        back = inverse(t)
+        if back not in domain_set or forward(back) != t:
+            return _fail(name, n, input=t,
+                         detail="inverse leaves the stated codomain")
     return None
 
 
-def _lemma_xi_S4(n, asc_n):
-    domain = [s for s in asc_n if scalar_stats(s).max < n
-              and decomp.classify(s, "ASC_S") == "S4"]
-    pc = [s for s in asc_n if decomp.classify(s, "ASC_P") == "Pc"]
-    pc_set = set(pc)
+def _verify_reduce(name, n, objs, class_id, block, codomain, side, deltas,
+                   marker):
+    forward, inverse = _map_pair(name)
+    mark = getattr(stats, marker)
+    lo, hi, tied = side
+    domain = _block(objs[class_id][0], block)
+    targets = _codomain(objs, class_id, codomain)
+    target_set = set(targets)
     pairs = set()
     for s in domain:
-        res = decomp.xi_S4(s)
+        res = forward(s)
         out, i = res.output, res.side_index
         a, b = scalar_stats(s), scalar_stats(out)
-        if out not in pc_set:
-            return {"map": "xi_S4", "n": n, "input": s, "output": out,
-                    "detail": "output not in the complement of the "
-                              "single-submaximal subset"}
-        if i != stats.ealm(s) or not (0 <= i < stats.ealm(out)):
-            return {"map": "xi_S4", "n": n, "input": s, "side_index": i,
-                    "detail": "side index out of range"}
-        if (a.asc, a.rep, a.max, a.zero) != \
-                (b.asc, b.rep, b.max - 1, b.zero + (1 if i == 0 else 0)):
-            return {"map": "xi_S4", "n": n, "input": s, "output": out,
-                    "detail": "statistic contract violated"}
-        if decomp.xi_S4_inv(out, i) != s:
-            return {"map": "xi_S4", "n": n, "input": s,
-                    "detail": "round trip failed"}
+        if out not in target_set:
+            return _fail(name, n, input=s, output=out,
+                         detail=f"output not {codomain[2]}")
+        if ((tied and i != mark(s))
+                or not _bound(lo, out, b) <= i < _bound(hi, out, b)):
+            return _fail(name, n, input=s, side_index=i,
+                         detail="side index out of range")
+        if (not _moved(a, b, deltas)
+                or a.zero != b.zero + (1 if i == 0 else 0)):
+            return _fail(name, n, input=s, output=out,
+                         detail="statistic contract violated")
+        if inverse(out, i) != s:
+            return _fail(name, n, input=s, detail="round trip failed")
         pairs.add((out, i))
     if len(pairs) != len(domain):
-        return {"map": "xi_S4", "n": n, "detail": "not injective"}
-    want = {(t, i) for t in pc for i in range(stats.ealm(t))}
+        return _fail(name, n, detail="not injective")
+    want = {(t, i) for t in targets
+            for i in range(_bound(lo, t), _bound(hi, t))}
     if pairs != want:
-        return {"map": "xi_S4", "n": n,
-                "detail": f"image covers {len(pairs)} of {len(want)} pairs"}
+        return _fail(name, n, detail=f"image covers {len(pairs)} of "
+                                     f"{len(want)} pairs")
     return None
 
 
-def _lemma_s2(n, asc_n, asc_prev):
-    domain = [s for s in asc_n if scalar_stats(s).max < n
-              and decomp.classify(s, "ASC_S") == "S2"]
-    prev_set = set(asc_prev)
-    pairs = set()
-    for s in domain:
-        res = decomp.s2_reduce(s)
-        out, i = res.output, res.side_index
-        a, b = scalar_stats(s), scalar_stats(out)
-        if out not in prev_set or b.max >= n - 1:
-            return {"map": "s2_reduce", "n": n, "input": s, "output": out,
-                    "detail": "output not a shorter non-identity-run "
-                              "ascent sequence"}
-        if not stats.ealm(out) <= i <= b.max - 1:
-            return {"map": "s2_reduce", "n": n, "input": s, "side_index": i,
-                    "detail": "side index out of range"}
-        if (a.asc, a.max, a.rep, a.zero) != \
-                (b.asc, b.max, b.rep + 1, b.zero + (1 if i == 0 else 0)):
-            return {"map": "s2_reduce", "n": n, "input": s, "output": out,
-                    "detail": "statistic contract violated"}
-        if decomp.s2_insert(out, i) != s:
-            return {"map": "s2_reduce", "n": n, "input": s,
-                    "detail": "round trip failed"}
-        pairs.add((out, i))
-    if len(pairs) != len(domain):
-        return {"map": "s2_reduce", "n": n, "detail": "not injective"}
-    want = {(t, i) for t in asc_prev if scalar_stats(t).max < n - 1
-            for i in range(stats.ealm(t), scalar_stats(t).max)}
-    if pairs != want:
-        return {"map": "s2_reduce", "n": n,
-                "detail": f"image covers {len(pairs)} of {len(want)} pairs"}
-    return None
-
-
-def _lemma_s3(n, asc_n, asc_prev):
-    domain = [s for s in asc_n if scalar_stats(s).max < n
-              and decomp.classify(s, "ASC_S") == "S3"]
-    prev_set = set(asc_prev)
-    pairs = set()
-    for s in domain:
-        res = decomp.s3_reduce(s)
-        out, i = res.output, res.side_index
-        a, b = scalar_stats(s), scalar_stats(out)
-        if out not in prev_set:
-            return {"map": "s3_reduce", "n": n, "input": s, "output": out,
-                    "detail": "output not an ascent sequence of length n-1"}
-        if not 0 <= i < stats.ealm(out):
-            return {"map": "s3_reduce", "n": n, "input": s, "side_index": i,
-                    "detail": "side index out of range"}
-        if (a.asc, a.max, a.rep, a.zero) != \
-                (b.asc + 1, b.max, b.rep + 1, b.zero + (1 if i == 0 else 0)):
-            return {"map": "s3_reduce", "n": n, "input": s, "output": out,
-                    "detail": "statistic contract violated"}
-        if decomp.s3_insert(out, i) != s:
-            return {"map": "s3_reduce", "n": n, "input": s,
-                    "detail": "round trip failed"}
-        pairs.add((out, i))
-    if len(pairs) != len(domain):
-        return {"map": "s3_reduce", "n": n, "detail": "not injective"}
-    want = {(t, i) for t in asc_prev for i in range(stats.ealm(t))}
-    if pairs != want:
-        return {"map": "s3_reduce", "n": n,
-                "detail": f"image covers {len(pairs)} of {len(want)} pairs"}
-    return None
-
-
-def _lemma_ealm_shift(n, asc_n):
-    members = [s for s in asc_n if scalar_stats(s).max < n
-               and decomp.classify(s, "ASC_S") != "S4"]
+def _verify_shift(name, n, objs, class_id, block, _, side, deltas, marker):
+    shift, _ = _map_pair(name)
+    mark = getattr(stats, marker)
+    lo, hi = side
+    members = _block(objs[class_id][0], block)
     member_set = set(members)
     profile = Counter()
     for s in members:
         sc = scalar_stats(s)
-        i = stats.ealm(s)
-        profile[(i, sc.rep, sc.max)] += 1
-        if i < sc.max - 1:
-            up = decomp.ealm_shift(s, "up")
-            usc = scalar_stats(up)
-            if (up not in member_set or stats.ealm(up) != i + 1
-                    or (usc.rep, usc.max) != (sc.rep, sc.max)):
-                return {"map": "ealm_shift", "n": n, "input": s, "output": up,
-                        "detail": "up contract violated"}
-            if decomp.ealm_shift(up, "down") != s:
-                return {"map": "ealm_shift", "n": n, "input": s,
-                        "detail": "down(up) round trip failed"}
-        if i >= 1:
-            down = decomp.ealm_shift(s, "down")
-            dsc = scalar_stats(down)
-            if (down not in member_set or stats.ealm(down) != i - 1
-                    or (dsc.rep, dsc.max) != (sc.rep, sc.max)):
-                return {"map": "ealm_shift", "n": n, "input": s,
-                        "output": down, "detail": "down contract violated"}
-            if decomp.ealm_shift(down, "up") != s:
-                return {"map": "ealm_shift", "n": n, "input": s,
-                        "detail": "up(down) round trip failed"}
-    for (i, rep, mx) in sorted(profile):
-        base = profile[(0, rep, mx)]
-        if any(profile.get((j, rep, mx), 0) != base for j in range(mx)):
-            return {"map": "ealm_shift", "n": n,
-                    "detail": f"count depends on the marker at rep={rep}, "
-                              f"max={mx}"}
+        i = mark(s)
+        profile[(i, *(getattr(sc, k) for k in deltas))] += 1
+        for there, back, step, movable in (
+                ("up", "down", 1, i < _bound(hi, s, sc) - 1),
+                ("down", "up", -1, i > lo)):
+            if not movable:
+                continue
+            moved = shift(s, there)
+            msc = scalar_stats(moved)
+            if (moved not in member_set or mark(moved) != i + step
+                    or not _moved(msc, sc, deltas)):
+                return _fail(name, n, input=s, output=moved,
+                             detail=f"{there} contract violated")
+            if shift(moved, back) != s:
+                return _fail(name, n, input=s,
+                             detail=f"{back}({there}) round trip failed")
+    for key in sorted(profile):
+        kept = dict(zip(deltas, key[1:]))
+        base = profile[(lo, *key[1:])]
+        if any(profile.get((j, *key[1:]), 0) != base
+               for j in range(lo, kept[hi])):
+            where = ", ".join(f"{k}={v}" for k, v in kept.items())
+            return _fail(name, n,
+                         detail=f"count depends on the marker at {where}")
     return None
 
 
-def _lemma_psi_F(n, t21_n, t21_prev):
-    domain = [s for s in t21_n if decomp.classify(s, "T_F") == "F"]
-    domain_set = set(domain)
-    prev_set = set(t21_prev)
-    images = set()
-    for s in domain:
-        out = decomp.psi_F(s)
-        a, b = scalar_stats(s), scalar_stats(out)
-        if out not in prev_set:
-            return {"map": "psi_F", "n": n, "input": s, "output": out,
-                    "detail": "output not a (2-1)-avoiding sequence of "
-                              "length n-1"}
-        if (a.max, a.rep, stats.mpair(s)) != \
-                (b.max + 1, b.rep, stats.mpair(out)):
-            return {"map": "psi_F", "n": n, "input": s, "output": out,
-                    "detail": "statistic contract violated"}
-        if decomp.psi_F_inv(out) != s:
-            return {"map": "psi_F", "n": n, "input": s,
-                    "detail": "round trip failed"}
-        images.add(out)
-    if len(images) != len(domain):
-        return {"map": "psi_F", "n": n, "detail": "not injective"}
-    for t in sorted(t21_prev):
-        back = decomp.psi_F_inv(t)
-        if back not in domain_set or decomp.psi_F(back) != t:
-            return {"map": "psi_F", "n": n, "input": t,
-                    "detail": "inverse leaves the stated codomain"}
-    return None
-
-
-def _lemma_mpair_shift(n, t21_n):
-    members = [s for s in t21_n if scalar_stats(s).max < n
-               and decomp.classify(s, "T_J") == "J1"]
-    member_set = set(members)
-    profile = Counter()
-    for s in members:
-        sc = scalar_stats(s)
-        i = stats.mpair(s)
-        profile[(i, sc.rep, sc.max)] += 1
-        if i < sc.max - 1:
-            up = decomp.mpair_shift(s, "up")
-            usc = scalar_stats(up)
-            if (up not in member_set or stats.mpair(up) != i + 1
-                    or (usc.rep, usc.max) != (sc.rep, sc.max)):
-                return {"map": "mpair_shift", "n": n, "input": s,
-                        "output": up, "detail": "up contract violated"}
-            if decomp.mpair_shift(up, "down") != s:
-                return {"map": "mpair_shift", "n": n, "input": s,
-                        "detail": "down(up) round trip failed"}
-        if i >= 1:
-            down = decomp.mpair_shift(s, "down")
-            dsc = scalar_stats(down)
-            if (down not in member_set or stats.mpair(down) != i - 1
-                    or (dsc.rep, dsc.max) != (sc.rep, sc.max)):
-                return {"map": "mpair_shift", "n": n, "input": s,
-                        "output": down, "detail": "down contract violated"}
-            if decomp.mpair_shift(down, "up") != s:
-                return {"map": "mpair_shift", "n": n, "input": s,
-                        "detail": "up(down) round trip failed"}
-    for (i, rep, mx) in sorted(profile):
-        base = profile[(0, rep, mx)]
-        if any(profile.get((j, rep, mx), 0) != base for j in range(mx)):
-            return {"map": "mpair_shift", "n": n,
-                    "detail": f"count depends on the marker at rep={rep}, "
-                              f"max={mx}"}
-    return None
-
-
-def _lemma_vartheta(n, t21_n):
-    domain = [s for s in t21_n if decomp.classify(s, "T_F") == "Fc"]
-    j2 = [s for s in t21_n if scalar_stats(s).max < n
-          and decomp.classify(s, "T_J") == "J2"]
-    j2_set = set(j2)
+def _verify_walk(name, n, objs, class_id, block, codomain, side, deltas,
+                 marker):
+    forward, inverse = _map_pair(name)
+    mark = getattr(stats, marker)
+    lo, hi = side
+    domain = _block(objs[class_id][0], block)
+    targets = _codomain(objs, class_id, codomain)
+    target_set = set(targets)
     outputs = set()
     for s in domain:
-        for i in range(stats.mpair(s)):
-            out = decomp.vartheta(s, i)
+        for i in range(_bound(lo, s), _bound(hi, s)):
+            out = forward(s, i)
             a, b = scalar_stats(s), scalar_stats(out)
-            if out not in j2_set:
-                return {"map": "vartheta", "n": n, "input": s,
-                        "side_index": i, "output": out,
-                        "detail": "output outside the displaced subset"}
-            if stats.mpair(out) != i or a.rep != b.rep or a.max != b.max + 1:
-                return {"map": "vartheta", "n": n, "input": s,
-                        "side_index": i, "output": out,
-                        "detail": "statistic contract violated"}
-            res = decomp.vartheta_inv(out)
+            if out not in target_set:
+                return _fail(name, n, input=s, side_index=i, output=out,
+                             detail=f"output outside {codomain[2]}")
+            if mark(out) != i or not _moved(a, b, deltas):
+                return _fail(name, n, input=s, side_index=i, output=out,
+                             detail="statistic contract violated")
+            res = inverse(out)
             if res.output != s or res.side_index != i:
-                return {"map": "vartheta", "n": n, "input": s,
-                        "side_index": i, "detail": "round trip failed"}
+                return _fail(name, n, input=s, side_index=i,
+                             detail="round trip failed")
             outputs.add(out)
-    if len(outputs) != len(j2):
-        return {"map": "vartheta", "n": n,
-                "detail": f"image covers {len(outputs)} of {len(j2)}"}
+    if len(outputs) != len(targets):
+        return _fail(name, n, detail=f"image covers {len(outputs)} of "
+                                     f"{len(targets)}")
     return None
 
 
-def _lemma_phi_G(n, asc_n, asc_prev):
-    domain = [s for s in asc_n if decomp.classify(s, "ASC_G") == "G"]
-    domain_set = set(domain)
-    prev_set = set(asc_prev)
-    images = set()
-    for s in domain:
-        out = decomp.phi_G(s)
-        a, b = scalar_stats(s), scalar_stats(out)
-        if out not in prev_set:
-            return {"map": "phi_G", "n": n, "input": s, "output": out,
-                    "detail": "output not an ascent sequence of length n-1"}
-        if (a.zero, a.asc, stats.zpair(s)) != \
-                (b.zero + 1, b.asc, stats.zpair(out)):
-            return {"map": "phi_G", "n": n, "input": s, "output": out,
-                    "detail": "statistic contract violated"}
-        if decomp.phi_G_inv(out) != s:
-            return {"map": "phi_G", "n": n, "input": s,
-                    "detail": "round trip failed"}
-        images.add(out)
-    if len(images) != len(domain):
-        return {"map": "phi_G", "n": n, "detail": "not injective"}
-    for t in sorted(asc_prev):
-        back = decomp.phi_G_inv(t)
-        if back not in domain_set or decomp.phi_G(back) != t:
-            return {"map": "phi_G", "n": n, "input": t,
-                    "detail": "inverse leaves the stated codomain"}
-    return None
-
-
-def _lemma_zpair_shift(n, asc_n):
-    members = [s for s in asc_n if _zero_stat(s) < n
-               and decomp.classify(s, "ASC_R") == "R1"]
-    member_set = set(members)
-    profile = Counter()
-    for s in members:
-        sc = scalar_stats(s)
-        i = stats.zpair(s)
-        profile[(i, sc.asc, sc.zero)] += 1
-        if i < sc.zero - 1:
-            up = decomp.zpair_shift(s, "up")
-            usc = scalar_stats(up)
-            if (up not in member_set or stats.zpair(up) != i + 1
-                    or (usc.asc, usc.zero) != (sc.asc, sc.zero)):
-                return {"map": "zpair_shift", "n": n, "input": s,
-                        "output": up, "detail": "up contract violated"}
-            if decomp.zpair_shift(up, "down") != s:
-                return {"map": "zpair_shift", "n": n, "input": s,
-                        "detail": "down(up) round trip failed"}
-        if i >= 1:
-            down = decomp.zpair_shift(s, "down")
-            dsc = scalar_stats(down)
-            if (down not in member_set or stats.zpair(down) != i - 1
-                    or (dsc.asc, dsc.zero) != (sc.asc, sc.zero)):
-                return {"map": "zpair_shift", "n": n, "input": s,
-                        "output": down, "detail": "down contract violated"}
-            if decomp.zpair_shift(down, "up") != s:
-                return {"map": "zpair_shift", "n": n, "input": s,
-                        "detail": "up(down) round trip failed"}
-    for (i, asc, zero) in sorted(profile):
-        base = profile[(0, asc, zero)]
-        if any(profile.get((j, asc, zero), 0) != base for j in range(zero)):
-            return {"map": "zpair_shift", "n": n,
-                    "detail": f"count depends on the marker at asc={asc}, "
-                              f"zero={zero}"}
-    return None
-
-
-def _lemma_theta_R(n, asc_n):
-    domain = [s for s in asc_n if decomp.classify(s, "ASC_G") == "Gc"]
-    r2 = [s for s in asc_n if _zero_stat(s) < n
-          and decomp.classify(s, "ASC_R") == "R2"]
-    r2_set = set(r2)
-    outputs = set()
-    for s in domain:
-        for i in range(stats.zpair(s)):
-            out = decomp.theta_R(s, i)
-            a, b = scalar_stats(s), scalar_stats(out)
-            if out not in r2_set:
-                return {"map": "theta_R", "n": n, "input": s,
-                        "side_index": i, "output": out,
-                        "detail": "output outside the displaced subset"}
-            if stats.zpair(out) != i or a.asc != b.asc or a.zero != b.zero + 1:
-                return {"map": "theta_R", "n": n, "input": s,
-                        "side_index": i, "output": out,
-                        "detail": "statistic contract violated"}
-            res = decomp.theta_R_inv(out)
-            if res.output != s or res.side_index != i:
-                return {"map": "theta_R", "n": n, "input": s,
-                        "side_index": i, "detail": "round trip failed"}
-            outputs.add(out)
-    if len(outputs) != len(r2):
-        return {"map": "theta_R", "n": n,
-                "detail": f"image covers {len(outputs)} of {len(r2)}"}
-    return None
+_VERIFIERS = {"drop": _verify_drop, "reduce": _verify_reduce,
+              "shift": _verify_shift, "walk": _verify_walk}
 
 
 def _chk_lemma_suite(max_n):
     for n in range(2, max_n + 1):
-        asc_n = list(enumerate_class(ClassId.ASC, n))
-        asc_prev = list(enumerate_class(ClassId.ASC, n - 1))
-        t21_n = list(enumerate_class(ClassId.T21, n))
-        t21_prev = list(enumerate_class(ClassId.T21, n - 1))
-        for verify in (
-            lambda: _lemma_phi_P(n, asc_n, asc_prev),
-            lambda: _lemma_xi_S4(n, asc_n),
-            lambda: _lemma_s2(n, asc_n, asc_prev),
-            lambda: _lemma_s3(n, asc_n, asc_prev),
-            lambda: _lemma_ealm_shift(n, asc_n),
-            lambda: _lemma_psi_F(n, t21_n, t21_prev),
-            lambda: _lemma_mpair_shift(n, t21_n),
-            lambda: _lemma_vartheta(n, t21_n),
-            lambda: _lemma_phi_G(n, asc_n, asc_prev),
-            lambda: _lemma_zpair_shift(n, asc_n),
-            lambda: _lemma_theta_R(n, asc_n),
-        ):
-            found = verify()
+        objs = {cls: (list(enumerate_class(cls, n)),
+                      list(enumerate_class(cls, n - 1)))
+                for cls in (ClassId.ASC, ClassId.T21)}
+        for name, (shape, _, _) in decomp.MAPS.items():
+            found = _VERIFIERS[shape](name, n, objs, *_LEDGER[name])
             if found:
                 return found
     return None
 
 
 _CHECKS = {
-    "conjecture1": (_chk_conjecture1, {"max_n": 10}),
-    "upsilon_quadruple": (_chk_upsilon_quadruple, {"max_n": 8}),
-    "psi_setvalued": (_chk_psi_setvalued, {"max_n": 8}),
-    "phi_setvalued": (_chk_phi_setvalued, {"max_n": 8}),
-    "zeromax_sym": (_chk_zeromax_sym, {"max_n": 10}),
-    "main3": (_chk_main3, {"max_n": 10}),
-    "t_main3": (_chk_t_main3, {"max_n": 9}),
-    "foata": (_chk_foata, {"max_n": 8}),
-    "inv_sym": (_chk_inv_sym, {"max_n": 8}),
-    "lehmer_quadruple": (_chk_lehmer_quadruple, {"max_n": 8}),
+    "conjecture1": (partial(_mirror, ClassId.ASC,
+                            ("asc", "rep", "zero", "max"), (1, 0, 3, 2)),
+                    {"max_n": 10}),
+    "upsilon_quadruple": (partial(_pointwise, ClassId.ASC, "upsilon",
+                                  ClassId.ASC, ("asc", "rep", "zero", "max"),
+                                  ("rep", "asc", "rmin", "zero"),
+                                  "image is not an ascent sequence"),
+                          {"max_n": 8}),
+    "psi_setvalued": (partial(_setvalued, ClassId.PERM_AVOID_A, "psi",
+                              ("DES", "IDES", "LMIN", "LMAX", "RMAX"),
+                              ("ASC", "DIST", "MAX", "ZERO", "RMIN")),
+                      {"max_n": 8}),
+    "phi_setvalued": (partial(_setvalued, ClassId.PERM_AVOID_B, "phi",
+                              ("DES", "IDES", "LMAX", "RMAX"),
+                              ("ASC", "DIST", "ZERO", "RMIN")),
+                      {"max_n": 8}),
+    "zeromax_sym": (partial(_mirror, ClassId.ASC, ("zero", "max"), (1, 0)),
+                    {"max_n": 10}),
+    "main3": (partial(_agree, ((ClassId.ASC, ("rep", "max")),
+                               (ClassId.T21, ("rep", "max")),
+                               (ClassId.ASC, ("asc", "zero")))),
+              {"max_n": 10}),
+    "t_main3": (partial(_agree, ((ClassId.T21, ("rep", "max", "mpair")),
+                                 (ClassId.ASC, ("rep", "max", "ealm")),
+                                 (ClassId.ASC, ("asc", "zero", "zpair")))),
+                {"max_n": 9}),
+    # the double Eulerian pair on permutations is (des, iasc); pairing rep
+    # with ides instead already fails at n = 2
+    "foata": (partial(_agree, ((ClassId.INV, ("asc", "rep")),
+                               (ClassId.PERM_ALL, ("des", "iasc")))),
+              {"max_n": 8}),
+    "inv_sym": (partial(_mirror, ClassId.INV, ("asc", "rep"), (1, 0)),
+                {"max_n": 8}),
+    "lehmer_quadruple": (partial(_pointwise, ClassId.PERM_ALL, "lehmer_code",
+                                 ClassId.INV, ("des", "lmax", "lmin", "rmax"),
+                                 ("asc", "zero", "max", "rmin"),
+                                 "code is not an inversion sequence"),
+                         {"max_n": 8}),
     "gf_G": (_chk_gf_G,
              {"order": 9, "points": 20, "seed": 2026, "sym_order": 10}),
     "gf_zeromax": (_chk_gf_zeromax, {"order": 9, "points": 20, "seed": 2026}),
@@ -924,22 +720,22 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def check_parameters(name: str) -> tuple:
-    """Parameter names a given check accepts."""
+def _check_entry(name: str) -> tuple:
     entry = _CHECKS.get(name)
     if entry is None:
         raise UsageError(
             f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
-    return tuple(entry[1])
+    return entry
+
+
+def check_parameters(name: str) -> tuple:
+    """Parameter names a given check accepts."""
+    return tuple(_check_entry(name)[1])
 
 
 def run_check(name: str, **params) -> CheckReport:
     """Run one named theorem check; unset (None) parameters take defaults."""
-    entry = _CHECKS.get(name)
-    if entry is None:
-        raise UsageError(
-            f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
-    fn, defaults = entry
+    fn, defaults = _check_entry(name)
     merged = dict(defaults)
     for key, value in params.items():
         if value is None:

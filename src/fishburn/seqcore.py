@@ -127,9 +127,6 @@ class ClassId(Enum):
         return self in (ClassId.PERM_ALL, ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B)
 
 
-SEQUENCE_CLASSES = (ClassId.INV, ClassId.ASC, ClassId.T21, ClassId.B, ClassId.C)
-
-
 def is_inversion(s) -> bool:
     return len(s) >= 1 and all(0 <= v < i for i, v in enumerate(s, start=1))
 

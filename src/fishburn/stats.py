@@ -37,9 +37,8 @@ DomainError rather than inventing a value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .errors import DomainError, UsageError
+from .errors import DomainError
 from .seqcore import Perm, Seq, is_ascent, is_inversion, is_t21
 
 
@@ -84,26 +83,10 @@ class PermStats:
     iasc: int
 
     def as_dict(self) -> dict:
-        return {"DES": list(self.DES), "IDES": list(self.IDES),
+        return {"des": self.des, "ides": self.ides, "iasc": self.iasc,
+                "DES": list(self.DES), "IDES": list(self.IDES),
                 "LMAX": list(self.LMAX), "LMIN": list(self.LMIN),
-                "RMAX": list(self.RMAX), "des": self.des,
-                "ides": self.ides, "iasc": self.iasc}
-
-
-class MarkerKind(Enum):
-    EALM = "ealm"
-    MPAIR = "mpair"
-    ZPAIR = "zpair"
-    MPOS = "mpos"
-    ZPOS = "zpos"
-
-    @classmethod
-    def from_name(cls, name: str) -> "MarkerKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise UsageError(f"unknown marker {name!r}; expected one of: {valid}")
+                "RMAX": list(self.RMAX)}
 
 
 def _require_inversion(s) -> None:
@@ -229,18 +212,3 @@ def mpos(s: Seq) -> int:
 def zpos(s: Seq) -> int:
     j = zpair(s)
     return _pos_marker(s, zero_positions(s), j, lambda l, v: v == 1)
-
-
-_MARKER_FUNCS = {
-    MarkerKind.EALM: ealm,
-    MarkerKind.MPAIR: mpair,
-    MarkerKind.ZPAIR: zpair,
-    MarkerKind.MPOS: mpos,
-    MarkerKind.ZPOS: zpos,
-}
-
-
-def marker(s: Seq, kind) -> int:
-    if isinstance(kind, str):
-        kind = MarkerKind.from_name(kind)
-    return _MARKER_FUNCS[kind](s)

@@ -4,9 +4,12 @@ Worked values are pinned here; the acceptance suite replays the full
 domain/codomain/injectivity ledger for every map at larger sizes.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from fishburn.errors import DomainError, UsageError
+from fishburn.errors import DomainError, UsageError, invariant
 from fishburn.seqcore import ClassId, Seq, enumerate_class
 from fishburn import decomp, stats
 
@@ -211,3 +214,21 @@ class TestRoundTrips:
             for t in t21_members(n):
                 if decomp.classify(t, "T_F") == "F":
                     assert decomp.psi_F_inv(decomp.psi_F(t)) == t
+
+
+class TestInvariantGuards:
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert statements; internal invariants go through
+        # errors.invariant, which stays active
+        root = Path(decomp.__file__).parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(root.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
+
+    def test_invariant_raises_assertion_error(self):
+        invariant(True, "never raised")
+        with pytest.raises(AssertionError,
+                           match="^summand order bound violated$"):
+            invariant(False, "summand order bound violated")
