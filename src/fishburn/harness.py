@@ -47,6 +47,8 @@ _SEQ_MARKERS = {
     "mpos": (ClassId.T21, stats.mpos),
 }
 _PERM_SCALARS = ("des", "ides", "iasc", "lmax", "lmin", "rmax")
+# statistics read off a profile entry x of a length-n object as n - 1 - x
+_DERIVED = {"nasc": "asc", "iasc": "ides"}
 
 
 def cache_dir() -> Path:
@@ -57,14 +59,15 @@ def cache_dir() -> Path:
 
 
 def _code_version() -> str:
-    """Short hash of the enumeration and statistics sources.
+    """Short hash of the sources that shape a table's content: enumeration,
+    statistics, and this module's value builders, cache keys and marginals.
 
     Any edit to those modules invalidates every cached table.
     """
     from . import seqcore as _seqcore
     digest = hashlib.sha256()
-    for module in (_seqcore, stats):
-        digest.update(Path(module.__file__).read_bytes())
+    for path in (_seqcore.__file__, stats.__file__, __file__):
+        digest.update(Path(path).read_bytes())
     return digest.hexdigest()[:12]
 
 
@@ -82,48 +85,69 @@ def _check_length(class_id: ClassId, n) -> int:
     return n
 
 
+def _profile(class_id: ClassId) -> tuple:
+    return (stats.PERM_PROFILE if class_id.is_permutation_class
+            else stats.SEQ_PROFILE)
+
+
+def _slot(profile: tuple, name: str) -> tuple:
+    """(index in profile, whether name is derived as n - 1 - x from it)."""
+    base = _DERIVED.get(name, name)
+    return profile.index(base), base != name
+
+
 def _value_fn(class_id: ClassId, names: tuple):
-    """Build obj -> tuple of statistic values, or refuse the combination."""
-    if class_id in _FACTORIAL_CLASSES[1:]:  # permutation classes
-        for name in names:
-            if name not in _PERM_SCALARS:
-                raise UsageError(
-                    f"statistic {name!r} does not apply to {class_id.name}; "
-                    f"usable: {', '.join(_PERM_SCALARS)}")
+    """Build obj -> tuple of statistic values, or refuse the combination.
 
-        def values(p):
-            ps = perm_stats(p)
-            lens = {"lmax": len(ps.LMAX), "lmin": len(ps.LMIN),
-                    "rmax": len(ps.RMAX)}
-            return tuple(lens[n] if n in lens else getattr(ps, n)
-                         for n in names)
-        return values
-
-    getters = []
+    The values come from the fused kernels of stats, which do not validate:
+    apply the result only to enumerator output or to checked members.
+    Kernels and markers are read off stats at each call, so patched and
+    traced bindings are the ones exercised.
+    """
+    perm = class_id.is_permutation_class
+    profile = _profile(class_id)
+    slots = []  # (marker or None, profile index, derived)
     for name in names:
-        if name in _SEQ_SCALARS:
-            getters.append(name)
+        if name in (_PERM_SCALARS if perm else _SEQ_SCALARS):
+            slots.append((None, *_slot(profile, name)))
+        elif perm:
+            raise UsageError(
+                f"statistic {name!r} does not apply to {class_id.name}; "
+                f"usable: {', '.join(_PERM_SCALARS)}")
         elif name in _SEQ_MARKERS:
-            home, fn = _SEQ_MARKERS[name]
+            home = _SEQ_MARKERS[name][0]
             if class_id is not home:
                 raise UsageError(
                     f"statistic {name!r} applies to {home.name}, "
                     f"not {class_id.name}")
-            getters.append(fn)
+            slots.append((getattr(stats, name), 0, False))
         else:
             raise UsageError(
                 f"unknown statistic {name!r}; usable: "
                 f"{', '.join(_SEQ_SCALARS + tuple(_SEQ_MARKERS))}")
+    kernel = getattr(stats, "perm_profile" if perm else "seq_profile")
+    if names == profile:
+        return kernel
 
-    def values(s):
-        sc = scalar_stats(s)
-        return tuple(getattr(sc, g) if isinstance(g, str) else g(s)
-                     for g in getters)
+    def values(obj):
+        key, last = kernel(obj), len(obj) - 1
+        return tuple(mark(obj) if mark else last - key[i] if derived else key[i]
+                     for mark, i, derived in slots)
     return values
 
 
+def _table_stats(class_id: ClassId, names: tuple) -> tuple:
+    """Statistics of the table that serves names: the class's profile when
+    every name is a profile statistic or derived from one, else names."""
+    profile = _profile(class_id)
+    if all(_DERIVED.get(name, name) in profile for name in names):
+        return profile
+    return names
+
+
 def _cache_path(class_id: ClassId, n: int, names: tuple) -> Path:
-    tag = "-".join(names)
+    """File of the table that serves names (see _table_stats)."""
+    tag = "-".join(_table_stats(class_id, names))
     return cache_dir() / f"{class_id.name}_n{n}_{tag}_{_code_version()}.json"
 
 
@@ -165,18 +189,30 @@ def _load_table(path: Path, class_id: ClassId, n: int, names: tuple):
 
 def _compute_table(class_id: ClassId, n: int, names: tuple) -> DistTable:
     values = _value_fn(class_id, names)
-    counts = Counter()
-    for obj in enumerate_class(class_id, n):
-        counts[values(obj)] += 1
+    counts = Counter(map(values, enumerate_class(class_id, n)))
     return DistTable(class_id, n, names, dict(counts))
+
+
+def _marginal(table: DistTable, names: tuple) -> DistTable:
+    """The table of names, each a statistic of table or derived from one."""
+    slots = [_slot(table.stats, name) for name in names]
+    last = table.n - 1
+    counts = Counter()
+    for key, count in table.counts.items():
+        counts[tuple(last - key[i] if derived else key[i]
+                     for i, derived in slots)] += count
+    return DistTable(table.class_id, table.n, names, dict(counts))
 
 
 def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) -> DistTable:
     """Exact joint distribution of the named statistics over a class.
 
-    Results are cached on disk under one JSON file per (class, n, stats,
-    code-version) key; set the FISHBURN_CACHE environment variable to move
-    the cache directory.
+    When every name is a profile statistic of the class (stats.SEQ_PROFILE
+    or stats.PERM_PROFILE) or derived from one (nasc, iasc), the table is
+    the marginal of the class's profile table at n; otherwise (a marker is
+    named) it is a table of its own.  Either table is cached on disk under
+    one JSON file per (class, n, table statistics, code-version) key; set
+    the FISHBURN_CACHE environment variable to move the cache directory.
     """
     if not isinstance(class_id, ClassId):
         raise UsageError(f"expected a ClassId, got {class_id!r}")
@@ -185,15 +221,14 @@ def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) ->
     if not names:
         raise UsageError("at least one statistic name is required")
     _value_fn(class_id, names)  # validate before touching the cache
+    served = _table_stats(class_id, names)
     path = _cache_path(class_id, n, names)
-    if use_cache:
-        cached = _load_table(path, class_id, n, names)
-        if cached is not None:
-            return cached
-    table = _compute_table(class_id, n, names)
-    if use_cache:
-        _store_table(path, table)
-    return table
+    table = _load_table(path, class_id, n, served) if use_cache else None
+    if table is None:
+        table = _compute_table(class_id, n, served)
+        if use_cache:
+            _store_table(path, table)
+    return table if served == names else _marginal(table, names)
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,62 @@ def perm_stats(p: Perm) -> PermStats:
                      des=len(des), ides=len(ides), iasc=n - 1 - len(ides))
 
 
+# The fused kernels below compute the scalar profile of an object in one pass
+# and do not validate it: apply them only to enumerator output or to objects
+# that have just passed seqcore.is_member.  scalar_stats and perm_stats stay
+# the validating reference.
+
+SEQ_PROFILE = ("asc", "rep", "zero", "max", "rmin")
+PERM_PROFILE = ("des", "ides", "lmax", "lmin", "rmax")
+
+
+def seq_profile(s: Seq) -> tuple:
+    """SEQ_PROFILE of a trusted inversion sequence."""
+    n = len(s)
+    asc = mx = rmin = 0
+    low, nxt = n, -1
+    for i in range(n - 1, -1, -1):  # from the right, for the minima
+        v = s[i]
+        if v == i:
+            mx += 1
+        if v < low:
+            rmin += 1
+            low = v
+        if v < nxt:
+            asc += 1
+        nxt = v
+    return (asc, n - len(set(s)), s.count(0), mx, rmin)
+
+
+def perm_profile(p: Perm) -> tuple:
+    """PERM_PROFILE of a trusted permutation; lmax, lmin and rmax count the
+    positions of the corresponding set-valued statistics."""
+    n = len(p)
+    placed = [False] * (n + 2)
+    des = ides = lmax = lmin = rmax = 0
+    hi = prev = 0
+    lo = top = n + 1  # top: least value with top..n all placed
+    for v in p:
+        if v < prev:
+            des += 1
+        if placed[v + 1]:  # v + 1 stands left of v: a descent of the inverse
+            ides += 1
+        if v > hi:
+            lmax += 1
+            hi = v
+        if v < lo:
+            lmin += 1
+            lo = v
+        placed[v] = True
+        if v == top - 1:  # every larger value stands left of v
+            rmax += 1
+            top = v
+            while placed[top - 1]:
+                top -= 1
+        prev = v
+    return (des, ides, lmax, lmin, rmax)
+
+
 def _is_identity_run(s) -> bool:
     return all(v == i for i, v in enumerate(s))
 

@@ -1,14 +1,14 @@
 """Distribution tables, the disk cache, and the named check suite."""
 
-import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from fishburn.errors import ResourceLimitError, UsageError
 from fishburn.seqcore import ClassId, Seq
-from fishburn import bijections, decomp, harness
+from fishburn import bijections, decomp, harness, stats
 
 
 class TestDistTable:
@@ -89,6 +89,35 @@ class TestCache:
         monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
         harness.dist_table(ClassId.ASC, 4, ("rep", "max"), use_cache=False)
         assert list(tmp_path.iterdir()) == []
+
+    def test_profile_file_serves_every_scalar_table(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+        walks = []
+        real = harness.enumerate_class
+
+        def counted(class_id, n, *args, **kwargs):
+            walks.append((class_id, n))
+            return real(class_id, n, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "enumerate_class", counted)
+        for names in (("rep", "max"), ("asc", "zero"),
+                      ("zero", "max", "nasc")):
+            harness.dist_table(ClassId.ASC, 5, names)
+        profile = harness._cache_path(ClassId.ASC, 5, ("rep", "max"))
+        assert sorted(tmp_path.iterdir()) == [profile]
+        assert walks == [(ClassId.ASC, 5)]
+        # a marker table is a table of its own
+        harness.dist_table(ClassId.ASC, 5, ("rep", "max", "ealm"))
+        marked = harness._cache_path(ClassId.ASC, 5, ("rep", "max", "ealm"))
+        assert sorted(tmp_path.iterdir()) == sorted([profile, marked])
+
+    def test_code_version_covers_this_module(self, tmp_path, monkeypatch):
+        before = harness._code_version()
+        edited = tmp_path / "harness.py"
+        edited.write_bytes(Path(harness.__file__).read_bytes() + b"\n")
+        monkeypatch.setattr(harness, "__file__", str(edited))
+        assert harness._code_version() != before
 
     def test_spot_check_passes_on_clean_and_empty_caches(
             self, tmp_path, monkeypatch):
@@ -190,9 +219,12 @@ def _unmoved(x, _):
     return x
 
 
-def _shifted(field):
-    return lambda _, out: dataclasses.replace(
-        out, **{field: getattr(out, field) + 1})
+def _plus_one(_, out):
+    return out + 1
+
+
+def _bumped(index):
+    return lambda _, out: out[:index] + (out[index] + 1,) + out[index + 1:]
 
 
 FAULTS = {
@@ -212,8 +244,8 @@ FAULTS = {
              {"map": "theta_R", "n": 5, "input": [0, 1, 0, 0, 1],
               "side_index": 0, "output": [0, 1, 0, 0, 1],
               "detail": "output outside the displaced subset"}),
-    "mirror": ("conjecture1", 4, harness, "scalar_stats", (0, 0, 1, 1),
-               _shifted("zero"),
+    "mirror": ("conjecture1", 4, stats, "seq_profile", (0, 0, 1, 1),
+               _bumped(stats.SEQ_PROFILE.index("zero")),
                {"n": 4, "tuple": [1, 2, 3, 1], "count": 3,
                 "mirror": [2, 1, 1, 3], "mirror_count": 2}),
     "setvalued": ("phi_setvalued", 4, bijections, "phi", (2, 1, 3), _zeros,
@@ -224,10 +256,14 @@ FAULTS = {
                   (2, 1, 3), _zeros,
                   {"n": 3, "input": [2, 1, 3], "output": [0, 0, 0],
                    "expected": [1, 2, 2, 1], "actual": [0, 3, 1, 1]}),
-    "agreement": ("foata", 4, harness, "perm_stats", (2, 1, 3),
-                  _shifted("des"),
+    "agreement": ("foata", 4, stats, "perm_profile", (2, 1, 3),
+                  _bumped(stats.PERM_PROFILE.index("des")),
                   {"n": 3, "tables": ["INV (asc,rep)", "PERM_ALL (des,iasc)"],
                    "tuple": [1, 1], "counts": [4, 3]}),
+    "marker": ("t_main3", 5, stats, "zpair", (0, 1, 0, 1), _plus_one,
+               {"n": 4, "tables": ["T21 (rep,max,mpair)",
+                                   "ASC (asc,zero,zpair)"],
+                "tuple": [2, 2, 1], "counts": [2, 1]}),
 }
 
 

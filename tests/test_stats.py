@@ -5,13 +5,14 @@ frozen; the property tests then extend them across whole classes.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fishburn.errors import DomainError
 from fishburn.seqcore import ClassId, Perm, Seq, enumerate_class
-from fishburn import stats
+from fishburn import harness, stats
 
 
 def inversion_sequences(max_n=8):
@@ -145,3 +146,69 @@ class TestMarkers:
             for t in enumerate_class(ClassId.T21, n):
                 assert stats.mpair(t) >= 0
                 assert stats.mpos(t) >= 0
+
+
+# --- the fused kernels against the validating statistics ---------------------
+
+KERNEL_MAX_N = {ClassId.ASC: 8, ClassId.T21: 8, ClassId.B: 8, ClassId.C: 8,
+                ClassId.INV: 7}
+
+
+def reference_values(class_id, names, obj):
+    """The named statistics of obj, from the validating functions of stats."""
+    if class_id.is_permutation_class:
+        ps = stats.perm_stats(obj)
+        row = {"des": ps.des, "ides": ps.ides, "iasc": ps.iasc,
+               "lmax": len(ps.LMAX), "lmin": len(ps.LMIN),
+               "rmax": len(ps.RMAX)}
+    else:
+        row = stats.scalar_stats(obj).as_dict()
+    return tuple(row[name] if name in row else getattr(stats, name)(obj)
+                 for name in names)
+
+
+def named_tables():
+    """Every (class, statistics) pair the checks of harness._CHECKS read."""
+    # gf_G and gf_zeromax build their tables in their bodies
+    pairs = {(ClassId.ASC, ("rep", "max", "asc", "zero")),
+             (ClassId.ASC, ("zero", "max"))}
+    for fn, _ in harness._CHECKS.values():
+        kind = getattr(fn, "func", None)
+        if kind is harness._agree:
+            pairs.update(fn.args[0])
+        elif kind is harness._mirror:
+            pairs.add(fn.args[:2])
+        elif kind is harness._pointwise:
+            source, _, target, want, got = fn.args[:5]
+            pairs.update({(source, want), (target, got)})
+    return sorted(pairs, key=repr)
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("class_id", KERNEL_MAX_N, ids=lambda c: c.name)
+    def test_seq_profile_matches_scalar_stats(self, class_id):
+        for n in range(1, KERNEL_MAX_N[class_id] + 1):
+            for s in enumerate_class(class_id, n):
+                assert stats.seq_profile(s) == reference_values(
+                    class_id, stats.SEQ_PROFILE, s)
+
+    def test_perm_profile_matches_perm_stats(self):
+        for n in range(1, 8):
+            for p in enumerate_class(ClassId.PERM_ALL, n):
+                assert stats.perm_profile(p) == reference_values(
+                    ClassId.PERM_ALL, stats.PERM_PROFILE, p)
+
+    def test_every_checked_table_is_named(self):
+        # the walk over _CHECKS must not silently find fewer tables
+        assert len(named_tables()) == 14
+
+    @pytest.mark.parametrize(
+        "class_id, names", named_tables(),
+        ids=lambda v: v.name if isinstance(v, ClassId) else ",".join(v))
+    def test_dist_table_matches_the_reference(self, class_id, names):
+        for n in range(1, 8):
+            want = Counter(reference_values(class_id, names, obj)
+                           for obj in enumerate_class(class_id, n))
+            got = harness.dist_table(class_id, n, names, use_cache=False)
+            assert got.stats == names
+            assert got.counts == want
