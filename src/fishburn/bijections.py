@@ -5,10 +5,8 @@ Contents:
   lehmer_code     permutation -> inversion sequence, counting larger
                   entries to the left of each position
   bv_code         the labeled-interval permutation code: values are placed
-                  one at a time into a shrinking system of intervals, and
-                  each output entry is the label of the interval hit
-  bv_decode       inverse of bv_code by depth-first search over candidate
-                  values (no closed-form inverse is attempted)
+                  one at a time, and each entry is the label of the run hit
+  bv_decode       inverse of bv_code by the same rule, with no search
   beta/beta_inv   subtraction/addition passes between the class B and
                   ascent sequences, driven by the non-ascent positions
   gamma/gamma_inv the same shape of passes between class C and ascent
@@ -21,14 +19,18 @@ Contents:
                   inverse-then-complement, and pushing through phi; it
                   swaps asc with rep and sends (zero, max) to (rmin, zero)
 
-A slice is a tuple of (lo, hi, label) triples holding disjoint intervals
-in decreasing value order with strictly increasing labels; the intervals
-cover exactly the values not yet placed, plus 0.
+Before step i of the code, the values not yet placed, plus 0, form maximal
+runs of consecutive integers, each labelled; the bottom run holds 0 and
+label i.  Step i places p[i] and splits its run into the parts below and
+above it.  The new bottom run takes label i + 1; every other label stays
+just when it occurs again later.  A slice lists (lo, hi, label) top down.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError
+from bisect import bisect_left
+
+from .errors import DomainError, invariant
 from .seqcore import (Perm, Seq, contains_bivincular_A, contains_bivincular_B,
                       is_ascent, is_b_class, is_c_class, is_inversion,
                       perm_transform)
@@ -44,108 +46,51 @@ def lehmer_code(p: Perm) -> Seq:
 
 # --- the labeled-interval code -------------------------------------------
 
-def _slice_step(slc, val):
-    """Remove val from the slice it lies in and relabel.
-
-    The four cases split on whether val is interior, the top, the bottom,
-    or the whole of its interval.  Whenever the interval list to the right
-    of the hit is reindexed, the label list is treated as extended by one
-    more value (last label + 1), so the final interval's label always
-    increments.
-    """
-    v = None
-    for idx, (lo, hi, _) in enumerate(slc):
-        if lo <= val <= hi:
-            v = idx
-            break
-    if v is None:
-        raise AssertionError(f"value {val} lies in no interval of {slc}")
-    lo, hi, lab = slc[v]
-    pre = slc[:v]
-    tail = slc[v + 1:]
-    last_label = slc[-1][2]
-
-    if lo < val < hi:
-        shifted = _zip_shift(((lo, val - 1),) + tuple((a, b) for a, b, _ in tail),
-                             tuple(l for _, _, l in tail) + (last_label + 1,))
-        return pre + ((val + 1, hi, lab),) + shifted
-    if lo < val == hi:
-        shifted = _zip_shift(((lo, val - 1),) + tuple((a, b) for a, b, _ in tail),
-                             tuple(l for _, _, l in tail) + (last_label + 1,))
-        return pre + shifted
-    # val == lo: the last interval always contains 0, which is never
-    # placed, so the hit interval cannot be the last one here.
-    if v == len(slc) - 1:
-        raise AssertionError(f"bottom hit on the final interval of {slc}")
-    if val == lo < hi:
-        kept = tail[:-1] + ((tail[-1][0], tail[-1][1], tail[-1][2] + 1),)
-        return pre + ((val + 1, hi, lab),) + kept
-    kept = tail[:-1] + ((tail[-1][0], tail[-1][1], tail[-1][2] + 1),)
-    return pre + kept
+def _relabel(labels, i, hit, lower, upper):
+    """Labels after step i hits the run labelled hit and leaves a part
+    below (lower) and/or above (upper) the placed value."""
+    return [i + 1] + [b for b in labels if (b != hit or upper) and (b != i or lower)]
 
 
-def _zip_shift(intervals, labels):
-    return tuple((a, b, l) for (a, b), l in zip(intervals, labels))
+def _walk(p):
+    """Yield each step's runs [lo, hi] bottom-up, labels and the run of p[i]."""
+    runs, labels = [(0, len(p))], [0]
+    for i, v in enumerate(p):
+        r = bisect_left(runs, (v + 1,)) - 1
+        yield runs, labels, r
+        lo, hi = runs[r]
+        labels = _relabel(labels, i, labels[r], v > lo, v < hi)
+        runs[r:r + 1] = [(lo, v - 1)] * (v > lo) + [(v + 1, hi)] * (v < hi)
 
 
 def bv_slices(p: Perm) -> list:
-    """All n slices of the permutation, starting from ([0, n], 0)."""
-    n = len(p)
-    slc = ((0, n, 0),)
-    out = [slc]
-    for i in range(n - 1):
-        slc = _slice_step(slc, p[i])
-        out.append(slc)
-    return out
+    """All n slices of the permutation, starting from ((0, n, 0),)."""
+    return [tuple((lo, hi, b) for (lo, hi), b in zip(runs[::-1], labels[::-1]))
+            for runs, labels, _ in _walk(p)]
 
 
 def bv_code(p: Perm) -> Seq:
-    n = len(p)
-    slc = ((0, n, 0),)
-    out = []
-    for i in range(n):
-        lab = None
-        for lo, hi, l in slc:
-            if lo <= p[i] <= hi:
-                lab = l
-                break
-        if lab is None:
-            raise AssertionError(f"value {p[i]} lies in no interval of {slc}")
-        out.append(lab)
-        if i < n - 1:
-            slc = _slice_step(slc, p[i])
-    return Seq._wrap(tuple(out))
+    return Seq._wrap(tuple([labels[r] for _, labels, r in _walk(p)]))
 
 
 def bv_decode(s: Seq) -> Perm:
-    """Unique permutation whose code is s, found by pruned search."""
+    """Unique permutation whose code is s.  Paths in the steps' split tree
+    (0 below, 1 the placed value, 2 above) sort in value order."""
     if not is_inversion(s):
         raise DomainError(f"not an inversion sequence: {tuple(s)!r}")
-    n = len(s)
-
-    def rec(i, slc):
-        hit = None
-        for lo, hi, l in slc:
-            if l == s[i]:
-                hit = (lo, hi)
-                break
-        if hit is None:
-            return None
-        lo, hi = hit
-        if i == n - 1:
-            # the intervals now cover {0} and the single unplaced value
-            val = hi if hi >= 1 else None
-            return (val,) if val is not None else None
-        for val in range(hi, max(lo, 1) - 1, -1):
-            tail = rec(i + 1, _slice_step(slc, val))
-            if tail is not None:
-                return (val,) + tail
-        return None
-
-    res = rec(0, ((0, n, 0),)) if n else ()
-    if res is None:
-        raise AssertionError(f"decode failed for {tuple(s)!r}")
-    return Perm._wrap(res)
+    runs, labels, paths = [()], [0], []
+    for i, hit in enumerate(s):
+        # labels.index is total: bv_code maps S_n onto the inversion sequences
+        r = labels.index(hit)
+        later = s[i + 1:]
+        lower, upper = r == 0 or i in later, hit in later
+        labels = _relabel(labels, i, hit, lower, upper)
+        path = runs[r]
+        paths.append(path + (1,))
+        runs[r:r + 1] = [path + (0,)] * lower + [path + (2,)] * upper
+    invariant(len(runs) == 1, "decode failed for", s)
+    value = {path: v for v, path in enumerate(sorted(paths), 1)}
+    return Perm._wrap(tuple([value[path] for path in paths]))
 
 
 # --- subtraction/addition passes ------------------------------------------

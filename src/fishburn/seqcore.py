@@ -422,13 +422,15 @@ def _stream_perm(n, prefix, contains):
 def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = None) -> Iterator:
     """Yield every length-n member once, lexicographically, extending prefix.
 
-    `limit` overrides the default length ceiling (12 for sequence classes,
-    10 for permutation classes); exceeding it raises ResourceLimitError.
+    `limit` overrides the default length ceiling (10 for the n! permutations
+    and inversion sequences, 12 for the other sequence classes); exceeding
+    it raises ResourceLimitError.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"length must be an integer >= 1, got {n!r}")
+    factorial = class_id.is_permutation_class or class_id is ClassId.INV
     ceiling = limit if limit is not None else (
-        DEFAULT_PERM_LIMIT if class_id.is_permutation_class else DEFAULT_SEQ_LIMIT)
+        DEFAULT_PERM_LIMIT if factorial else DEFAULT_SEQ_LIMIT)
     if n > ceiling:
         raise ResourceLimitError(
             f"length {n} exceeds the enumeration limit {ceiling} for {class_id.value}")

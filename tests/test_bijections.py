@@ -10,6 +10,65 @@ from fishburn import stats
 PI = Perm((6, 1, 8, 3, 2, 5, 4, 7))
 
 
+# --- reference encoder ------------------------------------------------------
+#
+# The slice-surgery form of the labeled-interval code.  A slice is a tuple of
+# (lo, hi, label) triples holding disjoint intervals in decreasing value
+# order with strictly increasing labels; the intervals cover exactly the
+# values not yet placed, plus 0.  Each step removes the placed value from its
+# interval by one of four cases, so this form is independent of the run/label
+# rule the module implements.
+
+def _slice_step(slc, val):
+    """Remove val from the slice it lies in and relabel.
+
+    The four cases split on whether val is interior, the top, the bottom,
+    or the whole of its interval.  Whenever the interval list to the right
+    of the hit is reindexed, the label list is treated as extended by one
+    more value (last label + 1), so the final interval's label always
+    increments.
+    """
+    v = next(idx for idx, (lo, hi, _) in enumerate(slc) if lo <= val <= hi)
+    lo, hi, lab = slc[v]
+    pre = slc[:v]
+    tail = slc[v + 1:]
+    last_label = slc[-1][2]
+
+    if lo < val < hi:
+        shifted = _zip_shift(((lo, val - 1),) + tuple((a, b) for a, b, _ in tail),
+                             tuple(l for _, _, l in tail) + (last_label + 1,))
+        return pre + ((val + 1, hi, lab),) + shifted
+    if lo < val == hi:
+        shifted = _zip_shift(((lo, val - 1),) + tuple((a, b) for a, b, _ in tail),
+                             tuple(l for _, _, l in tail) + (last_label + 1,))
+        return pre + shifted
+    # val == lo: the last interval always contains 0, which is never
+    # placed, so the hit interval cannot be the last one here.
+    assert v < len(slc) - 1
+    kept = tail[:-1] + ((tail[-1][0], tail[-1][1], tail[-1][2] + 1),)
+    if val == lo < hi:
+        return pre + ((val + 1, hi, lab),) + kept
+    return pre + kept
+
+
+def _zip_shift(intervals, labels):
+    return tuple((a, b, l) for (a, b), l in zip(intervals, labels))
+
+
+def reference_slices(p):
+    slc = ((0, len(p), 0),)
+    out = [slc]
+    for v in p[:-1]:
+        slc = _slice_step(slc, v)
+        out.append(slc)
+    return out
+
+
+def reference_code(p):
+    return Seq(next(l for lo, hi, l in slc if lo <= v <= hi)
+               for slc, v in zip(reference_slices(p), p))
+
+
 class TestLehmerCode:
     def test_worked_example(self):
         assert bj.lehmer_code(PI) == Seq((0, 1, 0, 2, 3, 2, 3, 1))
@@ -63,6 +122,23 @@ class TestIntervalCode:
         for n in range(1, 6):
             for p in enumerate_class(ClassId.PERM_ALL, n):
                 assert bj.bv_decode(bj.bv_code(p)) == p
+
+    def test_matches_the_reference_encoder(self):
+        for n in range(1, 8):
+            codes = set()
+            for p in enumerate_class(ClassId.PERM_ALL, n):
+                code = reference_code(p)
+                assert bj.bv_code(p) == code
+                assert bj.bv_slices(p) == reference_slices(p)
+                assert bj.bv_decode(code) == p
+                codes.add(code)
+            # the bijectivity that lets bv_decode look every label up
+            assert codes == set(enumerate_class(ClassId.INV, n))
+
+    def test_decode_rejects_non_inversion_sequences(self):
+        for s in ((), (1,), (0, 2), (0, 1, 3)):
+            with pytest.raises(DomainError):
+                bj.bv_decode(Seq(s))
 
     def test_avoiders_code_onto_the_b_class(self):
         for n in range(1, 6):

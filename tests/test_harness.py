@@ -233,6 +233,11 @@ FAULTS = {
     "drop": ("lemma_suite", 5, decomp, "phi_P_inv", (0, 1, 0), _zeros,
              {"map": "phi_P", "n": 4, "input": [0, 1, 2, 0],
               "detail": "round trip failed"}),
+    "codomain": ("lemma_suite", 5, decomp, "phi_P", (0, 1, 2, 0),
+                 lambda *_: Seq((1, 1, 0)),
+                 {"map": "phi_P", "n": 4, "input": [0, 1, 2, 0],
+                  "output": [1, 1, 0],
+                  "detail": "output not an ascent sequence of length n-1"}),
     "reduce": ("lemma_suite", 5, decomp, "s2_insert", (0, 1, 0), _zeros,
                {"map": "s2_reduce", "n": 4, "input": [0, 1, 0, 0],
                 "detail": "round trip failed"}),

@@ -151,6 +151,12 @@ class TestLimits:
         with pytest.raises(ResourceLimitError):
             next(enumerate_class(ClassId.PERM_ALL, 11))
 
+    def test_inversion_sequences_take_the_permutation_ceiling(self):
+        # there are n! of them, as many as permutations
+        with pytest.raises(ResourceLimitError):
+            next(enumerate_class(ClassId.INV, 11))
+        assert next(enumerate_class(ClassId.INV, 11, limit=11)) == Seq((0,) * 11)
+
     def test_limit_overrides_ceiling(self):
         with pytest.raises(ResourceLimitError):
             next(enumerate_class(ClassId.ASC, 4, limit=3))
