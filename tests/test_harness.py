@@ -8,7 +8,7 @@ import pytest
 
 from fishburn.errors import ResourceLimitError, UsageError
 from fishburn.seqcore import ClassId, Seq
-from fishburn import bijections, decomp, harness, stats
+from fishburn import bijections, decomp, genfun, harness, stats
 
 
 class TestDistTable:
@@ -286,4 +286,60 @@ def test_injected_fault_is_reported_as_pinned(fault, tmp_path, monkeypatch):
     report = harness.run_check(check, max_n=max_n).as_dict()
     del report["seconds"]
     assert report == {"name": check, "parameters": {"max_n": max_n},
+                      "verdict": "fail", "counterexample": counterexample}
+
+
+def _bump_coefficient(power):
+    def corrupt(out):
+        coeffs = list(out.coeffs)
+        coeffs[power] += 1
+        return genfun.TruncSeries(coeffs, out.order)
+    return corrupt
+
+
+def _is_case_part(label):
+    return lambda profile, order, point: (
+        profile is genfun._case_profiles(order)[1][label])
+
+
+SERIES_FAULTS = {
+    # name: (check, parameters, module, function, which calls to corrupt,
+    #        corruption, the counterexample the check must report)
+    # harness imports series_G by name, so its own binding is the one patched
+    "series": ("gf_G", {"order": 5, "points": 2, "seed": 3, "sym_order": 10},
+               harness,
+               "series_G", lambda order, point: order == 5,
+               _bump_coefficient(5),
+               {"point_index": 0,
+                "point": {"x": "2/5", "q": "3", "u": "3/5", "z": "4/5",
+                          "w": "1/5"},
+                "n": 5, "expected": "131300652/1953125",
+                "actual": "133253777/1953125"}),
+    "profile": ("case_identities", {"order": 5, "points": 2, "seed": 3},
+                genfun, "_profile_series", _is_case_part("S3"),
+                _bump_coefficient(5),
+                {"point_index": 0,
+                 "point": {"x": "2/5", "q": "3", "u": "3/5", "z": "4/5",
+                           "w": "1/5"},
+                 "case": 3, "order": 5, "first_bad_power": 5,
+                 "expected": "1086577/390625", "actual": "695952/390625"}),
+}
+
+
+@pytest.mark.parametrize("fault", SERIES_FAULTS)
+def test_injected_series_fault_is_reported_as_pinned(
+        fault, tmp_path, monkeypatch):
+    check, params, module, name, hit, corrupt, counterexample = (
+        SERIES_FAULTS[fault])
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    real = getattr(module, name)
+
+    def faulty(*args):
+        out = real(*args)
+        return corrupt(out) if hit(*args) else out
+
+    monkeypatch.setattr(module, name, faulty)
+    report = harness.run_check(check, **params).as_dict()
+    del report["seconds"]
+    assert report == {"name": check, "parameters": params,
                       "verdict": "fail", "counterexample": counterexample}
