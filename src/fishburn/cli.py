@@ -180,6 +180,8 @@ def _cmd_apply(args) -> int:
             f"{', '.join(sorted(_TRACEABLE))}")
     obj = (Perm.from_text(args.object) if _MAPS[name][0] == "perm"
            else Seq.from_text(args.object))
+    if not obj:
+        raise UsageError(f"map {name!r} needs a nonempty object")
     trace = [] if args.trace else None
     out = _apply_named_map(name, obj, args, trace)
     side = {}

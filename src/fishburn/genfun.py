@@ -5,6 +5,10 @@ are specialized to exact rationals before any series arithmetic happens, so
 every identity in this package is checked by exact coefficient comparison.
 No floating point anywhere.
 
+Fractions are the interface, not the arithmetic: series products, inverses
+and the weighted sums that evaluate tables and profiles work on integer
+numerators over one common denominator and normalise each result once.
+
 Marker conventions, used consistently by every function here:
     x -> rep,  q -> max,  u -> asc,  z -> zero,  w -> ealm (or an ealm-like
     pairing marker when a table tracks mpair or zpair instead).
@@ -16,11 +20,13 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
+from operator import mul
 
 from .decomp import classify
 from .errors import DomainError, ResourceLimitError, UsageError, invariant
 from .seqcore import ClassId, enumerate_class
-from .stats import ealm, scalar_stats
+from .stats import ealm, seq_profile
 
 DEFAULT_ORDER = 9
 MAX_ORDER = 12
@@ -30,9 +36,7 @@ def _as_fraction(value) -> Fraction:
     # strings like "2/3" come straight from CLI flags
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -49,13 +53,20 @@ def _check_order(order) -> int:
     return order
 
 
+def _over_lcm(coeffs) -> tuple:
+    """Integer numerators of some Fractions over their least common denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 class TruncSeries:
     """A power series in t truncated at a fixed order, with Fraction coefficients.
 
     Instances are immutable.  Arithmetic is exact and closed at the common
     order; mixing two different orders is refused rather than silently
     truncating.  Division requires the divisor to have a nonzero constant
-    term, otherwise a DomainError is raised.
+    term, otherwise a DomainError is raised.  Products and inverses work on
+    integer numerators over one common denominator; `coeffs` stays Fractions.
     """
 
     __slots__ = ("order", "coeffs")
@@ -69,6 +80,14 @@ class TruncSeries:
         vals.extend([Fraction(0)] * (order + 1 - len(vals)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(vals))
+
+    @classmethod
+    def _trusted(cls, coeffs: list, order: int) -> "TruncSeries":
+        # exactly order + 1 Fractions of a checked order: skip the parsing
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -93,46 +112,41 @@ class TruncSeries:
 
     def _match(self, other: "TruncSeries") -> None:
         if self.order != other.order:
-            raise UsageError(
-                f"order mismatch: {self.order} vs {other.order}")
+            raise UsageError(f"order mismatch: {self.order} vs {other.order}")
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
-        return TruncSeries(
+        return TruncSeries._trusted(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
-        return TruncSeries(
+        return TruncSeries._trusted(
             [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __neg__(self):
-        return TruncSeries([-a for a in self.coeffs], self.order)
+        return TruncSeries._trusted([-a for a in self.coeffs], self.order)
 
     def scale(self, c) -> "TruncSeries":
         c = _as_fraction(c)
-        return TruncSeries([a * c for a in self.coeffs], self.order)
+        return TruncSeries._trusted([a * c for a in self.coeffs], self.order)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         self._match(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(out, self.order)
+        na, da = _over_lcm(self.coeffs)
+        nb, db = _over_lcm(other.coeffs)
+        den = da * db
+        return TruncSeries._trusted(
+            [Fraction(sum(map(mul, na[:k + 1], nb[k::-1])), den)
+             for k in range(self.order + 1)], self.order)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = scale
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -148,15 +162,17 @@ class TruncSeries:
         if lead == 0:
             raise DomainError(
                 "cannot invert a series whose constant term is zero")
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = Fraction(1) / lead
+        # With numerators c over den, coefficient k is den N_k / c_0^(k+1),
+        # where N_0 = 1 and N_k = -sum_{j=1..k} c_j c_0^(j-1) N_(k-j).
+        c, den = _over_lcm(self.coeffs)
+        pows = [c[0] ** k for k in range(self.order + 1)]
+        scaled = list(map(mul, c[1:], pows))
+        nums = [1]
         for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -acc / lead
-        return TruncSeries(out, self.order)
+            nums.append(-sum(map(mul, scaled[:k], nums[::-1])))
+        return TruncSeries._trusted(
+            [Fraction(den * v, p * c[0]) for v, p in zip(nums, pows)],
+            self.order)
 
     def __truediv__(self, other):
         if isinstance(other, TruncSeries):
@@ -177,12 +193,10 @@ class TruncSeries:
 
     def as_integers(self) -> list:
         """Coefficients as ints; refuses if any coefficient is fractional."""
-        out = []
         for i, c in enumerate(self.coeffs):
             if c.denominator != 1:
                 raise UsageError(f"coefficient of t^{i} is not an integer: {c}")
-            out.append(c.numerator)
-        return out
+        return [c.numerator for c in self.coeffs]
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -207,12 +221,11 @@ class SpecPoint:
     w: Fraction = Fraction(1)
 
     def __post_init__(self):
-        for name in ("x", "q", "u", "z", "w"):
+        for name in "xquzw":
             object.__setattr__(self, name, _as_fraction(getattr(self, name)))
 
     def as_dict(self) -> dict:
-        return {"x": str(self.x), "q": str(self.q), "u": str(self.u),
-                "z": str(self.z), "w": str(self.w)}
+        return {name: str(getattr(self, name)) for name in "xquzw"}
 
 
 def admissible_for_length_series(point: SpecPoint) -> bool:
@@ -238,9 +251,8 @@ def random_point(rng, constraint=None) -> SpecPoint:
     is x, q, u, z, w, so a fixed seed reproduces the same point.
     """
     while True:
-        vals = [Fraction(rng.randint(1, 10), rng.randint(1, 10))
-                for _ in range(5)]
-        point = SpecPoint(*vals)
+        point = SpecPoint(*[Fraction(rng.randint(1, 10), rng.randint(1, 10))
+                            for _ in range(5)])
         if constraint is None or constraint(point):
             return point
 
@@ -281,8 +293,7 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
     terms below t^(m+1), so the sum stops at m = order - 1.
     """
     order = _check_order(order)
-    if point is None:
-        point = SpecPoint()
+    point = point or SpecPoint()
     x, q, u, z = point.x, point.q, point.u, point.z
     mix = x + u - x * u
     if mix == 0:
@@ -296,17 +307,15 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
     lead = r.scale(z * q * mix)      # zq r (x+u-xu)
     a = one - r.scale(q)             # a_0
     running = one                    # product over i < m
-    xpow = Fraction(1)
     total = TruncSeries.zero(order)
     for m in range(order):
         den_left = TruncSeries.constant(x * (1 - u), order) + a.scale(u)
         den_right = TruncSeries.constant(x, order) + a.scale(u * (1 - x))
-        term = lead.scale(xpow) * a * running / (den_left * den_right)
+        term = lead.scale(x ** m) * a * running / (den_left * den_right)
         invariant(term.vanishes_below(m + 1), "summand order bound violated")
         total = total + term
         running = running * (one + zr_less_one * a) / den_right
         a = a * shrink
-        xpow *= x
     return total
 
 
@@ -361,15 +370,13 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
     if variant == "primitive":
         shrink_pow = one             # (1-t)^i
         running = one                # product over i <= m
-        upow = Fraction(1)
         for m in range(order):
             piece = fading * shrink_pow
             running = (running * (one - piece)
                        / (TruncSeries.constant(u, order) + piece.scale(1 - u)))
-            term = running.scale(upow)
+            term = running.scale(u ** m)
             invariant(term.vanishes_below(m + 1), "summand order bound violated")
             total = total + term
-            upow *= u
             shrink_pow = shrink_pow * shrink
         return total
     if variant == "alternative":
@@ -389,15 +396,8 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
 
 
 # Which marker variable tracks which statistic when evaluating a table.
-MARKER_VARS = {
-    "rep": "x",
-    "max": "q",
-    "asc": "u",
-    "zero": "z",
-    "ealm": "w",
-    "mpair": "w",
-    "zpair": "w",
-}
+MARKER_VARS = {"rep": "x", "max": "q", "asc": "u", "zero": "z",
+               "ealm": "w", "mpair": "w", "zpair": "w"}
 
 
 @dataclass(frozen=True)
@@ -418,6 +418,20 @@ class DistTable:
         return sum(self.counts.values())
 
 
+def _weighted_sum(counts, bases) -> Fraction:
+    """Sum of count * prod(base ** e) over a {exponents: count} map, exactly.
+
+    With K the largest exponent, a base a/b contributes the integer
+    a^e b^(K-e) to a term, so the sum is one integer over prod(b^K).
+    """
+    top = max(map(max, counts), default=0) if bases else 0
+    tables = [[b.numerator ** e * b.denominator ** (top - e)
+               for e in range(top + 1)] for b in bases]
+    total = sum(prod(map(list.__getitem__, tables, key), start=count)
+                for key, count in counts.items())
+    return Fraction(total, prod([b.denominator for b in bases]) ** top)
+
+
 def _eval_table(table: DistTable, point: SpecPoint) -> Fraction:
     values = []
     for name in table.stats:
@@ -427,13 +441,7 @@ def _eval_table(table: DistTable, point: SpecPoint) -> Fraction:
                 f"statistic {name!r} has no marker variable; "
                 f"usable: {', '.join(sorted(MARKER_VARS))}")
         values.append(getattr(point, var))
-    total = Fraction(0)
-    for key, count in table.counts.items():
-        prod = Fraction(count)
-        for base, exponent in zip(values, key):
-            prod *= base ** exponent
-        total += prod
-    return total
+    return _weighted_sum(table.counts, values)
 
 
 def eval_gf(table, point: SpecPoint):
@@ -445,8 +453,7 @@ def eval_gf(table, point: SpecPoint):
     if isinstance(table, DistTable):
         return _eval_table(table, point)
     tables = list(table)
-    top = max((tbl.n for tbl in tables), default=0)
-    out = [Fraction(0)] * (top + 1)
+    out = [Fraction(0)] * (max((tbl.n for tbl in tables), default=0) + 1)
     for tbl in tables:
         out[tbl.n] += _eval_table(tbl, point)
     return out
@@ -456,36 +463,29 @@ def eval_gf(table, point: SpecPoint):
 def _case_profiles(order: int):
     """Five-marker profiles of all non-identity-run ascent sequences.
 
-    Returns (whole, parts): Counters keyed by (n, rep, max, ealm, asc, zero),
-    whole covering every sequence with length > max, parts splitting the same
-    population by suffix case S1..S4.
+    Returns (whole, parts).  A profile maps each length n = 1..order to a
+    Counter keyed by (rep, max, ealm, asc, zero); whole covers every
+    sequence with length > max, and parts splits the same population by
+    suffix case S1..S4.
     """
-    whole = Counter()
-    parts = {label: Counter() for label in ("S1", "S2", "S3", "S4")}
+    whole = {n: Counter() for n in range(1, order + 1)}
+    parts = {f"S{case}": {n: Counter() for n in whole} for case in range(1, 5)}
     for n in range(1, order + 1):
         for s in enumerate_class(ClassId.ASC, n):
-            st = scalar_stats(s)
-            if st.max == n:
+            asc, rep, zero, mx, _ = seq_profile(s)    # stats.SEQ_PROFILE
+            if mx == n:
                 continue
-            key = (n, st.rep, st.max, ealm(s), st.asc, st.zero)
-            whole[key] += 1
-            parts[classify(s, "ASC_S")][key] += 1
+            key = (rep, mx, ealm(s), asc, zero)
+            whole[n][key] += 1
+            parts[classify(s, "ASC_S")][n][key] += 1
     return whole, parts
 
 
 def _profile_series(profile, order: int, point: SpecPoint) -> TruncSeries:
-    pows = {}
-    for var in ("x", "q", "w", "u", "z"):
-        base = getattr(point, var)
-        table = [Fraction(1)] * (order + 1)
-        for k in range(1, order + 1):
-            table[k] = table[k - 1] * base
-        pows[var] = table
-    coeffs = [Fraction(0)] * (order + 1)
-    for (n, rep, mx, el, asc, zero), count in profile.items():
-        coeffs[n] += (count * pows["x"][rep] * pows["q"][mx] * pows["w"][el]
-                      * pows["u"][asc] * pows["z"][zero])
-    return TruncSeries(coeffs, order)
+    bases = (point.x, point.q, point.w, point.u, point.z)
+    return TruncSeries._trusted(
+        [Fraction(0)] + [_weighted_sum(profile[n], bases)
+                         for n in range(1, order + 1)], order)
 
 
 @dataclass(frozen=True)

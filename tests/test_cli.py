@@ -153,6 +153,12 @@ class TestApply:
                            "0,0,2")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("name", cli.MAP_NAMES)
+    def test_empty_object_is_a_usage_error(self, capsys, name):
+        code, out, err = run(capsys, "apply", "--map", name, "")
+        assert code == 2 and out == ""
+        assert err == f"error: map {name!r} needs a nonempty object\n"
+
 
 class TestTable:
     def test_json(self, capsys):

@@ -5,11 +5,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fishburn.errors import DomainError, ResourceLimitError, UsageError
 from fishburn.seqcore import ClassId, enumerate_class
-from fishburn import genfun, stats
+from fishburn import decomp, genfun, stats
 
 FISHBURN_COUNTS = [0, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240, 201608, 1422074]
 
@@ -226,3 +226,178 @@ class TestCaseIdentities:
         with pytest.raises(DomainError):
             genfun.check_case_identity(
                 1, order=6, point=genfun.SpecPoint(q=0, w=2))
+
+
+# --- Fraction-by-Fraction references ------------------------------------------
+#
+# genfun multiplies, inverts and evaluates on integer numerators over one
+# common denominator.  These are the plain Fraction loops that it replaced;
+# the fast paths must agree with them exactly.
+
+def reference_mul(a, b):
+    out = [Fraction(0)] * (a.order + 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j in range(a.order + 1 - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] += x * y
+    return genfun.TruncSeries(out, a.order)
+
+
+def reference_inverse(a):
+    lead = a.coeffs[0]
+    out = [Fraction(0)] * (a.order + 1)
+    out[0] = Fraction(1) / lead
+    for k in range(1, a.order + 1):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            if a.coeffs[j]:
+                acc += a.coeffs[j] * out[k - j]
+        out[k] = -acc / lead
+    return genfun.TruncSeries(out, a.order)
+
+
+def reference_weighted_sum(counts, bases):
+    total = Fraction(0)
+    for key, count in counts.items():
+        term = Fraction(count)
+        for base, exponent in zip(bases, key):
+            term *= base ** exponent
+        total += term
+    return total
+
+
+def reference_eval_table(table, point):
+    bases = [getattr(point, genfun.MARKER_VARS[name]) for name in table.stats]
+    return reference_weighted_sum(table.counts, bases)
+
+
+def reference_profile_series(profile, order, point):
+    bases = (point.x, point.q, point.w, point.u, point.z)
+    coeffs = [Fraction(0)] * (order + 1)
+    for n, counts in profile.items():
+        coeffs[n] = reference_weighted_sum(counts, bases)
+    return genfun.TruncSeries(coeffs, order)
+
+
+def reference_case_profiles(order):
+    """The profiles built with the validating scalar_stats."""
+    whole = {n: Counter() for n in range(1, order + 1)}
+    parts = {f"S{case}": {n: Counter() for n in whole} for case in range(1, 5)}
+    for n in whole:
+        for s in enumerate_class(ClassId.ASC, n):
+            sc = stats.scalar_stats(s)
+            if sc.max == n:
+                continue
+            key = (sc.rep, sc.max, stats.ealm(s), sc.asc, sc.zero)
+            whole[n][key] += 1
+            parts[decomp.classify(s, "ASC_S")][n][key] += 1
+    return whole, parts
+
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+units = rationals.filter(bool)
+
+
+@st.composite
+def series_pairs(draw, unit_lead=False):
+    order = draw(st.integers(1, genfun.MAX_ORDER))
+    size = st.lists(sparse_rationals, min_size=order, max_size=order)
+    lead = units if unit_lead else sparse_rationals
+    return tuple(genfun.TruncSeries([draw(lead)] + draw(size), order)
+                 for _ in range(2))
+
+
+coordinates = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-7, 3)]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9))
+points = st.builds(genfun.SpecPoint, x=coordinates, q=coordinates,
+                   u=coordinates, z=coordinates, w=coordinates)
+# the case identities evaluate the whole profile at w = 0 and w = 1
+special_point = genfun.SpecPoint(x=Fraction(-2, 3), q=0, u=Fraction(5, 2),
+                                 z=-1, w=0)
+
+
+def sample_tables():
+    """ASC tables at n = 1..6 for marker sets with and without ealm."""
+    tables = []
+    for names in (("rep", "max", "asc", "zero"), ("zero", "max"),
+                  ("asc", "zero", "ealm")):
+        for n in range(1, 7):
+            counts = Counter()
+            for s in enumerate_class(ClassId.ASC, n):
+                sc = stats.scalar_stats(s)
+                values = {"ealm": stats.ealm(s), **sc.as_dict()}
+                counts[tuple(values[name] for name in names)] += 1
+            tables.append(genfun.DistTable(ClassId.ASC, n, names, dict(counts)))
+    return tables
+
+
+SAMPLE_TABLES = sample_tables()
+
+
+class TestAgainstFractionReferences:
+    @settings(deadline=None)
+    @given(series_pairs())
+    def test_product(self, pair):
+        a, b = pair
+        got = a * b
+        assert got == reference_mul(a, b)
+        assert repr(got) == repr(reference_mul(a, b))
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    @settings(deadline=None)
+    @given(series_pairs(unit_lead=True))
+    def test_inverse_and_quotient(self, pair):
+        a, b = pair
+        assert a.inverse() == reference_inverse(a)
+        assert repr(a.inverse()) == repr(reference_inverse(a))
+        assert b / a == reference_mul(b, reference_inverse(a))
+
+    def test_zero_lead_is_still_refused(self):
+        a = genfun.TruncSeries((0, Fraction(-3, 4), 2), order=12)
+        with pytest.raises(DomainError, match="constant term is zero"):
+            a.inverse()
+        with pytest.raises(DomainError, match="constant term is zero"):
+            genfun.TruncSeries.one(12) / a
+
+    @settings(deadline=None)
+    @given(points)
+    @example(special_point)
+    def test_eval_gf(self, point):
+        for table in SAMPLE_TABLES:
+            assert genfun.eval_gf(table, point) == reference_eval_table(
+                table, point)
+        by_n = genfun.eval_gf(SAMPLE_TABLES[:6], point)
+        assert by_n == [0] + [reference_eval_table(t, point)
+                              for t in SAMPLE_TABLES[:6]]
+
+    def test_eval_gf_edge_tables(self):
+        point = genfun.SpecPoint(x=Fraction(2, 3))
+        empty = genfun.DistTable(ClassId.ASC, 3, ("rep",), {})
+        unmarked = genfun.DistTable(ClassId.ASC, 3, (), {(): 5})
+        assert genfun.eval_gf(empty, point) == 0
+        assert genfun.eval_gf(unmarked, point) == 5
+        # the largest exponent is not in the first key
+        skewed = genfun.DistTable(ClassId.ASC, 3, ("rep", "max"),
+                                  {(0, 1): 2, (3, 0): 1})
+        assert genfun.eval_gf(skewed, point) == reference_eval_table(
+            skewed, point)
+
+    @settings(deadline=None, max_examples=40)
+    @given(points)
+    @example(special_point)
+    def test_profile_series(self, point):
+        whole, parts = genfun._case_profiles(6)
+        for profile in (whole, *parts.values()):
+            assert genfun._profile_series(profile, 6, point) == (
+                reference_profile_series(profile, 6, point))
+
+    def test_case_profiles_match_the_validating_build(self):
+        whole, parts = reference_case_profiles(8)
+        for order in range(1, 9):
+            head = lambda profile: {n: profile[n] for n in range(1, order + 1)}
+            assert genfun._case_profiles(order) == (
+                head(whole), {label: head(part) for label, part in parts.items()})
