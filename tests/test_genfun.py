@@ -398,6 +398,8 @@ class TestAgainstFractionReferences:
     def test_case_profiles_match_the_validating_build(self):
         whole, parts = reference_case_profiles(8)
         for order in range(1, 9):
-            head = lambda profile: {n: profile[n] for n in range(1, order + 1)}
+            lengths = range(1, order + 1)
             assert genfun._case_profiles(order) == (
-                head(whole), {label: head(part) for label, part in parts.items()})
+                {n: whole[n] for n in lengths},
+                {label: {n: part[n] for n in lengths}
+                 for label, part in parts.items()})

@@ -307,8 +307,7 @@ SERIES_FAULTS = {
     #        corruption, the counterexample the check must report)
     # harness imports series_G by name, so its own binding is the one patched
     "series": ("gf_G", {"order": 5, "points": 2, "seed": 3, "sym_order": 10},
-               harness,
-               "series_G", lambda order, point: order == 5,
+               harness, "series_G", lambda order, point: order == 5,
                _bump_coefficient(5),
                {"point_index": 0,
                 "point": {"x": "2/5", "q": "3", "u": "3/5", "z": "4/5",
