@@ -5,9 +5,13 @@ are specialized to exact rationals before any series arithmetic happens, so
 every identity in this package is checked by exact coefficient comparison.
 No floating point anywhere.
 
-Fractions are the interface, not the arithmetic: series products, inverses
-and the weighted sums that evaluate tables and profiles work on integer
-numerators over one common denominator and normalise each result once.
+Fractions are the interface, not the arithmetic.  A TruncSeries holds its
+coefficients in canonical integer form, numerators over one positive
+denominator with no factor common to all of them.  Every series operation,
+division included, works on those integers and normalises its result once;
+the Fraction coefficients are built only when read.  The weighted sums that
+evaluate tables and profiles likewise reduce a table to one integer over one
+denominator.
 
 Marker conventions, used consistently by every function here:
     x -> rep,  q -> max,  u -> asc,  z -> zero,  w -> ealm (or an ealm-like
@@ -20,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .decomp import classify
@@ -53,23 +57,23 @@ def _check_order(order) -> int:
     return order
 
 
-def _over_lcm(coeffs) -> tuple:
-    """Integer numerators of some Fractions over their least common denominator."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 class TruncSeries:
-    """A power series in t truncated at a fixed order, with Fraction coefficients.
+    """A power series in t truncated at a fixed order, with rational coefficients.
+
+    The series is held in canonical integer form: a tuple `_num` of integer
+    numerators over one positive integer denominator `_den`, with
+    gcd(_den, *_num) == 1.  That form is unique for a given coefficient
+    vector, so equality and hashing compare it directly.  Every operation
+    works on the integers and normalises its result once; `coeffs`, the
+    tuple of Fraction coefficients, is built on its first read and kept.
 
     Instances are immutable.  Arithmetic is exact and closed at the common
     order; mixing two different orders is refused rather than silently
     truncating.  Division requires the divisor to have a nonzero constant
-    term, otherwise a DomainError is raised.  Products and inverses work on
-    integer numerators over one common denominator; `coeffs` stays Fractions.
+    term, otherwise a DomainError is raised.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_num", "_den", "_coeffs")
 
     def __init__(self, coeffs=(), order=None):
         vals = [_as_fraction(c) for c in coeffs]
@@ -78,19 +82,43 @@ class TruncSeries:
         _check_order(order)
         del vals[order + 1:]
         vals.extend([Fraction(0)] * (order + 1 - len(vals)))
+        # over the lcm of reduced denominators the numerators are coprime
+        # to it already, so this is the canonical form
+        den = lcm(*[v.denominator for v in vals])
+        # tuple() of lists, not of generators: a tuple built from a generator
+        # is resized, and from order 10 on the resized tuples pile up in the
+        # interpreter's tuple free list (about 0.3 MB of peak RSS)
+        self._set(tuple([v.numerator * (den // v.denominator) for v in vals]),
+                  den, order, tuple(vals))
+
+    def _set(self, num: tuple, den: int, order: int, coeffs) -> None:
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(vals))
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @classmethod
-    def _trusted(cls, coeffs: list, order: int) -> "TruncSeries":
-        # exactly order + 1 Fractions of a checked order: skip the parsing
+    def _make(cls, num: list, den: int, order: int) -> "TruncSeries":
+        """The series num / den (den > 0, exactly order + 1 numerators of a
+        checked order), brought to canonical form."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
         self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self._set(tuple(num), den, order, None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of t^0..t^order as normalised Fractions."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(
+                [Fraction(v, self._den) for v in self._num]))
+        return self._coeffs
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
@@ -114,37 +142,39 @@ class TruncSeries:
         if self.order != other.order:
             raise UsageError(f"order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        # self + sign * other over the lcm of the two denominators
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
-        return TruncSeries._trusted(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        return TruncSeries._make(
+            [a * fa + b * fb for a, b in zip(self._num, other._num)],
+            den, self.order)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._match(other)
-        return TruncSeries._trusted(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return TruncSeries._trusted([-a for a in self.coeffs], self.order)
+        return TruncSeries._make([-a for a in self._num], self._den, self.order)
 
     def scale(self, c) -> "TruncSeries":
         c = _as_fraction(c)
-        return TruncSeries._trusted([a * c for a in self.coeffs], self.order)
+        return TruncSeries._make([a * c.numerator for a in self._num],
+                                 self._den * c.denominator, self.order)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         self._match(other)
-        na, da = _over_lcm(self.coeffs)
-        nb, db = _over_lcm(other.coeffs)
-        den = da * db
-        return TruncSeries._trusted(
-            [Fraction(sum(map(mul, na[:k + 1], nb[k::-1])), den)
-             for k in range(self.order + 1)], self.order)
+        na, nb = self._num, other._num
+        return TruncSeries._make(
+            [sum(map(mul, na[:k + 1], nb[k::-1])) for k in range(self.order + 1)],
+            self._den * other._den, self.order)
 
     __rmul__ = scale
 
@@ -158,29 +188,33 @@ class TruncSeries:
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse, defined only for a unit constant term."""
-        lead = self.coeffs[0]
-        if lead == 0:
-            raise DomainError(
-                "cannot invert a series whose constant term is zero")
-        # With numerators c over den, coefficient k is den N_k / c_0^(k+1),
-        # where N_0 = 1 and N_k = -sum_{j=1..k} c_j c_0^(j-1) N_(k-j).
-        c, den = _over_lcm(self.coeffs)
-        pows = [c[0] ** k for k in range(self.order + 1)]
-        scaled = list(map(mul, c[1:], pows))
-        nums = [1]
-        for k in range(1, self.order + 1):
-            nums.append(-sum(map(mul, scaled[:k], nums[::-1])))
-        return TruncSeries._trusted(
-            [Fraction(den * v, p * c[0]) for v, p in zip(nums, pows)],
-            self.order)
+        return TruncSeries.one(self.order) / self
 
     def __truediv__(self, other):
-        if isinstance(other, TruncSeries):
-            return self * other.inverse()
-        c = _as_fraction(other)
-        if c == 0:
-            raise DomainError("division of a series by zero")
-        return self.scale(Fraction(1) / c)
+        if not isinstance(other, TruncSeries):
+            c = _as_fraction(other)
+            if c == 0:
+                raise DomainError("division of a series by zero")
+            return self.scale(Fraction(1) / c)
+        s, d = self._num, other._num
+        if d[0] == 0:
+            raise DomainError(
+                "cannot invert a series whose constant term is zero")
+        self._match(other)
+        # The integer series s / d has coefficient k = M_k / d_0^(k+1), where
+        # M_k = s_k d_0^k - sum_{j=1..k} d_j d_0^(j-1) M_(k-j) (Knuth, TAOCP
+        # vol. 2, 4.7); over d_0^(order+1) its numerator is M_k d_0^(order-k).
+        order = self.order
+        pows = [d[0] ** k for k in range(order + 2)]
+        scaled = list(map(mul, d[1:], pows))
+        quot = []
+        for k in range(order + 1):
+            quot.append(s[k] * pows[k] - sum(map(mul, scaled[:k], quot[::-1])))
+        # the denominator must be positive, and d_0^(order+1) may not be
+        lift = other._den if pows[-1] > 0 else -other._den
+        return TruncSeries._make(
+            [lift * m * p for m, p in zip(quot, pows[order::-1])],
+            self._den * abs(pows[-1]), order)
 
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -188,23 +222,25 @@ class TruncSeries:
         return self.coeffs[k]
 
     def vanishes_below(self, k: int) -> bool:
-        """True when every coefficient of t^0..t^(k-1) is zero."""
-        return not any(self.coeffs[: min(k, self.order + 1)])
+        """True when every coefficient of t^0..t^(k-1) is zero (always for
+        k <= 0, as there are none)."""
+        return k <= 0 or not any(self._num[:k])
 
     def as_integers(self) -> list:
         """Coefficients as ints; refuses if any coefficient is fractional."""
         for i, c in enumerate(self.coeffs):
             if c.denominator != 1:
                 raise UsageError(f"coefficient of t^{i} is not an integer: {c}")
-        return [c.numerator for c in self.coeffs]
+        return list(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self._num == other._num
+                and self._den == other._den)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._num, self._den))
 
     def __repr__(self):
         return f"TruncSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
@@ -483,9 +519,8 @@ def _case_profiles(order: int):
 
 def _profile_series(profile, order: int, point: SpecPoint) -> TruncSeries:
     bases = (point.x, point.q, point.w, point.u, point.z)
-    return TruncSeries._trusted(
-        [Fraction(0)] + [_weighted_sum(profile[n], bases)
-                         for n in range(1, order + 1)], order)
+    return TruncSeries([Fraction(0)] + [_weighted_sum(profile[n], bases)
+                                        for n in range(1, order + 1)], order)
 
 
 @dataclass(frozen=True)

@@ -749,6 +749,8 @@ _CHECKS = {
 }
 
 CHECK_NAMES = tuple(_CHECKS)
+# the parameters that size a check: every one must be a positive integer
+_SIZE_PARAMETERS = ("max_n", "perm_max_n", "order", "sym_order", "points")
 
 
 def _check_entry(name: str) -> tuple:
@@ -776,6 +778,14 @@ def run_check(name: str, **params) -> CheckReport:
                 f"check {name!r} does not take parameter {key!r}; "
                 f"accepted: {', '.join(defaults)}")
         merged[key] = value
+    for key, value in merged.items():
+        # a size of zero or less would pass vacuously after testing nothing
+        if key in _SIZE_PARAMETERS and (
+                not isinstance(value, int) or isinstance(value, bool)
+                or value < 1):
+            raise UsageError(
+                f"parameter {key!r} of check {name!r} must be a positive "
+                f"integer, got {value!r}")
     start = time.perf_counter()
     counterexample = fn(**merged)
     elapsed = time.perf_counter() - start

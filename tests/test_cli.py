@@ -256,6 +256,15 @@ class TestCheck:
                            "--points", "5")
         assert code == 2 and "does not take parameter" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--name", "gf_G", "--points", "-3"),
+        ("--name", "gf_asczero", "--points", "0"),
+        ("--name", "lemma_suite", "--max-n", "0")])
+    def test_nonpositive_size_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert "must be a positive integer" in err
+
     def test_failing_check_exits_one(self, capsys, tmp_path, monkeypatch):
         # poison the cached table the check will read
         monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))

@@ -1,5 +1,7 @@
 """Truncated series arithmetic and the generating-function formulas."""
 
+import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -39,6 +41,10 @@ class TestTruncSeries:
         m = genfun.TruncSeries.monomial(Fraction(7), 2, 4)
         assert m.coeffs == (0, 0, 7, 0, 0)
         assert m.vanishes_below(2) and not m.vanishes_below(3)
+        # there are no coefficients below t^k for k <= 0
+        f = genfun.TruncSeries((1, 0, 0))
+        assert all(f.vanishes_below(k) for k in (-3, -1, 0))
+        assert not f.vanishes_below(1) and not f.vanishes_below(9)
 
     def test_errors(self):
         with pytest.raises(UsageError):
@@ -112,6 +118,54 @@ def brute_quadruple(order, point):
             coeffs[n] += (point.x ** sc.rep) * (point.q ** sc.max) \
                 * (point.u ** sc.asc) * (point.z ** sc.zero)
     return genfun.TruncSeries(coeffs)
+
+
+# Whole series at order 12, past the t^9/t^10 the checks compare; pinned
+# from the Fraction-coefficient implementation.
+PIN_POINTS = {
+    "positive": genfun.SpecPoint(x=Fraction(2, 3), q=3, u=Fraction(1, 2), z=5),
+    "mixed": genfun.SpecPoint(x=Fraction(-3, 2), q=Fraction(-2, 5),
+                              u=Fraction(7, 4), z=-3),
+}
+PINNED_SHA256 = {
+    ("G", "positive"):
+        "2590af07ffe1a3503e2641fd2a3bd2bc087dc2a6bc33134a47a3e44251e2ae0e",
+    ("G", "mixed"):
+        "ec933c572d39de05963a6029d505c92edcb772a3111b09e689e9c09c7cff3d3d",
+    ("zeromax", "positive"):
+        "6daa85959df25df5666b69c85a91eea5090b2872ed9c84aa7d6d71e0c1048e9e",
+    ("zeromax", "mixed"):
+        "e9e3510d91e561fcded7d203c421f700af30959156705050da6a09dcbd95b508",
+    ("primitive", "positive"):
+        "455ef935ccd18ae59632addbc9528cdae2c02ad9888a3013ac4c85421c5001af",
+    ("primitive", "mixed"):
+        "eb0ac9e7b788fca8e7b578087cc86e5a50c549bfc138909cc894f6160d1ea68a",
+    ("alternative", "positive"):
+        "455ef935ccd18ae59632addbc9528cdae2c02ad9888a3013ac4c85421c5001af",
+    ("alternative", "mixed"):
+        "eb0ac9e7b788fca8e7b578087cc86e5a50c549bfc138909cc894f6160d1ea68a",
+}
+
+
+class TestPinnedSeries:
+    def test_fishburn_series(self):
+        assert repr(genfun.fishburn_series(genfun.MAX_ORDER)) == (
+            "TruncSeries(order=12, coeffs=['0', '1', '2', '5', '15', '53', "
+            "'217', '1014', '5335', '31240', '201608', '1422074', "
+            "'10886503'])")
+
+    @pytest.mark.parametrize("which, where", list(PINNED_SHA256))
+    def test_marker_series(self, which, where):
+        point, order = PIN_POINTS[where], genfun.MAX_ORDER
+        if which == "G":
+            got = genfun.series_G(order, point)
+        elif which == "zeromax":
+            got = genfun.series_zeromax(order, point.q, point.z)
+        else:
+            got = genfun.series_asczero(order, point.u, point.z, which)
+        text = repr(got)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            PINNED_SHA256[which, where]), text
 
 
 class TestSeriesFormulas:
@@ -230,9 +284,9 @@ class TestCaseIdentities:
 
 # --- Fraction-by-Fraction references ------------------------------------------
 #
-# genfun multiplies, inverts and evaluates on integer numerators over one
-# common denominator.  These are the plain Fraction loops that it replaced;
-# the fast paths must agree with them exactly.
+# genfun keeps every series as integer numerators over one denominator and
+# evaluates tables on integers.  These are the plain Fraction loops that it
+# replaced; the fast paths must agree with them exactly.
 
 def reference_mul(a, b):
     out = [Fraction(0)] * (a.order + 1)
@@ -257,6 +311,33 @@ def reference_inverse(a):
                 acc += a.coeffs[j] * out[k - j]
         out[k] = -acc / lead
     return genfun.TruncSeries(out, a.order)
+
+
+def reference_quotient(a, b):
+    """a / b by long division, coefficient by coefficient."""
+    out = []
+    for k in range(a.order + 1):
+        acc = a.coeffs[k]
+        for j in range(1, k + 1):
+            acc -= b.coeffs[j] * out[k - j]
+        out.append(acc / b.coeffs[0])
+    return out
+
+
+def assert_canonical(f):
+    assert type(f._num) is tuple and len(f._num) == f.order + 1
+    assert all(type(v) is int for v in f._num) and type(f._den) is int
+    assert f._den > 0 and math.gcd(f._den, *f._num) == 1
+
+
+def assert_series_of(got, want):
+    """got holds exactly the Fractions want, in canonical form."""
+    assert_canonical(got)
+    assert got.coeffs == tuple(want)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    built = genfun.TruncSeries(want, got.order)
+    assert got == built and hash(got) == hash(built)
+    assert repr(got) == repr(built)
 
 
 def reference_weighted_sum(counts, bases):
@@ -347,14 +428,50 @@ class TestAgainstFractionReferences:
         assert got == reference_mul(a, b)
         assert repr(got) == repr(reference_mul(a, b))
         assert all(type(c) is Fraction for c in got.coeffs)
+        assert_canonical(got)
 
     @settings(deadline=None)
     @given(series_pairs(unit_lead=True))
     def test_inverse_and_quotient(self, pair):
         a, b = pair
         assert a.inverse() == reference_inverse(a)
+        assert_canonical(a.inverse())
         assert repr(a.inverse()) == repr(reference_inverse(a))
         assert b / a == reference_mul(b, reference_inverse(a))
+
+    @settings(deadline=None)
+    @given(series_pairs(), rationals)
+    def test_sum_difference_negation_and_scale(self, pair, c):
+        a, b = pair
+        assert_series_of(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        assert_series_of(a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        assert_series_of(-a, [-x for x in a.coeffs])
+        assert_series_of(a.scale(c), [x * c for x in a.coeffs])
+        assert_series_of(c * a, [c * x for x in a.coeffs])
+
+    @settings(deadline=None)
+    @given(series_pairs(), units)
+    def test_quotient_of_any_dividend(self, pair, lead):
+        # the dividend's constant term may be zero or any rational
+        a, b = pair
+        b = genfun.TruncSeries((lead,) + b.coeffs[1:], b.order)
+        assert_series_of(a / b, reference_quotient(a, b))
+
+    @settings(deadline=None)
+    @given(series_pairs(unit_lead=True),
+           st.lists(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3)]),
+                    min_size=6, max_size=6))
+    def test_equality_and_hash_follow_the_coefficients(self, pair, small):
+        a, b = pair
+        back = a * b / b
+        assert back == a and back.coeffs == a.coeffs and hash(back) == hash(a)
+        # small vectors collide often; equal ones meet through different routes
+        f = genfun.TruncSeries(small[:3]).scale(2)
+        g = genfun.TruncSeries(small[3:]) + genfun.TruncSeries(small[3:])
+        for x, y in ((a, b), (a, back), (f, g), (g, f), (f, -f), (a, -(-a))):
+            assert (x == y) == (x.coeffs == y.coeffs)
+            if x == y:
+                assert hash(x) == hash(y)
 
     def test_zero_lead_is_still_refused(self):
         a = genfun.TruncSeries((0, Fraction(-3, 4), 2), order=12)

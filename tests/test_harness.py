@@ -159,6 +159,16 @@ class TestCheckRegistry:
         with pytest.raises(UsageError):
             harness.run_check("conjecture1", points=5)
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("gf_G", "points", -3), ("gf_asczero", "points", 0),
+        ("lemma_suite", "max_n", 0), ("class_counts", "perm_max_n", -1),
+        ("gf_G", "sym_order", 0), ("gf_zeromax", "order", True),
+        ("case_identities", "order", 2.0), ("inv_sym", "max_n", "3")])
+    def test_size_parameters_must_be_positive_integers(self, name, key, value):
+        # a size of zero or less used to pass after testing nothing
+        with pytest.raises(UsageError, match=f"parameter '{key}'"):
+            harness.run_check(name, **{key: value})
+
     def test_none_parameters_fall_back_to_defaults(self):
         report = harness.run_check("inv_sym", max_n=None)
         assert report.passed
