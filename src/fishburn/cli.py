@@ -20,8 +20,8 @@ from . import bijections, decomp, stats
 from .errors import DomainError, ResourceLimitError, UsageError
 from .genfun import (SpecPoint, admissible_for_length_series, fishburn_series,
                      random_point, series_G, series_asczero, series_zeromax)
-from .harness import (_SEQ_MARKERS, CHECK_NAMES, check_parameters, dist_table,
-                      run_check, spot_check_cache)
+from .harness import (CHECK_NAMES, check_parameters, dist_table,
+                      merged_parameters, run_check, spot_check_cache)
 from .seqcore import ClassId, Perm, Seq, enumerate_class, is_member
 
 
@@ -54,7 +54,11 @@ def _cmd_enumerate(args) -> int:
     class_id = ClassId.from_name(args.class_name)
     prefix = ()
     if args.prefix:
-        prefix = tuple(_parse_object(class_id, args.prefix))
+        # a prefix need not be a member itself: enumerate_class decides
+        # whether any member extends it
+        prefix = (Perm.parse_word(args.prefix)
+                  if class_id.is_permutation_class
+                  else tuple(Seq.from_text(args.prefix)))
     items = [obj.to_text() for obj in
              enumerate_class(class_id, args.n, prefix=prefix,
                              limit=args.limit)]
@@ -76,9 +80,8 @@ def _stat_bundle(class_id: ClassId, obj) -> dict:
         return stats.perm_stats(obj).as_dict()
     bundle = {**stats.scalar_stats(obj).as_dict(),
               **stats.set_stats(obj).as_dict()}
-    bundle.update((name, marker(obj))
-                  for name, (home, marker) in _SEQ_MARKERS.items()
-                  if home is class_id)
+    bundle.update((name, getattr(stats, name)(obj))
+                  for name, home in stats.MARKERS.items() if home is class_id)
     return bundle
 
 
@@ -295,11 +298,13 @@ def _cmd_check(args) -> int:
         # the ones the check does not accept
         reports = [run_check(args.name, **overrides)]
     else:
-        reports = []
-        for name in CHECK_NAMES:
-            accepted = check_parameters(name)
-            reports.append(run_check(name, **{
-                k: v for k, v in overrides.items() if k in accepted}))
+        # each check gets the flags it accepts; all are validated before
+        # the first check runs
+        suite = [(name, merged_parameters(name, **{
+                    k: v for k, v in overrides.items()
+                    if k in check_parameters(name)}))
+                 for name in CHECK_NAMES]
+        reports = [run_check(name, **params) for name, params in suite]
         reports.append(spot_check_cache(random.Random(args.seed)))
     if args.format == "json":
         _emit_json([rep.as_dict() for rep in reports])
@@ -329,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="INV, ASC, T21, B, C, PERM_ALL, PERM_AVOID_A, "
                         "PERM_AVOID_B")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prefix", help="restrict to members with this prefix")
+    p.add_argument("--prefix", help="restrict to members with this prefix, "
+                                    "e.g. 0,1 or, for permutations, 31")
     p.add_argument("--limit", type=int,
                    help="override the default length safety ceiling")
     add_format(p)

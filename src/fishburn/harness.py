@@ -39,13 +39,6 @@ _FACTORIAL_CLASSES = (ClassId.INV, ClassId.PERM_ALL,
                       ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B)
 
 _SEQ_SCALARS = ("asc", "rep", "zero", "max", "rmin", "nasc")
-_SEQ_MARKERS = {
-    "ealm": (ClassId.ASC, stats.ealm),
-    "zpair": (ClassId.ASC, stats.zpair),
-    "zpos": (ClassId.ASC, stats.zpos),
-    "mpair": (ClassId.T21, stats.mpair),
-    "mpos": (ClassId.T21, stats.mpos),
-}
 _PERM_SCALARS = ("des", "ides", "iasc", "lmax", "lmin", "rmax")
 # statistics read off a profile entry x of a length-n object as n - 1 - x
 _DERIVED = {"nasc": "asc", "iasc": "ides"}
@@ -114,8 +107,8 @@ def _value_fn(class_id: ClassId, names: tuple):
             raise UsageError(
                 f"statistic {name!r} does not apply to {class_id.name}; "
                 f"usable: {', '.join(_PERM_SCALARS)}")
-        elif name in _SEQ_MARKERS:
-            home = _SEQ_MARKERS[name][0]
+        elif name in stats.MARKERS:
+            home = stats.MARKERS[name]
             if class_id is not home:
                 raise UsageError(
                     f"statistic {name!r} applies to {home.name}, "
@@ -124,7 +117,7 @@ def _value_fn(class_id: ClassId, names: tuple):
         else:
             raise UsageError(
                 f"unknown statistic {name!r}; usable: "
-                f"{', '.join(_SEQ_SCALARS + tuple(_SEQ_MARKERS))}")
+                f"{', '.join(_SEQ_SCALARS + tuple(stats.MARKERS))}")
     kernel = getattr(stats, "perm_profile" if perm else "seq_profile")
     if names == profile:
         return kernel
@@ -529,7 +522,7 @@ def _bound(bound, s, sc=None):
     """0, a scalar statistic (sc = scalar_stats(s), if known) or a marker."""
     if isinstance(bound, int):
         return bound
-    if bound in _SEQ_MARKERS:
+    if bound in stats.MARKERS:
         return getattr(stats, bound)(s)
     return getattr(sc or scalar_stats(s), bound)
 
@@ -766,9 +759,11 @@ def check_parameters(name: str) -> tuple:
     return tuple(_check_entry(name)[1])
 
 
-def run_check(name: str, **params) -> CheckReport:
-    """Run one named theorem check; unset (None) parameters take defaults."""
-    fn, defaults = _check_entry(name)
+def merged_parameters(name: str, **params) -> dict:
+    """The parameters a check runs with: its defaults, overridden by every
+    value in params that is set (not None).  Refuses a parameter the check
+    does not take and a size that is not a positive integer."""
+    defaults = _check_entry(name)[1]
     merged = dict(defaults)
     for key, value in params.items():
         if value is None:
@@ -786,6 +781,13 @@ def run_check(name: str, **params) -> CheckReport:
             raise UsageError(
                 f"parameter {key!r} of check {name!r} must be a positive "
                 f"integer, got {value!r}")
+    return merged
+
+
+def run_check(name: str, **params) -> CheckReport:
+    """Run one named theorem check; unset (None) parameters take defaults."""
+    fn = _check_entry(name)[0]
+    merged = merged_parameters(name, **params)
     start = time.perf_counter()
     counterexample = fn(**merged)
     elapsed = time.perf_counter() - start

@@ -85,15 +85,26 @@ class Perm(tuple):
     def _wrap(cls, vals: tuple) -> "Perm":
         return tuple.__new__(cls, vals)
 
-    @classmethod
-    def from_text(cls, text: str) -> "Perm":
+    @staticmethod
+    def parse_word(text: str) -> tuple:
+        """Positive integers written as a digit word or a comma list: a
+        permutation or a prefix of one."""
         text = text.strip()
         try:
-            if "," in text:
-                return cls(int(part) for part in text.split(","))
-            return cls(int(ch) for ch in text)
-        except (ValueError, DomainError) as exc:
-            raise UsageError(f"cannot parse permutation from {text!r}") from exc
+            vals = tuple(map(int, text.split(",") if "," in text else text))
+            if all(v >= 1 for v in vals):
+                return vals
+        except ValueError:
+            pass
+        raise UsageError(f"cannot parse permutation from {text!r}")
+
+    @classmethod
+    def from_text(cls, text: str) -> "Perm":
+        try:
+            return cls(cls.parse_word(text))
+        except DomainError as exc:
+            raise UsageError(
+                f"cannot parse permutation from {text.strip()!r}") from exc
 
     def to_text(self) -> str:
         if len(self) <= 9:
@@ -181,38 +192,38 @@ def is_c_class(s) -> bool:
     return True
 
 
-def contains_bivincular_A(p: Perm) -> bool:
-    """Ascent bottom's predecessor value occurs two or more places later."""
-    n = len(p)
-    pos = [0] * (n + 1)  # pos[v] = 1-based position of value v
+def _contains_bivincular(p: Perm, top: int) -> bool:
+    """Some ascent p_i < p_(i+1) is followed, two or more places later, by
+    the value just below p_(i+top)."""
+    pos = [0] * (len(p) + 1)  # pos[v] = 1-based position of value v
     for i, v in enumerate(p):
         pos[v] = i + 1
-    for i in range(n - 1):
-        a = p[i]
-        if a < p[i + 1] and a >= 2 and pos[a - 1] >= i + 3:
+    for i in range(len(p) - 1):
+        c = p[i + top]
+        if p[i] < p[i + 1] and c >= 2 and pos[c - 1] >= i + 3:
             return True
     return False
+
+
+def contains_bivincular_A(p: Perm) -> bool:
+    """Ascent bottom's predecessor value occurs two or more places later."""
+    return _contains_bivincular(p, 0)
 
 
 def contains_bivincular_B(p: Perm) -> bool:
     """Ascent top's predecessor value occurs two or more places later."""
-    n = len(p)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(p):
-        pos[v] = i + 1
-    for i in range(n - 1):
-        b = p[i + 1]
-        if p[i] < b and pos[b - 1] >= i + 3:
-            return True
-    return False
+    return _contains_bivincular(p, 1)
 
 
-_SEQ_PREDICATES = {
+_PREDICATES = {
     ClassId.INV: is_inversion,
     ClassId.ASC: is_ascent,
     ClassId.T21: is_t21,
     ClassId.B: is_b_class,
     ClassId.C: is_c_class,
+    ClassId.PERM_ALL: lambda p: True,
+    ClassId.PERM_AVOID_A: lambda p: not contains_bivincular_A(p),
+    ClassId.PERM_AVOID_B: lambda p: not contains_bivincular_B(p),
 }
 
 
@@ -221,18 +232,11 @@ def is_member(class_id: ClassId, obj) -> bool:
     if class_id.is_permutation_class:
         if not isinstance(obj, Perm):
             raise UsageError(f"{class_id.value} expects a Perm, got {type(obj).__name__}")
-        if len(obj) == 0:
-            raise UsageError("membership is defined for non-empty objects")
-        if class_id is ClassId.PERM_ALL:
-            return True
-        if class_id is ClassId.PERM_AVOID_A:
-            return not contains_bivincular_A(obj)
-        return not contains_bivincular_B(obj)
-    if isinstance(obj, Perm):
+    elif isinstance(obj, Perm):
         raise UsageError(f"{class_id.value} expects a Seq, got a Perm")
     if len(obj) == 0:
         raise UsageError("membership is defined for non-empty objects")
-    return _SEQ_PREDICATES[class_id](obj)
+    return _PREDICATES[class_id](obj)
 
 
 def perm_transform(p: Perm, kind: str) -> Perm:
@@ -252,115 +256,45 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 
 # --- enumeration ---------------------------------------------------------
 #
-# Each sequence class is generated by prefix extension with an incremental
-# state, so pruning happens as early as possible:
-#   INV   value bound only
-#   ASC   running ascent count
-#   T21   set of values already used (v is legal iff v+1 unused)
-#   B     (no_more_max, banned values)
-#   C     banned values
-# The last level is emitted in a batch to keep the recursion shallow.
+# One prefix extension generates every class but PERM_ALL.  Appending v at
+# 0-based index m after the entry prev (0 at m = 0) needs v in range (0..m
+# for sequences, 1..n for permutations) and the class's step rule
+# step(state, m, prev, v) to return the next state, not None:
+#   INV           any v; the state never changes
+#   ASC           v <= asc + 1, with the ascent count as state (the range
+#                 already forces the first entry to 0)
+#   T21           v + 1 unused; the state is the bit set of used values
+#   B             v not banned, and v < m once a maximal entry has begun a
+#                 non-ascent; the state is (that flag, the banned values)
+#   C             v not banned; the state is the banned values
+#   PERM_AVOID_A  v unplaced and, at an ascent prev < v, prev = 1 or prev - 1
+#                 placed; the state is the bit set of placed values
+#   PERM_AVOID_B  v unplaced and, at an ascent prev < v, v - 1 placed
+# The prefix goes through the same range and rule, so a dead or out-of-range
+# prefix yields nothing.  The walk is depth-first over a stack of child
+# generators, so a member is yielded from one frame, not through n nested
+# ones.  PERM_ALL has nothing to prune: itertools.permutations gives its tails.
 
 
-def _stream_inv(n, prefix):
-    for i, v in enumerate(prefix):
-        if not 0 <= v <= i:
-            return
-    yield from _rec_inv(list(prefix), n)
+def _inv_step(state, m, prev, v):
+    return state
 
 
-def _rec_inv(vals, n):
-    m = len(vals)
-    if m >= n:
-        if m == n:
-            yield Seq._wrap(tuple(vals))
-        return
-    if m == n - 1:
-        base = tuple(vals)
-        for v in range(n):
-            yield Seq._wrap(base + (v,))
-        return
-    for v in range(m + 1):
-        vals.append(v)
-        yield from _rec_inv(vals, n)
-        vals.pop()
+def _asc_step(asc, m, prev, v):
+    if v > asc + 1:
+        return None
+    return asc + 1 if v > prev else asc
 
 
-def _stream_asc(n, prefix):
-    asc = 0
-    for i, v in enumerate(prefix):
-        if i == 0:
-            if v != 0:
-                return
-        else:
-            if not 0 <= v <= asc + 1:
-                return
-            if v > prefix[i - 1]:
-                asc += 1
-    yield from _rec_asc(list(prefix), n, asc)
-
-
-def _rec_asc(vals, n, asc):
-    m = len(vals)
-    if m >= n:
-        if m == n:
-            yield Seq._wrap(tuple(vals))
-        return
-    if m == 0:
-        vals.append(0)
-        yield from _rec_asc(vals, n, 0)
-        vals.pop()
-        return
-    prev = vals[-1]
-    if m == n - 1:
-        base = tuple(vals)
-        for v in range(asc + 2):
-            yield Seq._wrap(base + (v,))
-        return
-    for v in range(asc + 2):
-        vals.append(v)
-        yield from _rec_asc(vals, n, asc + (1 if v > prev else 0))
-        vals.pop()
-
-
-def _stream_t21(n, prefix):
-    used = set()
-    for i, v in enumerate(prefix):
-        if not 0 <= v <= i or (v + 1) in used:
-            return
-        used.add(v)
-    yield from _rec_t21(list(prefix), n, used)
-
-
-def _rec_t21(vals, n, used):
-    m = len(vals)
-    if m >= n:
-        if m == n:
-            yield Seq._wrap(tuple(vals))
-        return
-    if m == n - 1:
-        base = tuple(vals)
-        for v in range(m + 1):
-            if (v + 1) not in used:
-                yield Seq._wrap(base + (v,))
-        return
-    for v in range(m + 1):
-        if (v + 1) in used:
-            continue
-        vals.append(v)
-        fresh = v not in used
-        if fresh:
-            used.add(v)
-        yield from _rec_t21(vals, n, used)
-        if fresh:
-            used.discard(v)
-        vals.pop()
+def _t21_step(used, m, prev, v):
+    if used >> (v + 1) & 1:
+        return None
+    return used | 1 << v
 
 
 def _b_step(state, m, prev, v):
-    # Appending v at 0-based index m (so the new pair is at 1-based i = m).
     no_more_max, banned = state
-    if v > m or v in banned or (no_more_max and v == m):
+    if v in banned or (no_more_max and v == m):
         return None
     if m >= 1 and prev >= v:
         if prev == m - 1:
@@ -369,54 +303,80 @@ def _b_step(state, m, prev, v):
     return state
 
 
-def _c_step(state, m, prev, v):
-    banned = state
-    if v > m or v in banned:
+def _c_step(banned, m, prev, v):
+    if v in banned:
         return None
     if m >= 1 and prev >= v:
         return banned | {m}
-    return state
+    return banned
 
 
-def _stream_banned(n, prefix, step, state):
-    for i, v in enumerate(prefix):
-        state = step(state, i, prefix[i - 1] if i else 0, v)
+def _avoid_a_step(placed, m, prev, v):
+    if placed >> v & 1 or (1 < prev < v and not placed >> (prev - 1) & 1):
+        return None
+    return placed | 1 << v
+
+
+def _avoid_b_step(placed, m, prev, v):
+    if placed >> v & 1 or (0 < prev < v and not placed >> (v - 1) & 1):
+        return None
+    return placed | 1 << v
+
+
+# class -> (step rule, initial state)
+_RULES = {
+    ClassId.INV: (_inv_step, 0),
+    ClassId.ASC: (_asc_step, 0),
+    ClassId.T21: (_t21_step, 0),
+    ClassId.B: (_b_step, (False, frozenset())),
+    ClassId.C: (_c_step, frozenset()),
+    ClassId.PERM_AVOID_A: (_avoid_a_step, 0),
+    ClassId.PERM_AVOID_B: (_avoid_b_step, 0),
+}
+
+
+def _stream(n, prefix, step, state, perm):
+    cls, lo = (Perm, 1) if perm else (Seq, 0)
+    for m, v in enumerate(prefix):
+        if not lo <= v <= (n if perm else m):
+            return
+        state = step(state, m, prefix[m - 1] if m else 0, v)
         if state is None:
             return
-    yield from _rec_banned(list(prefix), n, step, state)
-
-
-def _rec_banned(vals, n, step, state):
-    m = len(vals)
-    if m >= n:
-        if m == n:
-            yield Seq._wrap(tuple(vals))
+    vals = list(prefix)
+    if len(vals) == n:
+        yield tuple.__new__(cls, vals)
         return
-    prev = vals[-1] if m else 0
-    if m == n - 1:
-        base = tuple(vals)
-        for v in range(m + 1):
-            if step(state, m, prev, v) is not None:
-                yield Seq._wrap(base + (v,))
-        return
-    for v in range(m + 1):
-        nxt = step(state, m, prev, v)
-        if nxt is None:
-            continue
-        vals.append(v)
-        yield from _rec_banned(vals, n, step, nxt)
-        vals.pop()
+
+    def children(state, m, prev):
+        for v in range(lo, (n if perm else m) + 1):
+            nxt = step(state, m, prev, v)
+            if nxt is not None:
+                yield v, nxt
+
+    # one generator of (value, next state) per open index; pop it when dry
+    stack = [children(state, len(vals), vals[-1] if vals else 0)]
+    while stack:
+        for v, nxt in stack[-1]:
+            vals.append(v)
+            if len(vals) < n:
+                stack.append(children(nxt, len(vals), v))
+                break
+            yield tuple.__new__(cls, vals)
+            vals.pop()
+        else:
+            stack.pop()
+            if stack:
+                vals.pop()
 
 
-def _stream_perm(n, prefix, contains):
+def _stream_perm(n, prefix):
     base = tuple(prefix)
     if len(set(base)) != len(base) or any(not 1 <= v <= n for v in base):
         return
     rest = sorted(set(range(1, n + 1)) - set(base))
     for tail in itertools.permutations(rest):
-        p = base + tail
-        if contains is None or not contains(p):
-            yield Perm._wrap(p)
+        yield Perm._wrap(base + tail)
 
 
 def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = None) -> Iterator:
@@ -439,20 +399,7 @@ def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = No
         raise UsageError(f"prefix must hold integers >= 0, got {prefix!r}")
     if len(prefix) > n:
         return iter(())
-    if class_id is ClassId.INV:
-        return _stream_inv(n, prefix)
-    if class_id is ClassId.ASC:
-        return _stream_asc(n, prefix)
-    if class_id is ClassId.T21:
-        return _stream_t21(n, prefix)
-    if class_id is ClassId.B:
-        return _stream_banned(n, prefix, _b_step, (False, frozenset()))
-    if class_id is ClassId.C:
-        return _stream_banned(n, prefix, _c_step, frozenset())
     if class_id is ClassId.PERM_ALL:
-        return _stream_perm(n, prefix, None)
-    if class_id is ClassId.PERM_AVOID_A:
-        return _stream_perm(n, prefix, contains_bivincular_A)
-    if class_id is ClassId.PERM_AVOID_B:
-        return _stream_perm(n, prefix, contains_bivincular_B)
-    raise UsageError(f"cannot enumerate {class_id!r}")
+        return _stream_perm(n, prefix)
+    step, state = _RULES[class_id]
+    return _stream(n, prefix, step, state, class_id.is_permutation_class)

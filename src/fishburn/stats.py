@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .seqcore import Perm, Seq, is_ascent, is_inversion, is_t21
+from .seqcore import ClassId, Perm, Seq, is_ascent, is_inversion, is_t21
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,12 @@ def perm_profile(p: Perm) -> tuple:
                 top -= 1
         prev = v
     return (des, ides, lmax, lmin, rmax)
+
+
+# marker -> the class it is defined on; callers read the marker function
+# itself as getattr(stats, name) at each call, so rebound ones are used
+MARKERS = {"ealm": ClassId.ASC, "zpair": ClassId.ASC, "zpos": ClassId.ASC,
+           "mpair": ClassId.T21, "mpos": ClassId.T21}
 
 
 def _is_identity_run(s) -> bool:

@@ -63,6 +63,14 @@ class TestEnumerate:
                        "--prefix", "0,1")
         assert got[0] == "0,1,0,0" and len(got) == 10
 
+    def test_permutation_prefix_need_not_be_a_permutation(self, capsys):
+        got = run_json(capsys, "enumerate", "--class", "perm_all", "--n", "3",
+                       "--prefix", "3")
+        assert got == ["312", "321"]
+        got = run_json(capsys, "enumerate", "--class", "perm_avoid_a",
+                       "--n", "4", "--prefix", "13")
+        assert got == ["1324"]  # 1342 has its 2 two places after the ascent 34
+
     def test_resource_limit(self, capsys):
         code, _, err = run(capsys, "enumerate", "--class", "ASC", "--n", "40")
         assert code == 3
@@ -87,6 +95,12 @@ class TestStats:
         got = run_json(capsys, "stats", "--class", "T21",
                        "0,0,2,2,0,5,5,3")
         assert got["mpair"] == 2 and "ealm" not in got
+
+    def test_markers_are_read_at_call_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(fishburn.stats, "ealm", lambda s: 99)
+        got = run_json(capsys, "stats", "--class", "ASC", "0,1,0")
+        assert got["ealm"] == 99
+        assert list(got)[-3:] == list(fishburn.stats.MARKERS)[:3]
 
     def test_permutation_bundle(self, capsys):
         got = run_json(capsys, "stats", "--class", "PERM_ALL",
@@ -262,6 +276,15 @@ class TestCheck:
         ("--name", "lemma_suite", "--max-n", "0")])
     def test_nonpositive_size_is_a_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert "must be a positive integer" in err
+
+    def test_full_suite_refuses_a_bad_size_before_any_check(
+            self, capsys, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a check ran before the sizes were checked")
+        monkeypatch.setattr(harness, "dist_table", no_table)
+        code, out, err = run(capsys, "check", "--points", "0")
         assert code == 2 and out == ""
         assert "must be a positive integer" in err
 

@@ -92,23 +92,40 @@ class TestEnumerationOrder:
         assert listed(ClassId.ASC, 3, prefix=(0, 5)) == []
 
 
-class TestEnumerationAgainstBruteForce:
-    """The pruned enumerators must agree with a plain filter of the ambient set."""
+def brute_force(cid, n):
+    """The class listed by filtering its ambient set with is_member."""
+    if cid.is_permutation_class:
+        ambient = itertools.permutations(range(1, n + 1))
+        return [p for p in ambient if is_member(cid, Perm(p))]
+    ambient = itertools.product(*[range(i) for i in range(1, n + 1)])
+    return [s for s in ambient if is_member(cid, Seq(s))]
 
-    @pytest.mark.parametrize("cid", [ClassId.ASC, ClassId.T21, ClassId.B, ClassId.C])
+
+class TestEnumerationAgainstBruteForce:
+    """The step rules of the enumerator must agree with a plain filter of
+    the ambient set, which stays the reference."""
+
+    @pytest.mark.parametrize("cid", [ClassId.INV, ClassId.ASC, ClassId.T21,
+                                     ClassId.B, ClassId.C])
     def test_sequence_classes(self, cid):
-        for n in range(1, 6):
-            ambient = itertools.product(*[range(i) for i in range(1, n + 1)])
-            want = [s for s in ambient if is_member(cid, Seq(s))]
-            assert listed(cid, n) == want
+        for n in range(1, 8):
+            assert listed(cid, n) == brute_force(cid, n)
 
     @pytest.mark.parametrize(
         "cid", [ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B])
     def test_permutation_classes(self, cid):
+        for n in range(1, 9):
+            assert listed(cid, n) == brute_force(cid, n)
+
+    @pytest.mark.parametrize("cid", list(ClassId))
+    def test_every_prefix(self, cid):
+        # dead and out-of-range prefixes included: they must yield nothing
         for n in range(1, 6):
-            ambient = itertools.permutations(range(1, n + 1))
-            want = [p for p in ambient if is_member(cid, Perm(p))]
-            assert listed(cid, n) == want
+            whole = brute_force(cid, n)
+            for k in range(4):
+                for prefix in itertools.product(range(n + 2), repeat=k):
+                    want = [x for x in whole if x[:k] == prefix]
+                    assert listed(cid, n, prefix=prefix) == want, prefix
 
 
 class TestMembership:
@@ -195,6 +212,15 @@ class TestTextForms:
         assert len(p) == 10 and p[0] == 10
         # ten or more entries cannot be written as a digit word
         assert "," in p.to_text()
+
+    def test_permutation_prefix_word(self):
+        assert Perm.parse_word("3") == (3,)
+        assert Perm.parse_word("31") == (3, 1)
+        assert Perm.parse_word("10,2") == (10, 2)
+        assert Perm.parse_word("33") == (3, 3)  # a word, not a permutation
+        for text in ("0", "3x", "1,-2", "3,,1"):
+            with pytest.raises(UsageError):
+                Perm.parse_word(text)
 
     def test_permutation_rejects_garbage(self):
         for text in ("132x", "1,1,2", "0,1"):
