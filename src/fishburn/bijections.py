@@ -38,9 +38,10 @@ from .seqcore import (Perm, Seq, contains_bivincular_A, contains_bivincular_B,
 
 def lehmer_code(p: Perm) -> Seq:
     """Count, for each entry, the larger entries before it."""
-    out = []
-    for i, v in enumerate(p):
-        out.append(sum(1 for j in range(i) if p[j] > v))
+    out, seen = [], 0  # seen: bit set of the entries so far
+    for v in p:
+        out.append((seen >> (v + 1)).bit_count())
+        seen |= 1 << v
     return Seq._wrap(tuple(out))
 
 

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from . import bijections, decomp, stats
@@ -121,6 +122,10 @@ def _value_fn(class_id: ClassId, names: tuple):
     kernel = getattr(stats, "perm_profile" if perm else "seq_profile")
     if names == profile:
         return kernel
+    # plain profile entries only; itemgetter of one index returns no tuple
+    if len(slots) > 1 and not any(mark or derived for mark, _, derived in slots):
+        pick = itemgetter(*(i for _, i, _ in slots))
+        return lambda obj: pick(kernel(obj))
 
     def values(obj):
         key, last = kernel(obj), len(obj) - 1
@@ -797,14 +802,17 @@ def run_check(name: str, **params) -> CheckReport:
 
 
 def spot_check_cache(rng=None) -> CheckReport:
-    """Recompute one randomly chosen cached table and compare.
+    """Recompute one randomly chosen cached table of this code version and
+    compare.
 
     Run alongside the full suite to catch stale or corrupted cache files.
     Passes vacuously when the cache is empty.
     """
     rng = rng or random.Random()
     start = time.perf_counter()
-    files = sorted(cache_dir().glob("*.json")) if cache_dir().is_dir() else []
+    # only files of this code version are ever read by dist_table
+    pattern = f"*_{_code_version()}.json"
+    files = sorted(cache_dir().glob(pattern)) if cache_dir().is_dir() else []
     if not files:
         return CheckReport("cache_spotcheck", {"file": None}, "pass", None,
                            time.perf_counter() - start)

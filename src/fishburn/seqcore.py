@@ -265,15 +265,23 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 #                 already forces the first entry to 0)
 #   T21           v + 1 unused; the state is the bit set of used values
 #   B             v not banned, and v < m once a maximal entry has begun a
-#                 non-ascent; the state is (that flag, the banned values)
-#   C             v not banned; the state is the banned values
+#                 non-ascent; the state is (that flag, the bit set of
+#                 banned values)
+#   C             v not banned; the state is the bit set of banned values
 #   PERM_AVOID_A  v unplaced and, at an ascent prev < v, prev = 1 or prev - 1
 #                 placed; the state is the bit set of placed values
 #   PERM_AVOID_B  v unplaced and, at an ascent prev < v, v - 1 placed
 # The prefix goes through the same range and rule, so a dead or out-of-range
-# prefix yields nothing.  The walk is depth-first over a stack of child
-# generators, so a member is yielded from one frame, not through n nested
-# ones.  PERM_ALL has nothing to prune: itertools.permutations gives its tails.
+# prefix yields nothing.  The walk is depth-first over a stack of iterators,
+# so a member is yielded from one frame, not through n nested ones.
+#
+# A step rule must stay a pure function of (state, m, prev, v), with a
+# hashable state: each walk keeps the admissible (v, next state) pairs of
+# every (state, m, prev) it meets in a dict of its own and reuses them, so
+# most nodes cost one lookup instead of a call per candidate value.  The
+# nodes at index n - 1 push no iterator: their leaves are emitted from the
+# cached list in the parent's frame.  PERM_ALL has nothing to prune:
+# itertools.permutations gives its tails.
 
 
 def _inv_step(state, m, prev, v):
@@ -294,20 +302,20 @@ def _t21_step(used, m, prev, v):
 
 def _b_step(state, m, prev, v):
     no_more_max, banned = state
-    if v in banned or (no_more_max and v == m):
+    if banned >> v & 1 or (no_more_max and v == m):
         return None
     if m >= 1 and prev >= v:
         if prev == m - 1:
             return (True, banned)
-        return (no_more_max, banned | {m - 1})
+        return (no_more_max, banned | 1 << (m - 1))
     return state
 
 
 def _c_step(banned, m, prev, v):
-    if v in banned:
+    if banned >> v & 1:
         return None
     if m >= 1 and prev >= v:
-        return banned | {m}
+        return banned | 1 << m
     return banned
 
 
@@ -328,8 +336,8 @@ _RULES = {
     ClassId.INV: (_inv_step, 0),
     ClassId.ASC: (_asc_step, 0),
     ClassId.T21: (_t21_step, 0),
-    ClassId.B: (_b_step, (False, frozenset())),
-    ClassId.C: (_c_step, frozenset()),
+    ClassId.B: (_b_step, (False, 0)),
+    ClassId.C: (_c_step, 0),
     ClassId.PERM_AVOID_A: (_avoid_a_step, 0),
     ClassId.PERM_AVOID_B: (_avoid_b_step, 0),
 }
@@ -347,22 +355,37 @@ def _stream(n, prefix, step, state, perm):
     if len(vals) == n:
         yield tuple.__new__(cls, vals)
         return
+    memo = {}  # (state, m, prev) -> admissible [(v, next state)]
 
     def children(state, m, prev):
-        for v in range(lo, (n if perm else m) + 1):
-            nxt = step(state, m, prev, v)
-            if nxt is not None:
-                yield v, nxt
+        key = (state, m, prev)
+        pairs = memo.get(key)
+        if pairs is None:
+            pairs = memo[key] = [
+                (v, nxt) for v in range(lo, (n if perm else m) + 1)
+                if (nxt := step(state, m, prev, v)) is not None]
+        return pairs
 
-    # one generator of (value, next state) per open index; pop it when dry
-    stack = [children(state, len(vals), vals[-1] if vals else 0)]
+    last = n - 1
+    top = children(state, len(vals), vals[-1] if vals else 0)
+    if len(vals) == last:
+        for v, _ in top:
+            vals.append(v)
+            yield tuple.__new__(cls, vals)
+            vals.pop()
+        return
+    # one iterator over the cached pairs per open index below n - 1
+    stack = [iter(top)]
     while stack:
         for v, nxt in stack[-1]:
             vals.append(v)
-            if len(vals) < n:
-                stack.append(children(nxt, len(vals), v))
+            if len(vals) < last:
+                stack.append(iter(children(nxt, len(vals), v)))
                 break
-            yield tuple.__new__(cls, vals)
+            for w, _ in children(nxt, last, v):
+                vals.append(w)
+                yield tuple.__new__(cls, vals)
+                vals.pop()
             vals.pop()
         else:
             stack.pop()

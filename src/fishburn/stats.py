@@ -108,18 +108,9 @@ def zero_positions(s) -> tuple:
 
 def scalar_stats(s: Seq) -> ScalarStats:
     _require_inversion(s)
-    n = len(s)
-    asc = len(ascent_positions(s))
-    rep = n - len(set(s))
-    zero = sum(1 for v in s if v == 0)
-    mx = len(maximal_positions(s))
-    rmin = 0
-    low = None
-    for v in reversed(s):  # strict minima scanned from the right
-        if low is None or v < low:
-            rmin += 1
-            low = v
-    return ScalarStats(asc=asc, rep=rep, zero=zero, max=mx, rmin=rmin, nasc=n - 1 - asc)
+    asc, rep, zero, mx, rmin = seq_profile(s)
+    return ScalarStats(asc=asc, rep=rep, zero=zero, max=mx, rmin=rmin,
+                       nasc=len(s) - 1 - asc)
 
 
 def set_stats(s: Seq) -> SetStats:
@@ -146,17 +137,31 @@ def perm_stats(p: Perm) -> PermStats:
         pos[v] = i + 1
     des = tuple(i for i in range(1, n) if p[i - 1] > p[i])
     ides = tuple(i for i in range(2, n + 1) if p[i - 1] < n and pos[p[i - 1] + 1] < i)
-    lmax = tuple(i for i in range(1, n + 1) if all(p[i - 1] > p[j] for j in range(i - 1)))
-    lmin = tuple(i for i in range(1, n + 1) if all(p[i - 1] < p[j] for j in range(i - 1)))
-    rmax = tuple(i for i in range(1, n + 1) if all(p[i - 1] > p[j] for j in range(i, n)))
-    return PermStats(DES=des, IDES=ides, LMAX=lmax, LMIN=lmin, RMAX=rmax,
-                     des=len(des), ides=len(ides), iasc=n - 1 - len(ides))
+    lmax, lmin, rmax = [], [], []
+    hi, lo = 0, n + 1
+    for i, v in enumerate(p, start=1):  # running extrema from the left
+        if v > hi:
+            lmax.append(i)
+            hi = v
+        if v < lo:
+            lmin.append(i)
+            lo = v
+    hi = 0
+    for i in range(n, 0, -1):  # and from the right
+        if p[i - 1] > hi:
+            rmax.append(i)
+            hi = p[i - 1]
+    rmax.reverse()
+    return PermStats(DES=des, IDES=ides, LMAX=tuple(lmax), LMIN=tuple(lmin),
+                     RMAX=tuple(rmax), des=len(des), ides=len(ides),
+                     iasc=n - 1 - len(ides))
 
 
 # The fused kernels below compute the scalar profile of an object in one pass
 # and do not validate it: apply them only to enumerator output or to objects
-# that have just passed seqcore.is_member.  scalar_stats and perm_stats stay
-# the validating reference.
+# that have just passed seqcore.is_member.  scalar_stats validates and then
+# reads seq_profile, so neither is an oracle for the other: the tests compare
+# both with plain references.
 
 SEQ_PROFILE = ("asc", "rep", "zero", "max", "rmin")
 PERM_PROFILE = ("des", "ides", "lmax", "lmin", "rmax")

@@ -69,9 +69,19 @@ def reference_code(p):
                for slc, v in zip(reference_slices(p), p))
 
 
+def reference_lehmer_code(p):
+    """Count, for each entry, the larger entries before it, one by one."""
+    return Seq(sum(1 for j in range(i) if p[j] > v) for i, v in enumerate(p))
+
+
 class TestLehmerCode:
     def test_worked_example(self):
         assert bj.lehmer_code(PI) == Seq((0, 1, 0, 2, 3, 2, 3, 1))
+
+    def test_matches_the_reference(self):
+        for n in range(1, 8):
+            for p in enumerate_class(ClassId.PERM_ALL, n):
+                assert bj.lehmer_code(p) == reference_lehmer_code(p)
 
     def test_transports_the_quadruple(self):
         for n in range(1, 7):

@@ -137,6 +137,24 @@ class TestCache:
         assert not report.passed
         assert report.counterexample["file"] == path.name
 
+    def test_spot_check_draws_only_current_files(self, tmp_path, monkeypatch):
+        # a file of another code version is never served, so the spot check
+        # must not pick it and pass without recomputing anything
+        t, path = self.table_path(tmp_path, monkeypatch)
+        payload = json.loads(path.read_text())
+        payload["counts"][0][1] += 1
+        path.write_text(json.dumps(payload))
+        stale = path.with_name(
+            path.name.replace(harness._code_version(), "0" * 12))
+        stale.write_text(json.dumps(dict(payload, version="0" * 12)))
+        for seed in (1, 2, 3):
+            report = harness.spot_check_cache(random.Random(seed))
+            assert report.parameters == {"file": path.name}
+            assert not report.passed
+        path.unlink()
+        vacuous = harness.spot_check_cache(random.Random(1))
+        assert vacuous.passed and vacuous.parameters == {"file": None}
+
 
 class TestCheckRegistry:
     def test_names(self):

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from fishburn import seqcore
 from fishburn.errors import DomainError, ResourceLimitError, UsageError
 from fishburn.seqcore import (
     ClassId,
@@ -126,6 +127,89 @@ class TestEnumerationAgainstBruteForce:
                 for prefix in itertools.product(range(n + 2), repeat=k):
                     want = [x for x in whole if x[:k] == prefix]
                     assert listed(cid, n, prefix=prefix) == want, prefix
+
+
+def reference_stream(n, prefix, step, state, perm):
+    """The walk without the memo and the leaf emission: a stack of child
+    generators that call the step rule for every candidate value."""
+    cls, lo = (Perm, 1) if perm else (Seq, 0)
+    for m, v in enumerate(prefix):
+        if not lo <= v <= (n if perm else m):
+            return
+        state = step(state, m, prefix[m - 1] if m else 0, v)
+        if state is None:
+            return
+    vals = list(prefix)
+    if len(vals) == n:
+        yield tuple.__new__(cls, vals)
+        return
+
+    def children(state, m, prev):
+        for v in range(lo, (n if perm else m) + 1):
+            nxt = step(state, m, prev, v)
+            if nxt is not None:
+                yield v, nxt
+
+    stack = [children(state, len(vals), vals[-1] if vals else 0)]
+    while stack:
+        for v, nxt in stack[-1]:
+            vals.append(v)
+            if len(vals) < n:
+                stack.append(children(nxt, len(vals), v))
+                break
+            yield tuple.__new__(cls, vals)
+            vals.pop()
+        else:
+            stack.pop()
+            if stack:
+                vals.pop()
+
+
+def reference_listed(cid, n, prefix=()):
+    if len(prefix) > n:  # enumerate_class stops these before the walk
+        return []
+    step, state = seqcore._RULES[cid]
+    return [(type(x), tuple(x)) for x in reference_stream(
+        n, prefix, step, state, cid.is_permutation_class)]
+
+
+def typed(stream):
+    return [(type(x), tuple(x)) for x in stream]
+
+
+class TestMemoisedWalk:
+    """The memoised walk with its leaf emission must yield exactly what the
+    plain walk over the same step rules yields."""
+
+    @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+    def test_whole_streams(self, cid):
+        top = 7 if cid.is_permutation_class else 8
+        for n in range(1, top + 1):
+            assert typed(enumerate_class(cid, n)) == reference_listed(cid, n)
+
+    @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+    def test_every_prefix(self, cid):
+        top = 7 if cid.is_permutation_class else 8
+        for n in range(1, top + 1):
+            for k in range(4):
+                for prefix in itertools.product(range(n + 2), repeat=k):
+                    assert typed(enumerate_class(cid, n, prefix=prefix)) == (
+                        reference_listed(cid, n, prefix)), prefix
+
+    @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+    def test_interleaved_walks_share_nothing(self, cid):
+        # a memo shared between walks would hand the second walk children
+        # cached for another length: permutations range over 1..n
+        a, b = ((2,), (3, 1)) if cid.is_permutation_class else ((0, 1), (0, 0))
+        walks = [(6, ()), (5, ()), (6, a), (4, b)]
+        streams = [enumerate_class(cid, n, prefix=p) for n, p in walks]
+        got = [[] for _ in walks]
+        for row in itertools.zip_longest(*streams):
+            for out, x in zip(got, row):
+                if x is not None:
+                    out.append((type(x), tuple(x)))
+        want = [reference_listed(cid, n, p) for n, p in walks]
+        assert all(want) and got == want
 
 
 class TestMembership:

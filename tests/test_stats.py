@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fishburn.errors import DomainError
-from fishburn.seqcore import ClassId, Perm, Seq, enumerate_class
+from fishburn.seqcore import ClassId, Perm, Seq, enumerate_class, is_inversion
 from fishburn import harness, stats
 
 
@@ -148,21 +148,79 @@ class TestMarkers:
                 assert stats.mpos(t) >= 0
 
 
-# --- the fused kernels against the validating statistics ---------------------
+# --- the kernels against plain references ------------------------------------
+#
+# scalar_stats reads seq_profile and perm_stats keeps running extrema, so
+# neither can be the oracle of the fused kernels.  These references compute
+# every statistic straight from its definition, one position at a time.
+
+def ref_scalar_stats(s):
+    if not is_inversion(s):
+        raise DomainError(f"not an inversion sequence: {tuple(s)!r}")
+    n = len(s)
+    asc = len(stats.ascent_positions(s))
+    rmin = 0
+    low = None
+    for v in reversed(s):  # strict minima scanned from the right
+        if low is None or v < low:
+            rmin += 1
+            low = v
+    return stats.ScalarStats(
+        asc=asc, rep=n - len(set(s)), zero=sum(1 for v in s if v == 0),
+        max=len(stats.maximal_positions(s)), rmin=rmin, nasc=n - 1 - asc)
+
+
+def ref_perm_stats(p):
+    n = len(p)
+    pos = [0] * (n + 2)
+    for i, v in enumerate(p):
+        pos[v] = i + 1
+    des = tuple(i for i in range(1, n) if p[i - 1] > p[i])
+    ides = tuple(i for i in range(2, n + 1) if p[i - 1] < n and pos[p[i - 1] + 1] < i)
+    lmax = tuple(i for i in range(1, n + 1) if all(p[i - 1] > p[j] for j in range(i - 1)))
+    lmin = tuple(i for i in range(1, n + 1) if all(p[i - 1] < p[j] for j in range(i - 1)))
+    rmax = tuple(i for i in range(1, n + 1) if all(p[i - 1] > p[j] for j in range(i, n)))
+    return stats.PermStats(DES=des, IDES=ides, LMAX=lmax, LMIN=lmin, RMAX=rmax,
+                           des=len(des), ides=len(ides), iasc=n - 1 - len(ides))
+
+
+class TestAgainstReferences:
+    def test_scalar_stats_on_every_inversion_sequence(self):
+        for n in range(1, 8):
+            for s in enumerate_class(ClassId.INV, n):
+                assert stats.scalar_stats(s) == ref_scalar_stats(s)
+
+    def test_scalar_stats_validates_first(self):
+        # every word over 0..n of length n: a non-inversion one must raise
+        for n in range(1, 5):
+            for vals in itertools.product(range(n + 1), repeat=n):
+                s = Seq(vals)
+                if is_inversion(s):
+                    assert stats.scalar_stats(s) == ref_scalar_stats(s)
+                else:
+                    with pytest.raises(DomainError):
+                        stats.scalar_stats(s)
+
+    def test_perm_stats_on_every_permutation(self):
+        for n in range(1, 8):
+            for p in enumerate_class(ClassId.PERM_ALL, n):
+                assert stats.perm_stats(p) == ref_perm_stats(p)
+
 
 KERNEL_MAX_N = {ClassId.ASC: 8, ClassId.T21: 8, ClassId.B: 8, ClassId.C: 8,
                 ClassId.INV: 7}
 
 
 def reference_values(class_id, names, obj):
-    """The named statistics of obj, from the validating functions of stats."""
+    """The named statistics of obj, from the references above and the
+    validating markers of stats."""
     if class_id.is_permutation_class:
-        ps = stats.perm_stats(obj)
+        ps = ref_perm_stats(obj)
         row = {"des": ps.des, "ides": ps.ides, "iasc": ps.iasc,
                "lmax": len(ps.LMAX), "lmin": len(ps.LMIN),
                "rmax": len(ps.RMAX)}
     else:
-        row = stats.scalar_stats(obj).as_dict()
+        row = ref_scalar_stats(obj).as_dict()
     return tuple(row[name] if name in row else getattr(stats, name)(obj)
                  for name in names)
 
