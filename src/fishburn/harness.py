@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
-from . import bijections, decomp, stats
+from . import bijections, counting, decomp, stats
 from .errors import ResourceLimitError, UsageError
 from .genfun import (DistTable, SpecPoint, admissible_for_case_identity,
                      admissible_for_length_series, check_case_identity,
@@ -54,13 +54,15 @@ def cache_dir() -> Path:
 
 def _code_version() -> str:
     """Short hash of the sources that shape a table's content: enumeration,
-    statistics, and this module's value builders, cache keys and marginals.
+    the step-rule counter, statistics, and this module's value builders,
+    cache keys and marginals.
 
     Any edit to those modules invalidates every cached table.
     """
     from . import seqcore as _seqcore
     digest = hashlib.sha256()
-    for path in (_seqcore.__file__, stats.__file__, __file__):
+    for path in (_seqcore.__file__, counting.__file__, stats.__file__,
+                 __file__):
         digest.update(Path(path).read_bytes())
     return digest.hexdigest()[:12]
 
@@ -186,6 +188,7 @@ def _load_table(path: Path, class_id: ClassId, n: int, names: tuple):
 
 
 def _compute_table(class_id: ClassId, n: int, names: tuple) -> DistTable:
+    """The table by enumeration: the reference for the counted tables."""
     values = _value_fn(class_id, names)
     counts = Counter(map(values, enumerate_class(class_id, n)))
     return DistTable(class_id, n, names, dict(counts))
@@ -208,9 +211,11 @@ def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) ->
     When every name is a profile statistic of the class (stats.SEQ_PROFILE
     or stats.PERM_PROFILE) or derived from one (nasc, iasc), the table is
     the marginal of the class's profile table at n; otherwise (a marker is
-    named) it is a table of its own.  Either table is cached on disk under
-    one JSON file per (class, n, table statistics, code-version) key; set
-    the FISHBURN_CACHE environment variable to move the cache directory.
+    named) it is a table of its own.  A table whose statistics all have a
+    tracker (counting.TRACKERS) on a class with a step rule is counted
+    layer by layer; any other is enumerated.  Either table is cached on disk
+    under one JSON file per (class, n, table statistics, code-version) key;
+    set the FISHBURN_CACHE environment variable to move the cache directory.
     """
     if not isinstance(class_id, ClassId):
         raise UsageError(f"expected a ClassId, got {class_id!r}")
@@ -223,7 +228,11 @@ def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) ->
     path = _cache_path(class_id, n, names)
     table = _load_table(path, class_id, n, served) if use_cache else None
     if table is None:
-        table = _compute_table(class_id, n, served)
+        if counting.counted(class_id, served):
+            table = DistTable(class_id, n, served,
+                              counting.count_table(class_id, n, served))
+        else:
+            table = _compute_table(class_id, n, served)
         if use_cache:
             _store_table(path, table)
     return table if served == names else _marginal(table, names)
@@ -802,11 +811,13 @@ def run_check(name: str, **params) -> CheckReport:
 
 
 def spot_check_cache(rng=None) -> CheckReport:
-    """Recompute one randomly chosen cached table of this code version and
-    compare.
+    """Recompute one randomly chosen cached table of this code version by
+    enumeration and compare.
 
-    Run alongside the full suite to catch stale or corrupted cache files.
-    Passes vacuously when the cache is empty.
+    Run alongside the full suite to catch stale or corrupted cache files;
+    as dist_table counts most tables over the step rules, this also checks
+    one counted table against the enumerator.  Passes vacuously when the
+    cache is empty.
     """
     rng = rng or random.Random()
     start = time.perf_counter()

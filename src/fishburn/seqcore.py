@@ -281,7 +281,9 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 # most nodes cost one lookup instead of a call per candidate value.  The
 # nodes at index n - 1 push no iterator: their leaves are emitted from the
 # cached list in the parent's frame.  PERM_ALL has nothing to prune:
-# itertools.permutations gives its tails.
+# itertools.permutations gives its tails.  counting.count_table relies on
+# the same purity: it merges the prefixes that agree on (state, prev) and on
+# the statistics it tracks, and counts them together.
 
 
 def _inv_step(state, m, prev, v):

@@ -8,7 +8,7 @@ import pytest
 
 from fishburn.errors import ResourceLimitError, UsageError
 from fishburn.seqcore import ClassId, Seq
-from fishburn import bijections, decomp, genfun, harness, stats
+from fishburn import bijections, counting, decomp, genfun, harness, stats
 
 
 class TestDistTable:
@@ -93,30 +93,41 @@ class TestCache:
     def test_profile_file_serves_every_scalar_table(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
-        walks = []
-        real = harness.enumerate_class
+        runs = []
+        real = counting.count_table
 
-        def counted(class_id, n, *args, **kwargs):
-            walks.append((class_id, n))
-            return real(class_id, n, *args, **kwargs)
+        def counted(class_id, n, names):
+            runs.append((class_id, n, names))
+            return real(class_id, n, names)
 
-        monkeypatch.setattr(harness, "enumerate_class", counted)
+        monkeypatch.setattr(counting, "count_table", counted)
         for names in (("rep", "max"), ("asc", "zero"),
                       ("zero", "max", "nasc")):
             harness.dist_table(ClassId.ASC, 5, names)
         profile = harness._cache_path(ClassId.ASC, 5, ("rep", "max"))
         assert sorted(tmp_path.iterdir()) == [profile]
-        assert walks == [(ClassId.ASC, 5)]
+        assert runs == [(ClassId.ASC, 5, stats.SEQ_PROFILE)]
         # a marker table is a table of its own
         harness.dist_table(ClassId.ASC, 5, ("rep", "max", "ealm"))
         marked = harness._cache_path(ClassId.ASC, 5, ("rep", "max", "ealm"))
         assert sorted(tmp_path.iterdir()) == sorted([profile, marked])
+        assert runs[1:] == [(ClassId.ASC, 5, ("rep", "max", "ealm"))]
+        # a statistic with no tracker is enumerated
+        harness.dist_table(ClassId.ASC, 5, ("rep", "zpos"))
+        assert len(runs) == 2
 
     def test_code_version_covers_this_module(self, tmp_path, monkeypatch):
         before = harness._code_version()
         edited = tmp_path / "harness.py"
         edited.write_bytes(Path(harness.__file__).read_bytes() + b"\n")
         monkeypatch.setattr(harness, "__file__", str(edited))
+        assert harness._code_version() != before
+
+    def test_code_version_covers_the_counter(self, tmp_path, monkeypatch):
+        before = harness._code_version()
+        edited = tmp_path / "counting.py"
+        edited.write_bytes(Path(counting.__file__).read_bytes() + b"\n")
+        monkeypatch.setattr(counting, "__file__", str(edited))
         assert harness._code_version() != before
 
     def test_spot_check_passes_on_clean_and_empty_caches(
@@ -236,8 +247,19 @@ class TestDoubleEulerianPairing:
 
 # --- pinned counterexamples under injected faults ----------------------------
 #
-# Each fault corrupts one function on one input value only, so the report
-# does not depend on the order in which a check visits its inputs.
+# Each fault corrupts one function on one input value only (one table, for
+# the counter), so the report does not depend on the order in which a check
+# visits its inputs.
+
+def _on(value):
+    """The calls whose first argument is value."""
+    return lambda x, *_: x == value
+
+
+def _on_table(*request):
+    """The counter's run for one (class, n, names)."""
+    return lambda *args: args == request
+
 
 def _zeros(_, out):
     return Seq((0,) * len(out))
@@ -247,53 +269,79 @@ def _unmoved(x, _):
     return x
 
 
-def _plus_one(_, out):
-    return out + 1
-
-
 def _bumped(index):
     return lambda _, out: out[:index] + (out[index] + 1,) + out[index + 1:]
 
 
+def _moved(source, target):
+    """Move one count of a table from key source to key target."""
+    def corrupt(_, out):
+        out = dict(out)
+        out[source] -= 1
+        if not out[source]:
+            del out[source]
+        out[target] = out.get(target, 0) + 1
+        return out
+    return corrupt
+
+
+def _inject(monkeypatch, module, name, hit, corrupt):
+    real = getattr(module, name)
+
+    def faulty(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        return corrupt(x, out) if hit(x, *args) else out
+
+    monkeypatch.setattr(module, name, faulty)
+
+
 FAULTS = {
-    # name: (check, max_n, module, function, corrupted input, corruption,
-    #        the counterexample the check must report)
-    "drop": ("lemma_suite", 5, decomp, "phi_P_inv", (0, 1, 0), _zeros,
+    # name: (check, max_n, module, function, which calls to corrupt,
+    #        corruption, the counterexample the check must report)
+    "drop": ("lemma_suite", 5, decomp, "phi_P_inv", _on((0, 1, 0)), _zeros,
              {"map": "phi_P", "n": 4, "input": [0, 1, 2, 0],
               "detail": "round trip failed"}),
-    "codomain": ("lemma_suite", 5, decomp, "phi_P", (0, 1, 2, 0),
+    "codomain": ("lemma_suite", 5, decomp, "phi_P", _on((0, 1, 2, 0)),
                  lambda *_: Seq((1, 1, 0)),
                  {"map": "phi_P", "n": 4, "input": [0, 1, 2, 0],
                   "output": [1, 1, 0],
                   "detail": "output not an ascent sequence of length n-1"}),
-    "reduce": ("lemma_suite", 5, decomp, "s2_insert", (0, 1, 0), _zeros,
+    "reduce": ("lemma_suite", 5, decomp, "s2_insert", _on((0, 1, 0)), _zeros,
                {"map": "s2_reduce", "n": 4, "input": [0, 1, 0, 0],
                 "detail": "round trip failed"}),
-    "shift": ("lemma_suite", 5, decomp, "mpair_shift", (0, 1, 1, 1),
+    "shift": ("lemma_suite", 5, decomp, "mpair_shift", _on((0, 1, 1, 1)),
               _unmoved,
               {"map": "mpair_shift", "n": 4, "input": [0, 0, 0, 3],
                "detail": "down(up) round trip failed"}),
-    "walk": ("lemma_suite", 5, decomp, "theta_R", (0, 1, 0, 0, 1), _unmoved,
+    "walk": ("lemma_suite", 5, decomp, "theta_R", _on((0, 1, 0, 0, 1)),
+             _unmoved,
              {"map": "theta_R", "n": 5, "input": [0, 1, 0, 0, 1],
               "side_index": 0, "output": [0, 1, 0, 0, 1],
               "detail": "output outside the displaced subset"}),
-    "mirror": ("conjecture1", 4, stats, "seq_profile", (0, 0, 1, 1),
-               _bumped(stats.SEQ_PROFILE.index("zero")),
+    # the count of (0, 0, 1, 1), profile (1, 2, 2, 1, 2), with zero raised
+    "mirror": ("conjecture1", 4, counting, "count_table",
+               _on_table(ClassId.ASC, 4, stats.SEQ_PROFILE),
+               _moved((1, 2, 2, 1, 2), (1, 2, 3, 1, 2)),
                {"n": 4, "tuple": [1, 2, 3, 1], "count": 3,
                 "mirror": [2, 1, 1, 3], "mirror_count": 2}),
-    "setvalued": ("phi_setvalued", 4, bijections, "phi", (2, 1, 3), _zeros,
+    "setvalued": ("phi_setvalued", 4, bijections, "phi", _on((2, 1, 3)),
+                  _zeros,
                   {"n": 3, "input": [2, 1, 3], "output": [0, 0, 0],
                    "expected": [[1], [2], [1, 3], [3]],
                    "actual": [[], [], [1, 2, 3], [3]]}),
     "pointwise": ("lehmer_quadruple", 4, bijections, "lehmer_code",
-                  (2, 1, 3), _zeros,
+                  _on((2, 1, 3)), _zeros,
                   {"n": 3, "input": [2, 1, 3], "output": [0, 0, 0],
                    "expected": [1, 2, 2, 1], "actual": [0, 3, 1, 1]}),
-    "agreement": ("foata", 4, stats, "perm_profile", (2, 1, 3),
+    "agreement": ("foata", 4, stats, "perm_profile", _on((2, 1, 3)),
                   _bumped(stats.PERM_PROFILE.index("des")),
                   {"n": 3, "tables": ["INV (asc,rep)", "PERM_ALL (des,iasc)"],
                    "tuple": [1, 1], "counts": [4, 3]}),
-    "marker": ("t_main3", 5, stats, "zpair", (0, 1, 0, 1), _plus_one,
+    # the count of (0, 1, 0, 1), (asc, zero, zpair) = (2, 2, 1), with zpair
+    # raised
+    "marker": ("t_main3", 5, counting, "count_table",
+               _on_table(ClassId.ASC, 4, ("asc", "zero", "zpair")),
+               _moved((2, 2, 1), (2, 2, 2)),
                {"n": 4, "tables": ["T21 (rep,max,mpair)",
                                    "ASC (asc,zero,zpair)"],
                 "tuple": [2, 2, 1], "counts": [2, 1]}),
@@ -302,19 +350,39 @@ FAULTS = {
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_injected_fault_is_reported_as_pinned(fault, tmp_path, monkeypatch):
-    check, max_n, module, name, key, corrupt, counterexample = FAULTS[fault]
+    check, max_n, module, name, hit, corrupt, counterexample = FAULTS[fault]
     monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
-    real = getattr(module, name)
-
-    def faulty(x, *args, **kwargs):
-        out = real(x, *args, **kwargs)
-        return corrupt(x, out) if x == key else out
-
-    monkeypatch.setattr(module, name, faulty)
+    _inject(monkeypatch, module, name, hit, corrupt)
     report = harness.run_check(check, max_n=max_n).as_dict()
     del report["seconds"]
     assert report == {"name": check, "parameters": {"max_n": max_n},
                       "verdict": "fail", "counterexample": counterexample}
+
+
+# The cache is filled through the counter and the spot check recomputes by
+# enumeration, so a fault on either side makes it fail; each fault stays in
+# place for both.
+SPOT_FAULTS = {
+    # name: (module, function, which calls to corrupt, corruption,
+    #        the cached and the recomputed count of (1, 2, 2, 1, 2))
+    "counter": FAULTS["mirror"][2:6] + ((0, 1),),
+    "kernel": (stats, "seq_profile", _on((0, 0, 1, 1)),
+               _bumped(stats.SEQ_PROFILE.index("zero")), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("fault", SPOT_FAULTS)
+def test_spot_check_sets_the_counter_against_enumeration(
+        fault, tmp_path, monkeypatch):
+    module, name, hit, corrupt, (cached, recomputed) = SPOT_FAULTS[fault]
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    _inject(monkeypatch, module, name, hit, corrupt)
+    harness.dist_table(ClassId.ASC, 4, ("rep", "max"))
+    report = harness.spot_check_cache(random.Random(1))
+    path = harness._cache_path(ClassId.ASC, 4, ("rep", "max"))
+    assert report.counterexample == {
+        "file": path.name, "tuple": [1, 2, 2, 1, 2], "cached": cached,
+        "recomputed": recomputed}
 
 
 def _bump_coefficient(power):
