@@ -1,14 +1,14 @@
-"""Distribution tables counted over the step rules, with no enumeration.
+"""Profile tables counted over the step rules, with no enumeration.
 
-A member of a class in seqcore._RULES grows one entry at a time, and the step
-rule sees only (state, m, prev, v).  Prefixes that agree on the rule state,
-on their last entry and on the running fields that the requested statistics
-read have the same extensions, with the same effect on those statistics, so
-one count stands for all of them.  A layer maps each key (state, prev,
-fields) to the number of prefixes it stands for, and the next layer extends
-every key by each admissible entry: a transfer-matrix count (Flajolet and
-Sedgewick, Analytic Combinatorics, V.6) over the recursive construction of
-Bousquet-Mélou, Claesson, Dukes and Kitaev (JCTA 2010).
+A member of a sequence class in seqcore._RULES grows one entry at a time,
+and the step rule sees only (state, m, prev, v).  Prefixes that agree on the
+rule state, on their last entry and on the running fields that the requested
+statistics read have the same extensions, with the same effect on those
+statistics, so one count stands for all of them.  A layer maps each key
+(state, prev, fields) to the number of prefixes it stands for, and the next
+layer extends every key by each admissible entry: a transfer-matrix count
+(Flajolet and Sedgewick, Analytic Combinatorics, V.6) over the recursive
+construction of Bousquet-Mélou, Claesson, Dukes and Kitaev (JCTA 2010).
 
 A tracker reads one statistic off the running fields.  Appending the entry v
 at 0-based index m after the entry prev updates each field as follows:
@@ -20,75 +20,54 @@ at 0-based index m after the entry prev updates each field as follows:
   rmin   the bit set C of the values of the entries smaller than every
          later one: C <- (C & (2^v - 1)) | 2^v
                                             rmin = |C|
-  run    set until the first entry with v != m
-  ealm   v at that entry                    ealm (0 if the run never ends)
-  zpair  zero - 1, the zero index of prev,
-         when prev = 0 and v = 1            zpair (0 if never set)
-  mpair  max - 1, the maximal index of prev,
-         when prev = m - 1 and v = prev     mpair (0 if never set)
 
-ealm, zpair and mpair agree with the markers of stats on the class each is
-defined on.  mpos and zpos have no tracker: their tables are enumerated.  The
-fields a request needs are packed side by side into one int, so that the
-counts and bit sets of one entry move with one AND, one OR and one ADD; the
-three markers, which copy another field or depend on the run bit, take a
-branch at their events only.
-
-Only sequence classes take trackers.  With no names, any class of _RULES is
-counted, the avoiders too: count_table(class_id, n, ()) is {(): |class_n|}.
+The fields a request needs are packed side by side into one int, so that
+the counts and bit sets of one entry move with one AND, one OR and one ADD.
+The markers of stats have no tracker: their tables are enumerated.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .errors import UsageError, invariant
+from .errors import UsageError
 from .seqcore import ClassId, _RULES
 
-# tracker -> the fields it reads
+# tracker -> (the field it reads, whether the statistic is the size of that
+# field as a set, and d when the statistic is n - d - the reading)
 TRACKERS = {
-    "asc": ("asc",), "nasc": ("asc",), "rep": ("used",), "zero": ("zero",),
-    "max": ("max",), "rmin": ("rmin",), "ealm": ("run", "ealm"),
-    "zpair": ("zero", "zpair"), "mpair": ("max", "mpair"),
+    "asc": ("asc", False, None), "nasc": ("asc", False, 1),
+    "rep": ("used", True, 0), "zero": ("zero", False, None),
+    "max": ("max", False, None), "rmin": ("rmin", True, None),
 }
-_SETS = ("used", "rmin")  # the other fields are numbers 0..n, run one bit
-_ORDER = ("asc", "zero", "max", "used", "rmin", "run", "ealm", "zpair",
-          "mpair")
 
 
 def counted(class_id: ClassId, names: tuple) -> bool:
     """Whether count_table serves the table of names over class_id."""
-    return class_id in _RULES and (not names or (
-        not class_id.is_permutation_class
-        and all(name in TRACKERS for name in names)))
+    return (class_id in _RULES and not class_id.is_permutation_class
+            and bool(names) and all(name in TRACKERS for name in names))
 
 
 class _Layout:
-    """Bit offsets of the fields that the trackers of names read."""
+    """Bit offsets of the fields that the trackers of names read: n bits
+    for a set of values, enough for the numbers 0..n otherwise."""
 
     def __init__(self, names: tuple, n: int):
-        wanted = {field for name in names for field in TRACKERS[name]}
         self.n = n
         self.at, self.mask = {}, {}
         offset = 0
-        for field in _ORDER:
-            if field in wanted:
-                width = (n if field in _SETS else 1 if field == "run"
-                         else n.bit_length())
+        for name in names:
+            field, is_set, _ = TRACKERS[name]
+            if field not in self.at:
+                width = n if is_set else n.bit_length()
                 self.at[field], self.mask[field] = offset, (1 << width) - 1
                 offset += width
-        self.start = 1 << self.at["run"] if "run" in self.at else 0
-
-    def field(self, packed: int, name: str) -> int:
-        return packed >> self.at[name] & self.mask[name]
 
     def ops(self, m: int, prev: int, v: int) -> tuple:
-        """(keep, put, add, marks) appending v at index m after prev: the
-        fields become ((packed & keep) | put) + add, and then each mark maps
-        them to the marked fields.  A mark reads only fields that its entry
-        leaves alone: the run bit, zero at v = 1 and max at v = prev < m."""
+        """(keep, put, add) appending v at index m after prev: the fields
+        become ((packed & keep) | put) + add."""
         at, bit = self.at, 1 << v
-        keep, put, add, marks = -1, 0, 0, []
+        keep, put, add = -1, 0, 0
         if "asc" in at:
             add += (prev < v) << at["asc"]
         if "zero" in at:
@@ -101,59 +80,26 @@ class _Layout:
             # candidates >= v are no longer smaller than every later entry
             keep &= ~((self.mask["rmin"] & -bit) << at["rmin"])
             put |= bit << at["rmin"]
-        if "run" in at and v != m:
-            marks.append(self._leave_run(v))
-        if "zpair" in at and prev == 0 and v == 1:  # never at m = 0
-            marks.append(self._copy("zero", "zpair"))
-        if "mpair" in at and prev == m - 1 and v == prev:
-            marks.append(self._copy("max", "mpair"))
-        return keep, put, add, tuple(marks)
-
-    def _leave_run(self, v):
-        run, ealm = 1 << self.at["run"], v << self.at["ealm"]
-        return lambda fields: fields & ~run | ealm if fields & run else fields
-
-    def _copy(self, source, target):
-        """Set target to source - 1."""
-        clear = ~(self.mask[target] << self.at[target])
-        shift = self.at[target]
-
-        def mark(fields):
-            count = self.field(fields, source)
-            invariant(count >= 1, f"{target} event with no {source} before it")
-            return fields & clear | (count - 1) << shift
-        return mark
+        return keep, put, add
 
     def reader(self, names: tuple):
         """packed fields -> the tuple of the values of names."""
-        n = self.n
-        # name -> (field, read as the size of a set?, sign, constant)
-        parts = {"asc": ("asc", False, 1, 0), "nasc": ("asc", False, -1, n - 1),
-                 "rep": ("used", True, -1, n), "zero": ("zero", False, 1, 0),
-                 "max": ("max", False, 1, 0), "rmin": ("rmin", True, 1, 0),
-                 "ealm": ("ealm", False, 1, 0),
-                 "zpair": ("zpair", False, 1, 0),
-                 "mpair": ("mpair", False, 1, 0)}
-        plan = [(self.at[field], self.mask[field], size, sign, const)
-                for field, size, sign, const in map(parts.get, names)]
+        plan = []
+        for name in names:
+            field, is_set, d = TRACKERS[name]
+            sign, const = (1, 0) if d is None else (-1, self.n - d)
+            plan.append((self.at[field], self.mask[field], is_set, sign,
+                         const))
 
         def read(packed):
             return tuple([
-                const + sign * ((packed >> at & mask).bit_count() if size
+                const + sign * ((packed >> at & mask).bit_count() if is_set
                                 else packed >> at & mask)
-                for at, mask, size, sign, const in plan])
+                for at, mask, is_set, sign, const in plan])
         return read
 
 
-def _advance(fields: int, ops: tuple) -> int:
-    keep, put, add, marks = ops
-    fields = (fields & keep | put) + add
-    for mark in marks:
-        fields = mark(fields)
-    return fields
-
-
-def _extensions(step, layout, m, values, last):
+def _extensions(step, layout, m, last):
     """(state, prev) -> the admissible entries v at index m after prev, as
     (v, next state, ops) or, at the last index, as ops alone.  Memoised for
     the layer, as the step rule is a pure function of (state, m, prev, v);
@@ -171,13 +117,13 @@ def _extensions(step, layout, m, values, last):
         if found is None:
             found = memo[state, prev] = tuple(
                 entry_ops(prev, v) if last else (v, nxt, entry_ops(prev, v))
-                for v in values(m)
+                for v in range(m + 1)
                 if (nxt := step(state, m, prev, v)) is not None)
         return found
     return extend
 
 
-def count_table(class_id: ClassId, n: int, names: tuple = ()) -> dict:
+def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
     """The joint distribution of names over the members of class_id of
     length n, as {tuple of values: count}, counted layer by layer."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -185,38 +131,35 @@ def count_table(class_id: ClassId, n: int, names: tuple = ()) -> dict:
     names = tuple(names)
     if not counted(class_id, names):
         raise UsageError(
-            f"no step-rule count of {', '.join(names) or 'members'} "
-            f"over {class_id.name}; trackers: {', '.join(TRACKERS)}")
+            f"no step-rule count of ({', '.join(names)}) over "
+            f"{class_id.name}; sequence classes with trackers: "
+            f"{', '.join(TRACKERS)}")
     step, state = _RULES[class_id]
-    if class_id.is_permutation_class:
-        values = lambda m: range(1, n + 1)
-    else:
-        values = lambda m: range(m + 1)
     layout = _Layout(names, n)
-    layer = {(state, 0, layout.start): 1}
+    layer = {(state, 0, 0): 1}
     for m in range(n - 2):
-        extend = _extensions(step, layout, m, values, False)
+        extend = _extensions(step, layout, m, False)
         grown = {}
         for (state, prev, fields), count in layer.items():
-            for v, nxt, ops in extend(state, prev):
-                key = nxt, v, _advance(fields, ops)
+            for v, nxt, (keep, put, add) in extend(state, prev):
+                key = nxt, v, (fields & keep | put) + add
                 grown[key] = grown.get(key, 0) + count
         layer = grown
     # The last two entries (one when n = 1) of each key go straight into the
     # table, so the two widest layers are never held.
-    last = _extensions(step, layout, n - 1, values, True)
+    last = _extensions(step, layout, n - 1, True)
     read = layout.reader(names)
     table = Counter()
 
     def finish(state, prev, fields, count):
-        for ops in last(state, prev):
-            table[read(_advance(fields, ops))] += count
+        for keep, put, add in last(state, prev):
+            table[read((fields & keep | put) + add)] += count
 
     if n == 1:
-        finish(state, 0, layout.start, 1)
+        finish(state, 0, 0, 1)
         return dict(table)
-    extend = _extensions(step, layout, n - 2, values, False)
+    extend = _extensions(step, layout, n - 2, False)
     for (state, prev, fields), count in layer.items():
-        for v, nxt, ops in extend(state, prev):
-            finish(nxt, v, _advance(fields, ops), count)
+        for v, nxt, (keep, put, add) in extend(state, prev):
+            finish(nxt, v, (fields & keep | put) + add, count)
     return dict(table)

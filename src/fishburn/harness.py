@@ -211,9 +211,9 @@ def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) ->
     When every name is a profile statistic of the class (stats.SEQ_PROFILE
     or stats.PERM_PROFILE) or derived from one (nasc, iasc), the table is
     the marginal of the class's profile table at n; otherwise (a marker is
-    named) it is a table of its own.  A table whose statistics all have a
-    tracker (counting.TRACKERS) on a class with a step rule is counted
-    layer by layer; any other is enumerated.  Either table is cached on disk
+    named) it is a table of its own.  A sequence profile table is counted
+    layer by layer over the step rules (counting.count_table); permutation
+    profiles and marker tables are enumerated.  Either table is cached on disk
     under one JSON file per (class, n, table statistics, code-version) key;
     set the FISHBURN_CACHE environment variable to move the cache directory.
     """
@@ -815,9 +815,9 @@ def spot_check_cache(rng=None) -> CheckReport:
     enumeration and compare.
 
     Run alongside the full suite to catch stale or corrupted cache files;
-    as dist_table counts most tables over the step rules, this also checks
-    one counted table against the enumerator.  Passes vacuously when the
-    cache is empty.
+    when it draws a sequence profile, which dist_table counts over the step
+    rules, it also sets the counter against the enumerator.  Passes
+    vacuously when the cache is empty.
     """
     rng = rng or random.Random()
     start = time.perf_counter()
