@@ -168,6 +168,35 @@ class TestSubtractionMaps:
             (2, Seq((0, 1, 0, 2, 3, 2, 4, 1, 5))),
         ]
 
+    def test_beta_inv_worked_example_with_trace(self):
+        trace = []
+        out = bj.beta_inv(Seq((0, 1, 0, 2, 3, 2, 4, 1, 5)), _trace=trace)
+        assert out == Seq((0, 1, 0, 2, 3, 2, 5, 1, 7))
+        assert trace == [
+            (2, Seq((0, 1, 0, 2, 3, 2, 4, 1, 5))),
+            (5, Seq((0, 1, 0, 2, 3, 2, 5, 1, 6))),
+            (7, Seq((0, 1, 0, 2, 3, 2, 5, 1, 7))),
+        ]
+
+    def test_gamma_pair_worked_example_with_traces(self):
+        # the ascent sequence of the beta example, sent through class C
+        s = Seq((0, 1, 0, 2, 3, 2, 4, 1, 5))
+        trace = []
+        c = bj.gamma_inv(s, _trace=trace)
+        assert c == Seq((0, 1, 0, 3, 4, 3, 6, 1, 8))
+        assert trace == [
+            (2, Seq((0, 1, 0, 3, 4, 3, 5, 1, 6))),
+            (5, Seq((0, 1, 0, 3, 4, 3, 6, 1, 7))),
+            (7, Seq((0, 1, 0, 3, 4, 3, 6, 1, 8))),
+        ]
+        trace = []
+        assert bj.gamma(c, _trace=trace) == s
+        assert trace == [
+            (7, Seq((0, 1, 0, 3, 4, 3, 6, 1, 7))),
+            (5, Seq((0, 1, 0, 3, 4, 3, 5, 1, 6))),
+            (2, Seq((0, 1, 0, 2, 3, 2, 4, 1, 5))),
+        ]
+
     def test_beta_small(self):
         assert bj.beta(Seq((0, 0, 0, 2))) == Seq((0, 0, 0, 1))
 

@@ -137,6 +137,25 @@ class TestWorkedValues:
         back = decomp.vartheta_inv(out)
         assert (back.output, back.side_index) == (s, 1)
 
+    def test_maximal_detaching_chain_through_every_step(self):
+        s = Seq((0, 0, 2, 3, 4, 4))
+        trace = []
+        out = decomp.vartheta(s, 0, _trace=trace)
+        assert out == Seq((0, 0, 2, 0, 3, 5))
+        assert trace == [
+            ("M0", Seq((0, 0, 2, 3, 3, 4))),
+            ("M1", Seq((0, 0, 2, 2, 3, 5))),
+            ("M2", Seq((0, 0, 2, 0, 3, 5))),
+        ]
+        trace = []
+        back = decomp.vartheta_inv(out, _trace=trace)
+        assert (back.output, back.side_index) == (s, 0)
+        assert trace == [
+            ("undo_M2", Seq((0, 0, 2, 2, 3, 5))),
+            ("undo_M1", Seq((0, 0, 2, 3, 3, 4))),
+            ("undo_M0", s),
+        ]
+
     def test_zero_side_maps(self):
         assert decomp.phi_G(Seq((0, 1, 0))) == Seq((0, 1))
         assert decomp.phi_G_inv(Seq((0, 1))) == Seq((0, 1, 0))
@@ -149,6 +168,25 @@ class TestWorkedValues:
             Seq((0, 1, 2, 0, 0, 1, 3, 0, 1, 2, 0, 2)), 2)
         assert decomp.theta_R(got.output, got.side_index) == Seq(
             (0, 1, 2, 0, 0, 1, 2, 4, 1, 2, 0, 2))
+
+    def test_zero_detaching_chain_through_every_step(self):
+        s = Seq((0, 0, 1, 0, 0, 1))
+        trace = []
+        out = decomp.theta_R(s, 0, _trace=trace)
+        assert out == Seq((0, 1, 0, 0, 2, 1))
+        assert trace == [
+            ("Z0", Seq((0, 0, 1, 0, 1, 1))),
+            ("Z2", Seq((0, 0, 1, 0, 2, 1))),
+            ("Z1", Seq((0, 1, 0, 0, 2, 1))),
+        ]
+        trace = []
+        back = decomp.theta_R_inv(out, _trace=trace)
+        assert (back.output, back.side_index) == (s, 0)
+        assert trace == [
+            ("undo_Z1", Seq((0, 0, 1, 0, 2, 1))),
+            ("undo_Z2", Seq((0, 0, 1, 0, 1, 1))),
+            ("undo_Z0", s),
+        ]
 
 
 class TestRoundTrips:
