@@ -95,103 +95,88 @@ def bv_decode(s: Seq) -> Perm:
 
 
 # --- subtraction/addition passes ------------------------------------------
+#
+# Both pairs of passes visit the non-ascent positions i: the subtraction
+# from the last one down, the addition from the first one up.  At each i,
+# when the entry before i lies below the bar i - shift, every entry from i on
+# that lies above the bar (at or above it, when adding) moves by one.  The
+# shift is 1 between B and the ascent sequences and 0 between C and them;
+# with shift 0 the entry before i never reaches the bar, as s[i-1] < i.
 
-def _nasc_positions(s):
-    return [i for i in range(1, len(s)) if s[i - 1] >= s[i]]
+def _pass(s, shift, step, _trace):
+    """The subtraction (step -1) or addition (step +1) pass over s."""
+    out, n = list(s), len(s)
+    nasc = [i for i in range(1, n) if s[i - 1] >= s[i]]
+    for i in (nasc if step > 0 else reversed(nasc)):
+        bar = i - shift
+        if out[i - 1] < bar:
+            low = bar + (step < 0)  # the least entry that moves
+            for j in range(i, n):
+                if out[j] >= low:
+                    out[j] += step
+        if _trace is not None:
+            _trace.append((i, Seq._wrap(tuple(out))))
+    return Seq._wrap(tuple(out))
 
 
 def beta(b: Seq, _trace=None) -> Seq:
     if not is_b_class(b):
         raise DomainError(f"not in the subtraction domain: {tuple(b)!r}")
-    s = list(b)
-    n = len(s)
-    for i in reversed(_nasc_positions(b)):
-        if s[i - 1] < i - 1:
-            for j in range(i, n):
-                if s[j] > i - 1:
-                    s[j] -= 1
-        if _trace is not None:
-            _trace.append((i, Seq._wrap(tuple(s))))
-    return Seq._wrap(tuple(s))
+    return _pass(b, 1, -1, _trace)
 
 
 def beta_inv(s: Seq, _trace=None) -> Seq:
     if not is_ascent(s):
         raise DomainError(f"not an ascent sequence: {tuple(s)!r}")
-    b = list(s)
-    n = len(b)
-    for i in _nasc_positions(s):
-        if b[i - 1] < i - 1:
-            for j in range(i, n):
-                if b[j] >= i - 1:
-                    b[j] += 1
-        if _trace is not None:
-            _trace.append((i, Seq._wrap(tuple(b))))
-    return Seq._wrap(tuple(b))
+    return _pass(s, 1, 1, _trace)
 
 
 def gamma(c: Seq, _trace=None) -> Seq:
     if not is_c_class(c):
         raise DomainError(f"not in the subtraction domain: {tuple(c)!r}")
-    s = list(c)
-    n = len(s)
-    for i in reversed(_nasc_positions(c)):
-        for j in range(i, n):
-            if s[j] > i:
-                s[j] -= 1
-        if _trace is not None:
-            _trace.append((i, Seq._wrap(tuple(s))))
-    return Seq._wrap(tuple(s))
+    return _pass(c, 0, -1, _trace)
 
 
 def gamma_inv(s: Seq, _trace=None) -> Seq:
     if not is_ascent(s):
         raise DomainError(f"not an ascent sequence: {tuple(s)!r}")
-    c = list(s)
-    n = len(c)
-    for i in _nasc_positions(s):
-        for j in range(i, n):
-            if c[j] >= i:
-                c[j] += 1
-        if _trace is not None:
-            _trace.append((i, Seq._wrap(tuple(c))))
-    return Seq._wrap(tuple(c))
+    return _pass(s, 0, 1, _trace)
 
 
-# --- composed bijections ---------------------------------------------------
+# --- composed bijections: the code, then beta (psi) or gamma (phi) ---------
+
+def _encode(p, in_class, subtract):
+    code = bv_code(p)
+    if not in_class(code):
+        raise AssertionError(f"code of {p.to_text()} left the expected class: {tuple(code)!r}")
+    return subtract(code)
+
+
+def _decode(s, add, contains):
+    p = bv_decode(add(s))
+    if contains(p):
+        raise AssertionError(f"decoded permutation {p.to_text()} contains the forbidden pattern")
+    return p
+
 
 def psi(p: Perm) -> Seq:
     if contains_bivincular_A(p):
         raise DomainError(f"{p.to_text()} contains the forbidden pattern")
-    b = bv_code(p)
-    if not is_b_class(b):
-        raise AssertionError(f"code of {p.to_text()} left the expected class: {tuple(b)!r}")
-    return beta(b)
+    return _encode(p, is_b_class, beta)
 
 
 def psi_inv(s: Seq) -> Perm:
-    b = beta_inv(s)
-    p = bv_decode(b)
-    if contains_bivincular_A(p):
-        raise AssertionError(f"decoded permutation {p.to_text()} contains the forbidden pattern")
-    return p
+    return _decode(s, beta_inv, contains_bivincular_A)
 
 
 def phi(p: Perm) -> Seq:
     if contains_bivincular_B(p):
         raise DomainError(f"{p.to_text()} contains the forbidden pattern")
-    c = bv_code(p)
-    if not is_c_class(c):
-        raise AssertionError(f"code of {p.to_text()} left the expected class: {tuple(c)!r}")
-    return gamma(c)
+    return _encode(p, is_c_class, gamma)
 
 
 def phi_inv(s: Seq) -> Perm:
-    c = gamma_inv(s)
-    p = bv_decode(c)
-    if contains_bivincular_B(p):
-        raise AssertionError(f"decoded permutation {p.to_text()} contains the forbidden pattern")
-    return p
+    return _decode(s, gamma_inv, contains_bivincular_B)
 
 
 def upsilon(s: Seq) -> Seq:

@@ -13,7 +13,7 @@ construction of Bousquet-Mélou, Claesson, Dukes and Kitaev (JCTA 2010).
 A tracker reads one statistic off the running fields.  Appending the entry v
 at 0-based index m after the entry prev updates each field as follows:
 
-  asc    + 1 when prev < v                  asc; nasc = n - 1 - asc
+  asc    + 1 when prev < v                  asc
   used   the bit set of values, | 2^v       rep = n - |used|
   zero   + 1 when v = 0                     zero
   max    + 1 when v = m                     max
@@ -34,11 +34,11 @@ from .errors import UsageError
 from .seqcore import ClassId, _RULES
 
 # tracker -> (the field it reads, whether the statistic is the size of that
-# field as a set, and d when the statistic is n - d - the reading)
+# field as a set, and whether it is n minus the reading)
 TRACKERS = {
-    "asc": ("asc", False, None), "nasc": ("asc", False, 1),
-    "rep": ("used", True, 0), "zero": ("zero", False, None),
-    "max": ("max", False, None), "rmin": ("rmin", True, None),
+    "asc": ("asc", False, False), "rep": ("used", True, True),
+    "zero": ("zero", False, False), "max": ("max", False, False),
+    "rmin": ("rmin", True, False),
 }
 
 
@@ -86,8 +86,8 @@ class _Layout:
         """packed fields -> the tuple of the values of names."""
         plan = []
         for name in names:
-            field, is_set, d = TRACKERS[name]
-            sign, const = (1, 0) if d is None else (-1, self.n - d)
+            field, is_set, from_n = TRACKERS[name]
+            sign, const = (-1, self.n) if from_n else (1, 0)
             plan.append((self.at[field], self.mask[field], is_set, sign,
                          const))
 

@@ -47,26 +47,21 @@ def _max_stat(s) -> int:
     return len(maximal_positions(s))
 
 
-def _in_F(s) -> bool:
-    # Paired maximal is not the next-to-top one, and the following maximal
-    # sits at the very end or is immediately followed by another maximal.
-    p = _max_stat(s)
-    j = mpair(s)
-    if j >= p - 1:
+def _flush_after(s, anchors: tuple, j: int) -> bool:
+    # The anchor after the j-th is last or is immediately followed by another
+    # anchor.  On maximals this is block F, on zeros block G.
+    if j >= len(anchors) - 1:
         return False
-    k1 = maximal_positions(s)[j + 1]
-    return k1 == len(s) or s[k1] == k1
+    k1 = anchors[j + 1]
+    return k1 == len(s) or k1 + 1 in anchors
+
+
+def _in_F(s) -> bool:
+    return _flush_after(s, maximal_positions(s), mpair(s))
 
 
 def _in_G(s) -> bool:
-    # Zero analogue of _in_F: the zero after the paired one is last or is
-    # immediately followed by another zero.
-    p = len(zero_positions(s))
-    j = zpair(s)
-    if j >= p - 1:
-        return False
-    k1 = zero_positions(s)[j + 1]
-    return k1 == len(s) or s[k1] == 0
+    return _flush_after(s, zero_positions(s), zpair(s))
 
 
 def classify(s: Seq, scheme: str) -> str:
@@ -427,6 +422,55 @@ def _undo_M2(t: list) -> list:
     out[K - 2], out[K] = out[K], out[K - 2]
     return out
 
+# The walks vartheta (on maximals) and theta_R (on zeros) share one descent
+# and one rewind.  The descent takes the first step off the pair at ordinal
+# j, then moves the pair from ordinal c to c - 1 until it reaches i: by the
+# flush step when anchors c - 1 and c are adjacent, by the apart step
+# otherwise.  The rewind undoes one step at a time: the flush step inside
+# the block (F or G), the first step once the position marker is one past
+# the pair marker, the apart step otherwise.  Each wrapper passes its marker
+# functions, anchors, steps (first, flush, apart) and label tag by name at
+# call time, so that patched and traced bindings are the ones run.
+
+
+def _descend(s, i, pair, anchors, steps, tag, _trace):
+    j = pair(s)
+    _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
+    first, flush, apart = steps
+    cur = first(list(s))
+    if _trace is not None:
+        _trace.append((tag + "0", Seq(cur)))
+    for c in range(j - 1, i, -1):
+        at = anchors(cur)
+        if at[c - 1] + 1 == at[c]:
+            cur, label = flush(cur, c), tag + "1"
+        else:
+            cur, label = apart(cur, c), tag + "2"
+        if _trace is not None:
+            _trace.append((label, Seq(cur)))
+    return Seq(cur)
+
+
+def _rewind(s, pair, pos, anchors, steps, tag, _trace):
+    undo_first, undo_flush, undo_apart = steps
+    i = pair(s)
+    cur = list(s)
+    for _ in range(len(s) + 1):
+        if _flush_after(cur, anchors(cur), pair(cur)):
+            cur, label = undo_flush(cur), "undo_" + tag + "1"
+        elif pos(tuple(cur)) == pair(tuple(cur)) + 1:
+            cur = undo_first(cur)
+            if _trace is not None:
+                _trace.append(("undo_" + tag + "0", Seq(cur)))
+            return MapResult(Seq(cur), i)
+        else:
+            cur, label = undo_apart(cur), "undo_" + tag + "2"
+        if _trace is not None:
+            _trace.append((label, Seq(cur)))
+    anchor = "maximal" if tag == "M" else "zero"
+    raise AssertionError(f"paired-{anchor} rewind did not terminate: {tuple(s)!r}")
+
+
 def vartheta(s: Seq, i: int, _trace=None) -> Seq:
     """Walk the paired maximal down to ordinal ``i``, creating a critical slot.
 
@@ -437,24 +481,9 @@ def vartheta(s: Seq, i: int, _trace=None) -> Seq:
     _require(is_t21(s) and len(s) > 0,
              f"not a nonempty drop-by-one-avoiding sequence: {tuple(s)!r}")
     _require(not _in_F(s), f"block F is out of range: {tuple(s)!r}")
-    j = mpair(s)
-    _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
-    cur = _M0(list(s))
-    if _trace is not None:
-        _trace.append(("M0", Seq(cur)))
-    c = j - 1
-    while c > i:
-        kp = maximal_positions(cur)
-        if kp[c - 1] + 1 == kp[c]:
-            cur = _M1(cur, c)
-            label = "M1"
-        else:
-            cur = _M2(cur, c)
-            label = "M2"
-        if _trace is not None:
-            _trace.append((label, Seq(cur)))
-        c -= 1
-    return Seq(cur)
+    return _descend(s, i, mpair, maximal_positions, (_M0, _M1, _M2), "M",
+                    _trace)
+
 
 def vartheta_inv(s: Seq, _trace=None) -> MapResult:
     """Rewind :func:`vartheta`; returns the source and the target ordinal."""
@@ -462,23 +491,8 @@ def vartheta_inv(s: Seq, _trace=None) -> MapResult:
              f"not a nonempty drop-by-one-avoiding sequence: {tuple(s)!r}")
     _require(len(s) > _max_stat(s), f"identity run excluded: {tuple(s)!r}")
     _require(mpos(s) != 0, f"no critical maximal: {tuple(s)!r}")
-    i = mpair(s)
-    cur = list(s)
-    for _ in range(len(s) + 1):
-        if _in_F(cur):
-            cur = _undo_M1(cur)
-            label = "undo_M1"
-        elif mpos(tuple(cur)) == mpair(tuple(cur)) + 1:
-            cur = _undo_M0(cur)
-            if _trace is not None:
-                _trace.append(("undo_M0", Seq(cur)))
-            return MapResult(Seq(cur), i)
-        else:
-            cur = _undo_M2(cur)
-            label = "undo_M2"
-        if _trace is not None:
-            _trace.append((label, Seq(cur)))
-    raise AssertionError(f"paired-maximal rewind did not terminate: {tuple(s)!r}")
+    return _rewind(s, mpair, mpos, maximal_positions,
+                   (_undo_M0, _undo_M1, _undo_M2), "M", _trace)
 
 
 # ---------------------------------------------------------------------------
@@ -601,24 +615,8 @@ def theta_R(s: Seq, i: int, _trace=None) -> Seq:
     _require(is_ascent(s) and len(s) > 0,
              f"not a nonempty ascent sequence: {tuple(s)!r}")
     _require(not _in_G(s), f"block G is out of range: {tuple(s)!r}")
-    j = zpair(s)
-    _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
-    cur = _Z0(list(s))
-    if _trace is not None:
-        _trace.append(("Z0", Seq(cur)))
-    c = j - 1
-    while c > i:
-        zp = zero_positions(cur)
-        if zp[c - 1] + 1 == zp[c]:
-            cur = _Z1(cur, c)
-            label = "Z1"
-        else:
-            cur = _Z2(cur, c)
-            label = "Z2"
-        if _trace is not None:
-            _trace.append((label, Seq(cur)))
-        c -= 1
-    return Seq(cur)
+    return _descend(s, i, zpair, zero_positions, (_Z0, _Z1, _Z2), "Z",
+                    _trace)
 
 def _undo_Z0(t: list) -> list:
     c = zpair(tuple(t))
@@ -681,23 +679,8 @@ def theta_R_inv(s: Seq, _trace=None) -> MapResult:
              f"not a nonempty ascent sequence: {tuple(s)!r}")
     _require(len(s) > len(zero_positions(s)), f"all-zero run excluded: {tuple(s)!r}")
     _require(zpos(s) != 0, f"no critical one: {tuple(s)!r}")
-    i = zpair(s)
-    cur = list(s)
-    for _ in range(len(s) + 1):
-        if _in_G(cur):
-            cur = _undo_Z1(cur)
-            label = "undo_Z1"
-        elif zpos(tuple(cur)) == zpair(tuple(cur)) + 1:
-            cur = _undo_Z0(cur)
-            if _trace is not None:
-                _trace.append(("undo_Z0", Seq(cur)))
-            return MapResult(Seq(cur), i)
-        else:
-            cur = _undo_Z2(cur)
-            label = "undo_Z2"
-        if _trace is not None:
-            _trace.append((label, Seq(cur)))
-    raise AssertionError(f"paired-zero rewind did not terminate: {tuple(s)!r}")
+    return _rewind(s, zpair, zpos, zero_positions,
+                   (_undo_Z0, _undo_Z1, _undo_Z2), "Z", _trace)
 
 
 # name -> (shape, forward, inverse) of every length-reducing map, in the

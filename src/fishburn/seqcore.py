@@ -137,6 +137,11 @@ class ClassId(Enum):
     def is_permutation_class(self) -> bool:
         return self in (ClassId.PERM_ALL, ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B)
 
+    @property
+    def factorial_capped(self) -> bool:
+        """INV and the permutation classes: the length caps take them as n!."""
+        return self is ClassId.INV or self.is_permutation_class
+
 
 def is_inversion(s) -> bool:
     return len(s) >= 1 and all(0 <= v < i for i, v in enumerate(s, start=1))
@@ -413,9 +418,8 @@ def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = No
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"length must be an integer >= 1, got {n!r}")
-    factorial = class_id.is_permutation_class or class_id is ClassId.INV
     ceiling = limit if limit is not None else (
-        DEFAULT_PERM_LIMIT if factorial else DEFAULT_SEQ_LIMIT)
+        DEFAULT_PERM_LIMIT if class_id.factorial_capped else DEFAULT_SEQ_LIMIT)
     if n > ceiling:
         raise ResourceLimitError(
             f"length {n} exceeds the enumeration limit {ceiling} for {class_id.value}")

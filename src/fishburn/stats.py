@@ -220,10 +220,6 @@ MARKERS = {"ealm": ClassId.ASC, "zpair": ClassId.ASC, "zpos": ClassId.ASC,
            "mpair": ClassId.T21, "mpos": ClassId.T21}
 
 
-def _is_identity_run(s) -> bool:
-    return all(v == i for i, v in enumerate(s))
-
-
 def ealm(s: Seq) -> int:
     if not is_ascent(s):
         raise DomainError(f"ealm needs an ascent sequence, got {tuple(s)!r}")
@@ -233,32 +229,29 @@ def ealm(s: Seq) -> int:
     return s[p]  # entry at 1-based position p + 1
 
 
+def _pair_marker(s, anchors: tuple, rise: int, missing: str) -> int:
+    """The largest index of an anchor whose entry is followed at once by
+    that entry plus rise.  When every entry is an anchor none is, and the
+    marker is 0; otherwise one must be."""
+    best = 0 if len(anchors) == len(s) else None
+    for idx, k in enumerate(anchors):
+        if k < len(s) and s[k] == s[k - 1] + rise:
+            best = idx
+    if best is None:
+        raise DomainError(f"{missing} in {tuple(s)!r}")
+    return best
+
+
 def mpair(s: Seq) -> int:
     if not is_t21(s):
         raise DomainError(f"mpair needs a drop-by-one-avoiding sequence, got {tuple(s)!r}")
-    best = None
-    for idx, k in enumerate(maximal_positions(s)):
-        if k < len(s) and s[k] == s[k - 1]:
-            best = idx
-    if best is None:
-        if _is_identity_run(s):
-            return 0
-        raise DomainError(f"no paired maximal in {tuple(s)!r}")
-    return best
+    return _pair_marker(s, maximal_positions(s), 0, "no paired maximal")
 
 
 def zpair(s: Seq) -> int:
     if not is_ascent(s):
         raise DomainError(f"zpair needs an ascent sequence, got {tuple(s)!r}")
-    best = None
-    for idx, k in enumerate(zero_positions(s)):
-        if k < len(s) and s[k] == 1:
-            best = idx
-    if best is None:
-        if all(v == 0 for v in s):
-            return 0
-        raise DomainError(f"no zero followed by 1 in {tuple(s)!r}")
-    return best
+    return _pair_marker(s, zero_positions(s), 1, "no zero followed by 1")
 
 
 def _pos_marker(s, anchors: tuple, pair_index: int, is_critical) -> int:

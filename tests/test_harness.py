@@ -357,6 +357,27 @@ def test_injected_fault_is_reported_as_pinned(fault, tmp_path, monkeypatch):
                       "verdict": "fail", "counterexample": counterexample}
 
 
+def test_class_count_fault_is_reported_as_pinned(tmp_path, monkeypatch):
+    # the sequence classes are counted, not enumerated: one count too many
+    # of C at n = 5
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    _inject(monkeypatch, counting, "count_table",
+            _on_table(ClassId.C, 5, ("asc",)),
+            lambda _, out: {**out, (0,): out[(0,)] + 1})
+    report = harness.run_check("class_counts", max_n=6, perm_max_n=4)
+    assert report.verdict == "fail"
+    assert report.as_dict()["counterexample"] == {
+        "n": 5, "class": "C", "expected": 53, "actual": 54}
+    assert list(tmp_path.iterdir()) == []  # and no table was cached
+
+
+@pytest.mark.parametrize("params", [{"max_n": 13, "perm_max_n": 1},
+                                    {"max_n": 1, "perm_max_n": 11}])
+def test_class_counts_keep_their_caps(params):
+    with pytest.raises(ResourceLimitError):
+        harness.run_check("class_counts", **params)
+
+
 # The cache is filled through the counter and the spot check recomputes by
 # enumeration, so a fault on either side makes it fail; each fault stays in
 # place for both.
