@@ -4,18 +4,18 @@ beta/gamma, psi/phi, the walks vartheta/theta_R with their rewinds, the
 block tests behind T_F/ASC_G and the markers mpair/zpair each come in two
 copies that differ only in a threshold, a class or the anchor they follow
 (maximal entries or zeros).  The references below are those copies written
-out one by one, as separate functions with no shared kernel.  Every map is
-compared with its reference over whole classes: outputs, `_trace` lists,
-and the type and message of every exception, invalid inputs included.
+out one by one, as separate functions with no shared kernel; the walks
+call the step surgeries `decomp._M0` ... `decomp._undo_Z2`, which were not
+merged.  Every map is compared with its reference over whole classes to
+n = 8: outputs, `_trace` lists, and the type and message of every
+exception, invalid inputs included.
 """
-
-import os
 
 import pytest
 
 from fishburn import bijections, decomp, stats
 from fishburn.decomp import MapResult
-from fishburn.errors import DomainError, invariant
+from fishburn.errors import DomainError
 from fishburn.seqcore import (ClassId, Seq, contains_bivincular_A,
                               contains_bivincular_B, enumerate_class,
                               is_ascent, is_b_class, is_c_class, is_t21)
@@ -175,108 +175,23 @@ def _require(cond, msg):
         raise DomainError(msg)
 
 
-def _M0(t):
-    j = ref_mpair(tuple(t))
-    kp = maximal_positions(t)
-    out = list(t)
-    popped = out.pop(kp[j] - 1)
-    invariant(popped == kp[j] - 1)
-    out.insert(kp[j - 1], kp[j - 1] - 1)
-    return out
-
-
-def _M1(t, c):
-    kp = maximal_positions(t)
-    p = len(kp)
-    x_c = kp[c] - 1
-    out = list(t)
-    popped = out.pop(kp[c] - 1)
-    invariant(popped == x_c)
-    if c + 1 <= p - 1:
-        x = kp[c + 1] - 1
-        out = [v - 1 if x_c <= v < x else v for v in out]
-        out.insert(out.index(x), x - 1)
-    else:
-        top = len(t) - 1
-        out = [v - 1 if v >= x_c else v for v in out]
-        out.append(top)
-    return out
-
-
-def _M2(t, c):
-    kp = maximal_positions(t)
-    kc = kp[c]
-    out = list(t)
-    out[kc - 2], out[kc] = out[kc], out[kc - 2]
-    out.remove(kc - 1)
-    prev = kp[c - 1] - 1
-    out.insert(out.index(prev) + 1, prev)
-    return out
-
-
-def _undo_M0(t):
-    c = ref_mpair(tuple(t))
-    kp = maximal_positions(t)
-    crit = [l for l in range(kp[c] + 2, len(t) + 1) if t[l - 1] == l - 2]
-    invariant(crit, "no critical maximal to restore")
-    lstar = crit[0]
-    out = list(t)
-    popped = out.pop(kp[c])
-    invariant(popped == kp[c] - 1)
-    out.insert(lstar - 2, lstar - 2)
-    return out
-
-
-def _undo_M1(t):
-    c1 = ref_mpair(tuple(t))
-    kp = maximal_positions(t)
-    q = kp[c1 + 1]
-    w = kp[c1] - 1
-    out = list(t)
-    if q == len(t):
-        popped = out.pop()
-        invariant(popped == len(t) - 1)
-        out = [v + 1 if idx >= kp[c1] and v >= w else v
-               for idx, v in enumerate(out)]
-    else:
-        invariant(kp[c1 + 2] == q + 1)
-        popped = out.pop(q - 1)
-        invariant(popped == q - 1)
-        out = [v + 1 if idx >= kp[c1] and w <= v <= q - 2 else v
-               for idx, v in enumerate(out)]
-    out.insert(kp[c1], w + 1)
-    return out
-
-
-def _undo_M2(t):
-    c1 = ref_mpair(tuple(t))
-    kp = maximal_positions(t)
-    K = kp[c1 + 1]
-    out = list(t)
-    popped = out.pop(kp[c1])
-    invariant(popped == kp[c1] - 1)
-    out.insert(K - 2, K - 1)
-    out[K - 2], out[K] = out[K], out[K - 2]
-    return out
-
-
 def ref_vartheta(s, i, _trace=None):
     _require(is_t21(s) and len(s) > 0,
              f"not a nonempty drop-by-one-avoiding sequence: {tuple(s)!r}")
     _require(not ref_in_F(s), f"block F is out of range: {tuple(s)!r}")
     j = ref_mpair(s)
     _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
-    cur = _M0(list(s))
+    cur = decomp._M0(list(s))
     if _trace is not None:
         _trace.append(("M0", Seq(cur)))
     c = j - 1
     while c > i:
         kp = maximal_positions(cur)
         if kp[c - 1] + 1 == kp[c]:
-            cur = _M1(cur, c)
+            cur = decomp._M1(cur, c)
             label = "M1"
         else:
-            cur = _M2(cur, c)
+            cur = decomp._M2(cur, c)
             label = "M2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
@@ -294,15 +209,15 @@ def ref_vartheta_inv(s, _trace=None):
     cur = list(s)
     for _ in range(len(s) + 1):
         if ref_in_F(cur):
-            cur = _undo_M1(cur)
+            cur = decomp._undo_M1(cur)
             label = "undo_M1"
         elif mpos(tuple(cur)) == ref_mpair(tuple(cur)) + 1:
-            cur = _undo_M0(cur)
+            cur = decomp._undo_M0(cur)
             if _trace is not None:
                 _trace.append(("undo_M0", Seq(cur)))
             return MapResult(Seq(cur), i)
         else:
-            cur = _undo_M2(cur)
+            cur = decomp._undo_M2(cur)
             label = "undo_M2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
@@ -311,123 +226,23 @@ def ref_vartheta_inv(s, _trace=None):
 
 # --- reference walks around the paired zero -----------------------------------
 
-def _Z0(t):
-    j = ref_zpair(tuple(t))
-    zp = zero_positions(t)
-    out = list(t)
-    for idx in range(zp[j - 1], zp[j] - 1):
-        out[idx] += 1
-    popped = out.pop(zp[j] - 1)
-    invariant(popped == 0)
-    out.insert(zp[j - 1], 1)
-    return out
-
-
-def _Z1(t, c):
-    zp = zero_positions(t)
-    out = list(t)
-    popped = out.pop(zp[c] - 1)
-    invariant(popped == 0)
-    if c + 1 <= len(zp) - 1:
-        out.insert(zp[c + 1] - 1, 0)
-    else:
-        out.append(0)
-    return out
-
-
-def _Z2(t, c):
-    zp = zero_positions(t)
-    out = list(t)
-    for idx in range(zp[c - 1], zp[c] - 1):
-        out[idx] += 1
-    after = t[zp[c] + 1] if zp[c] + 1 < len(t) else None
-    if after is not None and after >= 2:
-        popped = out.pop(zp[c])
-        invariant(popped == 1)
-        out.insert(zp[c - 1], 1)
-    else:
-        block = out[zp[c] - 1:zp[c] + 1]
-        invariant(block == [0, 1])
-        del out[zp[c] - 1:zp[c] + 1]
-        out[zp[c - 1] - 1:zp[c - 1] - 1] = [0, 1]
-    return out
-
-
-def _undo_Z0(t):
-    c = ref_zpair(tuple(t))
-    zp = zero_positions(t)
-    crit = [l for l in range(zp[c] + 2, len(t) + 1) if t[l - 1] == 1]
-    invariant(crit, "no critical one to restore")
-    lstar = crit[0]
-    out = list(t)
-    popped = out.pop(zp[c])
-    invariant(popped == 1)
-    for idx in range(zp[c], lstar - 2):
-        out[idx] -= 1
-    out.insert(lstar - 2, 0)
-    return out
-
-
-def _undo_Z1(t):
-    c = ref_zpair(tuple(t))
-    zp = zero_positions(t)
-    out = list(t)
-    if zp[c + 1] == len(t):
-        popped = out.pop()
-        invariant(popped == 0)
-    else:
-        invariant(zp[c + 2] == zp[c + 1] + 1)
-        popped = out.pop(zp[c + 2] - 1)
-        invariant(popped == 0)
-    out.insert(zp[c], 0)
-    return out
-
-
-def _undo_Z2(t):
-    c = ref_zpair(tuple(t))
-    zp = zero_positions(t)
-    out = list(t)
-    after = t[zp[c] + 1] if zp[c] + 1 < len(t) else None
-    if after is not None and after >= 2:
-        popped = out.pop(zp[c])
-        invariant(popped == 1)
-        for idx in range(zp[c], zp[c + 1] - 2):
-            out[idx] -= 1
-        out.insert(zp[c + 1] - 1, 1)
-    elif after == 0:
-        block = out[zp[c] - 1:zp[c] + 1]
-        invariant(block == [0, 1])
-        del out[zp[c] - 1:zp[c] + 1]
-        q = len(out) + 1
-        for idx in range(zp[c], len(out)):
-            if out[idx] <= 1:
-                q = idx + 1
-                break
-        for idx in range(zp[c], q - 1):
-            out[idx] -= 1
-        out[q - 1:q - 1] = [0, 1]
-    else:
-        raise AssertionError(f"malformed paired-zero neighbourhood: {t!r}")
-    return out
-
-
 def ref_theta_R(s, i, _trace=None):
     _require(is_ascent(s) and len(s) > 0,
              f"not a nonempty ascent sequence: {tuple(s)!r}")
     _require(not ref_in_G(s), f"block G is out of range: {tuple(s)!r}")
     j = ref_zpair(s)
     _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
-    cur = _Z0(list(s))
+    cur = decomp._Z0(list(s))
     if _trace is not None:
         _trace.append(("Z0", Seq(cur)))
     c = j - 1
     while c > i:
         zp = zero_positions(cur)
         if zp[c - 1] + 1 == zp[c]:
-            cur = _Z1(cur, c)
+            cur = decomp._Z1(cur, c)
             label = "Z1"
         else:
-            cur = _Z2(cur, c)
+            cur = decomp._Z2(cur, c)
             label = "Z2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
@@ -444,15 +259,15 @@ def ref_theta_R_inv(s, _trace=None):
     cur = list(s)
     for _ in range(len(s) + 1):
         if ref_in_G(cur):
-            cur = _undo_Z1(cur)
+            cur = decomp._undo_Z1(cur)
             label = "undo_Z1"
         elif zpos(tuple(cur)) == ref_zpair(tuple(cur)) + 1:
-            cur = _undo_Z0(cur)
+            cur = decomp._undo_Z0(cur)
             if _trace is not None:
                 _trace.append(("undo_Z0", Seq(cur)))
             return MapResult(Seq(cur), i)
         else:
-            cur = _undo_Z2(cur)
+            cur = decomp._undo_Z2(cur)
             label = "undo_Z2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
@@ -460,16 +275,8 @@ def ref_theta_R_inv(s, _trace=None):
 
 
 # --- the comparisons ----------------------------------------------------------
-#
-# The default sizes keep this module to a few seconds.  With
-# FISHBURN_REFERENCE_FULL=1 every comparison runs to n = 9 (n = 8 for the
-# permutations and for INV), which takes about a minute.
 
-FULL = os.environ.get("FISHBURN_REFERENCE_FULL") == "1"
-
-
-def lengths(default, full):
-    return range(1, (full if FULL else default) + 1)
+LENGTHS = range(1, 9)
 
 
 def outcome(fn, *args, traced=False):
@@ -495,7 +302,7 @@ def members(n, *classes):
     return sorted({s for cid in classes for s in enumerate_class(cid, n)})
 
 
-@pytest.mark.parametrize("n", lengths(8, 9))
+@pytest.mark.parametrize("n", LENGTHS)
 def test_passes_over_B_C_and_ASC(n):
     for s in members(n, ClassId.B, ClassId.C, ClassId.ASC):
         same(bijections.beta, ref_beta, s, traced=True)
@@ -504,7 +311,7 @@ def test_passes_over_B_C_and_ASC(n):
         same(bijections.gamma_inv, ref_gamma_inv, s, traced=True)
 
 
-@pytest.mark.parametrize("n", lengths(7, 8))
+@pytest.mark.parametrize("n", LENGTHS)
 def test_compositions_over_the_avoiders(n):
     for p in members(n, ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B):
         same(bijections.psi, ref_psi, p)
@@ -514,12 +321,9 @@ def test_compositions_over_the_avoiders(n):
         same(bijections.phi_inv, ref_phi_inv, s)
 
 
-@pytest.mark.parametrize("n", lengths(7, 9))
+@pytest.mark.parametrize("n", LENGTHS)
 def test_markers_and_blocks(n):
-    # INV holds ASC and T21; at n = 9 only those two are compared
-    pool = members(n, *((ClassId.INV,) if n <= 8
-                        else (ClassId.ASC, ClassId.T21)))
-    for s in pool:
+    for s in members(n, ClassId.INV):  # INV holds ASC and T21
         same(stats.mpair, ref_mpair, s)
         same(stats.zpair, ref_zpair, s)
         same(decomp._in_F, ref_in_F, s)
@@ -532,7 +336,7 @@ WALKS = ((decomp.vartheta, ref_vartheta, decomp.vartheta_inv,
           ref_zpair))
 
 
-@pytest.mark.parametrize("n", lengths(7, 9))
+@pytest.mark.parametrize("n", LENGTHS)
 def test_walks_and_rewinds(n):
     """Every target ordinal from -1 to the paired one on every member of ASC
     or T21, and the rewind of every member, which covers every image."""
