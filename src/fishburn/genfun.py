@@ -216,6 +216,16 @@ class TruncSeries:
             [lift * m * p for m, p in zip(quot, pows[order::-1])],
             self._den * abs(pows[-1]), order)
 
+    def truncate(self, order: int) -> "TruncSeries":
+        """The same series cut at a lower order.
+
+        Exact for every truncated operation here: coefficient k of a sum,
+        a product or a quotient depends only on coefficients <= k.
+        """
+        if _check_order(order) > self.order:
+            raise UsageError(f"cannot truncate order {self.order} to {order}")
+        return TruncSeries._make(list(self._num[:order + 1]), self._den, order)
+
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise UsageError(f"coefficient index {k} outside 0..{self.order}")
@@ -340,18 +350,23 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
     r = TruncSeries.monomial(mix, 1, order)
     shrink = one - r
     zr_less_one = r.scale(z) - one
-    lead = r.scale(z * q * mix)      # zq r (x+u-xu)
-    a = one - r.scale(q)             # a_0
+    lead = r.scale(z * q * mix)      # zq r (x+u-xu) x^m
+    a = one - r.scale(q)             # a_m
+    # the two denominators are left + u a_m and right + u(1-x) a_m
+    left = TruncSeries.constant(x * (1 - u), order)
+    right = TruncSeries.constant(x, order)
+    right_factor = u * (1 - x)
     running = one                    # product over i < m
     total = TruncSeries.zero(order)
     for m in range(order):
-        den_left = TruncSeries.constant(x * (1 - u), order) + a.scale(u)
-        den_right = TruncSeries.constant(x, order) + a.scale(u * (1 - x))
-        term = lead.scale(x ** m) * a * running / (den_left * den_right)
+        # one quotient serves the term and the next running product
+        shared = running / (right + a.scale(right_factor))
+        term = lead * a * shared / (left + a.scale(u))
         invariant(term.vanishes_below(m + 1), "summand order bound violated")
         total = total + term
-        running = running * (one + zr_less_one * a) / den_right
+        running = (one + zr_less_one * a) * shared
         a = a * shrink
+        lead = lead.scale(x)
     return total
 
 
@@ -406,10 +421,10 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
     if variant == "primitive":
         shrink_pow = one             # (1-t)^i
         running = one                # product over i <= m
+        base = TruncSeries.constant(u, order)
         for m in range(order):
             piece = fading * shrink_pow
-            running = (running * (one - piece)
-                       / (TruncSeries.constant(u, order) + piece.scale(1 - u)))
+            running = running * (one - piece) / (base + piece.scale(1 - u))
             term = running.scale(u ** m)
             invariant(term.vanishes_below(m + 1), "summand order bound violated")
             total = total + term
@@ -419,9 +434,9 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
         shrink_pow = shrink          # (1-t)^(m+1)
         running = one                # product over i < m
         lead = t.scale(z)
+        base = TruncSeries.constant(1 - u, order)
         for m in range(order):
-            den = TruncSeries.constant(1 - u, order) + shrink_pow.scale(u)
-            term = lead * shrink_pow * running / den
+            term = lead * shrink_pow * running / (base + shrink_pow.scale(u))
             invariant(term.vanishes_below(m + 1), "summand order bound violated")
             total = total + term
             running = running * (one - fading * shrink_pow)
@@ -523,6 +538,16 @@ def _profile_series(profile, order: int, point: SpecPoint) -> TruncSeries:
                                         for n in range(1, order + 1)], order)
 
 
+@lru_cache(maxsize=4)
+def _whole_series(order: int, point: SpecPoint) -> TruncSeries:
+    """The series of the whole case population at a point.
+
+    The four identities ask for four specialisations of one point, nine
+    times in all; four entries hold them until the next point.
+    """
+    return _profile_series(_case_profiles(order)[0], order, point)
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     case: int
@@ -557,11 +582,10 @@ def check_case_identity(case: int, order: int = DEFAULT_ORDER,
         raise DomainError(
             "inadmissible point: q = 0 (case 4 carries a 1/q factor)")
     x, q, u, z, w = point.x, point.q, point.u, point.z, point.w
-    whole, parts = _case_profiles(order)
-    lhs = _profile_series(parts[f"S{case}"], order, point)
+    lhs = _profile_series(_case_profiles(order)[1][f"S{case}"], order, point)
 
     def inner(**changes) -> TruncSeries:
-        return _profile_series(whole, order, replace(point, **changes))
+        return _whole_series(order, replace(point, **changes))
 
     one = TruncSeries.one(order)
     t = TruncSeries.monomial(1, 1, order)

@@ -232,7 +232,16 @@ def ealm(s: Seq) -> int:
 def _pair_marker(s, anchors: tuple, rise: int, missing: str) -> int:
     """The largest index of an anchor whose entry is followed at once by
     that entry plus rise.  When every entry is an anchor none is, and the
-    marker is 0; otherwise one must be."""
+    marker is 0; otherwise one must be, so only a sequence outside the
+    class, which mpair and zpair refuse first, reaches the DomainError:
+
+    - T21 (maximal anchors, rise 0): the entries before the first non-maximal
+      position j are 0, 1, ..., j-2; the entry at j is at most j-2 and may
+      not be one less than an earlier entry, so it is j-2, the maximal entry
+      just before it.
+    - ASC (zero anchors, rise 1): an all-zero prefix has no ascent, so the
+      first nonzero entry is a 1, and the entry before it is a 0.
+    """
     best = 0 if len(anchors) == len(s) else None
     for idx, k in enumerate(anchors):
         if k < len(s) and s[k] == s[k - 1] + rise:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -520,3 +521,164 @@ class TestAgainstFractionReferences:
                 {n: whole[n] for n in lengths},
                 {label: {n: part[n] for n in lengths}
                  for label, part in parts.items()})
+
+
+# --- one build per point --------------------------------------------------------
+#
+# series_G and series_asczero build their constant series once and series_G
+# shares one quotient per summand; check_case_identity evaluates each
+# specialisation of the whole profile once per point.  These are the bodies
+# they replaced, which must give the same canonical series.
+
+
+def ref_series_G(order, point):
+    TruncSeries = genfun.TruncSeries
+    x, q, u, z = point.x, point.q, point.u, point.z
+    mix = x + u - x * u
+    one = TruncSeries.one(order)
+    r = TruncSeries.monomial(mix, 1, order)
+    shrink = one - r
+    zr_less_one = r.scale(z) - one
+    lead = r.scale(z * q * mix)
+    a = one - r.scale(q)
+    running = one
+    total = TruncSeries.zero(order)
+    for m in range(order):
+        den_left = TruncSeries.constant(x * (1 - u), order) + a.scale(u)
+        den_right = TruncSeries.constant(x, order) + a.scale(u * (1 - x))
+        term = lead.scale(x ** m) * a * running / (den_left * den_right)
+        total = total + term
+        running = running * (one + zr_less_one * a) / den_right
+        a = a * shrink
+    return total
+
+
+def ref_series_asczero(order, u, z, variant):
+    TruncSeries = genfun.TruncSeries
+    one = TruncSeries.one(order)
+    t = TruncSeries.monomial(1, 1, order)
+    shrink = one - t
+    fading = one - t.scale(z)
+    total = TruncSeries.zero(order)
+    if variant == "primitive":
+        shrink_pow = one
+        running = one
+        for m in range(order):
+            piece = fading * shrink_pow
+            running = (running * (one - piece)
+                       / (TruncSeries.constant(u, order) + piece.scale(1 - u)))
+            total = total + running.scale(u ** m)
+            shrink_pow = shrink_pow * shrink
+        return total
+    shrink_pow = shrink
+    running = one
+    lead = t.scale(z)
+    for m in range(order):
+        den = TruncSeries.constant(1 - u, order) + shrink_pow.scale(u)
+        total = total + lead * shrink_pow * running / den
+        running = running * (one - fading * shrink_pow)
+        shrink_pow = shrink_pow * shrink
+    return total
+
+
+def ref_check_case_identity(case, order, point):
+    """check_case_identity with every inner series rebuilt at each use."""
+    TruncSeries = genfun.TruncSeries
+    x, q, u, z, w = point.x, point.q, point.u, point.z, point.w
+    whole, parts = genfun._case_profiles(order)
+    lhs = genfun._profile_series(parts[f"S{case}"], order, point)
+
+    def inner(**changes):
+        return genfun._profile_series(whole, order, replace(point, **changes))
+
+    one = TruncSeries.one(order)
+    t = TruncSeries.monomial(1, 1, order)
+    if case == 1:
+        numer = TruncSeries.constant(z, order) + t.scale(q * u * w * (1 - z))
+        rhs = ((t * t).scale(q * x * z) * numer
+               / ((one - t.scale(q * u)) * (one - t.scale(q * u * w))))
+    elif case == 2:
+        rhs = (t * (inner() - inner(q=q * w, w=Fraction(1))).scale(x / (1 - w))
+               + t * inner(w=Fraction(0)).scale(x * (z - 1)))
+    elif case == 3:
+        rhs = (t * (inner(w=Fraction(1)).scale((w + z - w * z) / (1 - w))
+                    - inner().scale(Fraction(1) / (1 - w))
+                    - inner(w=Fraction(0)).scale(z - 1)).scale(u * x))
+    else:
+        head = one - t.scale(q * u)
+        tail = TruncSeries.constant(Fraction(1) / q, order) - t.scale(u)
+        rhs = (head * (inner(w=Fraction(1)).scale((w + z - w * z) / (q * (1 - w)))
+                       - inner().scale(Fraction(1) / (q * (1 - w))))
+               - tail * inner(w=Fraction(0)).scale(z - 1))
+    return genfun.IdentityReport(case, order, point, lhs == rhs, lhs, rhs)
+
+
+length_points = points.filter(genfun.admissible_for_length_series)
+
+
+class TestOneBuildPerPoint:
+    @settings(deadline=None, max_examples=30)
+    @given(length_points)
+    @example(PIN_POINTS["mixed"])
+    def test_series_G_matches_the_old_build(self, point):
+        for order in range(1, genfun.MAX_ORDER + 1):
+            assert repr(genfun.series_G(order, point)) == repr(
+                ref_series_G(order, point))
+
+    @settings(deadline=None, max_examples=30)
+    @given(points)
+    @example(special_point)
+    def test_series_asczero_matches_the_old_build(self, point):
+        for order in range(1, genfun.MAX_ORDER + 1):
+            for variant in genfun.ASCZERO_VARIANTS:
+                assert repr(genfun.series_asczero(
+                    order, point.u, point.z, variant)) == repr(
+                    ref_series_asczero(order, point.u, point.z, variant))
+
+    @settings(deadline=None, max_examples=30)
+    @given(length_points, st.integers(1, genfun.MAX_ORDER - 1),
+           st.integers(1, genfun.MAX_ORDER - 1))
+    def test_series_G_truncates_exactly(self, point, k, j):
+        j = min(j, genfun.MAX_ORDER - k)
+        longer = genfun.series_G(k + j, point)
+        cut = longer.truncate(k)
+        assert cut.coeffs == longer.coeffs[:k + 1]
+        assert repr(cut) == repr(genfun.series_G(k, point))
+        assert_canonical(cut)
+
+    def test_truncate_refuses_a_higher_or_no_order(self):
+        f = genfun.TruncSeries((1, Fraction(1, 2), 3))
+        assert f.truncate(2) == f
+        with pytest.raises(UsageError):
+            f.truncate(3)
+        with pytest.raises(UsageError):
+            f.truncate(0)
+
+    def test_case_reports_are_the_same_cold_and_warm(self):
+        rng = random.Random(2718)
+        pts = [genfun.SpecPoint(x=2, q=3, u=5, z=1, w=0)]
+        while len(pts) < 4:
+            pt = genfun.random_point(
+                rng, constraint=genfun.admissible_for_case_identity)
+            if pt.w not in (0, 1):
+                pts.append(pt)
+        for point in pts:
+            want = [ref_check_case_identity(case, 6, point)
+                    for case in (1, 2, 3, 4)]
+            cold = []
+            for case in (1, 2, 3, 4):
+                genfun._whole_series.cache_clear()
+                cold.append(genfun.check_case_identity(case, 6, point))
+            genfun._whole_series.cache_clear()
+            warm = [genfun.check_case_identity(case, 6, point)
+                    for case in (1, 2, 3, 4)]
+            # four specialisations of the whole profile, asked for nine times
+            # (at w = 0 two of them coincide)
+            distinct = {replace(point, **changes) for changes in (
+                {}, {"w": 1}, {"w": 0}, {"q": point.q * point.w, "w": 1})}
+            info = genfun._whole_series.cache_info()
+            assert (info.misses, info.hits) == (len(distinct), 9 - len(distinct))
+            for got in (cold, warm):
+                assert got == want
+                assert [repr(r) for r in got] == [repr(r) for r in want]
+            assert all(want)

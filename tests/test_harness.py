@@ -1,5 +1,6 @@
 """Distribution tables, the disk cache, and the named check suite."""
 
+import io
 import json
 import random
 from pathlib import Path
@@ -67,6 +68,17 @@ class TestCache:
         t, path = self.table_path(tmp_path, monkeypatch)
         again = harness.dist_table(ClassId.ASC, 4, ("rep", "max"))
         assert again.counts == t.counts
+
+    @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300])
+    def test_file_text_is_the_json_dump_text(self, rows):
+        # the rows are written a block at a time, across block boundaries
+        payload = {"class": "ASC", "n": 9, "stats": ["rep", "max"],
+                   "version": "0" * 12,
+                   "counts": [[[i, i % 7], 31 * i] for i in range(rows)]}
+        handle, want = io.StringIO(), io.StringIO()
+        harness._write_json(handle, payload)
+        json.dump(payload, want)
+        assert handle.getvalue() == want.getvalue()
 
     def test_corrupt_file_is_recomputed(self, tmp_path, monkeypatch):
         t, path = self.table_path(tmp_path, monkeypatch)
@@ -420,9 +432,10 @@ def _is_case_part(label):
 SERIES_FAULTS = {
     # name: (check, parameters, module, function, which calls to corrupt,
     #        corruption, the counterexample the check must report)
-    # harness imports series_G by name, so its own binding is the one patched
+    # harness imports series_G by name, so its own binding is the one patched;
+    # the series at each point is built once, at max(order, sym_order)
     "series": ("gf_G", {"order": 5, "points": 2, "seed": 3, "sym_order": 10},
-               harness, "series_G", lambda order, point: order == 5,
+               harness, "series_G", lambda order, point: order == 10,
                _bump_coefficient(5),
                {"point_index": 0,
                 "point": {"x": "2/5", "q": "3", "u": "3/5", "z": "4/5",
@@ -457,3 +470,23 @@ def test_injected_series_fault_is_reported_as_pinned(
     del report["seconds"]
     assert report == {"name": check, "parameters": params,
                       "verdict": "fail", "counterexample": counterexample}
+
+
+def test_gf_G_builds_one_series_per_point(tmp_path, monkeypatch):
+    # the table comparison and the symmetry check share the point's series,
+    # which is cut to sym_order when that is the lower order
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    orders = []
+    real = harness.series_G
+
+    def counted(order, point):
+        orders.append(order)
+        return real(order, point)
+
+    monkeypatch.setattr(harness, "series_G", counted)
+    for order, sym_order in ((5, 7), (6, 4)):
+        orders.clear()
+        report = harness.run_check("gf_G", order=order, points=2, seed=3,
+                                   sym_order=sym_order)
+        assert report.verdict == "pass"
+        assert orders == [max(order, sym_order)] * 2 + [sym_order] * 2

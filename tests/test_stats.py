@@ -133,9 +133,17 @@ class TestMarkers:
             stats.zpair(Seq((0, 2)))
         with pytest.raises(DomainError):
             stats.mpair(Seq((0, 1, 0)))
-        # passes the drop condition yet has no paired maximal
-        with pytest.raises(DomainError):
+        # not an inversion sequence, so is_t21 refuses it first
+        with pytest.raises(DomainError, match="drop-by-one-avoiding"):
             stats.mpair(Seq((0, 2)))
+        # the pair guard itself, which no member of T21 or ASC reaches
+        s = (0, 2)
+        with pytest.raises(DomainError, match="no paired maximal"):
+            stats._pair_marker(s, stats.maximal_positions(s), 0,
+                               "no paired maximal")
+        with pytest.raises(DomainError, match="no zero followed by 1"):
+            stats._pair_marker(s, stats.zero_positions(s), 1,
+                               "no zero followed by 1")
 
     def test_markers_total_on_their_classes(self):
         for n in range(1, 7):
