@@ -227,9 +227,16 @@ def _cmd_table(args) -> int:
 
 # --- series ----------------------------------------------------------------
 
-_SERIES_MARKERS = {"fishburn": (), "G": ("x", "q", "u", "z"),
-                   "zeromax": ("q", "z"), "asczero1": ("u", "z"),
-                   "asczero2": ("u", "z")}
+# series -> (its markers, (order, point) -> the series)
+_SERIES = {
+    "fishburn": ((), lambda order, _: fishburn_series(order)),
+    "G": (("x", "q", "u", "z"), series_G),
+    "zeromax": (("q", "z"), lambda order, p: series_zeromax(order, p.q, p.z)),
+    "asczero1": (("u", "z"), lambda order, p: series_asczero(
+        order, p.u, p.z, "primitive")),
+    "asczero2": (("u", "z"), lambda order, p: series_asczero(
+        order, p.u, p.z, "alternative")),
+}
 
 
 def _series_point(args, allowed) -> SpecPoint:
@@ -254,21 +261,10 @@ def _series_point(args, allowed) -> SpecPoint:
 
 
 def _cmd_series(args) -> int:
-    allowed = _SERIES_MARKERS[args.which]
-    if args.which == "fishburn":
-        if args.seed is not None:
-            raise UsageError("series 'fishburn' has no markers to randomize")
-        _series_point(args, allowed)  # rejects stray marker flags
-        series = fishburn_series(args.order)
-    else:
-        point = _series_point(args, allowed)
-        if args.which == "G":
-            series = series_G(args.order, point)
-        elif args.which == "zeromax":
-            series = series_zeromax(args.order, point.q, point.z)
-        else:
-            variant = "primitive" if args.which == "asczero1" else "alternative"
-            series = series_asczero(args.order, point.u, point.z, variant)
+    allowed, build = _SERIES[args.which]
+    if not allowed and args.seed is not None:
+        raise UsageError(f"series {args.which!r} has no markers to randomize")
+    series = build(args.order, _series_point(args, allowed))
     coeffs = [str(c) for c in series.coeffs]
     if args.format == "json":
         _emit_json(coeffs)
@@ -375,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("series", help="exact truncated power series")
-    p.add_argument("--which", required=True,
-                   choices=("fishburn", "G", "zeromax", "asczero1",
-                            "asczero2"))
+    p.add_argument("--which", required=True, choices=tuple(_SERIES))
     p.add_argument("--order", type=int, default=9)
     for marker in ("x", "q", "u", "z", "w"):
         p.add_argument(f"--{marker}",

@@ -14,6 +14,7 @@ import random
 import tempfile
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .genfun import (DistTable, SpecPoint, admissible_for_case_identity,
                      eval_gf, fishburn_series, random_point, series_G,
                      series_asczero, series_zeromax)
 from .seqcore import ClassId, enumerate_class, is_member
-from .stats import perm_stats, scalar_stats, set_stats
+from .stats import perm_stats, set_stats
 
 CACHE_ENV = "FISHBURN_CACHE"
 
@@ -70,14 +71,10 @@ def _source_digest(paths: tuple) -> str:
     return digest.hexdigest()[:12]
 
 
-def _enum_cap(class_id: ClassId) -> int:
-    return FACTORIAL_CAP if class_id.factorial_capped else FISHBURN_CAP
-
-
 def _check_length(class_id: ClassId, n) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"length must be a positive integer, got {n!r}")
-    cap = _enum_cap(class_id)
+    cap = FACTORIAL_CAP if class_id.factorial_capped else FISHBURN_CAP
     if n > cap:
         raise ResourceLimitError(
             f"length {n} exceeds the cap of {cap} for {class_id.name}")
@@ -550,175 +547,164 @@ _LEDGER = {
 _GUARDS = {"ASC_S": "max", "T_J": "max", "ASC_R": "zero"}
 
 
-def _block(objs, block):
+def _reader(class_id, name):
+    """obj -> its statistic or marker name, read by _value_fn; an int reads
+    as itself."""
+    if isinstance(name, int):
+        return lambda _: name
+    value = _value_fn(class_id, (name,))
+    return lambda s: value(s)[0]
+
+
+def _block(class_id, objs, block):
     scheme, *labels = block
-    guard = _GUARDS.get(scheme)
+    guard = _reader(class_id, _GUARDS.get(scheme, 0))  # 0: no guard
     return [s for s in objs
-            if (guard is None or getattr(scalar_stats(s), guard) < len(s))
-            and decomp.classify(s, scheme) in labels]
+            if guard(s) < len(s) and decomp.classify(s, scheme) in labels]
 
 
-def _codomain(objs, class_id, codomain):
-    drop, block, _ = codomain
-    pool = objs[class_id][drop]
-    return pool if block is None else _block(pool, block)
+@dataclass(frozen=True)
+class _Row:
+    """A _LEDGER row at one length n: the maps and marker bound now on
+    decomp and stats (so patched and traced bindings run), the domain block
+    and codomain in enumeration order, and readers of the side-index range
+    and of the statistics of deltas, in order (then zero, for a reduce)."""
+    fail: Callable  # **detail -> the counterexample
+    forward: Callable
+    inverse: Callable
+    mark: Callable
+    domain: list
+    targets: list         # the codomain (a shift reads none)
+    codomain: str | None  # its description
+    side: Callable
+    tied: bool
+    values: Callable
+    deltas: dict
 
 
-def _bound(bound, s, sc=None):
-    """0, a scalar statistic (sc = scalar_stats(s), if known) or a marker."""
-    if isinstance(bound, int):
-        return bound
-    if bound in stats.MARKERS:
-        return getattr(stats, bound)(s)
-    return getattr(sc or scalar_stats(s), bound)
+def _resolve(name, n, objs) -> _Row:
+    shape, forward, inverse = decomp.MAPS[name]
+    class_id, block, codomain, side, deltas, marker = _LEDGER[name]
+    domain = _block(class_id, objs[class_id][0], block)
+    drop, target_block, description = codomain or (0, None, None)
+    targets = objs[class_id][drop]
+    if target_block:
+        targets = _block(class_id, targets, target_block)
+    lo, hi, *tied = side or (0, 0)
+    lo, hi = _reader(class_id, lo), _reader(class_id, hi)
+    names = (*deltas, "zero") if shape == "reduce" else tuple(deltas)
+    return _Row(partial(dict, map=name, n=n),
+                getattr(decomp, forward.__name__),
+                getattr(decomp, inverse.__name__), getattr(stats, marker),
+                domain, targets, description, lambda s: range(lo(s), hi(s)),
+                any(tied), _value_fn(class_id, names), deltas)
 
 
 def _moved(a, b, deltas) -> bool:
-    """Each statistic of a equals that of b plus its delta."""
-    return all(getattr(a, k) == getattr(b, k) + d for k, d in deltas.items())
+    """Each value of a equals that of b plus its delta, in order."""
+    return all(x == y + d for x, y, d in zip(a, b, deltas.values()))
 
 
-def _map_pair(name):
-    """Forward and inverse of a decomposition map, read off the module at
-    each call so that patched and traced bindings are the ones exercised."""
-    _, forward, inverse = decomp.MAPS[name]
-    return getattr(decomp, forward.__name__), getattr(decomp, inverse.__name__)
-
-
-def _fail(name, n, **detail) -> dict:
-    return {"map": name, "n": n, **detail}
-
-
-def _verify_drop(name, n, objs, class_id, block, codomain, _, deltas,
-                 marker):
-    forward, inverse = _map_pair(name)
-    mark = getattr(stats, marker)
-    domain = _block(objs[class_id][0], block)
-    domain_set = set(domain)
-    targets = _codomain(objs, class_id, codomain)
-    target_set = set(targets)
-    images = set()
-    for s in domain:
-        out = forward(s)
+def _verify_drop(row):
+    domain_set, target_set, images = set(row.domain), set(row.targets), set()
+    for s in row.domain:
+        out = row.forward(s)
         if out not in target_set:
-            return _fail(name, n, input=s, output=out,
-                         detail=f"output not {codomain[2]}")
-        a, b = scalar_stats(s), scalar_stats(out)
-        if mark(s) != mark(out) or not _moved(a, b, deltas):
-            return _fail(name, n, input=s, output=out,
-                         detail="statistic contract violated")
-        if inverse(out) != s:
-            return _fail(name, n, input=s, detail="round trip failed")
+            return row.fail(input=s, output=out,
+                            detail=f"output not {row.codomain}")
+        if (row.mark(s) != row.mark(out)
+                or not _moved(row.values(s), row.values(out), row.deltas)):
+            return row.fail(input=s, output=out,
+                            detail="statistic contract violated")
+        if row.inverse(out) != s:
+            return row.fail(input=s, detail="round trip failed")
         images.add(out)
-    if len(images) != len(domain):
-        return _fail(name, n, detail="not injective")
-    for t in sorted(targets):
-        back = inverse(t)
-        if back not in domain_set or forward(back) != t:
-            return _fail(name, n, input=t,
-                         detail="inverse leaves the stated codomain")
+    if len(images) != len(row.domain):
+        return row.fail(detail="not injective")
+    for t in sorted(row.targets):
+        back = row.inverse(t)
+        if back not in domain_set or row.forward(back) != t:
+            return row.fail(input=t,
+                            detail="inverse leaves the stated codomain")
     return None
 
 
-def _verify_reduce(name, n, objs, class_id, block, codomain, side, deltas,
-                   marker):
-    forward, inverse = _map_pair(name)
-    mark = getattr(stats, marker)
-    lo, hi, tied = side
-    domain = _block(objs[class_id][0], block)
-    targets = _codomain(objs, class_id, codomain)
-    target_set = set(targets)
-    pairs = set()
-    for s in domain:
-        res = forward(s)
+def _verify_reduce(row):
+    target_set, pairs = set(row.targets), set()
+    for s in row.domain:
+        res = row.forward(s)
         out, i = res.output, res.side_index
         if out not in target_set:
-            return _fail(name, n, input=s, output=out,
-                         detail=f"output not {codomain[2]}")
-        a, b = scalar_stats(s), scalar_stats(out)
-        if ((tied and i != mark(s))
-                or not _bound(lo, out, b) <= i < _bound(hi, out, b)):
-            return _fail(name, n, input=s, side_index=i,
-                         detail="side index out of range")
-        if (not _moved(a, b, deltas)
-                or a.zero != b.zero + (1 if i == 0 else 0)):
-            return _fail(name, n, input=s, output=out,
-                         detail="statistic contract violated")
-        if inverse(out, i) != s:
-            return _fail(name, n, input=s, detail="round trip failed")
+            return row.fail(input=s, output=out,
+                            detail=f"output not {row.codomain}")
+        if (row.tied and i != row.mark(s)) or i not in row.side(out):
+            return row.fail(input=s, side_index=i,
+                            detail="side index out of range")
+        if not _moved(row.values(s), row.values(out),
+                      {**row.deltas, "zero": int(i == 0)}):
+            return row.fail(input=s, output=out,
+                            detail="statistic contract violated")
+        if row.inverse(out, i) != s:
+            return row.fail(input=s, detail="round trip failed")
         pairs.add((out, i))
-    if len(pairs) != len(domain):
-        return _fail(name, n, detail="not injective")
-    want = {(t, i) for t in targets
-            for i in range(_bound(lo, t), _bound(hi, t))}
+    if len(pairs) != len(row.domain):
+        return row.fail(detail="not injective")
+    want = {(t, i) for t in row.targets for i in row.side(t)}
     if pairs != want:
-        return _fail(name, n, detail=f"image covers {len(pairs)} of "
-                                     f"{len(want)} pairs")
+        return row.fail(detail=f"image covers {len(pairs)} of "
+                               f"{len(want)} pairs")
     return None
 
 
-def _verify_shift(name, n, objs, class_id, block, _, side, deltas, marker):
-    shift, _ = _map_pair(name)
-    mark = getattr(stats, marker)
-    lo, hi = side
-    members = _block(objs[class_id][0], block)
-    member_set = set(members)
-    profile = Counter()
-    for s in members:
-        sc = scalar_stats(s)
-        i = mark(s)
-        profile[(i, *(getattr(sc, k) for k in deltas))] += 1
+def _verify_shift(row):
+    member_set = set(row.domain)
+    profile, sides = Counter(), {}  # sides: kept statistics -> side range
+    for s in row.domain:
+        kept, i = row.values(s), row.mark(s)
+        side = sides[kept] = row.side(s)
+        profile[(i, *kept)] += 1
         for there, back, step, movable in (
-                ("up", "down", 1, i < _bound(hi, s, sc) - 1),
-                ("down", "up", -1, i > lo)):
+                ("up", "down", 1, i < side.stop - 1),
+                ("down", "up", -1, i > side.start)):
             if not movable:
                 continue
-            moved = shift(s, there)
-            if (moved not in member_set or mark(moved) != i + step
-                    or not _moved(scalar_stats(moved), sc, deltas)):
-                return _fail(name, n, input=s, output=moved,
-                             detail=f"{there} contract violated")
-            if shift(moved, back) != s:
-                return _fail(name, n, input=s,
-                             detail=f"{back}({there}) round trip failed")
-    for key in sorted(profile):
-        kept = dict(zip(deltas, key[1:]))
-        base = profile[(lo, *key[1:])]
-        if any(profile.get((j, *key[1:]), 0) != base
-               for j in range(lo, kept[hi])):
-            where = ", ".join(f"{k}={v}" for k, v in kept.items())
-            return _fail(name, n,
-                         detail=f"count depends on the marker at {where}")
+            moved = row.forward(s, there)
+            if (moved not in member_set or row.mark(moved) != i + step
+                    or not _moved(row.values(moved), kept, row.deltas)):
+                return row.fail(input=s, output=moved,
+                                detail=f"{there} contract violated")
+            if row.forward(moved, back) != s:
+                return row.fail(input=s,
+                                detail=f"{back}({there}) round trip failed")
+    for _, *kept in sorted(profile):
+        side = sides[tuple(kept)]
+        if any(profile[(j, *kept)] != profile[(side.start, *kept)]
+               for j in side):
+            where = ", ".join(f"{k}={v}" for k, v in zip(row.deltas, kept))
+            return row.fail(detail=f"count depends on the marker at {where}")
     return None
 
 
-def _verify_walk(name, n, objs, class_id, block, codomain, side, deltas,
-                 marker):
-    forward, inverse = _map_pair(name)
-    mark = getattr(stats, marker)
-    lo, hi = side
-    domain = _block(objs[class_id][0], block)
-    targets = _codomain(objs, class_id, codomain)
-    target_set = set(targets)
-    outputs = set()
-    for s in domain:
-        for i in range(_bound(lo, s), _bound(hi, s)):
-            out = forward(s, i)
+def _verify_walk(row):
+    target_set, outputs = set(row.targets), set()
+    for s in row.domain:
+        for i in row.side(s):
+            out = row.forward(s, i)
             if out not in target_set:
-                return _fail(name, n, input=s, side_index=i, output=out,
-                             detail=f"output outside {codomain[2]}")
-            a, b = scalar_stats(s), scalar_stats(out)
-            if mark(out) != i or not _moved(a, b, deltas):
-                return _fail(name, n, input=s, side_index=i, output=out,
-                             detail="statistic contract violated")
-            res = inverse(out)
+                return row.fail(input=s, side_index=i, output=out,
+                                detail=f"output outside {row.codomain}")
+            if (row.mark(out) != i
+                    or not _moved(row.values(s), row.values(out), row.deltas)):
+                return row.fail(input=s, side_index=i, output=out,
+                                detail="statistic contract violated")
+            res = row.inverse(out)
             if res.output != s or res.side_index != i:
-                return _fail(name, n, input=s, side_index=i,
-                             detail="round trip failed")
+                return row.fail(input=s, side_index=i,
+                                detail="round trip failed")
             outputs.add(out)
-    if len(outputs) != len(targets):
-        return _fail(name, n, detail=f"image covers {len(outputs)} of "
-                                     f"{len(targets)}")
+    if len(outputs) != len(row.targets):
+        return row.fail(detail=f"image covers {len(outputs)} of "
+                               f"{len(row.targets)}")
     return None
 
 
@@ -732,7 +718,7 @@ def _chk_lemma_suite(max_n):
                       list(enumerate_class(cls, n - 1)))
                 for cls in (ClassId.ASC, ClassId.T21)}
         for name, (shape, _, _) in decomp.MAPS.items():
-            found = _VERIFIERS[shape](name, n, objs, *_LEDGER[name])
+            found = _VERIFIERS[shape](_resolve(name, n, objs))
             if found:
                 return found
     return None

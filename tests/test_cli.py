@@ -240,6 +240,12 @@ class TestSeries:
                            "--seed", "5")
         assert code == 2 and "no markers" in err
 
+    def test_seed_refusal_comes_before_stray_markers(self, capsys):
+        code, out, err = run(capsys, "series", "--which", "fishburn",
+                             "--seed", "1", "--x", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: series 'fishburn' has no markers to randomize\n"
+
     def test_decimal_text_is_still_exact(self, capsys):
         # 0.5 denotes 1/2 exactly, so it is accepted
         code, out, _ = run(capsys, "series", "--which", "G", "--order", "1",

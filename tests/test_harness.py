@@ -1,5 +1,6 @@
 """Distribution tables, the disk cache, and the named check suite."""
 
+import dataclasses
 import io
 import json
 import random
@@ -267,7 +268,8 @@ def _on(value):
 
 
 def _on_table(*request):
-    """The counter's run for one (class, n, names)."""
+    """The run for one set of arguments: the counter's (class, n, names), or
+    the enumeration of one (class, n)."""
     return lambda *args: args == request
 
 
@@ -281,6 +283,10 @@ def _unmoved(x, _):
 
 def _plus_one(_, out):
     return out + 1
+
+
+def _raised_side_index(_, out):
+    return dataclasses.replace(out, side_index=out.side_index + 1)
 
 
 def _bumped(index):
@@ -332,6 +338,28 @@ FAULTS = {
              {"map": "theta_R", "n": 5, "input": [0, 1, 0, 0, 1],
               "side_index": 0, "output": [0, 1, 0, 0, 1],
               "detail": "output outside the displaced subset"}),
+    # the marker of one domain member moves, but not that of its image
+    "contract": ("lemma_suite", 5, stats, "ealm", _on((0, 1, 2, 0)),
+                 _plus_one,
+                 {"map": "phi_P", "n": 4, "input": [0, 1, 2, 0],
+                  "output": [0, 1, 0],
+                  "detail": "statistic contract violated"}),
+    "side_index": ("lemma_suite", 5, decomp, "xi_S4", _on((0, 0, 1, 0)),
+                   _raised_side_index,
+                   {"map": "xi_S4", "n": 4, "input": [0, 0, 1, 0],
+                    "side_index": 1, "detail": "side index out of range"}),
+    # a block member enumerated twice: each of its shifts holds, but its
+    # stratum is counted twice at one marker.  (0, 1, 2, 2) lies in S1 and
+    # in Pc, so no earlier lemma sees the repeat.  No fault on one map or
+    # statistic reaches this failure: the shifts into and out of a member
+    # check its marker and statistics first, and a member that no shift
+    # moves is counted where only one marker value occurs.
+    "marker_count": ("lemma_suite", 5, harness, "enumerate_class",
+                     _on_table(ClassId.ASC, 4),
+                     lambda _, out: (*out, Seq((0, 1, 2, 2))),
+                     {"map": "ealm_shift", "n": 4,
+                      "detail": "count depends on the marker at rep=1, "
+                                "max=3"}),
     # the count of (0, 0, 1, 1), profile (1, 2, 2, 1, 2), with zero raised
     "mirror": ("conjecture1", 4, counting, "count_table",
                _on_table(ClassId.ASC, 4, stats.SEQ_PROFILE),
@@ -367,6 +395,19 @@ def test_injected_fault_is_reported_as_pinned(fault, tmp_path, monkeypatch):
     del report["seconds"]
     assert report == {"name": check, "parameters": {"max_n": max_n},
                       "verdict": "fail", "counterexample": counterexample}
+
+
+def test_lemma_suite_reads_no_validating_statistics(monkeypatch):
+    # every object the lemmas read has passed membership first, so the
+    # verifiers read the fused kernels, never the validating scalar_stats
+    def refused(s):
+        raise AssertionError(f"scalar_stats called on {s!r}")
+
+    real = stats.scalar_stats
+    for module in (stats, harness, decomp):
+        if getattr(module, "scalar_stats", None) is real:
+            monkeypatch.setattr(module, "scalar_stats", refused)
+    assert harness.run_check("lemma_suite", max_n=5).passed
 
 
 def test_class_count_fault_is_reported_as_pinned(tmp_path, monkeypatch):
