@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import fishburn
 from fishburn import cli, harness
+from fishburn.errors import ResourceLimitError
 from fishburn.seqcore import ClassId
 
 
@@ -44,6 +46,195 @@ def write_console_script(directory, monkeypatch):
     script.chmod(0o755)
     monkeypatch.setenv("PATH", str(directory), prepend=os.pathsep)
     monkeypatch.setenv("PYTHONPATH", str(src), prepend=os.pathsep)
+
+
+def seconds_dropped(text):
+    """text with each check's run time read as 0, the one figure of the
+    output that differs from run to run."""
+    text = re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', text)
+    return re.sub(r"(?m)^(\w+,(?:pass|fail)),[0-9.e-]+,", r"\1,0,", text)
+
+
+# argv -> exit code, stdout and stderr, byte for byte: every subcommand in
+# both formats, and for each one an exit-2 and an exit-3 case
+EXACT = [
+    ("enumerate --class ASC --n 3", 0,
+     '["0,0,0", "0,0,1", "0,1,0", "0,1,1", "0,1,2"]\n',
+     ""),
+    ("enumerate --class ASC --n 3 --format csv", 0,
+     '"0,0,0"\r\n"0,0,1"\r\n"0,1,0"\r\n"0,1,1"\r\n"0,1,2"\r\n',
+     ""),
+    ("enumerate --class ASC --n 4 --prefix 0,1 --format csv", 0,
+     '"0,1,0,0"\r\n"0,1,0,1"\r\n"0,1,0,2"\r\n"0,1,1,0"\r\n'
+     '"0,1,1,1"\r\n"0,1,1,2"\r\n"0,1,2,0"\r\n"0,1,2,1"\r\n'
+     '"0,1,2,2"\r\n"0,1,2,3"\r\n',
+     ""),
+    ("enumerate --class PERM_AVOID_A --n 4 --prefix 13", 0,
+     '["1324"]\n',
+     ""),
+    ("enumerate --class NOPE --n 3", 2,
+     "",
+     "error: unknown class 'NOPE'; expected one of: inv, asc, "
+     "t21, b, c, perm_all, perm_avoid_a, perm_avoid_b\n"),
+    ("enumerate --class ASC --n 13 --format csv", 3,
+     "",
+     "resource limit: length 13 exceeds the enumeration limit 12 for asc"
+     "\n"),
+    ("stats --class ASC 0,1,0,2,3,2,4,1,5", 0,
+     '{"asc": 5, "rep": 3, "zero": 2, "max": 2, "rmin": 3, '
+     '"nasc": 3, "ASC": [1, 3, 4, 6, 8], "DIST": [5, 6, 7, 8, 9], '
+     '"ZERO": [1, 3], "MAX": [1, 2], "RMIN": [3, 8, 9], '
+     '"NASC": [2, 5, 7], "ealm": 0, "zpair": 0, "zpos": 2}\n',
+     ""),
+    ("stats --class ASC 0,1,0,2,3,2,4,1,5 --format csv", 0,
+     "asc,5\r\nrep,3\r\nzero,2\r\nmax,2\r\nrmin,3\r\nnasc,3\r\n"
+     "ASC,1 3 4 6 8\r\nDIST,5 6 7 8 9\r\nZERO,1 3\r\nMAX,1 2\r\n"
+     "RMIN,3 8 9\r\nNASC,2 5 7\r\nealm,0\r\nzpair,0\r\nzpos,2\r\n",
+     ""),
+    ("stats --class T21 0,0,2,2,0,5,5,3", 0,
+     '{"asc": 2, "rep": 4, "zero": 3, "max": 3, "rmin": 2, '
+     '"nasc": 5, "ASC": [2, 5], "DIST": [4, 7, 8], "ZERO": [1, 2, '
+     '5], "MAX": [1, 3, 6], "RMIN": [5, 8], "NASC": [1, 3, 4, 6, '
+     '7], "mpair": 2, "mpos": 0}\n',
+     ""),
+    ("stats --class T21 0,0,2,2,0,5,5,3 --format csv", 0,
+     "asc,2\r\nrep,4\r\nzero,3\r\nmax,3\r\nrmin,2\r\nnasc,5\r\n"
+     "ASC,2 5\r\nDIST,4 7 8\r\nZERO,1 2 5\r\nMAX,1 3 6\r\n"
+     "RMIN,5 8\r\nNASC,1 3 4 6 7\r\nmpair,2\r\nmpos,0\r\n",
+     ""),
+    ("stats --class PERM_ALL 61832547", 0,
+     '{"des": 4, "ides": 4, "iasc": 3, "DES": [1, 3, 4, 6], '
+     '"IDES": [5, 6, 7, 8], "LMAX": [1, 3], "LMIN": [1, 2], '
+     '"RMAX": [3, 8]}\n',
+     ""),
+    ("stats --class PERM_ALL 61832547 --format csv", 0,
+     "des,4\r\nides,4\r\niasc,3\r\nDES,1 3 4 6\r\nIDES,5 6 7 8\r\n"
+     "LMAX,1 3\r\nLMIN,1 2\r\nRMAX,3 8\r\n",
+     ""),
+    ("stats --class ASC 0,2 --format csv", 2,
+     "",
+     "error: '0,2' is not a member of ASC\n"),
+    ("apply --map beta --trace 0,1,0,2,3,2,5,1,7", 0,
+     '{"map": "beta", "input": "0,1,0,2,3,2,5,1,7", '
+     '"output": "0,1,0,2,3,2,4,1,5", "trace": [["7", '
+     '"0,1,0,2,3,2,5,1,6"], ["5", "0,1,0,2,3,2,4,1,5"], ["2", '
+     '"0,1,0,2,3,2,4,1,5"]]}\n',
+     ""),
+    ("apply --map beta --trace 0,1,0,2,3,2,5,1,7 --format csv", 0,
+     "map,input,output,side_index\r\n"
+     'beta,"0,1,0,2,3,2,5,1,7","0,1,0,2,3,2,4,1,5",\r\n'
+     'trace,7,"0,1,0,2,3,2,5,1,6"\r\n'
+     'trace,5,"0,1,0,2,3,2,4,1,5"\r\n'
+     'trace,2,"0,1,0,2,3,2,4,1,5"\r\n',
+     ""),
+    ("apply --map xi_S4 0,0,1", 0,
+     '{"map": "xi_S4", "input": "0,0,1", "output": "0,1,1", '
+     '"side_index": 0}\n',
+     ""),
+    ("apply --map xi_S4 0,0,1 --format csv", 0,
+     'map,input,output,side_index\r\nxi_S4,"0,0,1","0,1,1",0\r\n',
+     ""),
+    ("apply --map xi_S4 --direction inverse --side-index 0 0,1,1", 0,
+     '{"map": "xi_S4", "input": "0,1,1", "output": "0,0,1"}\n',
+     ""),
+    ("apply --map xi_S4 --direction inverse --side-index 0 0,1,1 "
+     "--format csv", 0,
+     'map,input,output,side_index\r\nxi_S4,"0,1,1","0,0,1",\r\n',
+     ""),
+    ("apply --map xi_S4 --direction inverse 0,1,1 --format csv", 2,
+     "",
+     "error: map 'xi_S4' needs --side-index here\n"),
+    ("table --class ASC --n 4 --stats rep,max", 0,
+     '{"class": "ASC", "n": 4, "stats": ["rep", "max"], '
+     '"total": 15, "counts": [[[0, 4], 1], [[1, 1], 1], [[1, 2], '
+     "2], [[1, 3], 3], [[2, 1], 3], [[2, 2], 4], [[3, 1], 1]]}\n",
+     ""),
+    ("table --class ASC --n 4 --stats rep,max --format csv", 0,
+     "rep,max,count\r\n0,4,1\r\n1,1,1\r\n1,2,2\r\n1,3,3\r\n"
+     "2,1,3\r\n2,2,4\r\n3,1,1\r\n",
+     ""),
+    ("table --class ASC --n 3 --stats bogus --format csv", 2,
+     "",
+     "error: unknown statistic 'bogus'; usable: asc, rep, zero, "
+     "max, rmin, nasc, ealm, zpair, zpos, mpair, mpos\n"),
+    ("table --class INV --n 12 --stats asc --format csv", 3,
+     "",
+     "resource limit: length 12 exceeds the cap of 9 for INV\n"),
+    ("series --which G --order 4 --x 2/3 --q 3 --u 1/2 --z 5/7", 0,
+     '["0", "15/7", "415/98", "39065/4116", "3940435/172872"]\n',
+     ""),
+    ("series --which G --order 4 --x 2/3 --q 3 --u 1/2 --z 5/7 "
+     "--format csv", 0,
+     "0,0\r\n1,15/7\r\n2,415/98\r\n3,39065/4116\r\n"
+     "4,3940435/172872\r\n",
+     ""),
+    ("series --which zeromax --order 4 --seed 7", 0,
+     '["0", "7/3", "154/9", "3703/27", "90727/81"]\n',
+     'point: {"x": "2", "q": "7", "u": "2/9", "z": "1/3", '
+     '"w": "10"}\n'),
+    ("series --which zeromax --order 4 --seed 7 --format csv", 0,
+     "0,0\r\n1,7/3\r\n2,154/9\r\n3,3703/27\r\n4,90727/81\r\n",
+     'point: {"x": "2", "q": "7", "u": "2/9", "z": "1/3", '
+     '"w": "10"}\n'),
+    ("series --which zeromax --order 4 --x 2 --format csv", 2,
+     "",
+     "error: series 'zeromax' does not take --x; markers: q, z\n"),
+    ("series --which fishburn --order 13 --format csv", 3,
+     "",
+     "resource limit: series order 13 exceeds the cap of 12\n"),
+    ("check --name inv_sym --max-n 5", 0,
+     '[{"name": "inv_sym", "parameters": {"max_n": 5}, '
+     '"verdict": "pass", "counterexample": null, "seconds": 0}]\n',
+     ""),
+    ("check --name inv_sym --max-n 5 --format csv", 0,
+     "name,verdict,seconds,parameters,counterexample\r\n"
+     'inv_sym,pass,0,"{""max_n"": 5}",\r\n',
+     ""),
+    ("check --name gf_zeromax --order 4 --points 2 --seed 3", 0,
+     '[{"name": "gf_zeromax", "parameters": {"order": 4, '
+     '"points": 2, "seed": 3}, "verdict": "pass", '
+     '"counterexample": null, "seconds": 0}]\n',
+     ""),
+    ("check --name gf_zeromax --order 4 --points 2 --seed 3 --format csv", 0,
+     "name,verdict,seconds,parameters,counterexample\r\n"
+     'gf_zeromax,pass,0,"{""order"": 4, ""points"": 2, '
+     '""seed"": 3}",\r\n',
+     ""),
+    ("check --name gf_G --points 0 --format csv", 2,
+     "",
+     "error: parameter 'points' of check 'gf_G' must be a positive integer, "
+     "got 0\n"),
+    ("check --name conjecture1 --max-n 13 --format csv", 3,
+     "",
+     "resource limit: length 13 exceeds the cap of 12 for ASC\n"),
+]
+
+
+def _over_limit(*args, **kwargs):
+    raise ResourceLimitError("injected")
+
+
+class TestExactOutput:
+    @pytest.mark.parametrize("argv, code, out, err", EXACT,
+                             ids=[row[0] for row in EXACT])
+    def test_pinned(self, capsys, argv, code, out, err):
+        got_code, got_out, got_err = run(capsys, *argv.split())
+        assert (got_code, seconds_dropped(got_out), got_err) == (
+            code, out, err)
+
+    # stats and apply have no limit of their own: raise one inside them
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv, patch", [
+        ("stats --class ASC 0,1,0", lambda mp: mp.setattr(
+            fishburn.stats, "scalar_stats", _over_limit)),
+        ("apply --map beta 0,1,0", lambda mp: mp.setitem(
+            cli._MAPS, "beta", ("seq", _over_limit, None)))],
+        ids=["stats", "apply"])
+    def test_limit_inside_a_handler_writes_nothing(
+            self, capsys, monkeypatch, argv, patch, fmt):
+        patch(monkeypatch)
+        assert run(capsys, *argv.split(), "--format", fmt) == (
+            3, "", "resource limit: injected\n")
 
 
 class TestEnumerate:
@@ -294,8 +485,9 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "must be a positive integer" in err
 
-    def test_failing_check_exits_one(self, capsys, tmp_path, monkeypatch):
-        # poison the cached table the check will read
+    @pytest.fixture
+    def poisoned_cache(self, tmp_path, monkeypatch):
+        # poison the cached table conjecture1 reads at n = 3
         monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
         stats = ("asc", "rep", "zero", "max")
         harness.dist_table(ClassId.ASC, 3, stats)
@@ -304,12 +496,22 @@ class TestCheck:
         payload["counts"][0][1] += 1
         path.write_text(json.dumps(payload))
 
+    def test_failing_check_exits_one(self, capsys, poisoned_cache):
         code, out, _ = run(capsys, "check", "--name", "conjecture1",
                            "--max-n", "3")
         assert code == 1
         report = json.loads(out)[0]
         assert report["verdict"] == "fail"
         assert report["counterexample"]["n"] == 3
+
+    def test_failing_check_csv(self, capsys, poisoned_cache):
+        code, out, err = run(capsys, "check", "--name", "conjecture1",
+                             "--max-n", "3", "--format", "csv")
+        assert (code, seconds_dropped(out), err) == (1, (
+            'name,verdict,seconds,parameters,counterexample\r\n'
+            'conjecture1,fail,0,"{""max_n"": 3}","{""n"": 3, '
+            '""tuple"": [0, 2, 3, 1], ""count"": 2, ""mirror"": [2, 0, 1, '
+            '3], ""mirror_count"": 1}"\r\n'), "")
 
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "check", "--name", "inv_sym",
