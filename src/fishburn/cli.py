@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: enumerate, stats, apply, table, series, check. Output goes to
-stdout as JSON (default) or CSV; all numbers are exact, with rationals
-rendered as "p/q". Exit codes: 0 success / all checks pass, 1 a check
-failed, 2 usage or domain error, 3 resource limit exceeded.
+Subcommands: enumerate, stats, apply, table, series, check. Each handler
+returns (exit code, JSON payload, CSV rows), and `main` alone writes the
+result to stdout, once, after the handler returns, as JSON (default) or
+CSV; so an error writes nothing to stdout. All numbers are exact, with
+rationals rendered as "p/q". Exit codes: 0 success / all checks pass, 1 a
+check failed, 2 usage or domain error, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -37,20 +39,10 @@ def _parse_object(class_id: ClassId, text: str):
             else Seq.from_text(text))
 
 
-def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
-
-
-def _emit_csv(rows) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerows(rows)
-
-
 # --- enumerate -------------------------------------------------------------
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple:
     class_id = ClassId.from_name(args.class_name)
     prefix = ()
     if args.prefix:
@@ -62,11 +54,7 @@ def _cmd_enumerate(args) -> int:
     items = [obj.to_text() for obj in
              enumerate_class(class_id, args.n, prefix=prefix,
                              limit=args.limit)]
-    if args.format == "json":
-        _emit_json(items)
-    else:
-        _emit_csv([[item] for item in items])
-    return 0
+    return 0, items, ([item] for item in items)
 
 
 # --- stats -----------------------------------------------------------------
@@ -85,16 +73,12 @@ def _stat_bundle(class_id: ClassId, obj) -> dict:
     return bundle
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> tuple:
     class_id = ClassId.from_name(args.class_name)
     obj = _parse_object(class_id, args.object)
     bundle = _stat_bundle(class_id, obj)
-    if args.format == "json":
-        _emit_json(bundle)
-    else:
-        _emit_csv([[key, " ".join(map(str, val)) if isinstance(val, list)
-                    else val] for key, val in bundle.items()])
-    return 0
+    return 0, bundle, ([key, " ".join(map(str, val)) if isinstance(val, list)
+                        else val] for key, val in bundle.items())
 
 
 # --- apply -----------------------------------------------------------------
@@ -172,7 +156,7 @@ def _apply_named_map(name, obj, args, trace):
     return fn(obj, **traced)
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple:
     name = args.map
     if name not in MAP_NAMES:
         raise UsageError(
@@ -195,34 +179,25 @@ def _cmd_apply(args) -> int:
     if trace is not None:
         payload["trace"] = [[str(label), step.to_text()]
                             for label, step in trace]
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        rows = [["map", "input", "output", "side_index"],
-                [name, payload["input"], payload["output"],
-                 payload.get("side_index", "")]]
-        rows += [["trace", label, step] for label, step
-                 in payload.get("trace", [])]
-        _emit_csv(rows)
-    return 0
+    header = ["map", "input", "output", "side_index"]
+    rows = [header, [payload.get(key, "") for key in header]]
+    rows += [["trace", *step] for step in payload.get("trace", [])]
+    return 0, payload, rows
 
 
 # --- table -----------------------------------------------------------------
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple:
     class_id = ClassId.from_name(args.class_name)
     names = tuple(name.strip() for name in args.stats.split(",") if name.strip())
     table = dist_table(class_id, args.n, names, use_cache=not args.no_cache)
     counts = sorted(table.counts.items())
-    if args.format == "json":
-        _emit_json({"class": class_id.name, "n": table.n,
-                    "stats": list(names), "total": table.total(),
-                    "counts": [[list(key), count] for key, count in counts]})
-    else:
-        _emit_csv([list(names) + ["count"]]
-                  + [list(key) + [count] for key, count in counts])
-    return 0
+    payload = {"class": class_id.name, "n": table.n, "stats": list(names),
+               "total": table.total(),
+               "counts": [[list(key), count] for key, count in counts]}
+    return 0, payload, ([payload["stats"] + ["count"]]
+                        + [key + [count] for key, count in payload["counts"]])
 
 
 # --- series ----------------------------------------------------------------
@@ -260,33 +235,19 @@ def _series_point(args, allowed) -> SpecPoint:
     return SpecPoint(**{k: _parse_fraction(v) for k, v in given.items()})
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple:
     allowed, build = _SERIES[args.which]
     if not allowed and args.seed is not None:
         raise UsageError(f"series {args.which!r} has no markers to randomize")
     series = build(args.order, _series_point(args, allowed))
     coeffs = [str(c) for c in series.coeffs]
-    if args.format == "json":
-        _emit_json(coeffs)
-    else:
-        _emit_csv([[k, c] for k, c in enumerate(coeffs)])
-    return 0
+    return 0, coeffs, enumerate(coeffs)
 
 
 # --- check -----------------------------------------------------------------
 
 
-def _report_rows(reports):
-    yield ["name", "verdict", "seconds", "parameters", "counterexample"]
-    for rep in reports:
-        d = rep.as_dict()
-        yield [d["name"], d["verdict"], d["seconds"],
-               json.dumps(d["parameters"]),
-               "" if d["counterexample"] is None
-               else json.dumps(d["counterexample"])]
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     overrides = {"max_n": args.max_n, "order": args.order,
                  "seed": args.seed, "points": args.points}
     if args.name is not None:
@@ -302,11 +263,12 @@ def _cmd_check(args) -> int:
                  for name in CHECK_NAMES]
         reports = [run_check(name, **params) for name, params in suite]
         reports.append(spot_check_cache(random.Random(args.seed)))
-    if args.format == "json":
-        _emit_json([rep.as_dict() for rep in reports])
-    else:
-        _emit_csv(_report_rows(reports))
-    return 0 if all(rep.passed for rep in reports) else 1
+    payload = [rep.as_dict() for rep in reports]
+    rows = [["name", "verdict", "seconds", "parameters", "counterexample"]]
+    rows += [[d["name"], d["verdict"], d["seconds"],
+              json.dumps(d["parameters"]), "" if d["counterexample"] is None
+              else json.dumps(d["counterexample"])] for d in payload]
+    return 0 if all(rep.passed for rep in reports) else 1, payload, rows
 
 
 # --- parser ----------------------------------------------------------------
@@ -400,13 +362,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload, rows = args.handler(args)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    if args.format == "json":
+        json.dump(payload, sys.stdout)
+        sys.stdout.write("\n")
+    else:
+        csv.writer(sys.stdout).writerows(rows)
+    return code
 
 
 if __name__ == "__main__":

@@ -128,6 +128,8 @@ def _value_fn(class_id: ClassId, names: tuple):
     if len(slots) > 1 and not any(mark or derived for mark, _, derived in slots):
         pick = itemgetter(*(i for _, i, _ in slots))
         return lambda obj: pick(kernel(obj))
+    if all(mark for mark, _, _ in slots):  # markers only: no profile pass
+        return lambda obj: tuple(mark(obj) for mark, _, _ in slots)
 
     def values(obj):
         key, last = kernel(obj), len(obj) - 1

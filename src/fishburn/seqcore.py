@@ -412,12 +412,15 @@ def _stream_perm(n, prefix):
 def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = None) -> Iterator:
     """Yield every length-n member once, lexicographically, extending prefix.
 
-    `limit` overrides the default length ceiling (10 for the n! permutations
-    and inversion sequences, 12 for the other sequence classes); exceeding
-    it raises ResourceLimitError.
+    `limit`, a positive int, overrides the default length ceiling (10 for
+    the n! permutations and inversion sequences, 12 for the other sequence
+    classes); exceeding it raises ResourceLimitError.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"length must be an integer >= 1, got {n!r}")
+    if limit is not None and (not isinstance(limit, int)
+                              or isinstance(limit, bool) or limit < 1):
+        raise UsageError(f"limit must be a positive integer, got {limit!r}")
     ceiling = limit if limit is not None else (
         DEFAULT_PERM_LIMIT if class_id.factorial_capped else DEFAULT_SEQ_LIMIT)
     if n > ceiling:

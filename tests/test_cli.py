@@ -267,6 +267,15 @@ class TestEnumerate:
         assert code == 3
         assert err.startswith("resource limit:")
 
+    @pytest.mark.parametrize("limit, code, err", [
+        ("2", 3, "resource limit: length 3 exceeds the enumeration limit 2 "
+                 "for asc\n"),
+        ("-5", 2, "error: limit must be a positive integer, got -5\n"),
+        ("0", 2, "error: limit must be a positive integer, got 0\n")])
+    def test_limit(self, capsys, limit, code, err):
+        assert run(capsys, "enumerate", "--class", "ASC", "--n", "3",
+                   "--limit", limit) == (code, "", err)
+
 
 class TestStats:
     def test_sequence_bundle(self, capsys):

@@ -410,6 +410,20 @@ def test_lemma_suite_reads_no_validating_statistics(monkeypatch):
     assert harness.run_check("lemma_suite", max_n=5).passed
 
 
+def test_marker_only_reader_runs_no_profile_kernel(monkeypatch):
+    calls = []
+    kernel = stats.seq_profile
+    monkeypatch.setattr(stats, "seq_profile",
+                        lambda s: calls.append(s) or kernel(s))
+    s = Seq((0, 1, 2, 0, 1))
+    assert harness._value_fn(ClassId.ASC, ("ealm",))(s) == (stats.ealm(s),)
+    assert calls == []
+    # a reader that takes a profile statistic too runs the kernel once
+    got = harness._value_fn(ClassId.ASC, ("ealm", "max"))(s)
+    max_index = stats.SEQ_PROFILE.index("max")
+    assert got == (stats.ealm(s), kernel(s)[max_index]) and calls == [s]
+
+
 def test_class_count_fault_is_reported_as_pinned(tmp_path, monkeypatch):
     # the sequence classes are counted, not enumerated: one count too many
     # of C at n = 5

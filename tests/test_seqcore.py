@@ -263,6 +263,12 @@ class TestLimits:
             next(enumerate_class(ClassId.ASC, 4, limit=3))
         assert len(listed(ClassId.ASC, 4, limit=4)) == 15
 
+    @pytest.mark.parametrize("limit", [0, -5, True, 2.5])
+    def test_bad_limit_is_a_usage_error(self, limit):
+        # True would act as 1 and 2.5 as a ceiling between lengths
+        with pytest.raises(UsageError, match="limit must be a positive"):
+            enumerate_class(ClassId.ASC, 1, limit=limit)
+
     def test_bad_length(self):
         with pytest.raises(UsageError):
             next(enumerate_class(ClassId.ASC, 0))
