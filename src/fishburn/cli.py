@@ -3,7 +3,9 @@
 Subcommands: enumerate, stats, apply, table, series, check. Each handler
 returns (exit code, JSON payload, CSV rows), and `main` alone writes the
 result to stdout, once, after the handler returns, as JSON (default) or
-CSV; so an error writes nothing to stdout. All numbers are exact, with
+CSV; so an error writes nothing to stdout. The members that `enumerate`
+lists stay lazy, in either format: `main` writes them one at a time, and
+every refusal comes before the first. All numbers are exact, with
 rationals rendered as "p/q". Exit codes: 0 success / all checks pass, 1 a
 check failed, 2 usage or domain error, 3 resource limit exceeded.
 """
@@ -16,6 +18,7 @@ import inspect
 import json
 import random
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import bijections, decomp, stats
@@ -51,10 +54,12 @@ def _cmd_enumerate(args) -> tuple:
         prefix = (Perm.parse_word(args.prefix)
                   if class_id.is_permutation_class
                   else tuple(Seq.from_text(args.prefix)))
-    items = [obj.to_text() for obj in
+    # enumerate_class refuses a length or a limit here, before the first
+    # member; one stream of texts serves the format that main writes
+    texts = (obj.to_text() for obj in
              enumerate_class(class_id, args.n, prefix=prefix,
-                             limit=args.limit)]
-    return 0, items, ([item] for item in items)
+                             limit=args.limit))
+    return 0, texts, ([text] for text in texts)
 
 
 # --- stats -----------------------------------------------------------------
@@ -369,7 +374,15 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json":
+    if args.format == "json" and isinstance(payload, Iterator):
+        # a JSON list written member by member, as json.dump writes it
+        sys.stdout.write("[")
+        sep = ""
+        for item in payload:
+            sys.stdout.write(sep + json.dumps(item))
+            sep = ", "
+        sys.stdout.write("]\n")
+    elif args.format == "json":
         json.dump(payload, sys.stdout)
         sys.stdout.write("\n")
     else:

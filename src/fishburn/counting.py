@@ -24,6 +24,13 @@ at 0-based index m after the entry prev updates each field as follows:
 The fields a request needs are packed side by side into one int, so that
 the counts and bit sets of one entry move with one AND, one OR and one ADD.
 The markers of stats have no tracker: their tables are enumerated.
+
+One layer loop, _count, serves two requests.  count_table reads the
+trackers of a profile table.  count_cases reads the five-marker profile
+(rep, max, ealm, asc, zero) of each suffix case S1..S4 of the ascent
+sequences, the populations of the case identities in genfun: its step rule
+is the ASC rule with the fields that decide the case (the run length p =
+max, ealm = s[p] and two flags, each set once) carried in the rule state.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import UsageError
-from .seqcore import ClassId, _RULES
+from .seqcore import ClassId, _RULES, _asc_step
 
 # tracker -> (the field it reads, whether the statistic is the size of that
 # field as a set, and whether it is n minus the reading)
@@ -83,7 +90,8 @@ class _Layout:
         return keep, put, add
 
     def reader(self, names: tuple):
-        """packed fields -> the tuple of the values of names."""
+        """(rule state, packed fields) -> the tuple of the values of names,
+        which the fields alone decide."""
         plan = []
         for name in names:
             field, is_set, from_n = TRACKERS[name]
@@ -91,7 +99,7 @@ class _Layout:
             plan.append((self.at[field], self.mask[field], is_set, sign,
                          const))
 
-        def read(packed):
+        def read(state, packed):
             return tuple([
                 const + sign * ((packed >> at & mask).bit_count() if is_set
                                 else packed >> at & mask)
@@ -101,9 +109,9 @@ class _Layout:
 
 def _extensions(step, layout, m, last):
     """(state, prev) -> the admissible entries v at index m after prev, as
-    (v, next state, ops) or, at the last index, as ops alone.  Memoised for
-    the layer, as the step rule is a pure function of (state, m, prev, v);
-    the ops of each (prev, v) are computed once and shared."""
+    (v, next state, ops) or, at the last index, as (next state, ops).
+    Memoised for the layer, as the step rule is a pure function of (state,
+    m, prev, v); the ops of each (prev, v) are computed once and shared."""
     memo, ops = {}, {}
 
     def entry_ops(prev, v):
@@ -116,26 +124,17 @@ def _extensions(step, layout, m, last):
         found = memo.get((state, prev))
         if found is None:
             found = memo[state, prev] = tuple(
-                entry_ops(prev, v) if last else (v, nxt, entry_ops(prev, v))
+                (nxt, entry_ops(prev, v)) if last
+                else (v, nxt, entry_ops(prev, v))
                 for v in range(m + 1)
                 if (nxt := step(state, m, prev, v)) is not None)
         return found
     return extend
 
 
-def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
-    """The joint distribution of names over the members of class_id of
-    length n, as {tuple of values: count}, counted layer by layer."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise UsageError(f"length must be an integer >= 1, got {n!r}")
-    names = tuple(names)
-    if not counted(class_id, names):
-        raise UsageError(
-            f"no step-rule count of ({', '.join(names)}) over "
-            f"{class_id.name}; sequence classes with trackers: "
-            f"{', '.join(TRACKERS)}")
-    step, state = _RULES[class_id]
-    layout = _Layout(names, n)
+def _count(step, state, n, layout, read) -> Counter:
+    """{read(final state, packed fields): count} over the length-n members
+    of the class that the step rule grows from state."""
     layer = {(state, 0, 0): 1}
     for m in range(n - 2):
         extend = _extensions(step, layout, m, False)
@@ -148,18 +147,78 @@ def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
     # The last two entries (one when n = 1) of each key go straight into the
     # table, so the two widest layers are never held.
     last = _extensions(step, layout, n - 1, True)
-    read = layout.reader(names)
     table = Counter()
 
     def finish(state, prev, fields, count):
-        for keep, put, add in last(state, prev):
-            table[read((fields & keep | put) + add)] += count
+        for nxt, (keep, put, add) in last(state, prev):
+            table[read(nxt, (fields & keep | put) + add)] += count
 
     if n == 1:
         finish(state, 0, 0, 1)
-        return dict(table)
+        return table
     extend = _extensions(step, layout, n - 2, False)
     for (state, prev, fields), count in layer.items():
         for v, nxt, (keep, put, add) in extend(state, prev):
             finish(nxt, v, (fields & keep | put) + add, count)
-    return dict(table)
+    return table
+
+
+def _check_length(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise UsageError(f"length must be an integer >= 1, got {n!r}")
+
+
+def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
+    """The joint distribution of names over the members of class_id of
+    length n, as {tuple of values: count}, counted layer by layer."""
+    _check_length(n)
+    names = tuple(names)
+    if not counted(class_id, names):
+        raise UsageError(
+            f"no step-rule count of ({', '.join(names)}) over "
+            f"{class_id.name}; sequence classes with trackers: "
+            f"{', '.join(TRACKERS)}")
+    step, state = _RULES[class_id]
+    layout = _Layout(names, n)
+    return dict(_count(step, state, n, layout, layout.reader(names)))
+
+
+def _case_step(state, m, prev, v):
+    """The ASC step rule, with the fields that decide the suffix case
+    (decomp.classify, scheme ASC_S) carried in its state.
+
+    The maximals of an ascent sequence are its initial run 0, 1, ..., p-1,
+    so max = p.  The state is (asc, p, ealm, case).  The case is "" while
+    the sequence is that run, and otherwise the case it would have if it
+    ended here: "S1" while the entry ealm = s[p] is the last one, then
+    "S2" if s[p] >= s[p+1], else "S4" once the value p occurs at an index
+    >= p+1 and "S3" until it does.
+    """
+    asc, p, ealm, case = state
+    asc = _asc_step(asc, m, prev, v)
+    if asc is None:
+        return None
+    if not case:
+        return (asc, 0, 0, "") if v == m else (asc, m, v, "S1")
+    if case == "S1":
+        case = "S2" if ealm >= v else "S4" if v == p else "S3"
+    elif case == "S3" and v == p:
+        case = "S4"
+    return asc, p, ealm, case
+
+
+def count_cases(n: int) -> dict:
+    """The ascent sequences of length n other than the identity run, as
+    {(case, (rep, max, ealm, asc, zero)): count}, counted layer by layer;
+    case is the suffix case "S1".."S4" of decomp.classify."""
+    _check_length(n)
+    layout = _Layout(("rep", "zero"), n)
+    fields = layout.reader(("rep", "zero"))
+
+    def read(state, packed):
+        asc, p, ealm, case = state
+        rep, zero = fields(state, packed)
+        return case, (rep, p, ealm, asc, zero)
+
+    table = _count(_case_step, (0, 0, 0, ""), n, layout, read)
+    return {key: count for key, count in table.items() if key[0]}

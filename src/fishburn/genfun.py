@@ -9,9 +9,15 @@ Fractions are the interface, not the arithmetic.  A TruncSeries holds its
 coefficients in canonical integer form, numerators over one positive
 denominator with no factor common to all of them.  Every series operation,
 division included, works on those integers and normalises its result once;
-the Fraction coefficients are built only when read.  The weighted sums that
-evaluate tables and profiles likewise reduce a table to one integer over one
-denominator.
+the Fraction coefficients are built only when read.  A product with a factor
+of few terms, such as t, 1 - t or 1 - zt, adds up one shifted multiple of the
+other factor per term.  The weighted sums that evaluate tables and profiles
+likewise reduce a table to one integer over one denominator, from power
+tables built once per point for all lengths.
+
+The case identities compare the closed forms with the five-marker profiles
+of the suffix cases, which counting.count_cases counts over the ASC step
+rule: nothing here enumerates a class.
 
 Marker conventions, used consistently by every function here:
     x -> rep,  q -> max,  u -> asc,  z -> zero,  w -> ealm (or an ealm-like
@@ -24,13 +30,13 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
-from .decomp import classify
+from . import counting
 from .errors import DomainError, ResourceLimitError, UsageError, invariant
-from .seqcore import ClassId, enumerate_class
-from .stats import ealm, seq_profile
+from .seqcore import ClassId
 
 DEFAULT_ORDER = 9
 MAX_ORDER = 12
@@ -122,21 +128,25 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
-        return cls((), order)
+        return cls.monomial(0, 0, order)
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
-        return cls((1,), order)
+        return cls.monomial(1, 0, order)
 
     @classmethod
     def constant(cls, c, order: int) -> "TruncSeries":
-        return cls((c,), order)
+        return cls.monomial(c, 0, order)
 
     @classmethod
     def monomial(cls, c, power: int, order: int) -> "TruncSeries":
         if power < 0:
             raise UsageError("monomial power must be nonnegative")
-        return cls([0] * power + [c], order)
+        c = _as_fraction(c)
+        num = [0] * (_check_order(order) + 1)
+        if power <= order:
+            num[power] = c.numerator
+        return cls._make(num, c.denominator, order)
 
     def _match(self, other: "TruncSeries") -> None:
         if self.order != other.order:
@@ -172,9 +182,20 @@ class TruncSeries:
             return self.scale(other)
         self._match(other)
         na, nb = self._num, other._num
-        return TruncSeries._make(
-            [sum(map(mul, na[:k + 1], nb[k::-1])) for k in range(self.order + 1)],
-            self._den * other._den, self.order)
+        size = self.order + 1
+        if na.count(0) < nb.count(0):
+            na, nb = nb, na
+        if 2 * (size - na.count(0)) <= self.order:
+            # few terms (t, 1 - t, 1 - zt, ...): add each term's multiple of
+            # the other factor, O(order) per term, not the O(order^2)
+            # diagonal sums
+            num = [0] * size
+            for i, c in enumerate(na):
+                if c:
+                    num[i:] = map(add, num[i:], map(mul, repeat(c), nb[:size - i]))
+        else:
+            num = [sum(map(mul, na[:k + 1], nb[k::-1])) for k in range(size)]
+        return TruncSeries._make(num, self._den * other._den, self.order)
 
     __rmul__ = scale
 
@@ -359,12 +380,14 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
     running = one                    # product over i < m
     total = TruncSeries.zero(order)
     for m in range(order):
-        # one quotient serves the term and the next running product
+        # one quotient and one full product serve the term and the next
+        # running product, (1 + (zr-1) a_m) shared = shared + (zr-1) a_shared
         shared = running / (right + a.scale(right_factor))
-        term = lead * a * shared / (left + a.scale(u))
+        a_shared = a * shared
+        term = lead * a_shared / (left + a.scale(u))
         invariant(term.vanishes_below(m + 1), "summand order bound violated")
         total = total + term
-        running = (one + zr_less_one * a) * shared
+        running = shared + zr_less_one * a_shared
         a = a * shrink
         lead = lead.scale(x)
     return total
@@ -436,10 +459,12 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
         lead = t.scale(z)
         base = TruncSeries.constant(1 - u, order)
         for m in range(order):
-            term = lead * shrink_pow * running / (base + shrink_pow.scale(u))
+            # one full product serves the term and the next running product
+            shrunk = shrink_pow * running
+            term = lead * shrunk / (base + shrink_pow.scale(u))
             invariant(term.vanishes_below(m + 1), "summand order bound violated")
             total = total + term
-            running = running * (one - fading * shrink_pow)
+            running = running - fading * shrunk
             shrink_pow = shrink_pow * shrink
         return total
     raise UsageError(
@@ -469,44 +494,60 @@ class DistTable:
         return sum(self.counts.values())
 
 
-def _weighted_sum(counts, bases) -> Fraction:
-    """Sum of count * prod(base ** e) over a {exponents: count} map, exactly.
+class _Powers:
+    """Power tables of some bases up to a largest exponent K, for the sums
+    of count * prod(base ** e) over {exponents: count} maps, exactly.
 
-    With K the largest exponent, a base a/b contributes the integer
-    a^e b^(K-e) to a term, so the sum is one integer over prod(b^K).
+    A base a/b contributes the integer a^e b^(K-e) to a term, so every sum
+    is one integer over den = prod(b)^K.  One table serves every map whose
+    exponents stay within K: all lengths of a point at once.
     """
-    top = max(map(max, counts), default=0) if bases else 0
-    tables = [[b.numerator ** e * b.denominator ** (top - e)
-               for e in range(top + 1)] for b in bases]
-    total = sum(prod(map(list.__getitem__, tables, key), start=count)
-                for key, count in counts.items())
-    return Fraction(total, prod([b.denominator for b in bases]) ** top)
+
+    def __init__(self, bases, maps):
+        top = max(chain.from_iterable(chain(*maps)), default=0)
+        self.tables = [[b.numerator ** e * b.denominator ** (top - e)
+                        for e in range(top + 1)] for b in bases]
+        self.den = prod([b.denominator for b in bases]) ** top
+
+    def total(self, counts) -> int:
+        """The sum over counts, times den, column by column: every lookup
+        and product runs in C."""
+        columns = [map(table.__getitem__, exponents) for table, exponents
+                   in zip(self.tables, zip(*counts))]
+        return sum(map(prod, zip(counts.values(), *columns)))
 
 
-def _eval_table(table: DistTable, point: SpecPoint) -> Fraction:
+def _marker_values(names: tuple, point: SpecPoint) -> list:
     values = []
-    for name in table.stats:
+    for name in names:
         var = MARKER_VARS.get(name)
         if var is None:
             raise UsageError(
                 f"statistic {name!r} has no marker variable; "
                 f"usable: {', '.join(sorted(MARKER_VARS))}")
         values.append(getattr(point, var))
-    return _weighted_sum(table.counts, values)
+    return values
 
 
 def eval_gf(table, point: SpecPoint):
     """Evaluate a distribution table (or several) at a rational point.
 
     A single DistTable yields one Fraction.  An iterable of tables yields a
-    list indexed by length n, with a zero entry for any length not covered.
+    list indexed by length n, with a zero entry for any length not covered;
+    the tables of one statistic tuple share one power table.
     """
     if isinstance(table, DistTable):
-        return _eval_table(table, point)
+        return eval_gf([table], point)[table.n]
     tables = list(table)
     out = [Fraction(0)] * (max((tbl.n for tbl in tables), default=0) + 1)
+    groups = {}
     for tbl in tables:
-        out[tbl.n] += _eval_table(tbl, point)
+        groups.setdefault(tbl.stats, []).append(tbl)
+    for names, group in groups.items():
+        powers = _Powers(_marker_values(names, point),
+                         [tbl.counts for tbl in group])
+        for tbl in group:
+            out[tbl.n] += Fraction(powers.total(tbl.counts), powers.den)
     return out
 
 
@@ -517,25 +558,24 @@ def _case_profiles(order: int):
     Returns (whole, parts).  A profile maps each length n = 1..order to a
     Counter keyed by (rep, max, ealm, asc, zero); whole covers every
     sequence with length > max, and parts splits the same population by
-    suffix case S1..S4.
+    suffix case S1..S4.  Counted over the step rule (counting.count_cases),
+    with no enumeration.
     """
     whole = {n: Counter() for n in range(1, order + 1)}
     parts = {f"S{case}": {n: Counter() for n in whole} for case in range(1, 5)}
-    for n in range(1, order + 1):
-        for s in enumerate_class(ClassId.ASC, n):
-            asc, rep, zero, mx, _ = seq_profile(s)    # stats.SEQ_PROFILE
-            if mx == n:
-                continue
-            key = (rep, mx, ealm(s), asc, zero)
-            whole[n][key] += 1
-            parts[classify(s, "ASC_S")][n][key] += 1
+    for n in whole:
+        for (case, key), count in counting.count_cases(n).items():
+            whole[n][key] += count
+            parts[case][n][key] += count
     return whole, parts
 
 
 def _profile_series(profile, order: int, point: SpecPoint) -> TruncSeries:
-    bases = (point.x, point.q, point.w, point.u, point.z)
-    return TruncSeries([Fraction(0)] + [_weighted_sum(profile[n], bases)
-                                        for n in range(1, order + 1)], order)
+    lengths = range(1, order + 1)
+    powers = _Powers((point.x, point.q, point.w, point.u, point.z),
+                     [profile[n] for n in lengths])
+    return TruncSeries._make([0] + [powers.total(profile[n]) for n in lengths],
+                             powers.den, order)
 
 
 @lru_cache(maxsize=4)
@@ -563,12 +603,12 @@ class IdentityReport:
 
 def check_case_identity(case: int, order: int = DEFAULT_ORDER,
                         point: SpecPoint | None = None) -> IdentityReport:
-    """Compare one suffix-case identity against brute enumeration.
+    """Compare one suffix-case identity against the counted populations.
 
     The left side is the five-marker series of the case subset, summed from
-    the actual sequences.  The right side is the closed form, whose inner
-    series values are themselves taken from the enumerated population at
-    modified points.  Requires w != 1 and q != 0.
+    its counted profile.  The right side is the closed form, whose inner
+    series values are themselves taken from the profile of the whole
+    population at modified points.  Requires w != 1 and q != 0.
     """
     order = _check_order(order)
     if case not in (1, 2, 3, 4):

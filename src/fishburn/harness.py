@@ -388,12 +388,12 @@ def _chk_gf_G(order, points, seed, sym_order):
     # any order do not depend on the order it was built at
     built = [series_G(max(order, sym_order), point) for point in pts]
     for index, (point, series) in enumerate(zip(pts, built)):
+        wants = eval_gf(tables, point)
         for n in range(1, order + 1):
-            want = eval_gf(tables[n - 1], point)
             got = series.coefficient(n)
-            if want != got:
+            if wants[n] != got:
                 return {"point_index": index, "point": point, "n": n,
-                        "expected": want, "actual": got}
+                        "expected": wants[n], "actual": got}
     for index, (point, series) in enumerate(zip(pts, built)):
         swapped = SpecPoint(x=point.u, q=point.z, u=point.x, z=point.q)
         if series.truncate(sym_order) != series_G(sym_order, swapped):
@@ -412,12 +412,12 @@ def _chk_gf_zeromax(order, points, seed):
         if series != series_zeromax(order, point.z, point.q):
             return {"point_index": index, "point": point,
                     "detail": "coefficients not symmetric in q and z"}
+        wants = eval_gf(tables, point)
         for n in range(1, order + 1):
-            want = eval_gf(tables[n - 1], point)
             got = series.coefficient(n)
-            if want != got:
+            if wants[n] != got:
                 return {"point_index": index, "point": point, "n": n,
-                        "expected": want, "actual": got}
+                        "expected": wants[n], "actual": got}
     return None
 
 

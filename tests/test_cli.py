@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,9 @@ EXACT = [
      ""),
     ("enumerate --class PERM_AVOID_A --n 4 --prefix 13", 0,
      '["1324"]\n',
+     ""),
+    ("enumerate --class ASC --n 4 --prefix 0,2", 0,
+     "[]\n",
      ""),
     ("enumerate --class NOPE --n 3", 2,
      "",
@@ -261,6 +265,16 @@ class TestEnumerate:
         got = run_json(capsys, "enumerate", "--class", "perm_avoid_a",
                        "--n", "4", "--prefix", "13")
         assert got == ["1324"]  # 1342 has its 2 two places after the ascent 34
+
+    def test_members_stay_lazy(self):
+        # main writes the members one at a time, so memory stays flat at any
+        # n; the CSV rows read the same stream of texts
+        args = cli.build_parser().parse_args(
+            ["enumerate", "--class", "ASC", "--n", "10"])
+        _, texts, rows = args.handler(args)
+        assert isinstance(texts, Iterator) and isinstance(rows, Iterator)
+        assert next(texts) == "0,0,0,0,0,0,0,0,0,0"
+        assert next(rows) == ["0,0,0,0,0,0,0,0,0,1"]
 
     def test_resource_limit(self, capsys):
         code, _, err = run(capsys, "enumerate", "--class", "ASC", "--n", "40")

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from fishburn import counting, genfun, harness, seqcore, stats
+from fishburn import counting, decomp, genfun, harness, seqcore, stats
 from fishburn.errors import UsageError
 from fishburn.seqcore import ClassId, Seq, is_member
 
@@ -81,6 +81,19 @@ def test_counts_reach_past_enumeration():
             assert sum(table.values()) == want.coefficient(n)
 
 
+def test_suffix_cases_against_brute_force():
+    """count_cases against the ascent sequences filtered from every
+    inversion sequence, read by the validating statistics and classify."""
+    for n in range(1, 7):
+        want = Counter()
+        for s in brute_force(ClassId.ASC, n):
+            sc = stats.scalar_stats(s)
+            if sc.max < n:
+                want[decomp.classify(s, "ASC_S"),
+                     (sc.rep, sc.max, stats.ealm(s), sc.asc, sc.zero)] += 1
+        assert counting.count_cases(n) == dict(want), n
+
+
 class TestRequests:
     def test_which_tables_are_counted(self):
         assert counting.counted(ClassId.ASC, stats.SEQ_PROFILE)
@@ -103,3 +116,8 @@ class TestRequests:
     def test_refused(self, cid, n, names):
         with pytest.raises(UsageError):
             counting.count_table(cid, n, names)
+
+    @pytest.mark.parametrize("n", [0, True, 2.0])
+    def test_case_count_refuses_a_bad_length(self, n):
+        with pytest.raises(UsageError):
+            counting.count_cases(n)

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -301,6 +302,14 @@ def reference_mul(a, b):
     return genfun.TruncSeries(out, a.order)
 
 
+def dense_mul(a, b):
+    """The product by its O(order^2) diagonal sums, whatever the operands."""
+    na, nb = a._num, b._num
+    return genfun.TruncSeries._make(
+        [sum(map(mul, na[:k + 1], nb[k::-1])) for k in range(a.order + 1)],
+        a._den * b._den, a.order)
+
+
 def reference_inverse(a):
     lead = a.coeffs[0]
     out = [Fraction(0)] * (a.order + 1)
@@ -384,6 +393,30 @@ units = rationals.filter(bool)
 
 
 @st.composite
+def few_term_pairs(draw):
+    """A series of at most three nonzero terms and any series, either way
+    round: the factors that the series loops multiply by most."""
+    order = draw(st.integers(1, genfun.MAX_ORDER))
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in draw(st.lists(st.integers(0, order), max_size=3, unique=True)):
+        coeffs[k] = draw(units)
+    few = genfun.TruncSeries(coeffs, order)
+    other = genfun.TruncSeries(draw(st.lists(
+        sparse_rationals, min_size=order + 1, max_size=order + 1)), order)
+    return (few, other) if draw(st.booleans()) else (other, few)
+
+
+# the factors of the series loops at order 12, against a dense series
+_T = genfun.TruncSeries.monomial(1, 1, 12)
+_ONE = genfun.TruncSeries.one(12)
+_DENSE = genfun.TruncSeries(
+    [Fraction((-1) ** k * (k + 2), 3 + k % 4) for k in range(13)])
+_FEW = {"t": _T.scale(Fraction(-5, 3)), "1-t": _ONE - _T,
+        "zr-1": _T.scale(Fraction(7, 2)) - _ONE,
+        "drop": (_ONE - _T.scale(Fraction(4, 5))) * (_ONE - _T.scale(3))}
+
+
+@st.composite
 def series_pairs(draw, unit_lead=False):
     order = draw(st.integers(1, genfun.MAX_ORDER))
     size = st.lists(sparse_rationals, min_size=order, max_size=order)
@@ -422,7 +455,13 @@ SAMPLE_TABLES = sample_tables()
 
 class TestAgainstFractionReferences:
     @settings(deadline=None)
-    @given(series_pairs())
+    @given(st.one_of(series_pairs(), few_term_pairs()))
+    @example((_FEW["t"], _DENSE))
+    @example((_DENSE, _FEW["1-t"]))
+    @example((_FEW["zr-1"], _DENSE))
+    @example((_DENSE, _FEW["drop"]))
+    @example((_FEW["drop"], _FEW["t"]))
+    @example((genfun.TruncSeries.zero(12), _DENSE))
     def test_product(self, pair):
         a, b = pair
         got = a * b
@@ -430,6 +469,11 @@ class TestAgainstFractionReferences:
         assert repr(got) == repr(reference_mul(a, b))
         assert all(type(c) is Fraction for c in got.coeffs)
         assert_canonical(got)
+        # a factor of few terms takes the term-by-term path: the same
+        # canonical series as the diagonal sums
+        dense = dense_mul(a, b)
+        assert got == dense and hash(got) == hash(dense)
+        assert repr(got) == repr(dense)
 
     @settings(deadline=None)
     @given(series_pairs(unit_lead=True))

@@ -4,13 +4,15 @@ import dataclasses
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from fishburn.errors import ResourceLimitError, UsageError
 from fishburn.seqcore import ClassId, Seq
-from fishburn import bijections, counting, decomp, genfun, harness, stats
+from fishburn import (bijections, counting, decomp, genfun, harness, seqcore,
+                      stats)
 
 
 class TestDistTable:
@@ -545,3 +547,41 @@ def test_gf_G_builds_one_series_per_point(tmp_path, monkeypatch):
                                    sym_order=sym_order)
         assert report.verdict == "pass"
         assert orders == [max(order, sym_order)] * 2 + [sym_order] * 2
+
+
+SERIES_CHECKS = ("gf_G", "gf_zeromax", "gf_asczero", "case_identities")
+
+
+def test_series_checks_enumerate_nothing(tmp_path, monkeypatch):
+    # the tables are read from a warm cache and the case profiles are
+    # counted, so no series check lists a class
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    toy = {"order": 5, "points": 2, "seed": 3}
+    for name in SERIES_CHECKS:
+        assert harness.run_check(name, **toy).passed
+    genfun._case_profiles.cache_clear()
+    genfun._whole_series.cache_clear()
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"enumerate_class{args!r} called")
+
+    real = seqcore.enumerate_class
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "fishburn"
+                and getattr(module, "enumerate_class", None) is real):
+            monkeypatch.setattr(module, "enumerate_class", refused)
+            patched.append(name)
+    assert {"fishburn.seqcore", "fishburn.harness"} <= set(patched)
+    warm = sorted(tmp_path.iterdir())
+    for name in SERIES_CHECKS:
+        assert harness.run_check(name, **toy).passed
+    assert sorted(tmp_path.iterdir()) == warm != []
+
+
+def test_case_identities_reach_past_enumeration():
+    # at order 12 the ASC sequences number 10,886,503 at n = 12 alone; the
+    # counted profiles take about two seconds
+    report = harness.run_check("case_identities", order=12, points=3)
+    assert report.passed
+    assert report.parameters == {"order": 12, "points": 3, "seed": 2026}
