@@ -70,9 +70,9 @@ def _stat_bundle(class_id: ClassId, obj) -> dict:
         raise UsageError(
             f"{obj.to_text()!r} is not a member of {class_id.name}")
     if class_id.is_permutation_class:
-        return stats.perm_stats(obj).as_dict()
-    bundle = {**stats.scalar_stats(obj).as_dict(),
-              **stats.set_stats(obj).as_dict()}
+        return stats.as_dict(stats.perm_stats(obj))
+    bundle = {**stats.as_dict(stats.scalar_stats(obj)),
+              **stats.as_dict(stats.set_stats(obj))}
     bundle.update((name, getattr(stats, name)(obj))
                   for name, home in stats.MARKERS.items() if home is class_id)
     return bundle

@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import bijections, counting, decomp, stats
@@ -317,50 +317,42 @@ def _mirror(class_id, names, order, max_n):
     return None
 
 
+def _transported(class_id, names):
+    """obj -> the values of names: set-valued names (upper case) off one
+    perm_stats or set_stats record per object, scalar names by _value_fn."""
+    if not names[0].isupper():
+        return _value_fn(class_id, names)
+    pick = attrgetter(*names)
+    if class_id.is_permutation_class:
+        return lambda obj: pick(perm_stats(obj))
+    return lambda obj: pick(set_stats(obj))
+
+
 def _pointwise(source, map_name, target, want, got, detail, max_n):
-    """The bijection sends the statistics want of each source object to the
-    statistics got of its image in target, and is injective; as source and
-    target are equinumerous at each n, it is then onto."""
-    want_of, got_of = _value_fn(source, want), _value_fn(target, got)
+    """The bijection sends each source object of length n to a member of
+    target of length n, carries the statistics want of the object to the
+    statistics got of its image, is injective, and covers target."""
+    want_of, got_of = _transported(source, want), _transported(target, got)
     for n in range(1, max_n + 1):
-        seen = set()
+        unseen = set(enumerate_class(target, n))
+        size = len(unseen)
         for x in enumerate_class(source, n):
             out = getattr(bijections, map_name)(x)
-            if not is_member(target, out):
+            # a member of length n that is not unseen was an image before:
+            # a collision, reported after the statistics
+            fresh = out in unseen
+            if not (fresh or (len(out) == n and is_member(target, out))):
                 return {"n": n, "input": x, "output": out, "detail": detail}
             expected, actual = want_of(x), got_of(out)
             if expected != actual:
                 return {"n": n, "input": x, "output": out,
                         "expected": expected, "actual": actual}
-            if out in seen:
+            if not fresh:
                 return {"n": n, "output": out, "detail": "image collision"}
-            seen.add(out)
-    return None
-
-
-def _setvalued(source, map_name, perm_sets, seq_sets, max_n):
-    """The bijection onto ascent sequences sends the set-valued statistics
-    perm_sets of each permutation to seq_sets of its image."""
-    for n in range(1, max_n + 1):
-        targets = set(enumerate_class(ClassId.ASC, n))
-        seen = set()
-        for p in enumerate_class(source, n):
-            s = getattr(bijections, map_name)(p)
-            if s not in targets:
-                return {"n": n, "input": p, "output": s,
-                        "detail": "image is not an ascent sequence"}
-            ps, ss = perm_stats(p), set_stats(s)
-            want = tuple(getattr(ps, k) for k in perm_sets)
-            got = tuple(getattr(ss, k) for k in seq_sets)
-            if want != got:
-                return {"n": n, "input": p, "output": s,
-                        "expected": want, "actual": got}
-            if s in seen:
-                return {"n": n, "output": s, "detail": "image collision"}
-            seen.add(s)
-        if seen != targets:
-            return {"n": n, "detail": f"image covers {len(seen)} of "
-                                      f"{len(targets)} ascent sequences"}
+            unseen.remove(out)
+        if unseen:
+            return {"n": n, "detail": f"image covers {size - len(unseen)} of "
+                                      f"{size} members of {target.name}"}
     return None
 
 
@@ -735,13 +727,16 @@ _CHECKS = {
                                   ("rep", "asc", "rmin", "zero"),
                                   "image is not an ascent sequence"),
                           {"max_n": 8}),
-    "psi_setvalued": (partial(_setvalued, ClassId.PERM_AVOID_A, "psi",
+    "psi_setvalued": (partial(_pointwise, ClassId.PERM_AVOID_A, "psi",
+                              ClassId.ASC,
                               ("DES", "IDES", "LMIN", "LMAX", "RMAX"),
-                              ("ASC", "DIST", "MAX", "ZERO", "RMIN")),
+                              ("ASC", "DIST", "MAX", "ZERO", "RMIN"),
+                              "image is not an ascent sequence"),
                       {"max_n": 8}),
-    "phi_setvalued": (partial(_setvalued, ClassId.PERM_AVOID_B, "phi",
-                              ("DES", "IDES", "LMAX", "RMAX"),
-                              ("ASC", "DIST", "ZERO", "RMIN")),
+    "phi_setvalued": (partial(_pointwise, ClassId.PERM_AVOID_B, "phi",
+                              ClassId.ASC, ("DES", "IDES", "LMAX", "RMAX"),
+                              ("ASC", "DIST", "ZERO", "RMIN"),
+                              "image is not an ascent sequence"),
                       {"max_n": 8}),
     "zeromax_sym": (partial(_mirror, ClassId.ASC, ("zero", "max"), (1, 0)),
                     {"max_n": 10}),

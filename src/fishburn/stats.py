@@ -36,7 +36,7 @@ DomainError rather than inventing a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 from .seqcore import ClassId, Perm, Seq, is_ascent, is_inversion, is_t21
@@ -51,10 +51,6 @@ class ScalarStats:
     rmin: int
     nasc: int
 
-    def as_dict(self) -> dict:
-        return {"asc": self.asc, "rep": self.rep, "zero": self.zero,
-                "max": self.max, "rmin": self.rmin, "nasc": self.nasc}
-
 
 @dataclass(frozen=True)
 class SetStats:
@@ -65,28 +61,24 @@ class SetStats:
     RMIN: tuple
     NASC: tuple
 
-    def as_dict(self) -> dict:
-        return {"ASC": list(self.ASC), "DIST": list(self.DIST),
-                "ZERO": list(self.ZERO), "MAX": list(self.MAX),
-                "RMIN": list(self.RMIN), "NASC": list(self.NASC)}
-
 
 @dataclass(frozen=True)
 class PermStats:
+    des: int
+    ides: int
+    iasc: int
     DES: tuple
     IDES: tuple
     LMAX: tuple
     LMIN: tuple
     RMAX: tuple
-    des: int
-    ides: int
-    iasc: int
 
-    def as_dict(self) -> dict:
-        return {"des": self.des, "ides": self.ides, "iasc": self.iasc,
-                "DES": list(self.DES), "IDES": list(self.IDES),
-                "LMAX": list(self.LMAX), "LMIN": list(self.LMIN),
-                "RMAX": list(self.RMAX)}
+
+def as_dict(record) -> dict:
+    """The fields of a ScalarStats, SetStats or PermStats in declaration
+    order, each position tuple as a list."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 def _require_inversion(s) -> None:

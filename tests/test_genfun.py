@@ -444,7 +444,7 @@ def sample_tables():
             counts = Counter()
             for s in enumerate_class(ClassId.ASC, n):
                 sc = stats.scalar_stats(s)
-                values = {"ealm": stats.ealm(s), **sc.as_dict()}
+                values = {"ealm": stats.ealm(s), **stats.as_dict(sc)}
                 counts[tuple(values[name] for name in names)] += 1
             tables.append(genfun.DistTable(ClassId.ASC, n, names, dict(counts)))
     return tables

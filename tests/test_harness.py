@@ -377,6 +377,16 @@ FAULTS = {
                   _on((2, 1, 3)), _zeros,
                   {"n": 3, "input": [2, 1, 3], "output": [0, 0, 0],
                    "expected": [1, 2, 2, 1], "actual": [0, 3, 1, 1]}),
+    # an image of another length is no member of the class at n
+    "length": ("lehmer_quadruple", 4, bijections, "lehmer_code",
+               _on((2, 1, 3)), lambda *_: Seq((0, 1)),
+               {"n": 3, "input": [2, 1, 3], "output": [0, 1],
+                "detail": "code is not an inversion sequence"}),
+    # one permutation of length 3 is never enumerated, so one inversion
+    # sequence is nobody's Lehmer code
+    "coverage": ("lehmer_quadruple", 4, harness, "enumerate_class",
+                 _on_table(ClassId.PERM_ALL, 3), lambda _, out: (*out,)[:-1],
+                 {"n": 3, "detail": "image covers 5 of 6 members of INV"}),
     "agreement": ("foata", 4, stats, "perm_profile", _on((2, 1, 3)),
                   _bumped(stats.PERM_PROFILE.index("des")),
                   {"n": 3, "tables": ["INV (asc,rep)", "PERM_ALL (des,iasc)"],

@@ -9,17 +9,23 @@ call the step surgeries `decomp._M0` ... `decomp._undo_Z2`, which were not
 merged.  Every map is compared with its reference over whole classes to
 n = 8: outputs, `_trace` lists, and the type and message of every
 exception, invalid inputs included.
+
+The four bijection checks of harness run one transport kernel; its two
+former copies, the scalar one and the set-valued one, are kept below and
+compared with it under faults keyed to one input.
 """
 
 import pytest
 
-from fishburn import bijections, decomp, stats
+from fishburn import bijections, decomp, harness, stats
 from fishburn.decomp import MapResult
 from fishburn.errors import DomainError
 from fishburn.seqcore import (ClassId, Seq, contains_bivincular_A,
                               contains_bivincular_B, enumerate_class,
-                              is_ascent, is_b_class, is_c_class, is_t21)
-from fishburn.stats import maximal_positions, mpos, zero_positions, zpos
+                              is_ascent, is_b_class, is_c_class, is_member,
+                              is_t21)
+from fishburn.stats import (maximal_positions, mpos, perm_stats, set_stats,
+                            zero_positions, zpos)
 
 
 # --- reference markers --------------------------------------------------------
@@ -349,3 +355,115 @@ def test_walks_and_rewinds(n):
             for i in range(-1, top + 1):
                 same(walk, ref_walk, s, i, traced=True)
             same(rewind, ref_rewind, s, traced=True)
+
+
+# --- the transport check against its two former copies -----------------------
+
+def ref_pointwise(source, map_name, target, want, got, detail, max_n):
+    """The scalar copy: membership by is_member, no coverage check."""
+    want_of = harness._value_fn(source, want)
+    got_of = harness._value_fn(target, got)
+    for n in range(1, max_n + 1):
+        seen = set()
+        for x in enumerate_class(source, n):
+            out = getattr(bijections, map_name)(x)
+            if not is_member(target, out):
+                return {"n": n, "input": x, "output": out, "detail": detail}
+            expected, actual = want_of(x), got_of(out)
+            if expected != actual:
+                return {"n": n, "input": x, "output": out,
+                        "expected": expected, "actual": actual}
+            if out in seen:
+                return {"n": n, "output": out, "detail": "image collision"}
+            seen.add(out)
+    return None
+
+
+def ref_setvalued(source, map_name, perm_sets, seq_sets, max_n):
+    """The set-valued copy: membership in the enumerated ascent sequences."""
+    for n in range(1, max_n + 1):
+        targets = set(enumerate_class(ClassId.ASC, n))
+        seen = set()
+        for p in enumerate_class(source, n):
+            s = getattr(bijections, map_name)(p)
+            if s not in targets:
+                return {"n": n, "input": p, "output": s,
+                        "detail": "image is not an ascent sequence"}
+            ps, ss = perm_stats(p), set_stats(s)
+            want = tuple(getattr(ps, k) for k in perm_sets)
+            got = tuple(getattr(ss, k) for k in seq_sets)
+            if want != got:
+                return {"n": n, "input": p, "output": s,
+                        "expected": want, "actual": got}
+            if s in seen:
+                return {"n": n, "output": s, "detail": "image collision"}
+            seen.add(s)
+        if seen != targets:
+            return {"n": n, "detail": f"image covers {len(seen)} of "
+                                      f"{len(targets)} ascent sequences"}
+    return None
+
+
+TRANSPORTS = ("upsilon_quadruple", "psi_setvalued", "phi_setvalued",
+              "lehmer_quadruple")
+FAULT_N = 4
+
+
+def ref_transport(args, max_n):
+    source, map_name, target, want, got, detail = args
+    if want[0].isupper():  # set-valued names: psi and phi
+        return ref_setvalued(source, map_name, want, got, max_n)
+    return ref_pointwise(*args, max_n)
+
+
+def ref_wanted(source, want, x):
+    if want[0].isupper():
+        return tuple(getattr(perm_stats(x), k) for k in want)
+    return harness._value_fn(source, want)(x)
+
+
+def _outside(args, objs, image):
+    """The last object goes to a sequence outside every class."""
+    return objs[-1], Seq((1,) * FAULT_N)
+
+
+def _statistic(args, objs, image):
+    """The first object takes the image of the last, which is still free."""
+    return objs[0], image(objs[-1])
+
+
+def _collision(args, objs, image):
+    """The last object with the statistics of an earlier one takes the image
+    of the first such one; with no such pair, the last object takes the
+    image of the first."""
+    values = [ref_wanted(args[0], args[3], x) for x in objs]
+    twins = [(x, objs[values.index(v)]) for x, v in zip(objs, values)
+             if objs[values.index(v)] != x]
+    key, twin = twins[-1] if twins else (objs[-1], objs[0])
+    return key, image(twin)
+
+
+FAULT_KINDS = {"outside": _outside, "statistic": _statistic,
+               "collision": _collision, "none": None}
+
+
+@pytest.mark.parametrize("fault", FAULT_KINDS)
+@pytest.mark.parametrize("name", TRANSPORTS)
+def test_transport_kernel_against_its_former_copies(name, fault,
+                                                    monkeypatch):
+    """Same counterexample at every max_n <= 6.  The kernel also checks
+    that the images cover the target class; under these faults a check
+    stops before that, so no coverage row can differ."""
+    check = harness._CHECKS[name][0]
+    map_name = check.args[1]
+    if FAULT_KINDS[fault]:
+        image = getattr(bijections, map_name)
+        objs = list(enumerate_class(check.args[0], FAULT_N))
+        key, faulty = FAULT_KINDS[fault](check.args, objs, image)
+        monkeypatch.setattr(bijections, map_name,
+                            lambda x: faulty if x == key else image(x))
+    reports = [(check(max_n=max_n), ref_transport(check.args, max_n))
+               for max_n in range(1, 7)]
+    for got, want in reports:
+        assert got == want
+    assert (reports[-1][0] is None) == (fault == "none")
