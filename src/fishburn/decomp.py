@@ -281,55 +281,27 @@ def _check_J1(s) -> None:
 def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
     """Move the paired-maximal ordinal one step up or down inside block J1.
 
-    rep and max are preserved; the local surgery depends on whether the
-    next maximal is flush against the pair (block F) or separated from it.
+    rep and max are preserved.  The moves are the steps of the walk
+    :func:`vartheta`: up rewinds one step (the flush one inside block F, the
+    apart one outside it); down, from paired ordinal i, takes the flush step
+    when maximals i-1 and i are adjacent and the apart step otherwise.
     """
     _check_J1(s)
     p = _max_stat(s)
     i = mpair(s)
     if direction == "up":
         _require(i < p - 1, f"paired maximal already next to top: {tuple(s)!r}")
-        kp = maximal_positions(s)
-        k_i, k_i1 = kp[i], kp[i + 1]
         if _in_F(s):
-            label = "flush"
-            out = [v for idx, v in enumerate(s) if idx != k_i1 - 1]
-            out = [v + 1 if k_i - 1 <= v <= k_i1 - 2 else v for v in out]
-            out.insert(out.index(k_i), k_i - 1)
+            label, out = "flush", _undo_M1(list(s))
         else:
-            label = "separated"
-            out = list(s)
-            y = out[k_i1]
-            popped = out.pop(k_i)
-            invariant(popped == k_i - 1)
-            invariant(out[k_i1 - 2] == k_i1 - 1)
-            out[k_i1 - 1] = k_i1 - 1
-            out.insert(k_i1 - 2, y)
+            label, out = "separated", _undo_M2(list(s))
     elif direction == "down":
         _require(i >= 1, f"paired maximal already first: {tuple(s)!r}")
-        KB = maximal_positions(s)
-        if KB[i] == KB[i - 1] + 1:
-            label = "undo_flush"
-            n0 = len(s)
-            out = list(s)
-            popped = out.pop(KB[i - 1] - 1)
-            invariant(popped == KB[i - 1] - 1)
-            if i + 1 <= p - 1:
-                X = KB[i + 1] - 2
-                out = [v - 1 if KB[i - 1] <= v <= X else v for v in out]
-                out.insert(KB[i + 1] - 2, X)
-            else:
-                X = n0 - 1
-                out = [v - 1 if KB[i - 1] <= v <= X else v for v in out]
-                out.append(X)
+        kp = maximal_positions(s)
+        if kp[i] == kp[i - 1] + 1:
+            label, out = "undo_flush", _M1(list(s), i)
         else:
-            label = "undo_separated"
-            out = list(s)
-            y = out[KB[i] - 2]
-            del out[KB[i] - 2]
-            invariant(out[KB[i] - 1] == KB[i] - 1)
-            out[KB[i] - 1] = y
-            out.insert(KB[i - 1], KB[i - 1] - 1)
+            label, out = "undo_separated", _M2(list(s), i)
     else:
         raise UsageError(f"direction must be 'up' or 'down', got {direction!r}")
     if _trace is not None:

@@ -199,14 +199,6 @@ class TruncSeries:
 
     __rmul__ = scale
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise UsageError("series exponent must be a nonnegative integer")
-        result = TruncSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse, defined only for a unit constant term."""
         return TruncSeries.one(self.order) / self
@@ -596,9 +588,6 @@ class IdentityReport:
     ok: bool
     lhs: TruncSeries
     rhs: TruncSeries
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_case_identity(case: int, order: int = DEFAULT_ORDER,

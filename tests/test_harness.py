@@ -328,6 +328,14 @@ FAULTS = {
                  {"map": "phi_P", "n": 4, "input": [0, 1, 2, 0],
                   "output": [1, 1, 0],
                   "detail": "output not an ascent sequence of length n-1"}),
+    # (0, 1, 0, 2) of block P is never enumerated, so (0, 0, 1) is nobody's
+    # image under phi_P
+    "lemma_coverage": ("lemma_suite", 5, harness, "enumerate_class",
+                       _on_table(ClassId.ASC, 4),
+                       lambda _, out: tuple(s for s in out
+                                            if s != (0, 1, 0, 2)),
+                       {"map": "phi_P", "n": 4,
+                        "detail": "image covers 4 of 5"}),
     "reduce": ("lemma_suite", 5, decomp, "s2_insert", _on((0, 1, 0)), _zeros,
                {"map": "s2_reduce", "n": 4, "input": [0, 1, 0, 0],
                 "detail": "round trip failed"}),

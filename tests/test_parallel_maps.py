@@ -6,9 +6,11 @@ copies that differ only in a threshold, a class or the anchor they follow
 (maximal entries or zeros).  The references below are those copies written
 out one by one, as separate functions with no shared kernel; the walks
 call the step surgeries `decomp._M0` ... `decomp._undo_Z2`, which were not
-merged.  Every map is compared with its reference over whole classes to
-n = 8: outputs, `_trace` lists, and the type and message of every
-exception, invalid inputs included.
+merged.  `mpair_shift` now runs one of the steps `_M1`, `_M2`, `_undo_M1`,
+`_undo_M2`; its former surgery of its own is kept below as
+`ref_mpair_shift`.  Every map is compared with its reference over whole
+classes to n = 8: outputs, `_trace` lists, and the type and message of
+every exception, invalid inputs included.
 
 The four bijection checks of harness run one transport kernel; its two
 former copies, the scalar one and the set-valued one, are kept below and
@@ -18,14 +20,14 @@ compared with it under faults keyed to one input.
 import pytest
 
 from fishburn import bijections, decomp, harness, stats
-from fishburn.decomp import MapResult
-from fishburn.errors import DomainError
+from fishburn.decomp import MapResult, _check_J1, _in_F, _max_stat
+from fishburn.errors import DomainError, UsageError, invariant
 from fishburn.seqcore import (ClassId, Seq, contains_bivincular_A,
                               contains_bivincular_B, enumerate_class,
                               is_ascent, is_b_class, is_c_class, is_member,
                               is_t21)
-from fishburn.stats import (maximal_positions, mpos, perm_stats, set_stats,
-                            zero_positions, zpos)
+from fishburn.stats import (maximal_positions, mpair, mpos, perm_stats,
+                            set_stats, zero_positions, zpos)
 
 
 # --- reference markers --------------------------------------------------------
@@ -230,6 +232,68 @@ def ref_vartheta_inv(s, _trace=None):
     raise AssertionError(f"paired-maximal rewind did not terminate: {tuple(s)!r}")
 
 
+# --- reference shift of the paired maximal ------------------------------------
+# The surgery mpair_shift did before it ran the steps of the walk.
+
+def ref_mpair_shift(s, direction, _trace=None):
+    """Move the paired-maximal ordinal one step up or down inside block J1.
+
+    rep and max are preserved; the local surgery depends on whether the
+    next maximal is flush against the pair (block F) or separated from it.
+    """
+    _check_J1(s)
+    p = _max_stat(s)
+    i = mpair(s)
+    if direction == "up":
+        _require(i < p - 1, f"paired maximal already next to top: {tuple(s)!r}")
+        kp = maximal_positions(s)
+        k_i, k_i1 = kp[i], kp[i + 1]
+        if _in_F(s):
+            label = "flush"
+            out = [v for idx, v in enumerate(s) if idx != k_i1 - 1]
+            out = [v + 1 if k_i - 1 <= v <= k_i1 - 2 else v for v in out]
+            out.insert(out.index(k_i), k_i - 1)
+        else:
+            label = "separated"
+            out = list(s)
+            y = out[k_i1]
+            popped = out.pop(k_i)
+            invariant(popped == k_i - 1)
+            invariant(out[k_i1 - 2] == k_i1 - 1)
+            out[k_i1 - 1] = k_i1 - 1
+            out.insert(k_i1 - 2, y)
+    elif direction == "down":
+        _require(i >= 1, f"paired maximal already first: {tuple(s)!r}")
+        KB = maximal_positions(s)
+        if KB[i] == KB[i - 1] + 1:
+            label = "undo_flush"
+            n0 = len(s)
+            out = list(s)
+            popped = out.pop(KB[i - 1] - 1)
+            invariant(popped == KB[i - 1] - 1)
+            if i + 1 <= p - 1:
+                X = KB[i + 1] - 2
+                out = [v - 1 if KB[i - 1] <= v <= X else v for v in out]
+                out.insert(KB[i + 1] - 2, X)
+            else:
+                X = n0 - 1
+                out = [v - 1 if KB[i - 1] <= v <= X else v for v in out]
+                out.append(X)
+        else:
+            label = "undo_separated"
+            out = list(s)
+            y = out[KB[i] - 2]
+            del out[KB[i] - 2]
+            invariant(out[KB[i] - 1] == KB[i] - 1)
+            out[KB[i] - 1] = y
+            out.insert(KB[i - 1], KB[i - 1] - 1)
+    else:
+        raise UsageError(f"direction must be 'up' or 'down', got {direction!r}")
+    if _trace is not None:
+        _trace.append((label, Seq(out)))
+    return Seq(out)
+
+
 # --- reference walks around the paired zero -----------------------------------
 
 def ref_theta_R(s, i, _trace=None):
@@ -355,6 +419,16 @@ def test_walks_and_rewinds(n):
             for i in range(-1, top + 1):
                 same(walk, ref_walk, s, i, traced=True)
             same(rewind, ref_rewind, s, traced=True)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_paired_maximal_shift(n):
+    """Both directions and a refused one on every member of ASC or T21:
+    block J1 and every input the shift refuses."""
+    for s in members(n, ClassId.ASC, ClassId.T21):
+        for direction in ("up", "down", "sideways"):
+            same(decomp.mpair_shift, ref_mpair_shift, s, direction,
+                 traced=True)
 
 
 # --- the transport check against its two former copies -----------------------
