@@ -1,4 +1,4 @@
-"""Profile tables counted over the step rules, with no enumeration.
+"""Statistic tables counted over the step rules, with no enumeration.
 
 A member of a sequence class in seqcore._RULES grows one entry at a time,
 and the step rule sees only (state, m, prev, v).  Prefixes that agree on the
@@ -20,14 +20,23 @@ at 0-based index m after the entry prev updates each field as follows:
   rmin   the bit set C of the values of the entries smaller than every
          later one: C <- (C & (2^v - 1)) | 2^v
                                             rmin = |C|
+  ealm   v when prev = m - 1 and v != m     ealm
+  gap    the zeros from the last zero followed by a 1 on (all of them
+         while there is none): 1 when prev = 0 and v = 1, + 1 when v = 0
+                                            zpair = zero - gap
+
+The ealm and gap rules hold on the ascent sequences, whose maximals are the
+initial run 0, 1, ..., p-1: prev = m - 1 only while the prefix is that run,
+so ealm is set once, to s[p], and stays 0 on the run itself.  So the markers
+are counted over their home class of stats.MARKERS only; mpair, mpos and
+zpos have no tracker, and every other marker table is enumerated.
 
 The fields a request needs are packed side by side into one int, so that
 the counts and bit sets of one entry move with one AND, one OR and one ADD.
-The markers of stats have no tracker: their tables are enumerated.
 
 One layer loop, _count, serves two requests.  count_table reads the
-trackers of a profile table.  count_cases reads the five-marker profile
-(rep, max, ealm, asc, zero) of each suffix case S1..S4 of the ascent
+trackers of a profile or marker table.  count_cases reads the five-marker
+profile (rep, max, ealm, asc, zero) of each suffix case S1..S4 of the ascent
 sequences, the populations of the case identities in genfun: its step rule
 is the ASC rule with the fields that decide the case (the run length p =
 max, ealm = s[p] and two flags, each set once) carried in the rule state.
@@ -37,22 +46,29 @@ from __future__ import annotations
 
 from collections import Counter
 
+from . import stats
 from .errors import UsageError
 from .seqcore import ClassId, _RULES, _asc_step
 
 # tracker -> (the field it reads, whether the statistic is the size of that
-# field as a set, and whether it is n minus the reading)
+# field as a set, whether it is n minus the reading, and the field whose
+# reading is subtracted from it, if any)
 TRACKERS = {
-    "asc": ("asc", False, False), "rep": ("used", True, True),
-    "zero": ("zero", False, False), "max": ("max", False, False),
-    "rmin": ("rmin", True, False),
+    "asc": ("asc", False, False, None), "rep": ("used", True, True, None),
+    "zero": ("zero", False, False, None), "max": ("max", False, False, None),
+    "rmin": ("rmin", True, False, None), "ealm": ("ealm", False, False, None),
+    "zpair": ("zero", False, False, "gap"),
 }
 
 
 def counted(class_id: ClassId, names: tuple) -> bool:
-    """Whether count_table serves the table of names over class_id."""
+    """Whether count_table serves the table of names over class_id; a
+    marker is served over its home class only."""
     return (class_id in _RULES and not class_id.is_permutation_class
-            and bool(names) and all(name in TRACKERS for name in names))
+            and bool(names)
+            and all(name in TRACKERS
+                    and stats.MARKERS.get(name, class_id) is class_id
+                    for name in names))
 
 
 class _Layout:
@@ -62,13 +78,17 @@ class _Layout:
     def __init__(self, names: tuple, n: int):
         self.n = n
         self.at, self.mask = {}, {}
-        offset = 0
+        fields = {}  # field -> whether it is a set
         for name in names:
-            field, is_set, _ = TRACKERS[name]
-            if field not in self.at:
-                width = n if is_set else n.bit_length()
-                self.at[field], self.mask[field] = offset, (1 << width) - 1
-                offset += width
+            field, is_set, _, minus = TRACKERS[name]
+            fields.setdefault(field, is_set)
+            if minus:
+                fields.setdefault(minus, False)
+        offset = 0
+        for field, is_set in fields.items():
+            width = n if is_set else n.bit_length()
+            self.at[field], self.mask[field] = offset, (1 << width) - 1
+            offset += width
 
     def ops(self, m: int, prev: int, v: int) -> tuple:
         """(keep, put, add) appending v at index m after prev: the fields
@@ -87,24 +107,39 @@ class _Layout:
             # candidates >= v are no longer smaller than every later entry
             keep &= ~((self.mask["rmin"] & -bit) << at["rmin"])
             put |= bit << at["rmin"]
+        if "ealm" in at and prev == m - 1 and v != m:
+            put |= v << at["ealm"]  # once, so the field is still 0
+        if "gap" in at:
+            if prev == 0 and v == 1:
+                keep &= ~(self.mask["gap"] << at["gap"])
+                put |= 1 << at["gap"]
+            add += (v == 0) << at["gap"]
         return keep, put, add
 
     def reader(self, names: tuple):
         """(rule state, packed fields) -> the tuple of the values of names,
         which the fields alone decide."""
-        plan = []
+        plan, less = [], []
         for name in names:
-            field, is_set, from_n = TRACKERS[name]
+            field, is_set, from_n, minus = TRACKERS[name]
             sign, const = (-1, self.n) if from_n else (1, 0)
             plan.append((self.at[field], self.mask[field], is_set, sign,
                          const))
+            less.append((self.at.get(minus, 0), self.mask.get(minus, 0)))
 
         def read(state, packed):
             return tuple([
                 const + sign * ((packed >> at & mask).bit_count() if is_set
                                 else packed >> at & mask)
                 for at, mask, is_set, sign, const in plan])
-        return read
+        if not any(mask for _, mask in less):
+            return read
+
+        # a subtracted field costs the profile tables nothing
+        def read_less(state, packed):
+            return tuple([value - (packed >> at & mask) for value, (at, mask)
+                          in zip(read(state, packed), less)])
+        return read_less
 
 
 def _extensions(step, layout, m, last):
@@ -177,7 +212,7 @@ def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
         raise UsageError(
             f"no step-rule count of ({', '.join(names)}) over "
             f"{class_id.name}; sequence classes with trackers: "
-            f"{', '.join(TRACKERS)}")
+            f"{', '.join(TRACKERS)} (a marker over its home class only)")
     step, state = _RULES[class_id]
     layout = _Layout(names, n)
     return dict(_count(step, state, n, layout, layout.reader(names)))

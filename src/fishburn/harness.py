@@ -233,9 +233,10 @@ def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) ->
     When every name is a profile statistic of the class (stats.SEQ_PROFILE
     or stats.PERM_PROFILE) or derived from one (nasc, iasc), the table is
     the marginal of the class's profile table at n; otherwise (a marker is
-    named) it is a table of its own.  A sequence profile table is counted
-    layer by layer over the step rules (counting.count_table); permutation
-    profiles and marker tables are enumerated.  Either table is cached on disk
+    named) it is a table of its own.  A sequence profile table, and a table
+    of ealm or zpair over ASC, is counted layer by layer over the step rules
+    (counting.count_table); permutation profiles and the tables of mpair,
+    mpos and zpos are enumerated.  Either table is cached on disk
     under one JSON file per (class, n, table statistics, code-version) key;
     set the FISHBURN_CACHE environment variable to move the cache directory.
     """
@@ -641,6 +642,8 @@ def _verify_reduce(row):
 
 
 def _verify_shift(row):
+    # the round trip from s is the opposite shift made from its image
+    shift = lru_cache(maxsize=None)(row.forward)
     member_set = set(row.domain)
     profile, sides = Counter(), {}  # sides: kept statistics -> side range
     for s in row.domain:
@@ -652,12 +655,12 @@ def _verify_shift(row):
                 ("down", "up", -1, i > side.start)):
             if not movable:
                 continue
-            moved = row.forward(s, there)
+            moved = shift(s, there)
             if (moved not in member_set or row.mark(moved) != i + step
                     or not _moved(row.values(moved), kept, row.deltas)):
                 return row.fail(input=s, output=moved,
                                 detail=f"{there} contract violated")
-            if row.forward(moved, back) != s:
+            if shift(moved, back) != s:
                 return row.fail(input=s,
                                 detail=f"{back}({there}) round trip failed")
     for _, *kept in sorted(profile):

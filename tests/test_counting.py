@@ -56,6 +56,31 @@ class TestAgainstEnumeration:
                     == enumerated(cid, n, names)), n
 
 
+# the two ascent-sequence marker tables of t_main3
+MARKER_TABLES = [("rep", "max", "ealm"), ("asc", "zero", "zpair")]
+
+
+@pytest.mark.parametrize("names", MARKER_TABLES, ids="-".join)
+def test_marker_tables_against_enumeration(names):
+    for n in range(1, 10):
+        assert (counting.count_table(ClassId.ASC, n, names)
+                == enumerated(ClassId.ASC, n, names)), n
+
+
+@pytest.mark.parametrize("names", MARKER_TABLES, ids="-".join)
+def test_marker_tables_against_brute_force(names):
+    """Read by the validating markers and scalar_stats, not the kernels."""
+    def value(s, name):
+        if name in stats.MARKERS:
+            return getattr(stats, name)(s)
+        return getattr(stats.scalar_stats(s), name)
+
+    for n in range(1, 7):
+        want = Counter(tuple(value(s, name) for name in names)
+                       for s in brute_force(ClassId.ASC, n))
+        assert counting.count_table(ClassId.ASC, n, names) == want, n
+
+
 def test_derived_names_are_served_from_the_counted_profile():
     names = ("nasc", "max", "asc", "nasc")
     for n in range(1, 9):
@@ -101,18 +126,33 @@ class TestRequests:
         # derived statistics are served as marginals of a counted profile
         assert not counting.counted(ClassId.ASC, ("nasc",))
         assert not counting.counted(ClassId.ASC, ())
-        assert not counting.counted(ClassId.ASC, ("rep", "max", "ealm"))
+        # ealm and zpair over their home class ASC only
+        assert counting.counted(ClassId.ASC, ("rep", "max", "ealm"))
+        assert counting.counted(ClassId.ASC, ("zpair", "asc", "ealm"))
+        for cid in SEQUENCE_CLASSES:
+            if cid is not ClassId.ASC:
+                assert not counting.counted(cid, ("ealm",)), cid
+                assert not counting.counted(cid, ("zero", "zpair")), cid
+        # mpair, mpos and zpos have no tracker
         assert not counting.counted(ClassId.T21, ("mpair",))
+        assert not counting.counted(ClassId.T21, ("rep", "max", "mpair"))
+        assert not counting.counted(ClassId.T21, ("mpos",))
+        assert not counting.counted(ClassId.ASC, ("zpos",))
+        assert not counting.counted(ClassId.ASC, ("zpair", "zpos"))
         assert not counting.counted(ClassId.PERM_AVOID_A, ("asc",))
         assert not counting.counted(ClassId.PERM_AVOID_A, stats.PERM_PROFILE)
         assert not counting.counted(ClassId.PERM_ALL, ("des",))
 
     @pytest.mark.parametrize("cid, n, names", [
-        (ClassId.ASC, 3, ("zpair",)), (ClassId.INV, 3, ("zpair",)),
+        (ClassId.ASC, 3, ("mpair",)), (ClassId.INV, 3, ("zpair",)),
         (ClassId.ASC, 3, ("mpos",)), (ClassId.ASC, 3, ()),
         (ClassId.PERM_AVOID_B, 3, ("zero",)), (ClassId.PERM_ALL, 3, ("des",)),
         (ClassId.ASC, 0, ("asc",)), (ClassId.ASC, True, ("asc",)),
-        (ClassId.ASC, 2.0, ("asc",))])
+        (ClassId.ASC, 2.0, ("asc",)),
+        # a marker off its home class, and the markers with no tracker
+        (ClassId.T21, 3, ("ealm",)), (ClassId.B, 3, ("rep", "ealm")),
+        (ClassId.T21, 3, ("mpair",)), (ClassId.T21, 3, ("mpos",)),
+        (ClassId.ASC, 3, ("zpos",))])
     def test_refused(self, cid, n, names):
         with pytest.raises(UsageError):
             counting.count_table(cid, n, names)

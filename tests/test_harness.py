@@ -126,8 +126,11 @@ class TestCache:
         harness.dist_table(ClassId.ASC, 5, ("rep", "max", "ealm"))
         marked = harness._cache_path(ClassId.ASC, 5, ("rep", "max", "ealm"))
         assert sorted(tmp_path.iterdir()) == sorted([profile, marked])
-        # and, as markers have no tracker, is enumerated
-        assert len(runs) == 1
+        # counted over ASC, the home class of ealm
+        assert runs[1:] == [(ClassId.ASC, 5, ("rep", "max", "ealm"))]
+        # while mpair has no tracker, so its table is enumerated
+        harness.dist_table(ClassId.T21, 5, ("rep", "max", "mpair"))
+        assert len(runs) == 2
 
     def test_code_version_covers_this_module(self, tmp_path, monkeypatch):
         before = harness._code_version()
@@ -399,10 +402,18 @@ FAULTS = {
                   _bumped(stats.PERM_PROFILE.index("des")),
                   {"n": 3, "tables": ["INV (asc,rep)", "PERM_ALL (des,iasc)"],
                    "tuple": [1, 1], "counts": [4, 3]}),
-    "marker": ("t_main3", 5, stats, "zpair", _on((0, 1, 0, 1)), _plus_one,
+    # the T21 table of t_main3 is the one whose marker is still enumerated
+    "marker": ("t_main3", 5, stats, "mpair", _on((0, 1, 1, 1)), _plus_one,
                {"n": 4, "tables": ["T21 (rep,max,mpair)",
-                                   "ASC (asc,zero,zpair)"],
-                "tuple": [2, 2, 1], "counts": [2, 1]}),
+                                   "ASC (rep,max,ealm)"],
+                "tuple": [2, 2, 1], "counts": [1, 2]}),
+    # and the two ASC tables are counted: (0, 1, 0, 1) counted with zpair 0
+    "counted_marker": ("t_main3", 5, counting, "count_table",
+                       _on_table(ClassId.ASC, 4, ("asc", "zero", "zpair")),
+                       _moved((2, 2, 1), (2, 2, 0)),
+                       {"n": 4, "tables": ["T21 (rep,max,mpair)",
+                                           "ASC (asc,zero,zpair)"],
+                        "tuple": [2, 2, 0], "counts": [2, 3]}),
 }
 
 
@@ -469,25 +480,33 @@ def test_class_counts_keep_their_caps(params):
 # enumeration, so a fault on either side makes it fail; each fault stays in
 # place for both.
 SPOT_FAULTS = {
-    # name: (module, function, which calls to corrupt, corruption,
-    #        the cached and the recomputed count of (1, 2, 2, 1, 2))
-    "counter": FAULTS["mirror"][2:6] + ((0, 1),),
+    # name: (module, function, which calls to corrupt, corruption, the
+    #        statistics of the ASC table at n = 4, its first differing key,
+    #        and the cached and the recomputed count of that key)
+    "counter": FAULTS["mirror"][2:6] + (
+        ("rep", "max"), (1, 2, 2, 1, 2), (0, 1)),
     "kernel": (stats, "seq_profile", _on((0, 0, 1, 1)),
-               _bumped(stats.SEQ_PROFILE.index("zero")), (1, 0)),
+               _bumped(stats.SEQ_PROFILE.index("zero")), ("rep", "max"),
+               (1, 2, 2, 1, 2), (1, 0)),
+    # the marker table is counted, so a fault on the marker shows only in
+    # the recount: (0, 1, 0, 1) recounted with zpair 2
+    "marker": (stats, "zpair", _on((0, 1, 0, 1)), _plus_one,
+               ("asc", "zero", "zpair"), (2, 2, 1), (2, 1)),
 }
 
 
 @pytest.mark.parametrize("fault", SPOT_FAULTS)
 def test_spot_check_sets_the_counter_against_enumeration(
         fault, tmp_path, monkeypatch):
-    module, name, hit, corrupt, (cached, recomputed) = SPOT_FAULTS[fault]
+    (module, name, hit, corrupt, names, key,
+     (cached, recomputed)) = SPOT_FAULTS[fault]
     monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
     _inject(monkeypatch, module, name, hit, corrupt)
-    harness.dist_table(ClassId.ASC, 4, ("rep", "max"))
+    harness.dist_table(ClassId.ASC, 4, names)
     report = harness.spot_check_cache(random.Random(1))
-    path = harness._cache_path(ClassId.ASC, 4, ("rep", "max"))
+    path = harness._cache_path(ClassId.ASC, 4, names)
     assert report.counterexample == {
-        "file": path.name, "tuple": [1, 2, 2, 1, 2], "cached": cached,
+        "file": path.name, "tuple": list(key), "cached": cached,
         "recomputed": recomputed}
 
 
