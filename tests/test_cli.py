@@ -84,6 +84,13 @@ EXACT = [
      "",
      "resource limit: length 13 exceeds the enumeration limit 12 for asc"
      "\n"),
+    ("enumerate --class ASC --n 0", 2,
+     "",
+     "error: length must be an integer >= 1, got 0\n"),
+    ("enumerate --class INV --n 11", 3,
+     "",
+     "resource limit: length 11 exceeds the enumeration limit 10 for inv"
+     "\n"),
     ("stats --class ASC 0,1,0,2,3,2,4,1,5", 0,
      '{"asc": 5, "rep": 3, "zero": 2, "max": 2, "rmin": 3, '
      '"nasc": 3, "ASC": [1, 3, 4, 6, 8], "DIST": [5, 6, 7, 8, 9], '
@@ -164,6 +171,12 @@ EXACT = [
     ("table --class INV --n 12 --stats asc --format csv", 3,
      "",
      "resource limit: length 12 exceeds the cap of 9 for INV\n"),
+    ("table --class ASC --n 0 --stats asc", 2,
+     "",
+     "error: length must be a positive integer, got 0\n"),
+    ("table --class PERM_ALL --n 10 --stats des", 3,
+     "",
+     "resource limit: length 10 exceeds the cap of 9 for PERM_ALL\n"),
     ("series --which G --order 4 --x 2/3 --q 3 --u 1/2 --z 5/7", 0,
      '["0", "15/7", "415/98", "39065/4116", "3940435/172872"]\n',
      ""),
@@ -186,6 +199,9 @@ EXACT = [
     ("series --which fishburn --order 13 --format csv", 3,
      "",
      "resource limit: series order 13 exceeds the cap of 12\n"),
+    ("series --which fishburn --order 0", 2,
+     "",
+     "error: series order must be a positive integer, got 0\n"),
     ("check --name inv_sym --max-n 5", 0,
      '[{"name": "inv_sym", "parameters": {"max_n": 5}, '
      '"verdict": "pass", "counterexample": null, "seconds": 0}]\n',

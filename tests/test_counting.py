@@ -161,3 +161,12 @@ class TestRequests:
     def test_case_count_refuses_a_bad_length(self, n):
         with pytest.raises(UsageError):
             counting.count_cases(n)
+
+    @pytest.mark.parametrize("count", [
+        lambda n: counting.count_table(ClassId.ASC, n, ("asc",)),
+        counting.count_cases], ids=["count_table", "count_cases"])
+    @pytest.mark.parametrize("n", [0, True])
+    def test_length_message(self, count, n):
+        with pytest.raises(UsageError) as caught:
+            count(n)
+        assert str(caught.value) == f"length must be an integer >= 1, got {n!r}"
