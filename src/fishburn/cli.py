@@ -21,7 +21,7 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 
-from . import bijections, decomp, stats
+from . import bijections, decomp, genfun, stats
 from .errors import DomainError, ResourceLimitError, UsageError
 from .genfun import (SpecPoint, admissible_for_length_series, fishburn_series,
                      random_point, series_G, series_asczero, series_zeromax)
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="exact truncated power series")
     p.add_argument("--which", required=True, choices=tuple(_SERIES))
-    p.add_argument("--order", type=int, default=9)
+    p.add_argument("--order", type=int, default=genfun.DEFAULT_ORDER)
     for marker in ("x", "q", "u", "z", "w"):
         p.add_argument(f"--{marker}",
                        help=f"marker value as an exact rational, e.g. 2/3")

@@ -48,7 +48,7 @@ from collections import Counter
 
 from . import stats
 from .errors import UsageError
-from .seqcore import ClassId, _RULES, _asc_step
+from .seqcore import ClassId, _RULES, _asc_step, check_size
 
 # tracker -> (the field it reads, whether the statistic is the size of that
 # field as a set, whether it is n minus the reading, and the field whose
@@ -198,15 +198,10 @@ def _count(step, state, n, layout, read) -> Counter:
     return table
 
 
-def _check_length(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise UsageError(f"length must be an integer >= 1, got {n!r}")
-
-
 def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
     """The joint distribution of names over the members of class_id of
     length n, as {tuple of values: count}, counted layer by layer."""
-    _check_length(n)
+    check_size(n, "length")
     names = tuple(names)
     if not counted(class_id, names):
         raise UsageError(
@@ -246,7 +241,7 @@ def count_cases(n: int) -> dict:
     """The ascent sequences of length n other than the identity run, as
     {(case, (rep, max, ealm, asc, zero)): count}, counted layer by layer;
     case is the suffix case "S1".."S4" of decomp.classify."""
-    _check_length(n)
+    check_size(n, "length")
     layout = _Layout(("rep", "zero"), n)
     fields = layout.reader(("rep", "zero"))
 

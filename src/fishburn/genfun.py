@@ -36,10 +36,9 @@ from operator import add, mul
 
 from . import counting
 from .errors import DomainError, ResourceLimitError, UsageError, invariant
-from .seqcore import ClassId
+from .seqcore import ClassId, cap, check_size
 
 DEFAULT_ORDER = 9
-MAX_ORDER = 12
 
 
 def _as_fraction(value) -> Fraction:
@@ -55,11 +54,10 @@ def _as_fraction(value) -> Fraction:
 
 
 def _check_order(order) -> int:
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise UsageError(f"series order must be a positive integer, got {order!r}")
-    if order > MAX_ORDER:
+    limit = cap("series")
+    if check_size(order, "series order") > limit:
         raise ResourceLimitError(
-            f"series order {order} exceeds the cap of {MAX_ORDER}")
+            f"series order {order} exceeds the cap of {limit}")
     return order
 
 

@@ -27,15 +27,10 @@ from .genfun import (DistTable, SpecPoint, admissible_for_case_identity,
                      admissible_for_length_series, check_case_identity,
                      eval_gf, fishburn_series, random_point, series_G,
                      series_asczero, series_zeromax)
-from .seqcore import ClassId, enumerate_class, is_member
+from .seqcore import ClassId, cap, check_size, enumerate_class, is_member
 from .stats import perm_stats, set_stats
 
 CACHE_ENV = "FISHBURN_CACHE"
-
-# Enumeration ceilings: the Fishburn-counted classes stay polynomially tame
-# through length 12, while inversion sequences and permutations grow like n!.
-FISHBURN_CAP = 12
-FACTORIAL_CAP = 9
 
 _SEQ_SCALARS = ("asc", "rep", "zero", "max", "rmin", "nasc")
 _PERM_SCALARS = ("des", "ides", "iasc", "lmax", "lmin", "rmax")
@@ -72,12 +67,10 @@ def _source_digest(paths: tuple) -> str:
 
 
 def _check_length(class_id: ClassId, n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise UsageError(f"length must be a positive integer, got {n!r}")
-    cap = FACTORIAL_CAP if class_id.factorial_capped else FISHBURN_CAP
-    if n > cap:
+    limit = cap("table", class_id)
+    if check_size(n, "length") > limit:
         raise ResourceLimitError(
-            f"length {n} exceeds the cap of {cap} for {class_id.name}")
+            f"length {n} exceeds the cap of {limit} for {class_id.name}")
     return n
 
 
@@ -452,8 +445,8 @@ def _chk_case_identities(order, points, seed):
 def _chk_class_counts(max_n, perm_max_n):
     """The sequence classes are counted over the step rules; the counter
     refuses permutation classes, so the avoiders are enumerated.  The
-    reference series refuses max_n past its order cap of 12, and the
-    enumeration perm_max_n past 10."""
+    reference series refuses max_n past the "series" cap of seqcore.CAPS,
+    and the enumeration perm_max_n past the "enumerate n!" cap."""
     reference = fishburn_series(max(max_n, perm_max_n, 1))
     jobs = [(cls, max_n) for cls in
             (ClassId.ASC, ClassId.T21, ClassId.B, ClassId.C)]
@@ -764,8 +757,6 @@ _CHECKS = {
 }
 
 CHECK_NAMES = tuple(_CHECKS)
-# the parameters that size a check: every one must be a positive integer
-_SIZE_PARAMETERS = ("max_n", "perm_max_n", "order", "sym_order", "points")
 
 
 def _check_entry(name: str) -> tuple:
@@ -784,7 +775,8 @@ def check_parameters(name: str) -> tuple:
 def merged_parameters(name: str, **params) -> dict:
     """The parameters a check runs with: its defaults, overridden by every
     value in params that is set (not None).  Refuses a parameter the check
-    does not take and a size that is not a positive integer."""
+    does not take and a size (every parameter but seed) that is not a
+    positive integer."""
     defaults = _check_entry(name)[1]
     merged = dict(defaults)
     for key, value in params.items():
@@ -797,12 +789,8 @@ def merged_parameters(name: str, **params) -> dict:
         merged[key] = value
     for key, value in merged.items():
         # a size of zero or less would pass vacuously after testing nothing
-        if key in _SIZE_PARAMETERS and (
-                not isinstance(value, int) or isinstance(value, bool)
-                or value < 1):
-            raise UsageError(
-                f"parameter {key!r} of check {name!r} must be a positive "
-                f"integer, got {value!r}")
+        if key != "seed":
+            check_size(value, f"parameter {key!r} of check {name!r}")
     return merged
 
 

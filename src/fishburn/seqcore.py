@@ -34,9 +34,29 @@ from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError, UsageError
 
-# Default enumeration ceilings; callers may raise them explicitly.
-DEFAULT_SEQ_LIMIT = 12
-DEFAULT_PERM_LIMIT = 10
+# The size table, the one copy of how far each kind of work goes:
+#   enumerate  the length ceiling of enumerate_class (its `limit` overrides it)
+#   table      the length cap of harness.dist_table
+#   series     the order cap of genfun's truncated series
+# INV and the permutation classes take the lower "n!" entries: INV and
+# PERM_ALL have n! members of length n.
+CAPS = {"enumerate": 12, "enumerate n!": 10, "table": 12, "table n!": 9,
+        "series": 12}
+
+
+def cap(kind: str, class_id: ClassId | None = None) -> int:
+    """The CAPS entry of kind for class_id, read at each call."""
+    if class_id is ClassId.INV or (class_id is not None
+                                   and class_id.is_permutation_class):
+        kind += " n!"
+    return CAPS[kind]
+
+
+def check_size(value, what: str) -> int:
+    """value, if it is a positive int (a bool is not); else UsageError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise UsageError(f"{what} must be a positive integer, got {value!r}")
+    return value
 
 
 class Seq(tuple):
@@ -136,11 +156,6 @@ class ClassId(Enum):
     @property
     def is_permutation_class(self) -> bool:
         return self in (ClassId.PERM_ALL, ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B)
-
-    @property
-    def factorial_capped(self) -> bool:
-        """INV and the permutation classes: the length caps take them as n!."""
-        return self is ClassId.INV or self.is_permutation_class
 
 
 def is_inversion(s) -> bool:
@@ -412,17 +427,12 @@ def _stream_perm(n, prefix):
 def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = None) -> Iterator:
     """Yield every length-n member once, lexicographically, extending prefix.
 
-    `limit`, a positive int, overrides the default length ceiling (10 for
-    the n! permutations and inversion sequences, 12 for the other sequence
-    classes); exceeding it raises ResourceLimitError.
+    `limit`, a positive int, overrides the default length ceiling, the
+    "enumerate" entry of CAPS; exceeding it raises ResourceLimitError.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise UsageError(f"length must be an integer >= 1, got {n!r}")
-    if limit is not None and (not isinstance(limit, int)
-                              or isinstance(limit, bool) or limit < 1):
-        raise UsageError(f"limit must be a positive integer, got {limit!r}")
-    ceiling = limit if limit is not None else (
-        DEFAULT_PERM_LIMIT if class_id.factorial_capped else DEFAULT_SEQ_LIMIT)
+    check_size(n, "length")
+    ceiling = (cap("enumerate", class_id) if limit is None
+               else check_size(limit, "limit"))
     if n > ceiling:
         raise ResourceLimitError(
             f"length {n} exceeds the enumeration limit {ceiling} for {class_id.value}")

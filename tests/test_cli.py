@@ -86,7 +86,7 @@ EXACT = [
      "\n"),
     ("enumerate --class ASC --n 0", 2,
      "",
-     "error: length must be an integer >= 1, got 0\n"),
+     "error: length must be a positive integer, got 0\n"),
     ("enumerate --class INV --n 11", 3,
      "",
      "resource limit: length 11 exceeds the enumeration limit 10 for inv"

@@ -169,4 +169,4 @@ class TestRequests:
     def test_length_message(self, count, n):
         with pytest.raises(UsageError) as caught:
             count(n)
-        assert str(caught.value) == f"length must be an integer >= 1, got {n!r}"
+        assert str(caught.value) == f"length must be a positive integer, got {n!r}"

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fishburn.errors import DomainError, ResourceLimitError, UsageError
-from fishburn.seqcore import ClassId, enumerate_class
+from fishburn.seqcore import ClassId, cap, enumerate_class
 from fishburn import decomp, genfun, stats
+
+MAX_ORDER = cap("series")
 
 FISHBURN_COUNTS = [0, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240, 201608, 1422074]
 
@@ -144,14 +146,14 @@ PINNED_SHA256 = {
 
 class TestPinnedSeries:
     def test_fishburn_series(self):
-        assert repr(genfun.fishburn_series(genfun.MAX_ORDER)) == (
+        assert repr(genfun.fishburn_series(MAX_ORDER)) == (
             "TruncSeries(order=12, coeffs=['0', '1', '2', '5', '15', '53', "
             "'217', '1014', '5335', '31240', '201608', '1422074', "
             "'10886503'])")
 
     @pytest.mark.parametrize("which, where", list(PINNED_SHA256))
     def test_marker_series(self, which, where):
-        point, order = PIN_POINTS[where], genfun.MAX_ORDER
+        point, order = PIN_POINTS[where], MAX_ORDER
         if which == "G":
             got = genfun.series_G(order, point)
         elif which == "zeromax":
@@ -389,7 +391,7 @@ units = rationals.filter(bool)
 def few_term_pairs(draw):
     """A series of at most three nonzero terms and any series, either way
     round: the factors that the series loops multiply by most."""
-    order = draw(st.integers(1, genfun.MAX_ORDER))
+    order = draw(st.integers(1, MAX_ORDER))
     coeffs = [Fraction(0)] * (order + 1)
     for k in draw(st.lists(st.integers(0, order), max_size=3, unique=True)):
         coeffs[k] = draw(units)
@@ -411,7 +413,7 @@ _FEW = {"t": _T.scale(Fraction(-5, 3)), "1-t": _ONE - _T,
 
 @st.composite
 def series_pairs(draw, unit_lead=False):
-    order = draw(st.integers(1, genfun.MAX_ORDER))
+    order = draw(st.integers(1, MAX_ORDER))
     size = st.lists(sparse_rationals, min_size=order, max_size=order)
     lead = units if unit_lead else sparse_rationals
     return tuple(genfun.TruncSeries([draw(lead)] + draw(size), order)
@@ -658,7 +660,7 @@ class TestOneBuildPerPoint:
     @given(length_points)
     @example(PIN_POINTS["mixed"])
     def test_series_G_matches_the_old_build(self, point):
-        for order in range(1, genfun.MAX_ORDER + 1):
+        for order in range(1, MAX_ORDER + 1):
             assert repr(genfun.series_G(order, point)) == repr(
                 ref_series_G(order, point))
 
@@ -666,17 +668,17 @@ class TestOneBuildPerPoint:
     @given(points)
     @example(special_point)
     def test_series_asczero_matches_the_old_build(self, point):
-        for order in range(1, genfun.MAX_ORDER + 1):
+        for order in range(1, MAX_ORDER + 1):
             for variant in genfun.ASCZERO_VARIANTS:
                 assert repr(genfun.series_asczero(
                     order, point.u, point.z, variant)) == repr(
                     ref_series_asczero(order, point.u, point.z, variant))
 
     @settings(deadline=None, max_examples=30)
-    @given(length_points, st.integers(1, genfun.MAX_ORDER - 1),
-           st.integers(1, genfun.MAX_ORDER - 1))
+    @given(length_points, st.integers(1, MAX_ORDER - 1),
+           st.integers(1, MAX_ORDER - 1))
     def test_series_G_truncates_exactly(self, point, k, j):
-        j = min(j, genfun.MAX_ORDER - k)
+        j = min(j, MAX_ORDER - k)
         longer = genfun.series_G(k + j, point)
         cut = longer.truncate(k)
         assert cut.coeffs == longer.coeffs[:k + 1]

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fishburn import seqcore
+from fishburn import genfun, harness, seqcore
 from fishburn.errors import DomainError, ResourceLimitError, UsageError
 from fishburn.seqcore import (
     ClassId,
@@ -278,6 +278,29 @@ class TestLimits:
     def test_bad_prefix(self):
         with pytest.raises(UsageError):
             next(enumerate_class(ClassId.ASC, 3, prefix=(0, -1)))
+
+
+class TestSizeTable:
+    """Every layer reads its cap from seqcore.CAPS at call time, so one
+    lowered entry lowers the cap of its layer: a copy of a cap held
+    anywhere else, even a name bound at import, keeps the old value."""
+
+    @pytest.mark.parametrize("entry, run", [
+        ("enumerate", lambda n: next(enumerate_class(ClassId.ASC, n))),
+        ("enumerate n!", lambda n: next(enumerate_class(ClassId.PERM_ALL, n))),
+        ("table", lambda n: harness.dist_table(ClassId.T21, n, ("rep",),
+                                               use_cache=False)),
+        ("table n!", lambda n: harness.dist_table(ClassId.INV, n, ("asc",),
+                                                  use_cache=False)),
+        ("series", genfun.fishburn_series),
+        ("series", genfun.series_G)],
+        ids=["enumerate", "enumerate-perm", "table", "table-inv",
+             "fishburn_series", "series_G"])
+    def test_a_lowered_entry_is_refused_past(self, monkeypatch, entry, run):
+        monkeypatch.setitem(seqcore.CAPS, entry, 4)
+        run(4)
+        with pytest.raises(ResourceLimitError, match=r"(limit|cap of) 4\b"):
+            run(5)
 
 
 class TestTextForms:
