@@ -1,12 +1,14 @@
 """Statistic tables counted over the step rules, with no enumeration.
 
-A member of a sequence class in seqcore._RULES grows one entry at a time,
-and the step rule sees only (state, m, prev, v).  Prefixes that agree on the
+A member of a class in seqcore._RULES grows one entry at a time, and the
+step rule sees only (state, m, prev, v).  Prefixes that agree on the
 rule state, on their last entry and on the running fields that the requested
 statistics read have the same extensions, with the same effect on those
 statistics, so one count stands for all of them.  A layer maps each key
 (state, prev, fields) to the number of prefixes it stands for, and the next
-layer extends every key by each admissible entry: a transfer-matrix count
+layer extends every key by each admissible entry, in the value range of
+seqcore.entry_range (0..m in a sequence, 1..n in a permutation): a
+transfer-matrix count
 (Flajolet and Sedgewick, Analytic Combinatorics, V.6) over the recursive
 construction of Bousquet-Mélou, Claesson, Dukes and Kitaev (JCTA 2010).
 
@@ -24,6 +26,15 @@ at 0-based index m after the entry prev updates each field as follows:
   gap    the zeros from the last zero followed by a 1 on (all of them
          while there is none): 1 when prev = 0 and v = 1, + 1 when v = 0
                                             zpair = zero - gap
+  des    + 1 when prev > v                  des
+  ides   + 1 when v + 1 is already placed   ides
+
+The des and ides trackers serve the permutation classes, and only they do.
+The rule state of PERM_ALL and of both avoiders is the bit set of placed
+values, which ides reads, so its step is computed once per (state, prev, v)
+and not, like the others, once per (prev, v).  The other trackers read
+sequence statistics, and their bit-set fields hold n values, which would
+lose the value n of a permutation; lmax, lmin and rmax have no tracker.
 
 The ealm and gap rules hold on the ascent sequences, whose maximals are the
 initial run 0, 1, ..., p-1: prev = m - 1 only while the prefix is that run,
@@ -48,7 +59,8 @@ from collections import Counter
 
 from . import stats
 from .errors import UsageError
-from .seqcore import ClassId, _RULES, _asc_step, check_size
+from .seqcore import (ClassId, _RULES, _asc_step, check_class, check_size,
+                      entry_range)
 
 # tracker -> (the field it reads, whether the statistic is the size of that
 # field as a set, whether it is n minus the reading, and the field whose
@@ -58,15 +70,19 @@ TRACKERS = {
     "zero": ("zero", False, False, None), "max": ("max", False, False, None),
     "rmin": ("rmin", True, False, None), "ealm": ("ealm", False, False, None),
     "zpair": ("zero", False, False, "gap"),
+    "des": ("des", False, False, None), "ides": ("ides", False, False, None),
 }
+_PERM_TRACKERS = ("des", "ides")
 
 
 def counted(class_id: ClassId, names: tuple) -> bool:
-    """Whether count_table serves the table of names over class_id; a
-    marker is served over its home class only."""
-    return (class_id in _RULES and not class_id.is_permutation_class
-            and bool(names)
+    """Whether count_table serves the table of names over class_id: des and
+    ides over the permutation classes, the other trackers over the sequence
+    classes, and a marker over its home class only."""
+    return (class_id in _RULES and bool(names)
             and all(name in TRACKERS
+                    and ((name in _PERM_TRACKERS)
+                         == class_id.is_permutation_class)
                     and stats.MARKERS.get(name, class_id) is class_id
                     for name in names))
 
@@ -101,6 +117,8 @@ class _Layout:
             add += (v == 0) << at["zero"]
         if "max" in at:
             add += (v == m) << at["max"]
+        if "des" in at:
+            add += (prev > v) << at["des"]
         if "used" in at:
             put |= bit << at["used"]
         if "rmin" in at:
@@ -142,37 +160,45 @@ class _Layout:
         return read_less
 
 
-def _extensions(step, layout, m, last):
+def _extensions(step, layout, perm, m, last):
     """(state, prev) -> the admissible entries v at index m after prev, as
     (v, next state, ops) or, at the last index, as (next state, ops).
     Memoised for the layer, as the step rule is a pure function of (state,
-    m, prev, v); the ops of each (prev, v) are computed once and shared."""
+    m, prev, v); the ops of each (prev, v) are computed once and shared,
+    and ides, which reads the state, is added to them per (state, prev,
+    v)."""
     memo, ops = {}, {}
+    values = entry_range(perm, layout.n, m)
+    ides = layout.at.get("ides")
 
-    def entry_ops(prev, v):
+    def entry_ops(state, prev, v):
         found = ops.get((prev, v))
         if found is None:
             found = ops[prev, v] = layout.ops(m, prev, v)
+        if ides is not None and state >> (v + 1) & 1:
+            keep, put, add = found
+            return keep, put, add + (1 << ides)
         return found
 
     def extend(state, prev):
         found = memo.get((state, prev))
         if found is None:
             found = memo[state, prev] = tuple(
-                (nxt, entry_ops(prev, v)) if last
-                else (v, nxt, entry_ops(prev, v))
-                for v in range(m + 1)
+                (nxt, entry_ops(state, prev, v)) if last
+                else (v, nxt, entry_ops(state, prev, v))
+                for v in values
                 if (nxt := step(state, m, prev, v)) is not None)
         return found
     return extend
 
 
-def _count(step, state, n, layout, read) -> Counter:
+def _count(step, state, n, layout, read, perm=False) -> Counter:
     """{read(final state, packed fields): count} over the length-n members
-    of the class that the step rule grows from state."""
+    of the class that the step rule grows from state, a permutation class
+    when perm is set."""
     layer = {(state, 0, 0): 1}
     for m in range(n - 2):
-        extend = _extensions(step, layout, m, False)
+        extend = _extensions(step, layout, perm, m, False)
         grown = {}
         for (state, prev, fields), count in layer.items():
             for v, nxt, (keep, put, add) in extend(state, prev):
@@ -181,7 +207,7 @@ def _count(step, state, n, layout, read) -> Counter:
         layer = grown
     # The last two entries (one when n = 1) of each key go straight into the
     # table, so the two widest layers are never held.
-    last = _extensions(step, layout, n - 1, True)
+    last = _extensions(step, layout, perm, n - 1, True)
     table = Counter()
 
     def finish(state, prev, fields, count):
@@ -191,7 +217,7 @@ def _count(step, state, n, layout, read) -> Counter:
     if n == 1:
         finish(state, 0, 0, 1)
         return table
-    extend = _extensions(step, layout, n - 2, False)
+    extend = _extensions(step, layout, perm, n - 2, False)
     for (state, prev, fields), count in layer.items():
         for v, nxt, (keep, put, add) in extend(state, prev):
             finish(nxt, v, (fields & keep | put) + add, count)
@@ -201,16 +227,19 @@ def _count(step, state, n, layout, read) -> Counter:
 def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
     """The joint distribution of names over the members of class_id of
     length n, as {tuple of values: count}, counted layer by layer."""
+    check_class(class_id)
     check_size(n, "length")
     names = tuple(names)
     if not counted(class_id, names):
         raise UsageError(
             f"no step-rule count of ({', '.join(names)}) over "
-            f"{class_id.name}; sequence classes with trackers: "
-            f"{', '.join(TRACKERS)} (a marker over its home class only)")
+            f"{class_id.name}; trackers: {', '.join(TRACKERS)} (des and ides "
+            f"over the permutation classes only, the others over the "
+            f"sequence classes, a marker over its home class only)")
     step, state = _RULES[class_id]
     layout = _Layout(names, n)
-    return dict(_count(step, state, n, layout, layout.reader(names)))
+    return dict(_count(step, state, n, layout, layout.reader(names),
+                       class_id.is_permutation_class))
 
 
 def _case_step(state, m, prev, v):

@@ -27,7 +27,8 @@ from .genfun import (DistTable, SpecPoint, admissible_for_case_identity,
                      admissible_for_length_series, check_case_identity,
                      eval_gf, fishburn_series, random_point, series_G,
                      series_asczero, series_zeromax)
-from .seqcore import ClassId, cap, check_size, enumerate_class, is_member
+from .seqcore import (ClassId, cap, check_class, check_size, enumerate_class,
+                      is_member)
 from .stats import perm_stats, set_stats
 
 CACHE_ENV = "FISHBURN_CACHE"
@@ -36,6 +37,11 @@ _SEQ_SCALARS = ("asc", "rep", "zero", "max", "rmin", "nasc")
 _PERM_SCALARS = ("des", "ides", "iasc", "lmax", "lmin", "rmax")
 # statistics read off a profile entry x of a length-n object as n - 1 - x
 _DERIVED = {"nasc": "asc", "iasc": "ides"}
+# the statistics that the table checks read, of which each (class, n) has
+# one table: (asc, rep, zero, max) on sequences, Foata's (des, ides) on
+# permutations
+_SEQ_CORE = ("asc", "rep", "zero", "max")
+_PERM_CORE = ("des", "ides")
 
 
 def cache_dir() -> Path:
@@ -74,11 +80,6 @@ def _check_length(class_id: ClassId, n) -> int:
     return n
 
 
-def _profile(class_id: ClassId) -> tuple:
-    return (stats.PERM_PROFILE if class_id.is_permutation_class
-            else stats.SEQ_PROFILE)
-
-
 def _slot(profile: tuple, name: str) -> tuple:
     """(index in profile, whether name is derived as n - 1 - x from it)."""
     base = _DERIVED.get(name, name)
@@ -94,7 +95,7 @@ def _value_fn(class_id: ClassId, names: tuple):
     traced bindings are the ones exercised.
     """
     perm = class_id.is_permutation_class
-    profile = _profile(class_id)
+    profile = stats.PERM_PROFILE if perm else stats.SEQ_PROFILE
     slots = []  # (marker or None, profile index, derived)
     for name in names:
         if name in (_PERM_SCALARS if perm else _SEQ_SCALARS):
@@ -132,11 +133,11 @@ def _value_fn(class_id: ClassId, names: tuple):
 
 
 def _table_stats(class_id: ClassId, names: tuple) -> tuple:
-    """Statistics of the table that serves names: the class's profile when
-    every name is a profile statistic or derived from one, else names."""
-    profile = _profile(class_id)
-    if all(_DERIVED.get(name, name) in profile for name in names):
-        return profile
+    """Statistics of the table that serves names: the class's core when
+    every name is a core statistic or derived from one, else names."""
+    core = _PERM_CORE if class_id.is_permutation_class else _SEQ_CORE
+    if all(_DERIVED.get(name, name) in core for name in names):
+        return core
     return names
 
 
@@ -223,19 +224,18 @@ def _marginal(table: DistTable, names: tuple) -> DistTable:
 def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) -> DistTable:
     """Exact joint distribution of the named statistics over a class.
 
-    When every name is a profile statistic of the class (stats.SEQ_PROFILE
-    or stats.PERM_PROFILE) or derived from one (nasc, iasc), the table is
-    the marginal of the class's profile table at n; otherwise (a marker is
-    named) it is a table of its own.  A sequence profile table, and a table
-    of ealm or zpair over ASC, is counted layer by layer over the step rules
-    (counting.count_table); permutation profiles and the tables of mpair,
-    mpos and zpos are enumerated.  Either table is cached on disk
+    When every name is a core statistic of the class, (asc, rep, zero, max)
+    on sequences or (des, ides) on permutations, or derived from one (nasc,
+    iasc), the table is the marginal of the class's core table at n;
+    otherwise (rmin, a permutation record or a marker is named) it is a
+    table of its own.  Every core table, and a table of rmin or of ealm or
+    zpair over ASC, is counted layer by layer over the step rules
+    (counting.count_table); the tables of the permutation records and of
+    mpair, mpos and zpos are enumerated.  Either table is cached on disk
     under one JSON file per (class, n, table statistics, code-version) key;
     set the FISHBURN_CACHE environment variable to move the cache directory.
     """
-    if not isinstance(class_id, ClassId):
-        raise UsageError(f"expected a ClassId, got {class_id!r}")
-    n = _check_length(class_id, n)
+    n = _check_length(check_class(class_id), n)
     names = tuple(stat_names)
     if not names:
         raise UsageError("at least one statistic name is required")
@@ -443,23 +443,26 @@ def _chk_case_identities(order, points, seed):
 
 
 def _chk_class_counts(max_n, perm_max_n):
-    """The sequence classes are counted over the step rules; the counter
-    refuses permutation classes, so the avoiders are enumerated.  The
+    """Every class is counted over the step rules, the sequence classes as
+    the total of their asc table and the avoiders of their des table.  The
     reference series refuses max_n past the "series" cap of seqcore.CAPS,
-    and the enumeration perm_max_n past the "enumerate n!" cap."""
+    and perm_max_n is refused past the "enumerate n!" cap, the reach of the
+    enumeration that the avoider counts stand in for."""
+    limit = cap("enumerate", ClassId.PERM_AVOID_A)
+    if perm_max_n > limit:
+        raise ResourceLimitError(
+            f"length {perm_max_n} exceeds the enumeration limit {limit} "
+            f"for the avoider classes")
     reference = fishburn_series(max(max_n, perm_max_n, 1))
-    jobs = [(cls, max_n) for cls in
+    jobs = [(cls, max_n, ("asc",)) for cls in
             (ClassId.ASC, ClassId.T21, ClassId.B, ClassId.C)]
-    jobs += [(cls, perm_max_n) for cls in
+    jobs += [(cls, perm_max_n, ("des",)) for cls in
              (ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B)]
     for n in range(1, max(max_n, perm_max_n) + 1):
-        for cls, cap in jobs:
-            if n > cap:
+        for cls, top, names in jobs:
+            if n > top:
                 continue
-            if cls.is_permutation_class:
-                count = sum(1 for _ in enumerate_class(cls, n))
-            else:
-                count = sum(counting.count_table(cls, n, ("asc",)).values())
+            count = sum(counting.count_table(cls, n, names).values())
             expected = reference.coefficient(n)
             if count != expected:
                 return {"n": n, "class": cls, "expected": int(expected),
@@ -811,9 +814,9 @@ def spot_check_cache(rng=None) -> CheckReport:
     enumeration and compare.
 
     Run alongside the full suite to catch stale or corrupted cache files;
-    when it draws a sequence profile, which dist_table counts over the step
-    rules, it also sets the counter against the enumerator.  Passes
-    vacuously when the cache is empty.
+    when it draws a table that dist_table counts over the step rules, such
+    as a core table, it also sets the counter against the enumerator.
+    Passes vacuously when the cache is empty.
     """
     rng = rng or random.Random()
     start = time.perf_counter()

@@ -52,6 +52,13 @@ def cap(kind: str, class_id: ClassId | None = None) -> int:
     return CAPS[kind]
 
 
+def check_class(class_id) -> ClassId:
+    """class_id, if it is a ClassId; else UsageError."""
+    if not isinstance(class_id, ClassId):
+        raise UsageError(f"expected a ClassId, got {class_id!r}")
+    return class_id
+
+
 def check_size(value, what: str) -> int:
     """value, if it is a positive int (a bool is not); else UsageError."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -277,9 +284,9 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 # --- enumeration ---------------------------------------------------------
 #
 # One prefix extension generates every class but PERM_ALL.  Appending v at
-# 0-based index m after the entry prev (0 at m = 0) needs v in range (0..m
-# for sequences, 1..n for permutations) and the class's step rule
-# step(state, m, prev, v) to return the next state, not None:
+# 0-based index m after the entry prev (0 at m = 0) needs v in the range of
+# entry_range (0..m for sequences, 1..n for permutations) and the class's
+# step rule step(state, m, prev, v) to return the next state, not None:
 #   INV           any v; the state never changes
 #   ASC           v <= asc + 1, with the ascent count as state (the range
 #                 already forces the first entry to 0)
@@ -291,6 +298,7 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 #   PERM_AVOID_A  v unplaced and, at an ascent prev < v, prev = 1 or prev - 1
 #                 placed; the state is the bit set of placed values
 #   PERM_AVOID_B  v unplaced and, at an ascent prev < v, v - 1 placed
+#   PERM_ALL      v unplaced; the state is the bit set of placed values
 # The prefix goes through the same range and rule, so a dead or out-of-range
 # prefix yields nothing.  The walk is depth-first over a stack of iterators,
 # so a member is yielded from one frame, not through n nested ones.
@@ -300,10 +308,17 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 # every (state, m, prev) it meets in a dict of its own and reuses them, so
 # most nodes cost one lookup instead of a call per candidate value.  The
 # nodes at index n - 1 push no iterator: their leaves are emitted from the
-# cached list in the parent's frame.  PERM_ALL has nothing to prune:
-# itertools.permutations gives its tails.  counting.count_table relies on
-# the same purity: it merges the prefixes that agree on (state, prev) and on
-# the statistics it tracks, and counts them together.
+# cached list in the parent's frame.  PERM_ALL has nothing to prune, so
+# enumerate_class takes its tails from itertools.permutations; its rule
+# serves counting.count_table, which relies on the same purity: it merges
+# the prefixes that agree on (state, prev) and on the statistics it tracks,
+# and counts them together.
+
+
+def entry_range(perm: bool, n: int, m: int) -> range:
+    """The values an entry at 0-based index m of a length-n member may take:
+    1..n in a permutation, 0..m in an inversion sequence."""
+    return range(1, n + 1) if perm else range(m + 1)
 
 
 def _inv_step(state, m, prev, v):
@@ -353,6 +368,12 @@ def _avoid_b_step(placed, m, prev, v):
     return placed | 1 << v
 
 
+def _perm_step(placed, m, prev, v):
+    if placed >> v & 1:
+        return None
+    return placed | 1 << v
+
+
 # class -> (step rule, initial state)
 _RULES = {
     ClassId.INV: (_inv_step, 0),
@@ -362,13 +383,14 @@ _RULES = {
     ClassId.C: (_c_step, 0),
     ClassId.PERM_AVOID_A: (_avoid_a_step, 0),
     ClassId.PERM_AVOID_B: (_avoid_b_step, 0),
+    ClassId.PERM_ALL: (_perm_step, 0),
 }
 
 
 def _stream(n, prefix, step, state, perm):
-    cls, lo = (Perm, 1) if perm else (Seq, 0)
+    cls = Perm if perm else Seq
     for m, v in enumerate(prefix):
-        if not lo <= v <= (n if perm else m):
+        if v not in entry_range(perm, n, m):
             return
         state = step(state, m, prefix[m - 1] if m else 0, v)
         if state is None:
@@ -384,7 +406,7 @@ def _stream(n, prefix, step, state, perm):
         pairs = memo.get(key)
         if pairs is None:
             pairs = memo[key] = [
-                (v, nxt) for v in range(lo, (n if perm else m) + 1)
+                (v, nxt) for v in entry_range(perm, n, m)
                 if (nxt := step(state, m, prev, v)) is not None]
         return pairs
 
@@ -430,6 +452,7 @@ def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = No
     `limit`, a positive int, overrides the default length ceiling, the
     "enumerate" entry of CAPS; exceeding it raises ResourceLimitError.
     """
+    check_class(class_id)
     check_size(n, "length")
     ceiling = (cap("enumerate", class_id) if limit is None
                else check_size(limit, "limit"))

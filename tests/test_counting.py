@@ -11,6 +11,8 @@ from fishburn.seqcore import ClassId, Seq, is_member
 
 SEQUENCE_CLASSES = [cid for cid in seqcore._RULES
                     if not cid.is_permutation_class]
+PERMUTATION_CLASSES = [ClassId.PERM_ALL, ClassId.PERM_AVOID_A,
+                       ClassId.PERM_AVOID_B]
 
 
 def enumerated(cid, n, names):
@@ -34,6 +36,7 @@ def brute_table(members, names):
 def test_every_sequence_class_has_a_step_rule():
     assert SEQUENCE_CLASSES == [ClassId.INV, ClassId.ASC, ClassId.T21,
                                 ClassId.B, ClassId.C]
+    assert set(seqcore._RULES) == set(ClassId)
 
 
 class TestAgainstEnumeration:
@@ -88,6 +91,31 @@ def test_derived_names_are_served_from_the_counted_profile():
         assert got.counts == enumerated(ClassId.ASC, n, names), n
 
 
+@pytest.mark.parametrize("cid", PERMUTATION_CLASSES, ids=lambda c: c.name)
+@pytest.mark.parametrize("names", [("des",), ("ides",), ("des", "ides"),
+                                   ("ides", "des")], ids="-".join)
+def test_permutation_tables_against_enumeration(cid, names):
+    for n in range(1, 8):
+        assert (counting.count_table(cid, n, names)
+                == enumerated(cid, n, names)), n
+
+
+def test_foata_table_against_enumeration():
+    # (des, iasc), served as the marginal of the counted (des, ides) core
+    names = ("des", "iasc")
+    for n in range(1, 9):
+        got = harness.dist_table(ClassId.PERM_ALL, n, names, use_cache=False)
+        assert got.counts == enumerated(ClassId.PERM_ALL, n, names), n
+
+
+@pytest.mark.parametrize("cid", SEQUENCE_CLASSES, ids=lambda c: c.name)
+def test_core_tables_against_enumeration(cid):
+    core = harness._SEQ_CORE
+    for n in range(1, 8):
+        got = harness.dist_table(cid, n, core, use_cache=False)
+        assert got.counts == enumerated(cid, n, core), n
+
+
 @pytest.mark.parametrize("cid", SEQUENCE_CLASSES, ids=lambda c: c.name)
 def test_against_brute_force(cid):
     """Membership by is_member is the one reference that does not read the
@@ -139,23 +167,42 @@ class TestRequests:
         assert not counting.counted(ClassId.T21, ("mpos",))
         assert not counting.counted(ClassId.ASC, ("zpos",))
         assert not counting.counted(ClassId.ASC, ("zpair", "zpos"))
-        assert not counting.counted(ClassId.PERM_AVOID_A, ("asc",))
-        assert not counting.counted(ClassId.PERM_AVOID_A, stats.PERM_PROFILE)
-        assert not counting.counted(ClassId.PERM_ALL, ("des",))
+        # des and ides over the permutation classes only, and no other
+        # tracker there
+        for cid in PERMUTATION_CLASSES:
+            assert counting.counted(cid, ("des",)), cid
+            assert counting.counted(cid, ("ides", "des", "ides")), cid
+            assert not counting.counted(cid, ("asc",)), cid
+            assert not counting.counted(cid, ("des", "rep")), cid
+            assert not counting.counted(cid, stats.PERM_PROFILE), cid
+            assert not counting.counted(cid, ("lmax",)), cid
+        for cid in SEQUENCE_CLASSES:
+            assert not counting.counted(cid, ("des",)), cid
+            assert not counting.counted(cid, ("asc", "ides")), cid
 
     @pytest.mark.parametrize("cid, n, names", [
         (ClassId.ASC, 3, ("mpair",)), (ClassId.INV, 3, ("zpair",)),
         (ClassId.ASC, 3, ("mpos",)), (ClassId.ASC, 3, ()),
-        (ClassId.PERM_AVOID_B, 3, ("zero",)), (ClassId.PERM_ALL, 3, ("des",)),
+        (ClassId.PERM_AVOID_B, 3, ("zero",)), (ClassId.PERM_ALL, 3, ("lmax",)),
         (ClassId.ASC, 0, ("asc",)), (ClassId.ASC, True, ("asc",)),
         (ClassId.ASC, 2.0, ("asc",)),
         # a marker off its home class, and the markers with no tracker
         (ClassId.T21, 3, ("ealm",)), (ClassId.B, 3, ("rep", "ealm")),
         (ClassId.T21, 3, ("mpair",)), (ClassId.T21, 3, ("mpos",)),
-        (ClassId.ASC, 3, ("zpos",))])
+        (ClassId.ASC, 3, ("zpos",)),
+        # the permutation trackers off the permutation classes, and the
+        # sequence trackers on them
+        (ClassId.ASC, 3, ("des",)), (ClassId.PERM_ALL, 3, ("des", "rmin")),
+        (ClassId.PERM_AVOID_A, 3, ("ides", "rep"))])
     def test_refused(self, cid, n, names):
         with pytest.raises(UsageError):
             counting.count_table(cid, n, names)
+
+    @pytest.mark.parametrize("cid", ["asc", None, 0])
+    def test_refuses_a_class_that_is_no_class_id(self, cid):
+        with pytest.raises(UsageError) as caught:
+            counting.count_table(cid, 3, ("asc",))
+        assert str(caught.value) == f"expected a ClassId, got {cid!r}"
 
     @pytest.mark.parametrize("n", [0, True, 2.0])
     def test_case_count_refuses_a_bad_length(self, n):

@@ -119,18 +119,48 @@ class TestCache:
         for names in (("rep", "max"), ("asc", "zero"),
                       ("zero", "max", "nasc")):
             harness.dist_table(ClassId.ASC, 5, names)
-        profile = harness._cache_path(ClassId.ASC, 5, ("rep", "max"))
-        assert sorted(tmp_path.iterdir()) == [profile]
-        assert runs == [(ClassId.ASC, 5, stats.SEQ_PROFILE)]
+        core = harness._cache_path(ClassId.ASC, 5, ("rep", "max"))
+        assert sorted(tmp_path.iterdir()) == [core]
+        assert core.name.startswith("ASC_n5_asc-rep-zero-max_")
+        assert runs == [(ClassId.ASC, 5, ("asc", "rep", "zero", "max"))]
         # a marker table is a table of its own
         harness.dist_table(ClassId.ASC, 5, ("rep", "max", "ealm"))
         marked = harness._cache_path(ClassId.ASC, 5, ("rep", "max", "ealm"))
-        assert sorted(tmp_path.iterdir()) == sorted([profile, marked])
+        assert sorted(tmp_path.iterdir()) == sorted([core, marked])
         # counted over ASC, the home class of ealm
         assert runs[1:] == [(ClassId.ASC, 5, ("rep", "max", "ealm"))]
         # while mpair has no tracker, so its table is enumerated
         harness.dist_table(ClassId.T21, 5, ("rep", "max", "mpair"))
         assert len(runs) == 2
+
+    def test_names_off_the_core_get_files_of_their_own(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+        runs = []
+        real = counting.count_table
+
+        def counted(class_id, n, names):
+            runs.append((class_id, names))
+            return real(class_id, n, names)
+
+        monkeypatch.setattr(counting, "count_table", counted)
+        requests = [(ClassId.ASC, ("rep", "max")), (ClassId.ASC, ("rmin",)),
+                    (ClassId.ASC, ("asc", "rmin")),
+                    (ClassId.PERM_ALL, ("des",)),
+                    (ClassId.PERM_ALL, ("iasc", "des")),
+                    (ClassId.PERM_ALL, ("lmax",))]
+        for cid, names in requests:
+            harness.dist_table(cid, 5, names)
+        assert sorted(path.name.rsplit("_", 1)[0]
+                      for path in tmp_path.iterdir()) == [
+            "ASC_n5_asc-rep-zero-max", "ASC_n5_asc-rmin", "ASC_n5_rmin",
+            "PERM_ALL_n5_des-ides", "PERM_ALL_n5_lmax"]
+        # the rmin tables and the permutation core are counted, the lmax
+        # table is enumerated
+        assert runs == [(ClassId.ASC, ("asc", "rep", "zero", "max")),
+                        (ClassId.ASC, ("rmin",)),
+                        (ClassId.ASC, ("asc", "rmin")),
+                        (ClassId.PERM_ALL, ("des", "ides"))]
 
     def test_code_version_covers_this_module(self, tmp_path, monkeypatch):
         before = harness._code_version()
@@ -373,10 +403,10 @@ FAULTS = {
                      {"map": "ealm_shift", "n": 4,
                       "detail": "count depends on the marker at rep=1, "
                                 "max=3"}),
-    # the count of (0, 0, 1, 1), profile (1, 2, 2, 1, 2), with zero raised
+    # the count of (0, 0, 1, 1), core (1, 2, 2, 1), with zero raised
     "mirror": ("conjecture1", 4, counting, "count_table",
-               _on_table(ClassId.ASC, 4, stats.SEQ_PROFILE),
-               _moved((1, 2, 2, 1, 2), (1, 2, 3, 1, 2)),
+               _on_table(ClassId.ASC, 4, ("asc", "rep", "zero", "max")),
+               _moved((1, 2, 2, 1), (1, 2, 3, 1)),
                {"n": 4, "tuple": [1, 2, 3, 1], "count": 3,
                 "mirror": [2, 1, 1, 3], "mirror_count": 2}),
     "setvalued": ("phi_setvalued", 4, bijections, "phi", _on((2, 1, 3)),
@@ -398,8 +428,11 @@ FAULTS = {
     "coverage": ("lehmer_quadruple", 4, harness, "enumerate_class",
                  _on_table(ClassId.PERM_ALL, 3), lambda _, out: (*out,)[:-1],
                  {"n": 3, "detail": "image covers 5 of 6 members of INV"}),
-    "agreement": ("foata", 4, stats, "perm_profile", _on((2, 1, 3)),
-                  _bumped(stats.PERM_PROFILE.index("des")),
+    # the (des, ides) table of PERM_ALL is counted: the count of 213, core
+    # (1, 1), with des raised
+    "agreement": ("foata", 4, counting, "count_table",
+                  _on_table(ClassId.PERM_ALL, 3, ("des", "ides")),
+                  _moved((1, 1), (2, 1)),
                   {"n": 3, "tables": ["INV (asc,rep)", "PERM_ALL (des,iasc)"],
                    "tuple": [1, 1], "counts": [4, 3]}),
     # the T21 table of t_main3 is the one whose marker is still enumerated
@@ -469,6 +502,19 @@ def test_class_count_fault_is_reported_as_pinned(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # and no table was cached
 
 
+def test_avoider_count_fault_is_reported_as_pinned(tmp_path, monkeypatch):
+    # the avoiders are counted too, up to perm_max_n: one count too many of
+    # PERM_AVOID_B at n = 4, the top size
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    _inject(monkeypatch, counting, "count_table",
+            _on_table(ClassId.PERM_AVOID_B, 4, ("des",)),
+            lambda _, out: {**out, (0,): out[(0,)] + 1})
+    report = harness.run_check("class_counts", max_n=2, perm_max_n=4)
+    assert report.as_dict()["counterexample"] == {
+        "n": 4, "class": "PERM_AVOID_B", "expected": 15, "actual": 16}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("params", [{"max_n": 13, "perm_max_n": 1},
                                     {"max_n": 1, "perm_max_n": 11}])
 def test_class_counts_keep_their_caps(params):
@@ -484,10 +530,10 @@ SPOT_FAULTS = {
     #        statistics of the ASC table at n = 4, its first differing key,
     #        and the cached and the recomputed count of that key)
     "counter": FAULTS["mirror"][2:6] + (
-        ("rep", "max"), (1, 2, 2, 1, 2), (0, 1)),
+        ("rep", "max"), (1, 2, 2, 1), (0, 1)),
     "kernel": (stats, "seq_profile", _on((0, 0, 1, 1)),
                _bumped(stats.SEQ_PROFILE.index("zero")), ("rep", "max"),
-               (1, 2, 2, 1, 2), (1, 0)),
+               (1, 2, 2, 1), (1, 0)),
     # the marker table is counted, so a fault on the marker shows only in
     # the recount: (0, 1, 0, 1) recounted with zpair 2
     "marker": (stats, "zpair", _on((0, 1, 0, 1)), _plus_one,

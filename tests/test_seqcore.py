@@ -279,6 +279,12 @@ class TestLimits:
         with pytest.raises(UsageError):
             next(enumerate_class(ClassId.ASC, 3, prefix=(0, -1)))
 
+    @pytest.mark.parametrize("cid", ["asc", None, 0])
+    def test_class_must_be_a_class_id(self, cid):
+        with pytest.raises(UsageError) as caught:
+            enumerate_class(cid, 3)
+        assert str(caught.value) == f"expected a ClassId, got {cid!r}"
+
 
 class TestSizeTable:
     """Every layer reads its cap from seqcore.CAPS at call time, so one
