@@ -202,6 +202,27 @@ EXACT = [
     ("series --which fishburn --order 0", 2,
      "",
      "error: series order must be a positive integer, got 0\n"),
+    ("series --which G --x abc", 2,
+     "",
+     "error: not an exact rational: 'abc' (write e.g. 2/3)\n"),
+    ("series --which G --x 1/0", 2,
+     "",
+     "error: not an exact rational: '1/0' (write e.g. 2/3)\n"),
+    ("series --which zeromax --q 2/3 --z zz", 2,
+     "",
+     "error: not an exact rational: 'zz' (write e.g. 2/3)\n"),
+    ("check --name conjecture1", 0,
+     '[{"name": "conjecture1", "parameters": {"max_n": 10}, '
+     '"verdict": "pass", "counterexample": null, "seconds": 0}]\n',
+     ""),
+    ("check --name zeromax_sym", 0,
+     '[{"name": "zeromax_sym", "parameters": {"max_n": 10}, '
+     '"verdict": "pass", "counterexample": null, "seconds": 0}]\n',
+     ""),
+    ("check --name inv_sym", 0,
+     '[{"name": "inv_sym", "parameters": {"max_n": 8}, '
+     '"verdict": "pass", "counterexample": null, "seconds": 0}]\n',
+     ""),
     ("check --name inv_sym --max-n 5", 0,
      '[{"name": "inv_sym", "parameters": {"max_n": 5}, '
      '"verdict": "pass", "counterexample": null, "seconds": 0}]\n',

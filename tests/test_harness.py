@@ -1,7 +1,6 @@
 """Distribution tables, the disk cache, and the named check suite."""
 
 import dataclasses
-import io
 import json
 import random
 import sys
@@ -73,15 +72,17 @@ class TestCache:
         assert again.counts == t.counts
 
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300])
-    def test_file_text_is_the_json_dump_text(self, rows):
-        # the rows are written a block at a time, across block boundaries
-        payload = {"class": "ASC", "n": 9, "stats": ["rep", "max"],
-                   "version": "0" * 12,
-                   "counts": [[[i, i % 7], 31 * i] for i in range(rows)]}
-        handle, want = io.StringIO(), io.StringIO()
-        harness._write_json(handle, payload)
-        json.dump(payload, want)
-        assert handle.getvalue() == want.getvalue()
+    def test_file_text_is_the_json_dump_text(self, rows, tmp_path):
+        # the stored text of a table of any size, the empty one too, is
+        # the json.dumps text of its payload, rows in key order
+        counts = {(i, i % 7): 31 * i for i in reversed(range(rows))}
+        path = tmp_path / "table.json"
+        harness._store_table(
+            path, genfun.DistTable(ClassId.ASC, 9, ("rep", "max"), counts))
+        assert path.read_text() == json.dumps({
+            "class": "ASC", "n": 9, "stats": ["rep", "max"],
+            "version": harness._code_version(),
+            "counts": [[[i, i % 7], 31 * i] for i in range(rows)]})
 
     def test_corrupt_file_is_recomputed(self, tmp_path, monkeypatch):
         t, path = self.table_path(tmp_path, monkeypatch)
