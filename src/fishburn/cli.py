@@ -19,7 +19,6 @@ import json
 import random
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 
 from . import bijections, decomp, genfun, stats
 from .errors import DomainError, ResourceLimitError, UsageError
@@ -28,13 +27,6 @@ from .genfun import (SpecPoint, admissible_for_length_series, fishburn_series,
 from .harness import (CHECK_NAMES, check_parameters, dist_table,
                       merged_parameters, run_check, spot_check_cache)
 from .seqcore import ClassId, Perm, Seq, enumerate_class, is_member
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"not an exact rational: {text!r} (write e.g. 2/3)")
 
 
 def _parse_object(class_id: ClassId, text: str):
@@ -237,7 +229,7 @@ def _series_point(args, allowed) -> SpecPoint:
         point = random_point(rng, constraint)
         print(f"point: {json.dumps(point.as_dict())}", file=sys.stderr)
         return point
-    return SpecPoint(**{k: _parse_fraction(v) for k, v in given.items()})
+    return SpecPoint(**given)
 
 
 def _cmd_series(args) -> tuple:

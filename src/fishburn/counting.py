@@ -153,7 +153,7 @@ class _Layout:
         if not any(mask for _, mask in less):
             return read
 
-        # a subtracted field costs the profile tables nothing
+        # a subtracted field costs the core tables nothing
         def read_less(state, packed):
             return tuple([value - (packed >> at & mask) for value, (at, mask)
                           in zip(read(state, packed), less)])

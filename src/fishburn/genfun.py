@@ -42,14 +42,14 @@ DEFAULT_ORDER = 9
 
 
 def _as_fraction(value) -> Fraction:
-    # strings like "2/3" come straight from CLI flags
+    # the one rational parser: strings like "2/3" come straight from CLI flags
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse {value!r} as an exact rational")
+            raise UsageError(f"not an exact rational: {value!r} (write e.g. 2/3)")
     raise UsageError(f"expected an exact rational, got {type(value).__name__}")
 
 

@@ -570,8 +570,9 @@ class TestCheck:
         assert (code, seconds_dropped(out), err) == (1, (
             'name,verdict,seconds,parameters,counterexample\r\n'
             'conjecture1,fail,0,"{""max_n"": 3}","{""n"": 3, '
-            '""tuple"": [0, 2, 3, 1], ""count"": 2, ""mirror"": [2, 0, 1, '
-            '3], ""mirror_count"": 1}"\r\n'), "")
+            '""tables"": [""ASC (asc,rep,zero,max)"", '
+            '""ASC (rep,asc,max,zero)""], ""tuple"": [0, 2, 3, 1], '
+            '""counts"": [2, 1]}"\r\n'), "")
 
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "check", "--name", "inv_sym",

@@ -264,7 +264,7 @@ class TestReports:
 
     def test_doctored_table_produces_a_counterexample(
             self, tmp_path, monkeypatch):
-        # poison the cached quadruple table and the mirror check must fail
+        # poison the cached quadruple table and conjecture1 must fail
         monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
         stats = ("asc", "rep", "zero", "max")
         harness.dist_table(ClassId.ASC, 3, stats)
@@ -404,12 +404,15 @@ FAULTS = {
                      {"map": "ealm_shift", "n": 4,
                       "detail": "count depends on the marker at rep=1, "
                                 "max=3"}),
-    # the count of (0, 0, 1, 1), core (1, 2, 2, 1), with zero raised
+    # the count of (0, 0, 1, 1), core (1, 2, 2, 1), with zero raised: the
+    # first key of either table whose counts differ is (1, 2, 2, 1), now
+    # empty in the core, against (2, 1, 1, 2) read as (rep, asc, max, zero)
     "mirror": ("conjecture1", 4, counting, "count_table",
                _on_table(ClassId.ASC, 4, ("asc", "rep", "zero", "max")),
                _moved((1, 2, 2, 1), (1, 2, 3, 1)),
-               {"n": 4, "tuple": [1, 2, 3, 1], "count": 3,
-                "mirror": [2, 1, 1, 3], "mirror_count": 2}),
+               {"n": 4, "tables": ["ASC (asc,rep,zero,max)",
+                                   "ASC (rep,asc,max,zero)"],
+                "tuple": [1, 2, 2, 1], "counts": [0, 1]}),
     "setvalued": ("phi_setvalued", 4, bijections, "phi", _on((2, 1, 3)),
                   _zeros,
                   {"n": 3, "input": [2, 1, 3], "output": [0, 0, 0],
@@ -555,6 +558,44 @@ def test_spot_check_sets_the_counter_against_enumeration(
     assert report.counterexample == {
         "file": path.name, "tuple": list(key), "cached": cached,
         "recomputed": recomputed}
+
+
+def test_spot_check_recounts_past_the_default_sizes(tmp_path, monkeypatch):
+    # past n = 10, the largest default max_n of the checks, a counted table
+    # is recounted: the ASC core at n = 11 has 1,422,074 members
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    harness.dist_table(ClassId.ASC, 11, ("asc",))
+    path = harness._cache_path(ClassId.ASC, 11, ("asc",))
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"enumerate_class{args!r} called")
+
+    monkeypatch.setattr(harness, "enumerate_class", refused)
+    report = harness.spot_check_cache(random.Random(1))
+    assert (report.verdict, report.parameters) == ("pass", {"file": path.name})
+    # and the recount still catches a corrupted file
+    payload = json.loads(path.read_text())
+    key, count = payload["counts"][0]
+    payload["counts"][0][1] += 1
+    path.write_text(json.dumps(payload))
+    assert harness.spot_check_cache(random.Random(1)).counterexample == {
+        "file": path.name, "tuple": key, "cached": count + 1,
+        "recomputed": count}
+
+
+def test_spot_check_reads_a_length_past_the_cap_as_unreadable(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    harness.dist_table(ClassId.ASC, 4, ("asc",))
+    path = harness._cache_path(ClassId.ASC, 4, ("asc",))
+    payload = json.loads(path.read_text())
+    payload["n"] = 13
+    path.write_text(json.dumps(payload))
+    report = harness.spot_check_cache(random.Random(1))
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "file": path.name,
+        "detail": "unreadable: length 13 exceeds the cap of 12 for ASC"}
 
 
 def _bump_coefficient(power):
