@@ -51,6 +51,12 @@ profile (rep, max, ealm, asc, zero) of each suffix case S1..S4 of the ascent
 sequences, the populations of the case identities in genfun: its step rule
 is the ASC rule with the fields that decide the case (the run length p =
 max, ealm = s[p] and two flags, each set once) carried in the rule state.
+The loop reads nothing until the last entry is placed.  It folds the final
+transitions by their fields, each set field squashed to its size (all that
+rep and rmin read of a set), and by the final rule state only for
+count_cases, whose reader reads the case off it.  The reader then runs once
+per distinct key: once per key of the table for the core (asc, rep, zero,
+max).
 """
 
 from __future__ import annotations
@@ -105,6 +111,9 @@ class _Layout:
             width = n if is_set else n.bit_length()
             self.at[field], self.mask[field] = offset, (1 << width) - 1
             offset += width
+        # (offset, bits) of each set field, at most used and rmin
+        self.sets = [(self.at[field], self.mask[field] << self.at[field])
+                     for field, is_set in fields.items() if is_set]
 
     def ops(self, m: int, prev: int, v: int) -> tuple:
         """(keep, put, add) appending v at index m after prev: the fields
@@ -135,29 +144,22 @@ class _Layout:
         return keep, put, add
 
     def reader(self, names: tuple):
-        """(rule state, packed fields) -> the tuple of the values of names,
-        which the fields alone decide."""
-        plan, less = [], []
+        """(rule state, folded fields) -> the tuple of the values of names,
+        which the fields alone decide; a set field holds its size (see
+        _count)."""
+        plan = []
         for name in names:
-            field, is_set, from_n, minus = TRACKERS[name]
+            field, _, from_n, minus = TRACKERS[name]
             sign, const = (-1, self.n) if from_n else (1, 0)
-            plan.append((self.at[field], self.mask[field], is_set, sign,
-                         const))
-            less.append((self.at.get(minus, 0), self.mask.get(minus, 0)))
+            plan.append((self.at[field], self.mask[field], sign, const,
+                         self.at.get(minus, 0), self.mask.get(minus, 0)))
 
-        def read(state, packed):
-            return tuple([
-                const + sign * ((packed >> at & mask).bit_count() if is_set
-                                else packed >> at & mask)
-                for at, mask, is_set, sign, const in plan])
-        if not any(mask for _, mask in less):
-            return read
-
-        # a subtracted field costs the core tables nothing
-        def read_less(state, packed):
-            return tuple([value - (packed >> at & mask) for value, (at, mask)
-                          in zip(read(state, packed), less)])
-        return read_less
+        def read(state, folded):
+            return tuple([const + sign * (folded >> at & mask)
+                          - (folded >> less_at & less_mask)
+                          for at, mask, sign, const, less_at, less_mask
+                          in plan])
+        return read
 
 
 def _extensions(step, layout, perm, m, last):
@@ -192,10 +194,13 @@ def _extensions(step, layout, perm, m, last):
     return extend
 
 
-def _count(step, state, n, layout, read, perm=False) -> Counter:
-    """{read(final state, packed fields): count} over the length-n members
+def _count(step, state, n, layout, read, perm=False,
+           by_state=False) -> Counter:
+    """{read(final state, folded fields): count} over the length-n members
     of the class that the step rule grows from state, a permutation class
-    when perm is set."""
+    when perm is set.  The folded fields hold the size of each set field in
+    its place, and read sees the final state only when by_state is set
+    (None otherwise)."""
     layer = {(state, 0, 0): 1}
     for m in range(n - 2):
         extend = _extensions(step, layout, perm, m, False)
@@ -205,22 +210,35 @@ def _count(step, state, n, layout, read, perm=False) -> Counter:
                 key = nxt, v, (fields & keep | put) + add
                 grown[key] = grown.get(key, 0) + count
         layer = grown
-    # The last two entries (one when n = 1) of each key go straight into the
-    # table, so the two widest layers are never held.
+    # The last two entries (one when n = 1) of each key go straight into
+    # final, so the two widest layers are never held.  final is keyed by the
+    # fields with each set squashed to its size, and by the final state only
+    # when read reads it, so that read runs once per key of the table.
     last = _extensions(step, layout, perm, n - 1, True)
-    table = Counter()
+    # a missing set field is (0, 0), which squashes nothing
+    (at1, set1), (at2, set2) = (layout.sets + [(0, 0)] * 2)[:2]
+    rest = ~(set1 | set2)
+    final = {}
 
     def finish(state, prev, fields, count):
         for nxt, (keep, put, add) in last(state, prev):
-            table[read(nxt, (fields & keep | put) + add)] += count
+            packed = (fields & keep | put) + add
+            key = (packed & rest | (packed & set1).bit_count() << at1
+                   | (packed & set2).bit_count() << at2)
+            if by_state:
+                key = nxt, key
+            final[key] = final.get(key, 0) + count
 
     if n == 1:
         finish(state, 0, 0, 1)
-        return table
-    extend = _extensions(step, layout, perm, n - 2, False)
-    for (state, prev, fields), count in layer.items():
-        for v, nxt, (keep, put, add) in extend(state, prev):
-            finish(nxt, v, (fields & keep | put) + add, count)
+    else:
+        extend = _extensions(step, layout, perm, n - 2, False)
+        for (state, prev, fields), count in layer.items():
+            for v, nxt, (keep, put, add) in extend(state, prev):
+                finish(nxt, v, (fields & keep | put) + add, count)
+    table = Counter()
+    for key, count in final.items():
+        table[read(*key) if by_state else read(None, key)] += count
     return table
 
 
@@ -274,10 +292,11 @@ def count_cases(n: int) -> dict:
     layout = _Layout(("rep", "zero"), n)
     fields = layout.reader(("rep", "zero"))
 
-    def read(state, packed):
+    def read(state, folded):
         asc, p, ealm, case = state
-        rep, zero = fields(state, packed)
+        rep, zero = fields(state, folded)
         return case, (rep, p, ealm, asc, zero)
 
-    table = _count(_case_step, (0, 0, 0, ""), n, layout, read)
+    table = _count(_case_step, (0, 0, 0, ""), n, layout, read,
+                   by_state=True)
     return {key: count for key, count in table.items() if key[0]}

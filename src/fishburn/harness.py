@@ -140,10 +140,15 @@ def _table_stats(class_id: ClassId, names: tuple) -> tuple:
     return names
 
 
+def _cache_name(class_id: ClassId, n: int, served: tuple, version) -> str:
+    """Name of the file of a table: the key that dist_table serves it to."""
+    return f"{class_id.name}_n{n}_{'-'.join(served)}_{version}.json"
+
+
 def _cache_path(class_id: ClassId, n: int, names: tuple) -> Path:
     """File of the table that serves names (see _table_stats)."""
-    tag = "-".join(_table_stats(class_id, names))
-    return cache_dir() / f"{class_id.name}_n{n}_{tag}_{_code_version()}.json"
+    served = _table_stats(class_id, names)
+    return cache_dir() / _cache_name(class_id, n, served, _code_version())
 
 
 def _store_table(path: Path, table: DistTable) -> None:
@@ -786,7 +791,9 @@ def spot_check_cache(rng=None) -> CheckReport:
     when it draws a table that dist_table counts over the step rules, such
     as a core table, it also sets the counter against the enumerator.
     Past the largest default max_n of the checks a counted table is
-    recounted instead.  Passes vacuously when the cache is empty.
+    recounted instead.  A file whose class, n, statistics or version differ
+    from the key of its name fails unrecomputed.  Passes vacuously when the
+    cache is empty.
     """
     rng = rng or random.Random()
     start = time.perf_counter()
@@ -805,7 +812,12 @@ def spot_check_cache(rng=None) -> CheckReport:
         n = _check_length(class_id, payload["n"])
         names = tuple(payload["stats"])
         cached = {tuple(k): c for k, c in payload["counts"]}
-        if payload["version"] == _code_version():
+        # dist_table serves a file only to the key of its name
+        held = _cache_name(class_id, n, names, payload["version"])
+        if held != picked.name:
+            counterexample = {"file": picked.name,
+                              "detail": f"key mismatch: the payload is {held}"}
+        else:
             enumerated = max(p.get("max_n", 0) for _, p in _CHECKS.values())
             fresh = (counting.count_table(class_id, n, names)
                      if n > enumerated and counting.counted(class_id, names)

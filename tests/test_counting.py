@@ -147,6 +147,43 @@ def test_suffix_cases_against_brute_force():
         assert counting.count_cases(n) == dict(want), n
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_suffix_cases_against_enumeration(n):
+    """count_cases past brute force: the enumerated ascent sequences read by
+    the kernel seq_profile, the validating ealm and classify."""
+    slot = {name: i for i, name in enumerate(stats.SEQ_PROFILE)}
+    want = Counter()
+    for s in seqcore.enumerate_class(ClassId.ASC, n):
+        asc, rep, zero, mx = (stats.seq_profile(s)[slot[name]]
+                              for name in ("asc", "rep", "zero", "max"))
+        if mx < n:
+            want[decomp.classify(s, "ASC_S"),
+                 (rep, mx, stats.ealm(s), asc, zero)] += 1
+    assert counting.count_cases(n) == dict(want)
+
+
+@pytest.mark.parametrize("cid", [ClassId.ASC, ClassId.T21],
+                         ids=lambda c: c.name)
+def test_the_fold_reads_each_core_key_once(cid, monkeypatch):
+    """The last layer is folded before it is read, and a core key, its
+    used set squashed to its size, stands for one (asc, rep, zero, max)."""
+    calls = Counter()
+    make_reader = counting._Layout.reader
+
+    def reader(layout, names):
+        read = make_reader(layout, names)
+
+        def counted_read(state, folded):
+            calls[folded] += 1
+            return read(state, folded)
+        return counted_read
+
+    monkeypatch.setattr(counting._Layout, "reader", reader)
+    table = counting.count_table(cid, 9, harness._SEQ_CORE)
+    assert sum(calls.values()) == len(table) == len(calls)
+    assert sum(table.values()) == genfun.fishburn_series(9).coefficient(9)
+
+
 class TestRequests:
     def test_which_tables_are_counted(self):
         assert counting.counted(ClassId.ASC, stats.SEQ_PROFILE)

@@ -213,6 +213,37 @@ class TestCache:
         vacuous = harness.spot_check_cache(random.Random(1))
         assert vacuous.passed and vacuous.parameters == {"file": None}
 
+    def test_spot_check_fails_a_payload_of_another_version(
+            self, tmp_path, monkeypatch):
+        # dist_table recomputes such a file, so its counts are never checked;
+        # the spot check reports it rather than pass it unread
+        t, path = self.table_path(tmp_path, monkeypatch)
+        payload = json.loads(path.read_text())
+        payload.update(version="0" * 12, counts=[[[9, 9, 9, 9], 1]])
+        path.write_text(json.dumps(payload))
+        report = harness.spot_check_cache(random.Random(1))
+        assert report.verdict == "fail"
+        assert report.counterexample == {
+            "file": path.name,
+            "detail": "key mismatch: the payload is "
+                      "ASC_n4_asc-rep-zero-max_000000000000.json"}
+
+    def test_spot_check_fails_a_table_of_another_length(
+            self, tmp_path, monkeypatch):
+        # the n = 3 table under the name of n = 4 is never served, though
+        # its counts are right for its own n
+        monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+        harness.dist_table(ClassId.ASC, 3, ("rep", "max"))
+        short = harness._cache_path(ClassId.ASC, 3, ("rep", "max"))
+        path = harness._cache_path(ClassId.ASC, 4, ("rep", "max"))
+        short.rename(path)
+        report = harness.spot_check_cache(random.Random(1))
+        assert report.verdict == "fail"
+        assert report.counterexample == {
+            "file": path.name,
+            "detail": "key mismatch: the payload is "
+                      f"ASC_n3_asc-rep-zero-max_{harness._code_version()}.json"}
+
 
 class TestCheckRegistry:
     def test_names(self):
