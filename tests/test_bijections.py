@@ -1,5 +1,7 @@
 """Codes and bijections between the permutation and sequence classes."""
 
+from bisect import bisect_left
+
 import pytest
 
 from fishburn.errors import DomainError
@@ -67,6 +69,33 @@ def reference_slices(p):
 def reference_code(p):
     return Seq(next(l for lo, hi, l in slc if lo <= v <= hi)
                for slc, v in zip(reference_slices(p), p))
+
+
+# The run-list form of the same code: the runs [lo, hi] of the values not yet
+# placed, plus 0, kept bottom-up, the run of each value found by bisection,
+# and a fresh label list built at each step.
+
+def _ref_relabel(labels, i, hit, lower, upper):
+    return [i + 1] + [b for b in labels if (b != hit or upper) and (b != i or lower)]
+
+
+def _ref_walk(p):
+    runs, labels = [(0, len(p))], [0]
+    for i, v in enumerate(p):
+        r = bisect_left(runs, (v + 1,)) - 1
+        yield runs, labels, r
+        lo, hi = runs[r]
+        labels = _ref_relabel(labels, i, labels[r], v > lo, v < hi)
+        runs[r:r + 1] = [(lo, v - 1)] * (v > lo) + [(v + 1, hi)] * (v < hi)
+
+
+def ref_bv_slices(p):
+    return [tuple((lo, hi, b) for (lo, hi), b in zip(runs[::-1], labels[::-1]))
+            for runs, labels, _ in _ref_walk(p)]
+
+
+def ref_bv_code(p):
+    return Seq(labels[r] for _, labels, r in _ref_walk(p))
 
 
 def reference_lehmer_code(p):
@@ -144,6 +173,12 @@ class TestIntervalCode:
                 codes.add(code)
             # the bijectivity that lets bv_decode look every label up
             assert codes == set(enumerate_class(ClassId.INV, n))
+
+    def test_matches_the_run_list_encoder(self):
+        for n in range(1, 9):
+            for p in enumerate_class(ClassId.PERM_ALL, n):
+                assert bj.bv_code(p) == ref_bv_code(p)
+                assert bj.bv_slices(p) == ref_bv_slices(p)
 
     def test_decode_rejects_non_inversion_sequences(self):
         for s in ((), (1,), (0, 2), (0, 1, 3)):
@@ -252,6 +287,19 @@ class TestComposedBijections:
         for n in range(1, 6):
             for p in enumerate_class(ClassId.PERM_AVOID_B, n):
                 assert bj.phi_inv(bj.phi(p)) == p
+
+    @pytest.mark.parametrize("name, p, code", [
+        ("psi", PI, (0, 0, 2)),               # outside B
+        ("phi", Perm((7, 5, 8, 3, 2, 4, 1, 6)), (0, 0, 1)),  # outside C
+    ])
+    def test_code_outside_the_class_breaks_the_invariant(
+            self, monkeypatch, name, p, code):
+        # an AssertionError raised by hand, so it holds under python -O too
+        monkeypatch.setattr(bj, "bv_code", lambda _: Seq(code))
+        with pytest.raises(AssertionError) as info:
+            getattr(bj, name)(p)
+        assert str(info.value) == (
+            f"code of {p.to_text()} left the expected class: {code!r}")
 
     def test_pattern_membership_enforced(self):
         with pytest.raises(DomainError):

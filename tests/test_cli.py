@@ -125,6 +125,52 @@ EXACT = [
     ("stats --class ASC 0,2 --format csv", 2,
      "",
      "error: '0,2' is not a member of ASC\n"),
+    # the psi image of the worked permutation of tests/test_bijections.py
+    ("stats --class ASC 0,1,0,2,3,2,4,1", 0,
+     '{"asc": 4, "rep": 3, "zero": 2, "max": 2, "rmin": 2, '
+     '"nasc": 3, "ASC": [1, 3, 4, 6], "DIST": [5, 6, 7, 8], '
+     '"ZERO": [1, 3], "MAX": [1, 2], "RMIN": [3, 8], '
+     '"NASC": [2, 5, 7], "ealm": 0, "zpair": 0, "zpos": 2}\n',
+     ""),
+    ("stats --class ASC 0,1,0,2,3,2,4,1 --format csv", 0,
+     "asc,4\r\nrep,3\r\nzero,2\r\nmax,2\r\nrmin,2\r\nnasc,3\r\n"
+     "ASC,1 3 4 6\r\nDIST,5 6 7 8\r\nZERO,1 3\r\nMAX,1 2\r\n"
+     "RMIN,3 8\r\nNASC,2 5 7\r\nealm,0\r\nzpair,0\r\nzpos,2\r\n",
+     ""),
+    # the interval code and the composed bijections on that permutation (phi
+    # refuses it; 75832416 is the avoider phi sends to its psi image), and
+    # one input that each of them refuses
+    ("apply --map bv 61832547", 0,
+     '{"map": "bv", "input": "61832547", "output": "0,1,0,2,3,2,5,1"}\n',
+     ""),
+    ("apply --map bv 61832547 --format csv", 0,
+     'map,input,output,side_index\r\nbv,61832547,"0,1,0,2,3,2,5,1",\r\n',
+     ""),
+    ("apply --map bv 1,1", 2,
+     "",
+     "error: cannot parse permutation from '1,1'\n"),
+    ("apply --map psi 61832547", 0,
+     '{"map": "psi", "input": "61832547", "output": "0,1,0,2,3,2,4,1"}\n',
+     ""),
+    ("apply --map psi 231 --format csv", 2,
+     "",
+     "error: 231 contains the forbidden pattern\n"),
+    ("apply --map phi 75832416", 0,
+     '{"map": "phi", "input": "75832416", "output": "0,1,0,2,3,2,4,1"}\n',
+     ""),
+    ("apply --map phi 75832416 --format csv", 0,
+     'map,input,output,side_index\r\nphi,75832416,"0,1,0,2,3,2,4,1",\r\n',
+     ""),
+    ("apply --map phi 61832547", 2,
+     "",
+     "error: 61832547 contains the forbidden pattern\n"),
+    ("apply --map upsilon 0,1,0,2,3,2,4,1", 0,
+     '{"map": "upsilon", "input": "0,1,0,2,3,2,4,1", '
+     '"output": "0,1,1,2,2,0,3,1"}\n',
+     ""),
+    ("apply --map upsilon 0,2", 2,
+     "",
+     "error: not an ascent sequence: (0, 2)\n"),
     ("apply --map beta --trace 0,1,0,2,3,2,5,1,7", 0,
      '{"map": "beta", "input": "0,1,0,2,3,2,5,1,7", '
      '"output": "0,1,0,2,3,2,4,1,5", "trace": [["7", '

@@ -192,6 +192,55 @@ def ref_perm_stats(p):
                            des=len(des), ides=len(ides), iasc=n - 1 - len(ides))
 
 
+# Two more references, in the slice and running-extrema forms: DIST by a
+# search of the suffix, and the right-to-left maxima by a second pass.
+
+def ref_set_stats(s):
+    if not is_inversion(s):
+        raise DomainError(f"not an inversion sequence: {tuple(s)!r}")
+    n = len(s)
+    dist = tuple(i for i in range(2, n + 1)
+                 if s[i - 1] != 0 and s[i - 1] not in s[i:])
+    rmin = []
+    low = None
+    for i in range(n, 0, -1):
+        if low is None or s[i - 1] < low:
+            rmin.append(i)
+            low = s[i - 1]
+    nasc = tuple(i for i in range(1, n) if s[i - 1] >= s[i])
+    return stats.SetStats(ASC=stats.ascent_positions(s), DIST=dist,
+                          ZERO=stats.zero_positions(s),
+                          MAX=stats.maximal_positions(s),
+                          RMIN=tuple(reversed(rmin)), NASC=nasc)
+
+
+def ref_running_perm_stats(p):
+    n = len(p)
+    pos = [0] * (n + 2)
+    for i, v in enumerate(p):
+        pos[v] = i + 1
+    des = tuple(i for i in range(1, n) if p[i - 1] > p[i])
+    ides = tuple(i for i in range(2, n + 1) if p[i - 1] < n and pos[p[i - 1] + 1] < i)
+    lmax, lmin, rmax = [], [], []
+    hi, lo = 0, n + 1
+    for i, v in enumerate(p, start=1):  # running extrema from the left
+        if v > hi:
+            lmax.append(i)
+            hi = v
+        if v < lo:
+            lmin.append(i)
+            lo = v
+    hi = 0
+    for i in range(n, 0, -1):  # and from the right
+        if p[i - 1] > hi:
+            rmax.append(i)
+            hi = p[i - 1]
+    rmax.reverse()
+    return stats.PermStats(DES=des, IDES=ides, LMAX=tuple(lmax),
+                           LMIN=tuple(lmin), RMAX=tuple(rmax), des=len(des),
+                           ides=len(ides), iasc=n - 1 - len(ides))
+
+
 class TestAgainstReferences:
     def test_scalar_stats_on_every_inversion_sequence(self):
         for n in range(1, 8):
@@ -213,6 +262,21 @@ class TestAgainstReferences:
         for n in range(1, 8):
             for p in enumerate_class(ClassId.PERM_ALL, n):
                 assert stats.perm_stats(p) == ref_perm_stats(p)
+
+    def test_set_stats_on_every_inversion_sequence(self):
+        for n in range(1, 8):
+            for s in enumerate_class(ClassId.INV, n):
+                assert stats.set_stats(s) == ref_set_stats(s)
+
+    def test_set_stats_validates_first(self):
+        for s in ((1,), (0, 2), (0, 1, 3), (1, 0)):
+            with pytest.raises(DomainError):
+                stats.set_stats(Seq(s))
+
+    def test_perm_stats_against_running_extrema(self):
+        for n in range(1, 9):
+            for p in enumerate_class(ClassId.PERM_ALL, n):
+                assert stats.perm_stats(p) == ref_running_perm_stats(p)
 
 
 KERNEL_MAX_N = {ClassId.ASC: 8, ClassId.T21: 8, ClassId.B: 8, ClassId.C: 8,
