@@ -24,11 +24,14 @@ runs of consecutive integers, each labelled; the bottom run holds 0 and
 label i.  Step i places p[i] and splits its run into the parts below and
 above it.  The new bottom run takes label i + 1; every other label stays
 just when it occurs again later.  A slice lists (lo, hi, label) top down.
+
+The encoder keeps the runs as one bit set, free, of 0 and the values not yet
+placed.  A run starts at each set bit whose lower bit is clear, so the run of
+v has the rank, from the bottom, of the starts at or below v, less one; the
+parts below and above v are left when bits v - 1 and v + 1 of free are set.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .errors import DomainError, invariant
 from .seqcore import (Perm, Seq, contains_bivincular_A, contains_bivincular_B,
@@ -47,27 +50,32 @@ def lehmer_code(p: Perm) -> Seq:
 
 # --- the labeled-interval code -------------------------------------------
 
-def _relabel(labels, i, hit, lower, upper):
-    """Labels after step i hits the run labelled hit and leaves a part
-    below (lower) and/or above (upper) the placed value."""
-    return [i + 1] + [b for b in labels if (b != hit or upper) and (b != i or lower)]
+def _relabel(labels, i, r, lower, upper):
+    """Labels after step i hits the run of rank r and leaves a part below
+    (lower) and/or above (upper) the placed value; the bottom label is i."""
+    if not upper:
+        del labels[r]
+    if not lower:
+        labels.remove(i)
+    labels.insert(0, i + 1)
 
 
 def _walk(p):
-    """Yield each step's runs [lo, hi] bottom-up, labels and the run of p[i]."""
-    runs, labels = [(0, len(p))], [0]
+    """Yield each step's free set, labels bottom-up and the rank of the run
+    of p[i]; both are updated in place after the yield."""
+    free, labels = (2 << len(p)) - 1, [0]
     for i, v in enumerate(p):
-        r = bisect_left(runs, (v + 1,)) - 1
-        yield runs, labels, r
-        lo, hi = runs[r]
-        labels = _relabel(labels, i, labels[r], v > lo, v < hi)
-        runs[r:r + 1] = [(lo, v - 1)] * (v > lo) + [(v + 1, hi)] * (v < hi)
+        r = (free & ~(free << 1) & ((2 << v) - 1)).bit_count() - 1
+        yield free, labels, r
+        free ^= 1 << v
+        _relabel(labels, i, r, free >> (v - 1) & 1, free >> (v + 1) & 1)
 
 
 def bv_slices(p: Perm) -> list:
     """All n slices of the permutation, starting from ((0, n, 0),)."""
-    return [tuple((lo, hi, b) for (lo, hi), b in zip(runs[::-1], labels[::-1]))
-            for runs, labels, _ in _walk(p)]
+    bits = lambda x: [v for v in range(len(p) + 1) if x >> v & 1]
+    return [tuple(zip(bits(free & ~(free << 1)), bits(free & ~(free >> 1)), labels))[::-1]
+            for free, labels, _ in _walk(p)]
 
 
 def bv_code(p: Perm) -> Seq:
@@ -85,7 +93,7 @@ def bv_decode(s: Seq) -> Perm:
         r = labels.index(hit)
         later = s[i + 1:]
         lower, upper = r == 0 or i in later, hit in later
-        labels = _relabel(labels, i, hit, lower, upper)
+        _relabel(labels, i, r, lower, upper)
         path = runs[r]
         paths.append(path + (1,))
         runs[r:r + 1] = [path + (0,)] * lower + [path + (2,)] * upper
@@ -119,37 +127,29 @@ def _pass(s, shift, step, _trace):
     return Seq._wrap(tuple(out))
 
 
-def beta(b: Seq, _trace=None) -> Seq:
-    if not is_b_class(b):
-        raise DomainError(f"not in the subtraction domain: {tuple(b)!r}")
-    return _pass(b, 1, -1, _trace)
+def _guarded_pass(member, refusal, shift, step):
+    """The pass as a public map: obj -> _pass(obj), refusing non-members of
+    its domain with a DomainError."""
+    def guarded(s: Seq, _trace=None) -> Seq:
+        if not member(s):
+            raise DomainError(f"{refusal}: {tuple(s)!r}")
+        return _pass(s, shift, step, _trace)
+    return guarded
 
 
-def beta_inv(s: Seq, _trace=None) -> Seq:
-    if not is_ascent(s):
-        raise DomainError(f"not an ascent sequence: {tuple(s)!r}")
-    return _pass(s, 1, 1, _trace)
-
-
-def gamma(c: Seq, _trace=None) -> Seq:
-    if not is_c_class(c):
-        raise DomainError(f"not in the subtraction domain: {tuple(c)!r}")
-    return _pass(c, 0, -1, _trace)
-
-
-def gamma_inv(s: Seq, _trace=None) -> Seq:
-    if not is_ascent(s):
-        raise DomainError(f"not an ascent sequence: {tuple(s)!r}")
-    return _pass(s, 0, 1, _trace)
+beta = _guarded_pass(is_b_class, "not in the subtraction domain", 1, -1)
+beta_inv = _guarded_pass(is_ascent, "not an ascent sequence", 1, 1)
+gamma = _guarded_pass(is_c_class, "not in the subtraction domain", 0, -1)
+gamma_inv = _guarded_pass(is_ascent, "not an ascent sequence", 0, 1)
 
 
 # --- composed bijections: the code, then beta (psi) or gamma (phi) ---------
 
-def _encode(p, in_class, subtract):
+def _encode(p, in_class, shift):
     code = bv_code(p)
     if not in_class(code):
         raise AssertionError(f"code of {p.to_text()} left the expected class: {tuple(code)!r}")
-    return subtract(code)
+    return _pass(code, shift, -1, None)  # the subtraction pass of beta or gamma
 
 
 def _decode(s, add, contains):
@@ -162,7 +162,7 @@ def _decode(s, add, contains):
 def psi(p: Perm) -> Seq:
     if contains_bivincular_A(p):
         raise DomainError(f"{p.to_text()} contains the forbidden pattern")
-    return _encode(p, is_b_class, beta)
+    return _encode(p, is_b_class, 1)
 
 
 def psi_inv(s: Seq) -> Perm:
@@ -172,7 +172,7 @@ def psi_inv(s: Seq) -> Perm:
 def phi(p: Perm) -> Seq:
     if contains_bivincular_B(p):
         raise DomainError(f"{p.to_text()} contains the forbidden pattern")
-    return _encode(p, is_c_class, gamma)
+    return _encode(p, is_c_class, 0)
 
 
 def phi_inv(s: Seq) -> Perm:

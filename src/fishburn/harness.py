@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from . import bijections, counting, decomp, stats
@@ -30,7 +30,6 @@ from .genfun import (DistTable, SpecPoint, admissible_for_case_identity,
                      series_asczero, series_zeromax)
 from .seqcore import (ClassId, cap, check_class, check_size, enumerate_class,
                       is_member)
-from .stats import perm_stats, set_stats
 
 CACHE_ENV = "FISHBURN_CACHE"
 
@@ -285,13 +284,15 @@ def _table_diff(left: dict, right: dict):
 
 def _transported(class_id, names):
     """obj -> the values of names: set-valued names (upper case) off one
-    perm_stats or set_stats record per object, scalar names by _value_fn."""
+    perm_sets or seq_sets tuple per object, which _pointwise reads only on
+    trusted objects, and scalar names by _value_fn."""
     if not names[0].isupper():
         return _value_fn(class_id, names)
-    pick = attrgetter(*names)
-    if class_id.is_permutation_class:
-        return lambda obj: pick(perm_stats(obj))
-    return lambda obj: pick(set_stats(obj))
+    perm = class_id.is_permutation_class
+    order = stats.PERM_SETS if perm else stats.SEQ_SETS
+    pick = itemgetter(*(order.index(name) for name in names))
+    kernel = getattr(stats, "perm_sets" if perm else "seq_sets")
+    return lambda obj: pick(kernel(obj))
 
 
 def _pointwise(source, map_name, target, want, got, detail, max_n):

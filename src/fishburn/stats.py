@@ -32,6 +32,12 @@ position is 1-based.
 mpair (resp. zpair) is expected to exist for every non-increasing
 (resp. not-all-zero) input; if that ever fails the statistic raises
 DomainError rather than inventing a value.
+
+The fused kernels seq_profile, perm_profile, seq_sets and perm_sets return
+the tuples named by SEQ_PROFILE, PERM_PROFILE, SEQ_SETS and PERM_SETS in one
+pass and do not validate: apply them only to enumerator output or to objects
+that have just passed seqcore.is_member.  scalar_stats and set_stats validate,
+then read a kernel; the tests compare both with plain references.
 """
 
 from __future__ import annotations
@@ -86,10 +92,6 @@ def _require_inversion(s) -> None:
         raise DomainError(f"not an inversion sequence: {tuple(s)!r}")
 
 
-def ascent_positions(s) -> tuple:
-    return tuple(i for i in range(1, len(s)) if s[i - 1] < s[i])
-
-
 def maximal_positions(s) -> tuple:
     return tuple(i for i in range(1, len(s) + 1) if s[i - 1] == i - 1)
 
@@ -100,63 +102,24 @@ def zero_positions(s) -> tuple:
 
 def scalar_stats(s: Seq) -> ScalarStats:
     _require_inversion(s)
-    asc, rep, zero, mx, rmin = seq_profile(s)
-    return ScalarStats(asc=asc, rep=rep, zero=zero, max=mx, rmin=rmin,
-                       nasc=len(s) - 1 - asc)
+    profile = seq_profile(s)
+    return ScalarStats(*profile, nasc=len(s) - 1 - profile[0])
 
 
 def set_stats(s: Seq) -> SetStats:
     _require_inversion(s)
-    n = len(s)
-    asc = ascent_positions(s)
-    dist = tuple(i for i in range(2, n + 1)
-                 if s[i - 1] != 0 and s[i - 1] not in s[i:])
-    rmin = []
-    low = None
-    for i in range(n, 0, -1):
-        if low is None or s[i - 1] < low:
-            rmin.append(i)
-            low = s[i - 1]
-    nasc = tuple(i for i in range(1, n) if s[i - 1] >= s[i])
-    return SetStats(ASC=asc, DIST=dist, ZERO=zero_positions(s),
-                    MAX=maximal_positions(s), RMIN=tuple(reversed(rmin)), NASC=nasc)
+    return SetStats(*seq_sets(s))
 
 
 def perm_stats(p: Perm) -> PermStats:
-    n = len(p)
-    pos = [0] * (n + 2)
-    for i, v in enumerate(p):
-        pos[v] = i + 1
-    des = tuple(i for i in range(1, n) if p[i - 1] > p[i])
-    ides = tuple(i for i in range(2, n + 1) if p[i - 1] < n and pos[p[i - 1] + 1] < i)
-    lmax, lmin, rmax = [], [], []
-    hi, lo = 0, n + 1
-    for i, v in enumerate(p, start=1):  # running extrema from the left
-        if v > hi:
-            lmax.append(i)
-            hi = v
-        if v < lo:
-            lmin.append(i)
-            lo = v
-    hi = 0
-    for i in range(n, 0, -1):  # and from the right
-        if p[i - 1] > hi:
-            rmax.append(i)
-            hi = p[i - 1]
-    rmax.reverse()
-    return PermStats(DES=des, IDES=ides, LMAX=tuple(lmax), LMIN=tuple(lmin),
-                     RMAX=tuple(rmax), des=len(des), ides=len(ides),
-                     iasc=n - 1 - len(ides))
+    des, ides, *extrema = perm_sets(p)
+    return PermStats(len(des), len(ides), len(p) - 1 - len(ides), des, ides, *extrema)
 
-
-# The fused kernels below compute the scalar profile of an object in one pass
-# and do not validate it: apply them only to enumerator output or to objects
-# that have just passed seqcore.is_member.  scalar_stats validates and then
-# reads seq_profile, so neither is an oracle for the other: the tests compare
-# both with plain references.
 
 SEQ_PROFILE = ("asc", "rep", "zero", "max", "rmin")
 PERM_PROFILE = ("des", "ides", "lmax", "lmin", "rmax")
+SEQ_SETS = tuple(f.name for f in fields(SetStats))
+PERM_SETS = ("DES", "IDES", "LMAX", "LMIN", "RMAX")
 
 
 def seq_profile(s: Seq) -> tuple:
@@ -204,6 +167,57 @@ def perm_profile(p: Perm) -> tuple:
                 top -= 1
         prev = v
     return (des, ides, lmax, lmin, rmax)
+
+
+def seq_sets(s: Seq) -> tuple:
+    """SEQ_SETS of a trusted inversion sequence, read from the right."""
+    n = len(s)
+    asc, dist, zero, mx, rmin, nasc = sets = [], [], [], [], [], []
+    seen, low, nxt = set(), n, n
+    for i in range(n, 0, -1):
+        v = s[i - 1]
+        if v == 0:
+            zero.append(i)
+        elif v not in seen:
+            dist.append(i)
+            seen.add(v)
+        if v == i - 1:
+            mx.append(i)
+        if v < low:
+            rmin.append(i)
+            low = v
+        if i < n:
+            (asc if v < nxt else nasc).append(i)
+        nxt = v
+    return tuple([tuple(positions[::-1]) for positions in sets])
+
+
+def perm_sets(p: Perm) -> tuple:
+    """PERM_SETS of a trusted permutation, in one pass as perm_profile."""
+    n = len(p)
+    placed = [False] * (n + 2)
+    des, ides, lmax, lmin, rmax = [], [], [], [], []
+    hi = prev = 0
+    lo = top = n + 1  # top: least value with top..n all placed
+    for i, v in enumerate(p, 1):
+        if v < prev:
+            des.append(i - 1)
+        if placed[v + 1]:
+            ides.append(i)
+        if v > hi:
+            lmax.append(i)
+            hi = v
+        if v < lo:
+            lmin.append(i)
+            lo = v
+        placed[v] = True
+        if v == top - 1:
+            rmax.append(i)
+            top = v
+            while placed[top - 1]:
+                top -= 1
+        prev = v
+    return (tuple(des), tuple(ides), tuple(lmax), tuple(lmin), tuple(rmax))
 
 
 # marker -> the class it is defined on; callers read the marker function

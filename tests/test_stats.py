@@ -158,15 +158,19 @@ class TestMarkers:
 
 # --- the kernels against plain references ------------------------------------
 #
-# scalar_stats reads seq_profile and perm_stats keeps running extrema, so
-# neither can be the oracle of the fused kernels.  These references compute
-# every statistic straight from its definition, one position at a time.
+# scalar_stats, set_stats and perm_stats read the fused kernels, so none can
+# be their oracle.  These references compute every statistic straight from
+# its definition, one position at a time.
+
+def ascent_positions(s):
+    return tuple(i for i in range(1, len(s)) if s[i - 1] < s[i])
+
 
 def ref_scalar_stats(s):
     if not is_inversion(s):
         raise DomainError(f"not an inversion sequence: {tuple(s)!r}")
     n = len(s)
-    asc = len(stats.ascent_positions(s))
+    asc = len(ascent_positions(s))
     rmin = 0
     low = None
     for v in reversed(s):  # strict minima scanned from the right
@@ -192,8 +196,8 @@ def ref_perm_stats(p):
                            des=len(des), ides=len(ides), iasc=n - 1 - len(ides))
 
 
-# Two more references, in the slice and running-extrema forms: DIST by a
-# search of the suffix, and the right-to-left maxima by a second pass.
+# Two more references, the former bodies of set_stats and perm_stats: DIST
+# by a search of the suffix, and the right-to-left maxima by a second pass.
 
 def ref_set_stats(s):
     if not is_inversion(s):
@@ -208,7 +212,7 @@ def ref_set_stats(s):
             rmin.append(i)
             low = s[i - 1]
     nasc = tuple(i for i in range(1, n) if s[i - 1] >= s[i])
-    return stats.SetStats(ASC=stats.ascent_positions(s), DIST=dist,
+    return stats.SetStats(ASC=ascent_positions(s), DIST=dist,
                           ZERO=stats.zero_positions(s),
                           MAX=stats.maximal_positions(s),
                           RMIN=tuple(reversed(rmin)), NASC=nasc)
@@ -263,20 +267,26 @@ class TestAgainstReferences:
             for p in enumerate_class(ClassId.PERM_ALL, n):
                 assert stats.perm_stats(p) == ref_perm_stats(p)
 
-    def test_set_stats_on_every_inversion_sequence(self):
+    def test_set_kernel_on_every_inversion_sequence(self):
         for n in range(1, 8):
             for s in enumerate_class(ClassId.INV, n):
-                assert stats.set_stats(s) == ref_set_stats(s)
+                want = ref_set_stats(s)
+                assert stats.set_stats(s) == want
+                assert stats.seq_sets(s) == tuple(
+                    getattr(want, name) for name in stats.SEQ_SETS)
 
     def test_set_stats_validates_first(self):
         for s in ((1,), (0, 2), (0, 1, 3), (1, 0)):
             with pytest.raises(DomainError):
                 stats.set_stats(Seq(s))
 
-    def test_perm_stats_against_running_extrema(self):
+    def test_perm_kernel_against_running_extrema(self):
         for n in range(1, 9):
             for p in enumerate_class(ClassId.PERM_ALL, n):
-                assert stats.perm_stats(p) == ref_running_perm_stats(p)
+                want = ref_running_perm_stats(p)
+                assert stats.perm_stats(p) == want
+                assert stats.perm_sets(p) == tuple(
+                    getattr(want, name) for name in stats.PERM_SETS)
 
 
 KERNEL_MAX_N = {ClassId.ASC: 8, ClassId.T21: 8, ClassId.B: 8, ClassId.C: 8,
