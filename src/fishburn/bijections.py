@@ -61,8 +61,8 @@ def _relabel(labels, i, r, lower, upper):
 
 
 def _walk(p):
-    """Yield each step's free set, labels bottom-up and the rank of the run
-    of p[i]; both are updated in place after the yield."""
+    """Yield each step's free set, its labels bottom-up (one list, edited
+    after the yield) and the rank of the run of p[i]."""
     free, labels = (2 << len(p)) - 1, [0]
     for i, v in enumerate(p):
         r = (free & ~(free << 1) & ((2 << v) - 1)).bit_count() - 1
@@ -128,8 +128,7 @@ def _pass(s, shift, step, _trace):
 
 
 def _guarded_pass(member, refusal, shift, step):
-    """The pass as a public map: obj -> _pass(obj), refusing non-members of
-    its domain with a DomainError."""
+    """The pass as a public map, refusing non-members of its domain."""
     def guarded(s: Seq, _trace=None) -> Seq:
         if not member(s):
             raise DomainError(f"{refusal}: {tuple(s)!r}")

@@ -37,7 +37,8 @@ The fused kernels seq_profile, perm_profile, seq_sets and perm_sets return
 the tuples named by SEQ_PROFILE, PERM_PROFILE, SEQ_SETS and PERM_SETS in one
 pass and do not validate: apply them only to enumerator output or to objects
 that have just passed seqcore.is_member.  scalar_stats and set_stats validate,
-then read a kernel; the tests compare both with plain references.
+then read a kernel, and perm_stats reads perm_sets; the tests compare both
+with plain references.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def perm_stats(p: Perm) -> PermStats:
 
 SEQ_PROFILE = ("asc", "rep", "zero", "max", "rmin")
 PERM_PROFILE = ("des", "ides", "lmax", "lmin", "rmax")
-SEQ_SETS = tuple(f.name for f in fields(SetStats))
+SEQ_SETS = ("ASC", "DIST", "ZERO", "MAX", "RMIN", "NASC")
 PERM_SETS = ("DES", "IDES", "LMAX", "LMIN", "RMAX")
 
 
