@@ -98,6 +98,18 @@ def ref_bv_code(p):
     return Seq(labels[r] for _, labels, r in _ref_walk(p))
 
 
+def walk_code(p):
+    """The code as the walk over the bit set of free values yields it."""
+    return Seq._wrap(tuple([labels[r] for _, labels, r in bj._walk(p)]))
+
+
+def _outcome(fn, p):
+    try:
+        return "returned", fn(p)
+    except Exception as exc:  # the type and message are part of the contract
+        return "raised", type(exc), str(exc)
+
+
 def reference_lehmer_code(p):
     """Count, for each entry, the larger entries before it, one by one."""
     return Seq(sum(1 for j in range(i) if p[j] > v) for i, v in enumerate(p))
@@ -179,6 +191,15 @@ class TestIntervalCode:
             for p in enumerate_class(ClassId.PERM_ALL, n):
                 assert bj.bv_code(p) == ref_bv_code(p)
                 assert bj.bv_slices(p) == ref_bv_slices(p)
+
+    def test_matches_the_walk(self):
+        """Values on every permutation to n = 8, and the exceptions on
+        malformed input."""
+        perms = [p for n in range(1, 9)
+                 for p in enumerate_class(ClassId.PERM_ALL, n)]
+        malformed = [Perm._wrap(v) for v in ((), (1,), (0, 2), (5,))]
+        for p in perms + malformed:
+            assert _outcome(bj.bv_code, p) == _outcome(walk_code, p), p
 
     def test_decode_rejects_non_inversion_sequences(self):
         for s in ((), (1,), (0, 2), (0, 1, 3)):

@@ -107,6 +107,10 @@ class TestWorkedValues:
         assert decomp.ealm_shift(Seq((0, 1, 1)), "down") == Seq((0, 1, 0))
         with pytest.raises(UsageError):
             decomp.ealm_shift(Seq((0, 1, 0)), "sideways")
+        # the entry tops out at max - 1; one more would make the identity run
+        with pytest.raises(DomainError, match=r"^entry already at top of "
+                                              r"range: \(0, 1, 2, 2\)$"):
+            decomp.ealm_shift(Seq((0, 1, 2, 2)), "up")
 
     def test_paired_maximal_dropping_map(self):
         assert decomp.psi_F(Seq((0, 0, 2))) == Seq((0, 0))

@@ -435,6 +435,14 @@ FAULTS = {
                      {"map": "ealm_shift", "n": 4,
                       "detail": "count depends on the marker at rep=1, "
                                 "max=3"}),
+    # the same with a member at marker 0: (0, 1, 0, 0) lies in S2, where the
+    # side range of ealm_shift starts; a range cut at 1 never counts it
+    "marker_floor": ("lemma_suite", 5, harness, "enumerate_class",
+                     _on_table(ClassId.ASC, 4),
+                     lambda _, out: (*out, Seq((0, 1, 0, 0))),
+                     {"map": "ealm_shift", "n": 4,
+                      "detail": "count depends on the marker at rep=2, "
+                                "max=2"}),
     # the count of (0, 0, 1, 1), core (1, 2, 2, 1), with zero raised: the
     # first key of either table whose counts differ is (1, 2, 2, 1), now
     # empty in the core, against (2, 1, 1, 2) read as (rep, asc, max, zero)
@@ -655,6 +663,16 @@ SERIES_FAULTS = {
                           "w": "1/5"},
                 "n": 5, "expected": "131300652/1953125",
                 "actual": "133253777/1953125"}),
+    # both calls per point, so the series stay symmetric in q and z; only
+    # the comparison at n = order sees the bump
+    "zeromax": ("gf_zeromax", {"order": 5, "points": 2, "seed": 3},
+                harness, "series_zeromax", lambda *_: True,
+                _bump_coefficient(5),
+                {"point_index": 0,
+                 "point": {"x": "2/5", "q": "3", "u": "3/5", "z": "4/5",
+                           "w": "1/5"},
+                 "n": 5, "expected": "2544612/3125",
+                 "actual": "2547737/3125"}),
     "profile": ("case_identities", {"order": 5, "points": 2, "seed": 3},
                 genfun, "_profile_series", _is_case_part("S3"),
                 _bump_coefficient(5),

@@ -12,6 +12,11 @@ merged.  `mpair_shift` now runs one of the steps `_M1`, `_M2`, `_undo_M1`,
 classes to n = 8: outputs, `_trace` lists, and the type and message of
 every exception, invalid inputs included.
 
+The one-pass markers, positions, class tests and transform keep their
+former bodies below too (`ref_ealm` ... `ref_inverse_then_complement`),
+compared by value and by the type and message of every exception over INV,
+or every permutation, to n = 8 and on malformed inputs.
+
 The four bijection checks of harness run one transport kernel; its two
 former copies, the scalar one and the set-valued one, are kept below and
 compared with it under faults keyed to one input.
@@ -22,10 +27,11 @@ import pytest
 from fishburn import bijections, decomp, harness, stats
 from fishburn.decomp import MapResult, _check_J1, _in_F, _max_stat
 from fishburn.errors import DomainError, UsageError, invariant
-from fishburn.seqcore import (ClassId, Seq, contains_bivincular_A,
+from fishburn import seqcore
+from fishburn.seqcore import (ClassId, Perm, Seq, contains_bivincular_A,
                               contains_bivincular_B, enumerate_class,
-                              is_ascent, is_b_class, is_c_class, is_member,
-                              is_t21)
+                              is_ascent, is_b_class, is_c_class, is_inversion,
+                              is_member, is_t21, perm_transform)
 from fishburn.stats import (maximal_positions, mpair, mpos, perm_stats,
                             set_stats, zero_positions, zpos)
 
@@ -36,7 +42,7 @@ def ref_mpair(s):
     if not is_t21(s):
         raise DomainError(f"mpair needs a drop-by-one-avoiding sequence, got {tuple(s)!r}")
     best = None
-    for idx, k in enumerate(maximal_positions(s)):
+    for idx, k in enumerate(ref_maximal_positions(s)):
         if k < len(s) and s[k] == s[k - 1]:
             best = idx
     if best is None:
@@ -50,7 +56,7 @@ def ref_zpair(s):
     if not is_ascent(s):
         raise DomainError(f"zpair needs an ascent sequence, got {tuple(s)!r}")
     best = None
-    for idx, k in enumerate(zero_positions(s)):
+    for idx, k in enumerate(ref_zero_positions(s)):
         if k < len(s) and s[k] == 1:
             best = idx
     if best is None:
@@ -58,6 +64,84 @@ def ref_zpair(s):
             return 0
         raise DomainError(f"no zero followed by 1 in {tuple(s)!r}")
     return best
+
+
+def ref_maximal_positions(s):
+    return tuple(i for i in range(1, len(s) + 1) if s[i - 1] == i - 1)
+
+
+def ref_zero_positions(s):
+    return tuple(i for i in range(1, len(s) + 1) if s[i - 1] == 0)
+
+
+def ref_ealm(s):
+    if not is_ascent(s):
+        raise DomainError(f"ealm needs an ascent sequence, got {tuple(s)!r}")
+    p = len(ref_maximal_positions(s))
+    if p == len(s):
+        return 0
+    return s[p]
+
+
+def _ref_pos_marker(s, anchors, pair_index, is_critical):
+    start = anchors[pair_index] + 2
+    crit = [l for l in range(start, len(s) + 1) if is_critical(l, s[l - 1])]
+    if not crit:
+        return 0
+    leftmost = crit[0]
+    m = max(idx for idx, k in enumerate(anchors) if k < leftmost)
+    return m + 1
+
+
+def ref_mpos(s):
+    j = ref_mpair(s)
+    return _ref_pos_marker(s, ref_maximal_positions(s), j,
+                           lambda l, v: v == l - 2)
+
+
+def ref_zpos(s):
+    j = ref_zpair(s)
+    return _ref_pos_marker(s, ref_zero_positions(s), j, lambda l, v: v == 1)
+
+
+# --- reference class tests and the transform of upsilon -----------------------
+
+def ref_is_b_class(s):
+    if not is_inversion(s):
+        return False
+    n = len(s)
+    for i in range(1, n):  # 1-based non-ascent position i
+        if s[i - 1] < s[i]:
+            continue
+        if s[i - 1] == i - 1:
+            if any(s[j] == j for j in range(i, n)):
+                return False
+        elif (i - 1) in s[i:]:
+            return False
+    return True
+
+
+def ref_is_c_class(s):
+    if not is_inversion(s):
+        return False
+    n = len(s)
+    for i in range(1, n):
+        if s[i - 1] >= s[i] and i in s[i:]:
+            return False
+    return True
+
+
+def ref_inverse_then_complement(p):
+    """The inverse, then the complement of it, in two passes."""
+    n = len(p)
+    inverse = [0] * n
+    for i, v in enumerate(p):
+        inverse[v - 1] = i + 1
+    return Perm._wrap(tuple(n + 1 - v for v in inverse))
+
+
+def inverse_then_complement(p):
+    return perm_transform(p, "inverse_then_complement")
 
 
 def ref_in_F(s):
@@ -398,6 +482,39 @@ def test_markers_and_blocks(n):
         same(stats.zpair, ref_zpair, s)
         same(decomp._in_F, ref_in_F, s)
         same(decomp._in_G, ref_in_G, s)
+
+
+# inputs outside every class, for the refusals and the values of kernels
+# that do not refuse them
+MALFORMED = ((), (1,), (0, 2), (5,), (0, 0, 3))
+SEQ_KERNELS = ((stats.mpair, ref_mpair), (stats.zpair, ref_zpair),
+               (stats.ealm, ref_ealm), (stats.mpos, ref_mpos),
+               (stats.zpos, ref_zpos),
+               (stats.maximal_positions, ref_maximal_positions),
+               (stats.zero_positions, ref_zero_positions),
+               (seqcore.is_b_class, ref_is_b_class),
+               (seqcore.is_c_class, ref_is_c_class))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_marker_and_class_kernels_against_their_former_bodies(n):
+    for s in members(n, ClassId.INV):
+        for kernel, ref in SEQ_KERNELS:
+            same(kernel, ref, s)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_transform_against_its_two_passes(n):
+    for p in enumerate_class(ClassId.PERM_ALL, n):
+        same(inverse_then_complement, ref_inverse_then_complement, p)
+
+
+def test_kernels_on_malformed_input():
+    for values in MALFORMED:
+        for kernel, ref in SEQ_KERNELS:
+            same(kernel, ref, Seq(values))
+        same(inverse_then_complement, ref_inverse_then_complement,
+             Perm._wrap(values))
 
 
 WALKS = ((decomp.vartheta, ref_vartheta, decomp.vartheta_inv,
