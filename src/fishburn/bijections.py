@@ -23,7 +23,7 @@ Before step i of the code, the values not yet placed, plus 0, form maximal
 runs of consecutive integers, each labelled; the bottom run holds 0 and
 label i.  Step i places p[i] and splits its run into the parts below and
 above it.  The new bottom run takes label i + 1; every other label stays
-just when it occurs again later.  A slice lists (lo, hi, label) top down.
+just when it occurs again later.
 
 The encoder keeps the runs as one bit set, free, of 0 and the values not yet
 placed.  A run starts at each set bit whose lower bit is clear, so the run of
@@ -60,26 +60,14 @@ def _relabel(labels, i, r, lower, upper):
     labels.insert(0, i + 1)
 
 
-def _walk(p):
-    """Yield each step's free set, its labels bottom-up (one list, edited
-    after the yield) and the rank of the run of p[i]."""
-    free, labels = (2 << len(p)) - 1, [0]
+def bv_code(p: Perm) -> Seq:
+    free, labels, out = (2 << len(p)) - 1, [0], []
     for i, v in enumerate(p):
         r = (free & ~(free << 1) & ((2 << v) - 1)).bit_count() - 1
-        yield free, labels, r
+        out.append(labels[r])
         free ^= 1 << v
         _relabel(labels, i, r, free >> (v - 1) & 1, free >> (v + 1) & 1)
-
-
-def bv_slices(p: Perm) -> list:
-    """All n slices of the permutation, starting from ((0, n, 0),)."""
-    bits = lambda x: [v for v in range(len(p) + 1) if x >> v & 1]
-    return [tuple(zip(bits(free & ~(free << 1)), bits(free & ~(free >> 1)), labels))[::-1]
-            for free, labels, _ in _walk(p)]
-
-
-def bv_code(p: Perm) -> Seq:
-    return Seq._wrap(tuple([labels[r] for _, labels, r in _walk(p)]))
+    return Seq._wrap(tuple(out))
 
 
 def bv_decode(s: Seq) -> Perm:

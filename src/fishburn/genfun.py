@@ -335,6 +335,14 @@ def fishburn_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     return total
 
 
+def _affine(c: Fraction, f: Fraction, a: TruncSeries) -> TruncSeries:
+    """c + f a, brought to canonical form once."""
+    num = [v * f.numerator * c.denominator for v in a._num]
+    num[0] += c.numerator * f.denominator * a._den
+    return TruncSeries._make(num, c.denominator * f.denominator * a._den,
+                             a.order)
+
+
 def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> TruncSeries:
     """Length series of ascent sequences with all four scalar markers.
 
@@ -364,17 +372,15 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
     lead = r.scale(z * q * mix)      # zq r (x+u-xu) x^m
     a = one - r.scale(q)             # a_m
     # the two denominators are left + u a_m and right + u(1-x) a_m
-    left = TruncSeries.constant(x * (1 - u), order)
-    right = TruncSeries.constant(x, order)
-    right_factor = u * (1 - x)
+    left, right, right_factor = x * (1 - u), x, u * (1 - x)
     running = one                    # product over i < m
     total = TruncSeries.zero(order)
     for m in range(order):
         # one quotient and one full product serve the term and the next
         # running product, (1 + (zr-1) a_m) shared = shared + (zr-1) a_shared
-        shared = running / (right + a.scale(right_factor))
+        shared = running / _affine(right, right_factor, a)
         a_shared = a * shared
-        term = lead * a_shared / (left + a.scale(u))
+        term = lead * a_shared / _affine(left, u, a)
         invariant(term.vanishes_below(m + 1), "summand order bound violated")
         total = total + term
         running = shared + zr_less_one * a_shared

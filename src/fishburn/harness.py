@@ -121,12 +121,12 @@ def _value_fn(class_id: ClassId, names: tuple):
         pick = itemgetter(*(i for _, i, _ in slots))
         return lambda obj: pick(kernel(obj))
     if all(mark for mark, _, _ in slots):  # markers only: no profile pass
-        return lambda obj: tuple(mark(obj) for mark, _, _ in slots)
+        return lambda obj: tuple([mark(obj) for mark, _, _ in slots])
 
     def values(obj):
         key, last = kernel(obj), len(obj) - 1
-        return tuple(mark(obj) if mark else last - key[i] if derived else key[i]
-                     for mark, i, derived in slots)
+        return tuple([mark(obj) if mark else last - key[i] if derived else key[i]
+                      for mark, i, derived in slots])
     return values
 
 
@@ -460,10 +460,12 @@ def _chk_class_counts(max_n, perm_max_n):
 #           the codomain with marker i and the statistics moved by the
 #           deltas; the inverse recovers (s, i) and the images cover the
 #           codomain.
-# A block is (scheme, *labels) of decomp.classify.  A codomain is (length
-# drop, block or None for the whole class, its description).  A side-index
-# range (lo, hi) is read off the sequence the index is paired with; each
-# bound is 0, a scalar statistic or a marker.
+# A block is (scheme, *labels) of decomp.classify.  A level is the members
+# of one class at one length, with their labels under each scheme, which
+# classify gives once per member when a block first asks.  A codomain is
+# (length drop, block or None for the whole class, its description).  A
+# side-index range (lo, hi) is read off the sequence the index is paired
+# with; each bound is 0, a scalar statistic or a marker.
 
 # lemma -> (class, domain block, codomain, side-index range,
 #           statistic deltas, marker)
@@ -516,11 +518,20 @@ def _reader(class_id, name):
     return lambda s: value(s)[0]
 
 
-def _block(class_id, objs, block):
-    scheme, *labels = block
-    guard = _reader(class_id, _GUARDS.get(scheme, 0))  # 0: no guard
-    return [s for s in objs
-            if guard(s) < len(s) and decomp.classify(s, scheme) in labels]
+def _level(class_id, n) -> tuple:
+    """(the members of class_id at length n, their labels by scheme)."""
+    return list(enumerate_class(class_id, n)), {}
+
+
+def _block(class_id, level, block):
+    (objs, labels), (scheme, *wanted) = level, block
+    tags = labels.get(scheme)
+    if tags is None:
+        guard = _reader(class_id, _GUARDS.get(scheme, 0))  # 0: no guard
+        tags = labels[scheme] = [
+            decomp.classify(s, scheme) if guard(s) < len(s) else None
+            for s in objs]
+    return [s for s, tag in zip(objs, tags) if tag in wanted]
 
 
 @dataclass(frozen=True)
@@ -541,14 +552,16 @@ class _Row:
     deltas: dict
 
 
-def _resolve(name, n, objs) -> _Row:
+def _resolve(name, n, levels) -> _Row:
+    """The row of name at length n; levels maps each class to its levels at
+    n and n - 1."""
     shape, forward, inverse = decomp.MAPS[name]
     class_id, block, codomain, side, deltas, marker = _LEDGER[name]
-    domain = _block(class_id, objs[class_id][0], block)
+    domain = _block(class_id, levels[class_id][0], block)
     drop, target_block, description = codomain or (0, None, None)
-    targets = objs[class_id][drop]
-    if target_block:
-        targets = _block(class_id, targets, target_block)
+    target = levels[class_id][drop]
+    targets = (_block(class_id, target, target_block) if target_block
+               else target[0])
     lo, hi = side or (0, 0)
     lo, hi = _reader(class_id, lo), _reader(class_id, hi)
     names = (*deltas, "zero") if shape == "reduce" else tuple(deltas)
@@ -668,14 +681,15 @@ _VERIFIERS = {"drop": _verify_drop, "reduce": _verify_reduce,
 
 
 def _chk_lemma_suite(max_n):
+    classes = (ClassId.ASC, ClassId.T21)
+    below = {cls: _level(cls, 1) for cls in classes}
     for n in range(2, max_n + 1):
-        objs = {cls: (list(enumerate_class(cls, n)),
-                      list(enumerate_class(cls, n - 1)))
-                for cls in (ClassId.ASC, ClassId.T21)}
+        levels = {cls: (_level(cls, n), below[cls]) for cls in classes}
         for name, (shape, _, _) in decomp.MAPS.items():
-            found = _VERIFIERS[shape](_resolve(name, n, objs))
+            found = _VERIFIERS[shape](_resolve(name, n, levels))
             if found:
                 return found
+        below = {cls: pair[0] for cls, pair in levels.items()}
     return None
 
 

@@ -193,30 +193,39 @@ def is_t21(s) -> bool:
     return True
 
 
+# B and C in one pass from the right each, over the bit set of the entries
+# after 0-based index i; v at i is an entry of an inversion sequence when
+# 0 <= v <= i, and starts a non-ascent when it is at least the entry after.
+
 def is_b_class(s) -> bool:
-    if not is_inversion(s):
-        return False
-    n = len(s)
-    for i in range(1, n):  # 1-based non-ascent position i, entries s[i-1] >= s[i]
-        if s[i - 1] < s[i]:
-            continue
-        if s[i - 1] == i - 1:
-            # Once a maximal entry starts a non-ascent, no later entry may be maximal.
-            if any(s[j] == j for j in range(i, n)):
-                return False
-        elif (i - 1) in s[i:]:
+    later, later_max, nxt = 0, False, -1
+    for i in range(len(s) - 1, -1, -1):
+        v = s[i]
+        if not 0 <= v <= i:
             return False
-    return True
+        if v >= nxt >= 0:
+            # a maximal entry at a non-ascent bans later maximal entries;
+            # any other entry at a non-ascent bans the later value i
+            if later_max if v == i else later >> i & 1:
+                return False
+        if v == i:
+            later_max = True
+        later |= 1 << v
+        nxt = v
+    return len(s) >= 1
 
 
 def is_c_class(s) -> bool:
-    if not is_inversion(s):
-        return False
-    n = len(s)
-    for i in range(1, n):
-        if s[i - 1] >= s[i] and i in s[i:]:
+    later, nxt = 0, -1
+    for i in range(len(s) - 1, -1, -1):
+        v = s[i]
+        if not 0 <= v <= i:
             return False
-    return True
+        if v >= nxt >= 0 and later >> (i + 1) & 1:  # bans the value i + 1
+            return False
+        later |= 1 << v
+        nxt = v
+    return len(s) >= 1
 
 
 def _contains_bivincular(p: Perm, top: int) -> bool:
@@ -277,7 +286,13 @@ def perm_transform(p: Perm, kind: str) -> Perm:
     if kind == "complement":
         return Perm._wrap(tuple(n + 1 - v for v in p))
     if kind == "inverse_then_complement":
-        return perm_transform(perm_transform(p, "inverse"), "complement")
+        # n - i is the complement of the inverse's entry i + 1; a slot that
+        # no entry writes (p is no permutation) holds n + 1, the complement
+        # of the inverse's unwritten 0
+        out = [n + 1] * n
+        for i, v in enumerate(p):
+            out[v - 1] = n - i
+        return Perm._wrap(tuple(out))
     raise UsageError(f"unknown transform {kind!r}")
 
 

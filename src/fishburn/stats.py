@@ -43,10 +43,11 @@ with plain references.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 from .errors import DomainError
-from .seqcore import ClassId, Perm, Seq, is_ascent, is_inversion, is_t21
+from .seqcore import ClassId, Perm, Seq, is_inversion
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,11 @@ def _require_inversion(s) -> None:
 
 
 def maximal_positions(s) -> tuple:
-    return tuple(i for i in range(1, len(s) + 1) if s[i - 1] == i - 1)
+    return tuple([i for i, v in enumerate(s, 1) if v == i - 1])
 
 
 def zero_positions(s) -> tuple:
-    return tuple(i for i in range(1, len(s) + 1) if s[i - 1] == 0)
+    return tuple([i for i, v in enumerate(s, 1) if v == 0])
 
 
 def scalar_stats(s: Seq) -> ScalarStats:
@@ -227,64 +228,104 @@ MARKERS = {"ealm": ClassId.ASC, "zpair": ClassId.ASC, "zpos": ClassId.ASC,
            "mpair": ClassId.T21, "mpos": ClassId.T21}
 
 
-def ealm(s: Seq) -> int:
-    if not is_ascent(s):
-        raise DomainError(f"ealm needs an ascent sequence, got {tuple(s)!r}")
-    p = len(maximal_positions(s))
-    if p == len(s):
-        return 0
-    return s[p]  # entry at 1-based position p + 1
+def _pair_index(s, anchors: list, pair: int | None, missing: str) -> int:
+    """The pair marker, given pair, the largest index of an anchor whose
+    entry is followed at once by that entry (maximals) or by 1 (zeros), or
+    None.  When every entry is an anchor none is, and the marker is 0;
+    otherwise one must be, so only a sequence outside the class, which the
+    passes below refuse first, reaches the DomainError:
 
-
-def _pair_marker(s, anchors: tuple, rise: int, missing: str) -> int:
-    """The largest index of an anchor whose entry is followed at once by
-    that entry plus rise.  When every entry is an anchor none is, and the
-    marker is 0; otherwise one must be, so only a sequence outside the
-    class, which mpair and zpair refuse first, reaches the DomainError:
-
-    - T21 (maximal anchors, rise 0): the entries before the first non-maximal
+    - T21 (maximal anchors): the entries before the first non-maximal
       position j are 0, 1, ..., j-2; the entry at j is at most j-2 and may
       not be one less than an earlier entry, so it is j-2, the maximal entry
       just before it.
-    - ASC (zero anchors, rise 1): an all-zero prefix has no ascent, so the
-      first nonzero entry is a 1, and the entry before it is a 0.
+    - ASC (zero anchors): an all-zero prefix has no ascent, so the first
+      nonzero entry is a 1, and the entry before it is a 0.
     """
-    best = 0 if len(anchors) == len(s) else None
-    for idx, k in enumerate(anchors):
-        if k < len(s) and s[k] == s[k - 1] + rise:
-            best = idx
-    if best is None:
-        raise DomainError(f"{missing} in {tuple(s)!r}")
-    return best
+    if pair is not None:
+        return pair
+    if len(anchors) == len(s):
+        return 0
+    raise DomainError(f"{missing} in {tuple(s)!r}")
+
+
+def _t21_pass(s) -> tuple:
+    """(maximal positions, mpair) of s, in one pass from the left that also
+    tests that s is in T21: each entry v at 0-based index i has
+    0 <= v <= i, and v + 1 is not an earlier entry."""
+    anchors, pair, seen = [], None, 0  # seen: bit set of the earlier entries
+    for i, v in enumerate(s):
+        if not 0 <= v <= i or seen >> (v + 1) & 1:
+            break
+        if v == i:
+            anchors.append(i + 1)
+        elif v == i - 1 and anchors[-1] == i:  # the maximal before repeats
+            pair = len(anchors) - 1
+        seen |= 1 << v
+    else:
+        if s:
+            return anchors, _pair_index(s, anchors, pair, "no paired maximal")
+    raise DomainError(f"mpair needs a drop-by-one-avoiding sequence, got {tuple(s)!r}")
+
+
+def _asc_pass(s, marker: str) -> tuple:
+    """(number of maximals, zero positions, the largest index of a zero
+    followed at once by 1 or None) of s, in one pass from the left that also
+    tests that s is an ascent sequence: each entry is at least 0 and at most
+    one more than the ascents before it, so the first is 0.  marker names
+    the caller in the refusal."""
+    p, zeros, pair, asc, prev = 0, [], None, -1, -1
+    for i, v in enumerate(s):
+        if not 0 <= v <= asc + 1:
+            break
+        if v == i:
+            p += 1
+        if v == 0:
+            zeros.append(i + 1)
+        elif v == 1 and prev == 0:
+            pair = len(zeros) - 1
+        if v > prev:
+            asc += 1
+        prev = v
+    else:
+        if s:
+            return p, zeros, pair
+    raise DomainError(f"{marker} needs an ascent sequence, got {tuple(s)!r}")
+
+
+def _zero_pass(s) -> tuple:
+    """(zero positions, zpair) of s."""
+    _, zeros, pair = _asc_pass(s, "zpair")
+    return zeros, _pair_index(s, zeros, pair, "no zero followed by 1")
+
+
+def ealm(s: Seq) -> int:
+    p = _asc_pass(s, "ealm")[0]  # the maximals form the identity prefix
+    return 0 if p == len(s) else s[p]  # the entry at 1-based position p + 1
 
 
 def mpair(s: Seq) -> int:
-    if not is_t21(s):
-        raise DomainError(f"mpair needs a drop-by-one-avoiding sequence, got {tuple(s)!r}")
-    return _pair_marker(s, maximal_positions(s), 0, "no paired maximal")
+    return _t21_pass(s)[1]
 
 
 def zpair(s: Seq) -> int:
-    if not is_ascent(s):
-        raise DomainError(f"zpair needs an ascent sequence, got {tuple(s)!r}")
-    return _pair_marker(s, zero_positions(s), 1, "no zero followed by 1")
+    return _zero_pass(s)[1]
 
 
-def _pos_marker(s, anchors: tuple, pair_index: int, is_critical) -> int:
-    start = anchors[pair_index] + 2
-    crit = [l for l in range(start, len(s) + 1) if is_critical(l, s[l - 1])]
-    if not crit:
-        return 0
-    leftmost = crit[0]
-    m = max(idx for idx, k in enumerate(anchors) if k < leftmost)
-    return m + 1
-
+# the position markers: bisect counts the anchors before the leftmost
+# critical position l, which is one more than the largest index of one
 
 def mpos(s: Seq) -> int:
-    j = mpair(s)
-    return _pos_marker(s, maximal_positions(s), j, lambda l, v: v == l - 2)
+    anchors, j = _t21_pass(s)
+    for l in range(anchors[j] + 2, len(s) + 1):
+        if s[l - 1] == l - 2:
+            return bisect_left(anchors, l)
+    return 0
 
 
 def zpos(s: Seq) -> int:
-    j = zpair(s)
-    return _pos_marker(s, zero_positions(s), j, lambda l, v: v == 1)
+    zeros, j = _zero_pass(s)
+    for l in range(zeros[j] + 2, len(s) + 1):
+        if s[l - 1] == 1:
+            return bisect_left(zeros, l)
+    return 0

@@ -98,9 +98,30 @@ def ref_bv_code(p):
     return Seq(labels[r] for _, labels, r in _ref_walk(p))
 
 
+# The bit-set form, read step by step: bv_code's loop as a generator, and
+# the slices it passes through.  A slice lists (lo, hi, label) top down.
+
+def _walk(p):
+    """Yield each step's free set, its labels bottom-up (one list, edited
+    after the yield) and the rank of the run of p[i]."""
+    free, labels = (2 << len(p)) - 1, [0]
+    for i, v in enumerate(p):
+        r = (free & ~(free << 1) & ((2 << v) - 1)).bit_count() - 1
+        yield free, labels, r
+        free ^= 1 << v
+        bj._relabel(labels, i, r, free >> (v - 1) & 1, free >> (v + 1) & 1)
+
+
+def bv_slices(p):
+    """All n slices of the permutation, starting from ((0, n, 0),)."""
+    bits = lambda x: [v for v in range(len(p) + 1) if x >> v & 1]
+    return [tuple(zip(bits(free & ~(free << 1)), bits(free & ~(free >> 1)), labels))[::-1]
+            for free, labels, _ in _walk(p)]
+
+
 def walk_code(p):
-    """The code as the walk over the bit set of free values yields it."""
-    return Seq._wrap(tuple([labels[r] for _, labels, r in bj._walk(p)]))
+    """The code as the walk yields it."""
+    return Seq._wrap(tuple([labels[r] for _, labels, r in _walk(p)]))
 
 
 def _outcome(fn, p):
@@ -141,7 +162,7 @@ class TestLehmerCode:
 class TestIntervalCode:
     def test_slices_of_worked_example(self):
         # each slice is a tuple of (low, high, label) triples
-        assert bj.bv_slices(PI) == [
+        assert bv_slices(PI) == [
             ((0, 8, 0),),
             ((7, 8, 0), (0, 5, 1)),
             ((7, 8, 0), (2, 5, 1), (0, 0, 2)),
@@ -180,7 +201,7 @@ class TestIntervalCode:
             for p in enumerate_class(ClassId.PERM_ALL, n):
                 code = reference_code(p)
                 assert bj.bv_code(p) == code
-                assert bj.bv_slices(p) == reference_slices(p)
+                assert bv_slices(p) == reference_slices(p)
                 assert bj.bv_decode(code) == p
                 codes.add(code)
             # the bijectivity that lets bv_decode look every label up
@@ -190,7 +211,7 @@ class TestIntervalCode:
         for n in range(1, 9):
             for p in enumerate_class(ClassId.PERM_ALL, n):
                 assert bj.bv_code(p) == ref_bv_code(p)
-                assert bj.bv_slices(p) == ref_bv_slices(p)
+                assert bv_slices(p) == ref_bv_slices(p)
 
     def test_matches_the_walk(self):
         """Values on every permutation to n = 8, and the exceptions on

@@ -139,11 +139,11 @@ class TestMarkers:
         # the pair guard itself, which no member of T21 or ASC reaches
         s = (0, 2)
         with pytest.raises(DomainError, match="no paired maximal"):
-            stats._pair_marker(s, stats.maximal_positions(s), 0,
-                               "no paired maximal")
+            stats._pair_index(s, stats.maximal_positions(s), None,
+                              "no paired maximal")
         with pytest.raises(DomainError, match="no zero followed by 1"):
-            stats._pair_marker(s, stats.zero_positions(s), 1,
-                               "no zero followed by 1")
+            stats._pair_index(s, stats.zero_positions(s), None,
+                              "no zero followed by 1")
 
     def test_markers_total_on_their_classes(self):
         for n in range(1, 7):
