@@ -440,10 +440,9 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
     if variant == "primitive":
         shrink_pow = one             # (1-t)^i
         running = one                # product over i <= m
-        base = TruncSeries.constant(u, order)
         for m in range(order):
             piece = fading * shrink_pow
-            running = running * (one - piece) / (base + piece.scale(1 - u))
+            running = running * (one - piece) / _affine(u, 1 - u, piece)
             term = running.scale(u ** m)
             invariant(term.vanishes_below(m + 1), "summand order bound violated")
             total = total + term
@@ -453,11 +452,10 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
         shrink_pow = shrink          # (1-t)^(m+1)
         running = one                # product over i < m
         lead = t.scale(z)
-        base = TruncSeries.constant(1 - u, order)
         for m in range(order):
             # one full product serves the term and the next running product
             shrunk = shrink_pow * running
-            term = lead * shrunk / (base + shrink_pow.scale(u))
+            term = lead * shrunk / _affine(1 - u, u, shrink_pow)
             invariant(term.vanishes_below(m + 1), "summand order bound violated")
             total = total + term
             running = running - fading * shrunk
