@@ -24,10 +24,9 @@ compared with it under faults keyed to one input.
 
 import pytest
 
-from fishburn import bijections, decomp, harness, stats
+from fishburn import bijections, decomp, harness, seqcore, stats
 from fishburn.decomp import MapResult, _check_J1, _in_F, _max_stat
 from fishburn.errors import DomainError, UsageError, invariant
-from fishburn import seqcore
 from fishburn.seqcore import (ClassId, Perm, Seq, contains_bivincular_A,
                               contains_bivincular_B, enumerate_class,
                               is_ascent, is_b_class, is_c_class, is_inversion,
