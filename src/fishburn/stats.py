@@ -274,6 +274,7 @@ def _asc_pass(s, marker: str) -> tuple:
     tests that s is an ascent sequence: each entry is at least 0 and at most
     one more than the ascents before it, so the first is 0.  marker names
     the caller in the refusal."""
+    # asc and prev start at -1, so the first entry must be 0 and leaves asc 0
     p, zeros, pair, asc, prev = 0, [], None, -1, -1
     for i, v in enumerate(s):
         if not 0 <= v <= asc + 1:
