@@ -57,6 +57,17 @@ rep and rmin read of a set), and by the final rule state only for
 count_cases, whose reader reads the case off it.  The reader then runs once
 per distinct key: once per key of the table for the core (asc, rep, zero,
 max).
+
+The same layers also rank the members, by the recursive method of Nijenhuis
+and Wilf (Combinatorial Algorithms, 1978).  ranker(class_id, n) walks the
+step rule forward through _extensions, with no fields to track, to collect
+the reachable (state, prev) keys of each index, then backward to count the
+completions of each key: the number of ways to fill the indices after it.
+The members that agree with a member s up to index m and take a smaller
+entry there precede s, so the rank of s sums, over each index, the
+completions of the smaller admissible entries.  The offset of each entry is
+summed once per key, so a rank costs one lookup per entry, and a word that
+the rule refuses, or whose entry leaves entry_range, has no rank.
 """
 
 from __future__ import annotations
@@ -168,7 +179,7 @@ def _extensions(step, layout, perm, m, last):
     Memoised for the layer, as the step rule is a pure function of (state,
     m, prev, v); the ops of each (prev, v) are computed once and shared,
     and ides, which reads the state, is added to them per (state, prev,
-    v)."""
+    v).  ranker reads it with an empty layout, whose ops change nothing."""
     memo, ops = {}, {}
     values = entry_range(perm, layout.n, m)
     ides = layout.at.get("ides")
@@ -258,6 +269,48 @@ def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
     layout = _Layout(names, n)
     return dict(_count(step, state, n, layout, layout.reader(names),
                        class_id.is_permutation_class))
+
+
+def ranker(class_id: ClassId, n: int) -> tuple:
+    """(rank, size): size is the number of members of class_id of length
+    n, and rank(obj) the index of obj among them in lexicographic order, or
+    None when obj is no such member."""
+    check_class(class_id)
+    check_size(n, "length")
+    step, start = _RULES[class_id]
+    layout, perm = _Layout((), n), class_id.is_permutation_class
+    moves, keys = [], {(start, 0)}  # moves[m]: key -> its extensions at m
+    for m in range(n):
+        extend = _extensions(step, layout, perm, m, False)
+        moves.append({key: extend(*key) for key in keys})
+        keys = {(nxt, v) for found in moves[m].values()
+                for v, nxt, _ in found}
+    # the node of a key at index m maps each admissible entry v to (the
+    # completions of the entries below v, the node of the key after v)
+    completions, nodes = dict.fromkeys(keys, 1), dict.fromkeys(keys)
+    for m in range(n - 1, -1, -1):
+        below, counts = {}, {}
+        for key, found in moves[m].items():
+            node, total = {}, 0
+            for v, nxt, _ in found:
+                node[v] = total, nodes[nxt, v]
+                total += completions[nxt, v]
+            below[key], counts[key] = node, total
+        nodes, completions = below, counts
+    root = nodes[start, 0]
+
+    def rank(obj):
+        if len(obj) != n:
+            return None
+        node, index = root, 0
+        for v in obj:
+            found = node.get(v)
+            if found is None:
+                return None
+            offset, node = found
+            index += offset
+        return index
+    return rank, completions[start, 0]
 
 
 def _case_step(state, m, prev, v):

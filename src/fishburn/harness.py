@@ -28,8 +28,7 @@ from .genfun import (DistTable, SpecPoint, admissible_for_case_identity,
                      admissible_for_length_series, check_case_identity,
                      eval_gf, fishburn_series, random_point, series_G,
                      series_asczero, series_zeromax)
-from .seqcore import (ClassId, cap, check_class, check_size, enumerate_class,
-                      is_member)
+from .seqcore import ClassId, cap, check_class, check_size, enumerate_class
 
 CACHE_ENV = "FISHBURN_CACHE"
 
@@ -298,28 +297,30 @@ def _transported(class_id, names):
 def _pointwise(source, map_name, target, want, got, detail, max_n):
     """The bijection sends each source object of length n to a member of
     target of length n, carries the statistics want of the object to the
-    statistics got of its image, is injective, and covers target."""
+    statistics got of its image, is injective, and covers target.  target
+    is counted, not enumerated: each image is ranked among the length-n
+    members of target by counting.ranker, so a rank of None is an image
+    outside target, and a slot marked before is a collision, reported after
+    the statistics."""
     want_of, got_of = _transported(source, want), _transported(target, got)
     for n in range(1, max_n + 1):
-        unseen = set(enumerate_class(target, n))
-        size = len(unseen)
+        rank, size = counting.ranker(target, n)
+        seen = bytearray(size)
         for x in enumerate_class(source, n):
             out = getattr(bijections, map_name)(x)
-            # a member of length n that is not unseen was an image before:
-            # a collision, reported after the statistics
-            fresh = out in unseen
-            if not (fresh or (len(out) == n and is_member(target, out))):
+            at = rank(out)
+            if at is None:
                 return {"n": n, "input": x, "output": out, "detail": detail}
             expected, actual = want_of(x), got_of(out)
             if expected != actual:
                 return {"n": n, "input": x, "output": out,
                         "expected": expected, "actual": actual}
-            if not fresh:
+            if seen[at]:
                 return {"n": n, "output": out, "detail": "image collision"}
-            unseen.remove(out)
-        if unseen:
-            return {"n": n, "detail": f"image covers {size - len(unseen)} of "
-                                      f"{size} members of {target.name}"}
+            seen[at] = 1
+        if (covered := seen.count(1)) < size:
+            return {"n": n, "detail": f"image covers {covered} of {size} "
+                                      f"members of {target.name}"}
     return None
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fishburn import counting, decomp, genfun, harness, seqcore, stats
 from fishburn.errors import UsageError
-from fishburn.seqcore import ClassId, Seq, is_member
+from fishburn.seqcore import ClassId, Perm, Seq, is_member
 
 SEQUENCE_CLASSES = [cid for cid in seqcore._RULES
                     if not cid.is_permutation_class]
@@ -182,6 +182,59 @@ def test_the_fold_reads_each_core_key_once(cid, monkeypatch):
     table = counting.count_table(cid, 9, harness._SEQ_CORE)
     assert sum(calls.values()) == len(table) == len(calls)
     assert sum(table.values()) == genfun.fishburn_series(9).coefficient(9)
+
+
+# --- the ranker ---------------------------------------------------------------
+
+def _size(cid, n):
+    return sum(counting.count_table(cid, n, ("des",) if cid.is_permutation_class
+                                    else ("asc",)).values())
+
+
+@pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+def test_ranks_follow_the_lexicographic_order(cid):
+    for n in range(1, 8):
+        rank, size = counting.ranker(cid, n)
+        members = list(seqcore.enumerate_class(cid, n))
+        assert members == sorted(members), n
+        assert [rank(x) for x in members] == list(range(size)), n
+        assert size == _size(cid, n), n
+
+
+def test_sizes_reach_past_enumeration():
+    want = genfun.fishburn_series(11)
+    for cid in (ClassId.ASC, ClassId.T21, ClassId.B, ClassId.C):
+        for n in (10, 11):
+            assert counting.ranker(cid, n)[1] == _size(cid, n), (cid, n)
+            assert _size(cid, n) == want.coefficient(n), (cid, n)
+
+
+def _is_member(cid, word):
+    """is_member on a word of integers, a permutation class taking only the
+    permutations of 1..n, as is_member takes only a Perm there."""
+    if cid.is_permutation_class:
+        return (sorted(word) == list(range(1, len(word) + 1))
+                and is_member(cid, Perm(word)))
+    return is_member(cid, word)
+
+
+@pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+def test_rank_refuses_exactly_the_non_members(cid):
+    """Every word of length n <= 4 over -1..n+1: a rank exactly for the
+    members, and none for a member one entry short or one entry long."""
+    for n in range(1, 5):
+        rank, _ = counting.ranker(cid, n)
+        for word in itertools.product(range(-1, n + 2), repeat=n):
+            assert (rank(word) is not None) == _is_member(cid, word), word
+            if _is_member(cid, word):
+                assert rank(word[:-1]) is None and rank(word + word[-1:]) is None
+
+
+@pytest.mark.parametrize("cid, n", [("asc", 3), (ClassId.ASC, 0),
+                                    (ClassId.T21, True)])
+def test_ranker_refuses_a_bad_class_or_length(cid, n):
+    with pytest.raises(UsageError):
+        counting.ranker(cid, n)
 
 
 class TestRequests:

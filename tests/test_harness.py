@@ -504,6 +504,18 @@ def test_injected_fault_is_reported_as_pinned(fault, tmp_path, monkeypatch):
                       "verdict": "fail", "counterexample": counterexample}
 
 
+@pytest.mark.parametrize("name", ["lehmer_quadruple", "psi_setvalued"])
+def test_transports_never_enumerate_their_target(name, monkeypatch):
+    # the images are ranked among the counted members of the target class
+    source, _, target = harness._CHECKS[name][0].args[:3]
+    enumerated = []
+    real = harness.enumerate_class
+    monkeypatch.setattr(harness, "enumerate_class",
+                        lambda cid, n: enumerated.append(cid) or real(cid, n))
+    assert harness.run_check(name, max_n=5).passed
+    assert enumerated == [source] * 5 and target not in enumerated
+
+
 def test_lemma_suite_reads_no_validating_statistics(monkeypatch):
     # every object the lemmas read has passed membership first, so the
     # verifiers read the fused kernels, never the validating scalar_stats
