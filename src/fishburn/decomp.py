@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError, invariant
-from .seqcore import Seq, is_ascent, is_t21
-from .stats import ealm, maximal_positions, mpair, mpos, zero_positions, zpair, zpos
+from .seqcore import Seq
+from .stats import (_asc_pass, _mpos, _pair_index, _t21_pass, _zpos, ealm,
+                    maximal_positions, mpair, mpos, zero_positions, zpair,
+                    zpos)
 
 
 @dataclass(frozen=True)
@@ -56,21 +58,46 @@ def _flush_after(s, anchors: tuple, j: int) -> bool:
     return k1 == len(s) or k1 + 1 in anchors
 
 
-def _in_F(s) -> bool:
-    return _flush_after(s, maximal_positions(s), mpair(s))
+# scheme -> the refusal of a sequence outside its class
+_OUTSIDE = {"ASC_S": "not an ascent sequence",
+            "ASC_P": "not a nonempty ascent sequence",
+            "T_J": "drop-by-one pattern present",
+            "T_F": "not a nonempty drop-by-one-avoiding sequence",
+            "ASC_R": "not an ascent sequence",
+            "ASC_G": "not a nonempty ascent sequence"}
 
 
-def _in_G(s) -> bool:
-    return _flush_after(s, zero_positions(s), zpair(s))
+def _pass(s, scheme: str, refusal: str | None = None) -> tuple:
+    """The one pass of stats that tests that s is in the class of scheme
+    and reads its anchors: (maximal positions, mpair) of stats._t21_pass
+    on T21, (number of maximals, zero positions, zpair or None) of
+    stats._asc_pass on ASC.  A sequence outside the class is refused with
+    refusal, or with the scheme's own refusal."""
+    try:
+        return _t21_pass(s) if scheme[0] == "T" else _asc_pass(s, scheme)
+    except DomainError:
+        raise DomainError(
+            f"{refusal or _OUTSIDE[scheme]}: {tuple(s)!r}") from None
 
 
-def classify(s: Seq, scheme: str) -> str:
-    """Return the block label of ``s`` under one of the subset schemes."""
+def classify(s: Seq, scheme: str, refusal: str | None = None) -> str:
+    """Return the block label of ``s`` under one of the subset schemes,
+    off one pass that also tests membership (see _pass; refusal, when
+    given, replaces the refusal of a sequence outside the class)."""
     scheme = scheme.strip().upper()
+    if scheme not in _OUTSIDE:
+        valid = ", ".join(SUBSET_SCHEMES)
+        raise UsageError(
+            f"unknown scheme {scheme!r}; expected one of: {valid}")
+    found, n = _pass(s, scheme, refusal), len(s)
+    if scheme == "T_F":
+        return "F" if _flush_after(s, *found) else "Fc"
+    if scheme == "T_J":
+        _require(n > len(found[0]),
+                 f"identity run has no tail to classify: {tuple(s)!r}")
+        return "J1" if _mpos(s, *found) == 0 else "J2"
+    p, zeros, pair = found
     if scheme == "ASC_S":
-        _require(is_ascent(s), f"not an ascent sequence: {tuple(s)!r}")
-        p = _max_stat(s)
-        n = len(s)
         _require(n > p, f"identity run has no tail to classify: {tuple(s)!r}")
         if n == p + 1:
             return "S1"
@@ -78,30 +105,34 @@ def classify(s: Seq, scheme: str) -> str:
             return "S2"
         return "S4" if p in s[p + 1:] else "S3"
     if scheme == "ASC_P":
-        _require(is_ascent(s) and len(s) > 0,
-                 f"not a nonempty ascent sequence: {tuple(s)!r}")
-        q = _max_stat(s)
-        return "P" if s.count(q - 1) == 1 else "Pc"
-    if scheme == "T_J":
-        _require(is_t21(s), f"drop-by-one pattern present: {tuple(s)!r}")
-        _require(len(s) > _max_stat(s),
-                 f"identity run has no tail to classify: {tuple(s)!r}")
-        return "J1" if mpos(s) == 0 else "J2"
-    if scheme == "T_F":
-        _require(is_t21(s) and len(s) > 0,
-                 f"not a nonempty drop-by-one-avoiding sequence: {tuple(s)!r}")
-        return "F" if _in_F(s) else "Fc"
-    if scheme == "ASC_R":
-        _require(is_ascent(s), f"not an ascent sequence: {tuple(s)!r}")
-        _require(len(s) > len(zero_positions(s)),
-                 f"all-zero run has no nonzero entry: {tuple(s)!r}")
-        return "R1" if zpos(s) == 0 else "R2"
+        return "P" if s.count(p - 1) == 1 else "Pc"
+    j = _pair_index(s, zeros, pair, "no zero followed by 1")
     if scheme == "ASC_G":
-        _require(is_ascent(s) and len(s) > 0,
-                 f"not a nonempty ascent sequence: {tuple(s)!r}")
-        return "G" if _in_G(s) else "Gc"
-    valid = ", ".join(SUBSET_SCHEMES)
-    raise UsageError(f"unknown scheme {scheme!r}; expected one of: {valid}")
+        return "G" if _flush_after(s, zeros, j) else "Gc"
+    _require(n > len(zeros),
+             f"all-zero run has no nonzero entry: {tuple(s)!r}")
+    return "R1" if _zpos(s, zeros, j) == 0 else "R2"
+
+
+def _in_block(s, scheme: str, label: str, refusal: str) -> None:
+    """Refuse s, with refusal, unless its block under scheme is label."""
+    if classify(s, scheme, refusal) != label:
+        raise DomainError(f"{refusal}: {tuple(s)!r}")
+
+
+def _marked(s, scheme: str) -> tuple:
+    """(anchors, pair index, position marker) of s, on the maximals under a
+    T scheme and on the zeros otherwise, off one pass (see _pass) that
+    refuses s outside the class of scheme or on its run of anchors."""
+    if scheme[0] == "T":
+        anchors, j = _pass(s, scheme)
+        pos, run = _mpos, "identity run"
+    else:
+        _, anchors, pair = _pass(s, scheme)
+        j = _pair_index(s, anchors, pair, "no zero followed by 1")
+        pos, run = _zpos, "all-zero run"
+    _require(len(s) > len(anchors), f"{run} excluded: {tuple(s)!r}")
+    return anchors, j, pos(s, anchors, j)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +145,7 @@ def phi_P(s: Seq) -> Seq:
     Bijection onto ascent sequences one shorter; lowers asc and max by one,
     keeps rep, zero and the entry after the last maximal.
     """
-    _require(is_ascent(s) and classify(s, "ASC_P") == "P",
-             f"top value repeats or not ascent: {tuple(s)!r}")
+    _in_block(s, "ASC_P", "P", "top value repeats or not ascent")
     q = _max_stat(s)
     out = [v - (1 if v > q - 1 else 0)
            for idx, v in enumerate(s) if idx != q - 1]
@@ -123,8 +153,7 @@ def phi_P(s: Seq) -> Seq:
 
 
 def phi_P_inv(t: Seq) -> Seq:
-    _require(is_ascent(t), f"not an ascent sequence: {tuple(t)!r}")
-    p = _max_stat(t)
+    p = _pass(t, "ASC_S")[0]
     out = list(t[:p]) + [p] + [v + (1 if v >= p else 0) for v in t[p:]]
     return Seq(out)
 
@@ -136,8 +165,7 @@ def xi_S4(s: Seq) -> MapResult:
     the prefix-top value later on.  Returns the promoted sequence together
     with the displaced entry; asc and rep are untouched.
     """
-    _require(is_ascent(s) and classify(s, "ASC_S") == "S4",
-             f"not in block S4: {tuple(s)!r}")
+    _in_block(s, "ASC_S", "S4", "not in block S4")
     p = _max_stat(s)
     i = s[p]
     out = list(s)
@@ -146,8 +174,7 @@ def xi_S4(s: Seq) -> MapResult:
 
 
 def xi_S4_inv(t: Seq, i: int) -> Seq:
-    _require(is_ascent(t) and classify(t, "ASC_P") == "Pc",
-             f"top value must repeat: {tuple(t)!r}")
+    _in_block(t, "ASC_P", "Pc", "top value must repeat")
     _require(0 <= i < ealm(t),
              f"index {i} not below entry-after-last-maximal of {tuple(t)!r}")
     m = _max_stat(t)
@@ -162,8 +189,7 @@ def s2_reduce(s: Seq) -> MapResult:
     The removed value rides along as the side index; asc and max survive,
     rep drops by one.
     """
-    _require(is_ascent(s) and classify(s, "ASC_S") == "S2",
-             f"not in block S2: {tuple(s)!r}")
+    _in_block(s, "ASC_S", "S2", "not in block S2")
     p = _max_stat(s)
     i = s[p]
     out = [v for idx, v in enumerate(s) if idx != p]
@@ -171,8 +197,7 @@ def s2_reduce(s: Seq) -> MapResult:
 
 
 def s2_insert(t: Seq, i: int) -> Seq:
-    _require(is_ascent(t), f"not an ascent sequence: {tuple(t)!r}")
-    p = _max_stat(t)
+    p = _pass(t, "ASC_S")[0]
     _require(len(t) > p, f"identity run cannot absorb an entry: {tuple(t)!r}")
     _require(ealm(t) <= i <= p - 1,
              f"index {i} outside [ealm, max-1] for {tuple(t)!r}")
@@ -187,8 +212,7 @@ def s3_reduce(s: Seq) -> MapResult:
     Values above the prefix top shift down by one; asc and rep both drop
     by one while max is preserved.
     """
-    _require(is_ascent(s) and classify(s, "ASC_S") == "S3",
-             f"not in block S3: {tuple(s)!r}")
+    _in_block(s, "ASC_S", "S3", "not in block S3")
     p = _max_stat(s)
     i = s[p]
     out = [v - (1 if v > p else 0)
@@ -197,11 +221,9 @@ def s3_reduce(s: Seq) -> MapResult:
 
 
 def s3_insert(t: Seq, i: int) -> Seq:
-    _require(is_ascent(t) and len(t) > 0,
-             f"not a nonempty ascent sequence: {tuple(t)!r}")
+    p = _pass(t, "ASC_P")[0]
     _require(0 <= i < ealm(t),
              f"index {i} not below entry-after-last-maximal of {tuple(t)!r}")
-    p = _max_stat(t)
     out = list(t[:p]) + [i] + [t[p]] + [v + (1 if v >= p else 0)
                                         for v in t[p + 1:]]
     return Seq(out)
@@ -214,7 +236,6 @@ def ealm_shift(s: Seq, direction: str) -> Seq:
     renormalisation of values above the prefix top fires exactly when the
     moved entry collides with its right neighbour.
     """
-    _require(is_ascent(s), f"not an ascent sequence: {tuple(s)!r}")
     label = classify(s, "ASC_S")
     _require(label in ("S1", "S2", "S3"), f"block S4 is out of range: {tuple(s)!r}")
     p = _max_stat(s)
@@ -245,8 +266,7 @@ def psi_F(s: Seq) -> Seq:
     Bijection from block F onto sequences one shorter; max drops by one,
     rep and the paired-maximal ordinal survive.
     """
-    _require(is_t21(s) and len(s) > 0 and _in_F(s),
-             f"not in block F: {tuple(s)!r}")
+    _in_block(s, "T_F", "F", "not in block F")
     j = mpair(s)
     k1 = maximal_positions(s)[j + 1]
     if k1 == len(s):
@@ -258,13 +278,10 @@ def psi_F(s: Seq) -> Seq:
 
 
 def psi_F_inv(t: Seq) -> Seq:
-    _require(is_t21(t) and len(t) > 0,
-             f"not a nonempty drop-by-one-avoiding sequence: {tuple(t)!r}")
-    j = mpair(t)
-    p = _max_stat(t)
-    if p == j + 1:
+    anchors, j = _pass(t, "T_F")
+    if len(anchors) == j + 1:
         return Seq(t + (len(t),))
-    k = maximal_positions(t)[j + 1]
+    k = anchors[j + 1]
     # After position k a value k-1 can only be a shifted-down k: keeping the
     # original k-1 there would have put it right after the removed maximal k,
     # forming the forbidden drop-by-one pattern.
@@ -272,10 +289,11 @@ def psi_F_inv(t: Seq) -> Seq:
     return Seq(out)
 
 
-def _check_J1(s) -> None:
-    _require(is_t21(s), f"drop-by-one pattern present: {tuple(s)!r}")
-    _require(len(s) > _max_stat(s), f"identity run excluded: {tuple(s)!r}")
-    _require(mpos(s) == 0, f"critical maximal present: {tuple(s)!r}")
+def _check_J1(s) -> tuple:
+    """(maximal positions, mpair) of s in block J1; refuses any other s."""
+    anchors, j, pos = _marked(s, "T_J")
+    _require(pos == 0, f"critical maximal present: {tuple(s)!r}")
+    return anchors, j
 
 
 def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
@@ -286,18 +304,16 @@ def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
     apart one outside it); down, from paired ordinal i, takes the flush step
     when maximals i-1 and i are adjacent and the apart step otherwise.
     """
-    _check_J1(s)
-    p = _max_stat(s)
-    i = mpair(s)
+    kp, i = _check_J1(s)
     if direction == "up":
-        _require(i < p - 1, f"paired maximal already next to top: {tuple(s)!r}")
-        if _in_F(s):
+        _require(i < len(kp) - 1,
+                 f"paired maximal already next to top: {tuple(s)!r}")
+        if _flush_after(s, kp, i):
             label, out = "flush", _undo_M1(list(s))
         else:
             label, out = "separated", _undo_M2(list(s))
     elif direction == "down":
         _require(i >= 1, f"paired maximal already first: {tuple(s)!r}")
-        kp = maximal_positions(s)
         if kp[i] == kp[i - 1] + 1:
             label, out = "undo_flush", _M1(list(s), i)
         else:
@@ -450,19 +466,15 @@ def vartheta(s: Seq, i: int, _trace=None) -> Seq:
     the result lands in block J2 with its paired ordinal equal to ``i``.
     rep is preserved and max drops by one.
     """
-    _require(is_t21(s) and len(s) > 0,
-             f"not a nonempty drop-by-one-avoiding sequence: {tuple(s)!r}")
-    _require(not _in_F(s), f"block F is out of range: {tuple(s)!r}")
+    _require(classify(s, "T_F") == "Fc",
+             f"block F is out of range: {tuple(s)!r}")
     return _descend(s, i, mpair, maximal_positions, (_M0, _M1, _M2), "M",
                     _trace)
 
 
 def vartheta_inv(s: Seq, _trace=None) -> MapResult:
     """Rewind :func:`vartheta`; returns the source and the target ordinal."""
-    _require(is_t21(s) and len(s) > 0,
-             f"not a nonempty drop-by-one-avoiding sequence: {tuple(s)!r}")
-    _require(len(s) > _max_stat(s), f"identity run excluded: {tuple(s)!r}")
-    _require(mpos(s) != 0, f"no critical maximal: {tuple(s)!r}")
+    _require(_marked(s, "T_F")[2] != 0, f"no critical maximal: {tuple(s)!r}")
     return _rewind(s, mpair, mpos, maximal_positions,
                    (_undo_M0, _undo_M1, _undo_M2), "M", _trace)
 
@@ -477,8 +489,7 @@ def phi_G(s: Seq) -> Seq:
     Bijection from block G onto ascent sequences one shorter; zero drops by
     one, asc and the paired-zero ordinal survive.
     """
-    _require(is_ascent(s) and len(s) > 0 and _in_G(s),
-             f"not in block G: {tuple(s)!r}")
+    _in_block(s, "ASC_G", "G", "not in block G")
     j = zpair(s)
     zp = zero_positions(s)
     out = list(s)
@@ -487,10 +498,8 @@ def phi_G(s: Seq) -> Seq:
     return Seq(out)
 
 def phi_G_inv(t: Seq) -> Seq:
-    _require(is_ascent(t) and len(t) > 0,
-             f"not a nonempty ascent sequence: {tuple(t)!r}")
-    j = zpair(t)
-    zp = zero_positions(t)
+    _, zp, pair = _pass(t, "ASC_G")
+    j = _pair_index(t, zp, pair, "no zero followed by 1")
     out = list(t)
     if len(zp) == j + 1:
         out.append(0)
@@ -498,10 +507,11 @@ def phi_G_inv(t: Seq) -> Seq:
         out.insert(zp[j + 1] - 1, 0)
     return Seq(out)
 
-def _check_R1(s) -> None:
-    _require(is_ascent(s), f"not an ascent sequence: {tuple(s)!r}")
-    _require(len(s) > len(zero_positions(s)), f"all-zero run excluded: {tuple(s)!r}")
-    _require(zpos(s) == 0, f"critical one present: {tuple(s)!r}")
+def _check_R1(s) -> tuple:
+    """(zero positions, zpair) of s in block R1; refuses any other s."""
+    zeros, j, pos = _marked(s, "ASC_R")
+    _require(pos == 0, f"critical one present: {tuple(s)!r}")
+    return zeros, j
 
 def zpair_shift(s: Seq, direction: str) -> Seq:
     """Move the paired-zero ordinal one step up or down inside block R1.
@@ -509,13 +519,10 @@ def zpair_shift(s: Seq, direction: str) -> Seq:
     asc and zero are preserved; the trailing 1 travels from the old paired
     zero to the new one, with the entries in between renormalised.
     """
-    _check_R1(s)
-    p = len(zero_positions(s))
-    m = zpair(s)
-    zp = zero_positions(s)
+    zp, m = _check_R1(s)
     out = list(s)
     if direction == "up":
-        _require(m < p - 1, f"paired zero already next to top: {tuple(s)!r}")
+        _require(m < len(zp) - 1, f"paired zero already next to top: {tuple(s)!r}")
         ki, ki1 = zp[m], zp[m + 1]
         invariant(s[ki] == 1)
         del out[ki]
@@ -584,9 +591,8 @@ def theta_R(s: Seq, i: int, _trace=None) -> Seq:
     the result lands in block R2 with its paired ordinal equal to ``i``.
     asc is preserved and zero drops by one.
     """
-    _require(is_ascent(s) and len(s) > 0,
-             f"not a nonempty ascent sequence: {tuple(s)!r}")
-    _require(not _in_G(s), f"block G is out of range: {tuple(s)!r}")
+    _require(classify(s, "ASC_G") == "Gc",
+             f"block G is out of range: {tuple(s)!r}")
     return _descend(s, i, zpair, zero_positions, (_Z0, _Z1, _Z2), "Z",
                     _trace)
 
@@ -647,10 +653,7 @@ def _undo_Z2(t: list) -> list:
 
 def theta_R_inv(s: Seq, _trace=None) -> MapResult:
     """Rewind :func:`theta_R`; returns the source and the target ordinal."""
-    _require(is_ascent(s) and len(s) > 0,
-             f"not a nonempty ascent sequence: {tuple(s)!r}")
-    _require(len(s) > len(zero_positions(s)), f"all-zero run excluded: {tuple(s)!r}")
-    _require(zpos(s) != 0, f"no critical one: {tuple(s)!r}")
+    _require(_marked(s, "ASC_G")[2] != 0, f"no critical one: {tuple(s)!r}")
     return _rewind(s, zpair, zpos, zero_positions,
                    (_undo_Z0, _undo_Z1, _undo_Z2), "Z", _trace)
 

@@ -313,20 +313,27 @@ def zpair(s: Seq) -> int:
     return _zero_pass(s)[1]
 
 
-# the position markers: bisect counts the anchors before the leftmost
-# critical position l, which is one more than the largest index of one
+# the position markers, off the anchors and the pair index of one pass:
+# bisect counts the anchors before the leftmost critical position l, which
+# is one more than the largest index of one
 
-def mpos(s: Seq) -> int:
-    anchors, j = _t21_pass(s)
+def _mpos(s, anchors: list, j: int) -> int:
     for l in range(anchors[j] + 2, len(s) + 1):
         if s[l - 1] == l - 2:
             return bisect_left(anchors, l)
     return 0
 
 
-def zpos(s: Seq) -> int:
-    zeros, j = _zero_pass(s)
+def _zpos(s, zeros: list, j: int) -> int:
     for l in range(zeros[j] + 2, len(s) + 1):
         if s[l - 1] == 1:
             return bisect_left(zeros, l)
     return 0
+
+
+def mpos(s: Seq) -> int:
+    return _mpos(s, *_t21_pass(s))
+
+
+def zpos(s: Seq) -> int:
+    return _zpos(s, *_zero_pass(s))

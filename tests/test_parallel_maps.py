@@ -12,8 +12,8 @@ merged.  `mpair_shift` now runs one of the steps `_M1`, `_M2`, `_undo_M1`,
 classes to n = 8: outputs, `_trace` lists, and the type and message of
 every exception, invalid inputs included.
 
-The one-pass markers, positions, class tests and transform keep their
-former bodies below too (`ref_ealm` ... `ref_inverse_then_complement`),
+The one-pass markers, positions, class tests, transform and block labels
+keep their former bodies below too (`ref_ealm` ... `ref_classify`),
 compared by value and by the type and message of every exception over INV,
 or every permutation, to n = 8 and on malformed inputs.
 
@@ -25,7 +25,7 @@ compared with it under faults keyed to one input.
 import pytest
 
 from fishburn import bijections, decomp, harness, seqcore, stats
-from fishburn.decomp import MapResult, _check_J1, _in_F, _max_stat
+from fishburn.decomp import MapResult, _check_J1, _max_stat
 from fishburn.errors import DomainError, UsageError, invariant
 from fishburn.seqcore import (ClassId, Perm, Seq, contains_bivincular_A,
                               contains_bivincular_B, enumerate_class,
@@ -159,6 +159,47 @@ def ref_in_G(s):
         return False
     k1 = zero_positions(s)[j + 1]
     return k1 == len(s) or s[k1] == 0
+
+
+def ref_classify(s, scheme):
+    """The former body of decomp.classify: a membership test, then markers
+    that each test membership again."""
+    scheme = scheme.strip().upper()
+    n = len(s)
+    if scheme == "ASC_S":
+        _require(is_ascent(s), f"not an ascent sequence: {tuple(s)!r}")
+        p = len(ref_maximal_positions(s))
+        _require(n > p, f"identity run has no tail to classify: {tuple(s)!r}")
+        if n == p + 1:
+            return "S1"
+        if s[p] >= s[p + 1]:
+            return "S2"
+        return "S4" if p in s[p + 1:] else "S3"
+    if scheme == "ASC_P":
+        _require(is_ascent(s) and n > 0,
+                 f"not a nonempty ascent sequence: {tuple(s)!r}")
+        q = len(ref_maximal_positions(s))
+        return "P" if s.count(q - 1) == 1 else "Pc"
+    if scheme == "T_J":
+        _require(is_t21(s), f"drop-by-one pattern present: {tuple(s)!r}")
+        _require(n > len(ref_maximal_positions(s)),
+                 f"identity run has no tail to classify: {tuple(s)!r}")
+        return "J1" if ref_mpos(s) == 0 else "J2"
+    if scheme == "T_F":
+        _require(is_t21(s) and n > 0,
+                 f"not a nonempty drop-by-one-avoiding sequence: {tuple(s)!r}")
+        return "F" if ref_in_F(s) else "Fc"
+    if scheme == "ASC_R":
+        _require(is_ascent(s), f"not an ascent sequence: {tuple(s)!r}")
+        _require(n > len(ref_zero_positions(s)),
+                 f"all-zero run has no nonzero entry: {tuple(s)!r}")
+        return "R1" if ref_zpos(s) == 0 else "R2"
+    if scheme == "ASC_G":
+        _require(is_ascent(s) and n > 0,
+                 f"not a nonempty ascent sequence: {tuple(s)!r}")
+        return "G" if ref_in_G(s) else "Gc"
+    valid = ", ".join(decomp.SUBSET_SCHEMES)
+    raise UsageError(f"unknown scheme {scheme!r}; expected one of: {valid}")
 
 
 # --- reference subtraction/addition passes and compositions -------------------
@@ -331,7 +372,7 @@ def ref_mpair_shift(s, direction, _trace=None):
         _require(i < p - 1, f"paired maximal already next to top: {tuple(s)!r}")
         kp = maximal_positions(s)
         k_i, k_i1 = kp[i], kp[i + 1]
-        if _in_F(s):
+        if ref_in_F(s):
             label = "flush"
             out = [v for idx, v in enumerate(s) if idx != k_i1 - 1]
             out = [v + 1 if k_i - 1 <= v <= k_i1 - 2 else v for v in out]
@@ -479,8 +520,8 @@ def test_markers_and_blocks(n):
     for s in members(n, ClassId.INV):  # INV holds ASC and T21
         same(stats.mpair, ref_mpair, s)
         same(stats.zpair, ref_zpair, s)
-        same(decomp._in_F, ref_in_F, s)
-        same(decomp._in_G, ref_in_G, s)
+        for scheme in decomp.SUBSET_SCHEMES:
+            same(decomp.classify, ref_classify, s, scheme)
 
 
 # inputs outside every class, for the refusals and the values of kernels
@@ -512,6 +553,8 @@ def test_kernels_on_malformed_input():
     for values in MALFORMED:
         for kernel, ref in SEQ_KERNELS:
             same(kernel, ref, Seq(values))
+        for scheme in decomp.SUBSET_SCHEMES + (" asc_s ", "NOPE"):
+            same(decomp.classify, ref_classify, Seq(values), scheme)
         same(inverse_then_complement, ref_inverse_then_complement,
              Perm._wrap(values))
 
