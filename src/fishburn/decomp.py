@@ -70,14 +70,17 @@ _OUTSIDE = {"ASC_S": "not an ascent sequence",
 def _pass(s, scheme: str, refusal: str | None = None) -> tuple:
     """The one pass of stats that tests that s is in the class of scheme
     and reads its anchors: (maximal positions, mpair) of stats._t21_pass
-    on T21, (number of maximals, zero positions, zpair or None) of
-    stats._asc_pass on ASC.  A sequence outside the class is refused with
-    refusal, or with the scheme's own refusal."""
+    on T21, (number of maximals, zero positions, zpair) of stats._asc_pass
+    on ASC.  A sequence outside the class is refused with refusal, or with
+    the scheme's own refusal."""
     try:
-        return _t21_pass(s) if scheme[0] == "T" else _asc_pass(s, scheme)
+        if scheme[0] == "T":
+            return _t21_pass(s)
+        p, zeros, pair = _asc_pass(s, scheme)
     except DomainError:
         raise DomainError(
             f"{refusal or _OUTSIDE[scheme]}: {tuple(s)!r}") from None
+    return p, zeros, _pair_index(s, zeros, pair, "no zero followed by 1")
 
 
 def classify(s: Seq, scheme: str, refusal: str | None = None) -> str:
@@ -96,7 +99,7 @@ def classify(s: Seq, scheme: str, refusal: str | None = None) -> str:
         _require(n > len(found[0]),
                  f"identity run has no tail to classify: {tuple(s)!r}")
         return "J1" if _mpos(s, *found) == 0 else "J2"
-    p, zeros, pair = found
+    p, zeros, j = found
     if scheme == "ASC_S":
         _require(n > p, f"identity run has no tail to classify: {tuple(s)!r}")
         if n == p + 1:
@@ -106,7 +109,6 @@ def classify(s: Seq, scheme: str, refusal: str | None = None) -> str:
         return "S4" if p in s[p + 1:] else "S3"
     if scheme == "ASC_P":
         return "P" if s.count(p - 1) == 1 else "Pc"
-    j = _pair_index(s, zeros, pair, "no zero followed by 1")
     if scheme == "ASC_G":
         return "G" if _flush_after(s, zeros, j) else "Gc"
     _require(n > len(zeros),
@@ -128,8 +130,7 @@ def _marked(s, scheme: str) -> tuple:
         anchors, j = _pass(s, scheme)
         pos, run = _mpos, "identity run"
     else:
-        _, anchors, pair = _pass(s, scheme)
-        j = _pair_index(s, anchors, pair, "no zero followed by 1")
+        _, anchors, j = _pass(s, scheme)
         pos, run = _zpos, "all-zero run"
     _require(len(s) > len(anchors), f"{run} excluded: {tuple(s)!r}")
     return anchors, j, pos(s, anchors, j)
@@ -498,8 +499,7 @@ def phi_G(s: Seq) -> Seq:
     return Seq(out)
 
 def phi_G_inv(t: Seq) -> Seq:
-    _, zp, pair = _pass(t, "ASC_G")
-    j = _pair_index(t, zp, pair, "no zero followed by 1")
+    _, zp, j = _pass(t, "ASC_G")
     out = list(t)
     if len(zp) == j + 1:
         out.append(0)
