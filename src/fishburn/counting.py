@@ -6,8 +6,8 @@ rule state, on their last entry and on the running fields that the requested
 statistics read have the same extensions, with the same effect on those
 statistics, so one count stands for all of them.  A layer maps each key
 (state, prev, fields) to the number of prefixes it stands for, and the next
-layer extends every key by each admissible entry, in the value range of
-seqcore.entry_range (0..m in a sequence, 1..n in a permutation): a
+layer extends every key by each admissible entry, read off the table of
+seqcore.extensions at that index, which the walk reads too: a
 transfer-matrix count
 (Flajolet and Sedgewick, Analytic Combinatorics, V.6) over the recursive
 construction of Bousquet-Mélou, Claesson, Dukes and Kitaev (JCTA 2010).
@@ -60,7 +60,7 @@ max).
 
 The same layers also rank the members, by the recursive method of Nijenhuis
 and Wilf (Combinatorial Algorithms, 1978).  ranker(class_id, n) walks the
-step rule forward through _extensions, with no fields to track, to collect
+step rule forward through seqcore.extensions, with no payload, to collect
 the reachable (state, prev) keys of each index, then backward to count the
 completions of each key: the number of ways to fill the indices after it.
 The members that agree with a member s up to index m and take a smaller
@@ -77,7 +77,7 @@ from collections import Counter
 from . import stats
 from .errors import UsageError
 from .seqcore import (ClassId, _RULES, _asc_step, check_class, check_size,
-                      entry_range)
+                      extensions)
 
 # tracker -> (the field it reads, whether the statistic is the size of that
 # field as a set, whether it is n minus the reading, and the field whose
@@ -173,16 +173,11 @@ class _Layout:
         return read
 
 
-def _extensions(step, layout, perm, m, last):
-    """(state, prev) -> the admissible entries v at index m after prev, as
-    (v, next state, ops) or, at the last index, as (next state, ops).
-    Memoised for the layer, as the step rule is a pure function of (state,
-    m, prev, v); the ops of each (prev, v) are computed once and shared,
-    and ides, which reads the state, is added to them per (state, prev,
-    v).  ranker reads it with an empty layout, whose ops change nothing."""
-    memo, ops = {}, {}
-    values = entry_range(perm, layout.n, m)
-    ides = layout.at.get("ides")
+def _extensions(step, layout, perm, m):
+    """seqcore.extensions at index m, with the ops of each entry as its
+    payload: those of each (prev, v) are computed once and shared, and
+    ides, which reads the state, is added to them per (state, prev, v)."""
+    ops, ides = {}, layout.at.get("ides")
 
     def entry_ops(state, prev, v):
         found = ops.get((prev, v))
@@ -192,17 +187,7 @@ def _extensions(step, layout, perm, m, last):
             keep, put, add = found
             return keep, put, add + (1 << ides)
         return found
-
-    def extend(state, prev):
-        found = memo.get((state, prev))
-        if found is None:
-            found = memo[state, prev] = tuple(
-                (nxt, entry_ops(state, prev, v)) if last
-                else (v, nxt, entry_ops(state, prev, v))
-                for v in values
-                if (nxt := step(state, m, prev, v)) is not None)
-        return found
-    return extend
+    return extensions(step, perm, layout.n, m, entry_ops)
 
 
 def _count(step, state, n, layout, read, perm=False,
@@ -214,7 +199,7 @@ def _count(step, state, n, layout, read, perm=False,
     (None otherwise)."""
     layer = {(state, 0, 0): 1}
     for m in range(n - 2):
-        extend = _extensions(step, layout, perm, m, False)
+        extend = _extensions(step, layout, perm, m)
         grown = {}
         for (state, prev, fields), count in layer.items():
             for v, nxt, (keep, put, add) in extend(state, prev):
@@ -225,14 +210,14 @@ def _count(step, state, n, layout, read, perm=False,
     # final, so the two widest layers are never held.  final is keyed by the
     # fields with each set squashed to its size, and by the final state only
     # when read reads it, so that read runs once per key of the table.
-    last = _extensions(step, layout, perm, n - 1, True)
+    last = _extensions(step, layout, perm, n - 1)
     # a missing set field is (0, 0), which squashes nothing
     (at1, set1), (at2, set2) = (layout.sets + [(0, 0)] * 2)[:2]
     rest = ~(set1 | set2)
     final = {}
 
     def finish(state, prev, fields, count):
-        for nxt, (keep, put, add) in last(state, prev):
+        for _, nxt, (keep, put, add) in last(state, prev):
             packed = (fields & keep | put) + add
             key = (packed & rest | (packed & set1).bit_count() << at1
                    | (packed & set2).bit_count() << at2)
@@ -243,7 +228,7 @@ def _count(step, state, n, layout, read, perm=False,
     if n == 1:
         finish(state, 0, 0, 1)
     else:
-        extend = _extensions(step, layout, perm, n - 2, False)
+        extend = _extensions(step, layout, perm, n - 2)
         for (state, prev, fields), count in layer.items():
             for v, nxt, (keep, put, add) in extend(state, prev):
                 finish(nxt, v, (fields & keep | put) + add, count)
@@ -278,10 +263,10 @@ def ranker(class_id: ClassId, n: int) -> tuple:
     check_class(class_id)
     check_size(n, "length")
     step, start = _RULES[class_id]
-    layout, perm = _Layout((), n), class_id.is_permutation_class
+    perm = class_id.is_permutation_class
     moves, keys = [], {(start, 0)}  # moves[m]: key -> its extensions at m
     for m in range(n):
-        extend = _extensions(step, layout, perm, m, False)
+        extend = extensions(step, perm, n, m)
         moves.append({key: extend(*key) for key in keys})
         keys = {(nxt, v) for found in moves[m].values()
                 for v, nxt, _ in found}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError, invariant
 from .seqcore import Seq
-from .stats import (_asc_pass, _mpos, _pair_index, _t21_pass, _zpos, ealm,
+from .stats import (_asc_pass, _mpos, _pair_index, _t21_pass, _zpos,
                     maximal_positions, mpair, mpos, zero_positions, zpair,
                     zpos)
 
@@ -43,10 +43,6 @@ SUBSET_SCHEMES = ("ASC_S", "ASC_P", "T_J", "T_F", "ASC_R", "ASC_G")
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DomainError(msg)
-
-
-def _max_stat(s) -> int:
-    return len(maximal_positions(s))
 
 
 def _flush_after(s, anchors: tuple, j: int) -> bool:
@@ -92,7 +88,12 @@ def classify(s: Seq, scheme: str, refusal: str | None = None) -> str:
         valid = ", ".join(SUBSET_SCHEMES)
         raise UsageError(
             f"unknown scheme {scheme!r}; expected one of: {valid}")
-    found, n = _pass(s, scheme, refusal), len(s)
+    return _label(s, scheme, _pass(s, scheme, refusal))
+
+
+def _label(s, scheme: str, found: tuple) -> str:
+    """The block label of s under scheme, read off found, its pass."""
+    n = len(s)
     if scheme == "T_F":
         return "F" if _flush_after(s, *found) else "Fc"
     if scheme == "T_J":
@@ -116,10 +117,13 @@ def classify(s: Seq, scheme: str, refusal: str | None = None) -> str:
     return "R1" if _zpos(s, zeros, j) == 0 else "R2"
 
 
-def _in_block(s, scheme: str, label: str, refusal: str) -> None:
-    """Refuse s, with refusal, unless its block under scheme is label."""
-    if classify(s, scheme, refusal) != label:
+def _in_block(s, scheme: str, label: str, refusal: str) -> tuple:
+    """The pass of s under scheme (see _pass); refuses s, with refusal,
+    unless its block is label."""
+    found = _pass(s, scheme, refusal)
+    if _label(s, scheme, found) != label:
         raise DomainError(f"{refusal}: {tuple(s)!r}")
+    return found
 
 
 def _marked(s, scheme: str) -> tuple:
@@ -146,8 +150,7 @@ def phi_P(s: Seq) -> Seq:
     Bijection onto ascent sequences one shorter; lowers asc and max by one,
     keeps rep, zero and the entry after the last maximal.
     """
-    _in_block(s, "ASC_P", "P", "top value repeats or not ascent")
-    q = _max_stat(s)
+    q = _in_block(s, "ASC_P", "P", "top value repeats or not ascent")[0]
     out = [v - (1 if v > q - 1 else 0)
            for idx, v in enumerate(s) if idx != q - 1]
     return Seq(out)
@@ -166,8 +169,7 @@ def xi_S4(s: Seq) -> MapResult:
     the prefix-top value later on.  Returns the promoted sequence together
     with the displaced entry; asc and rep are untouched.
     """
-    _in_block(s, "ASC_S", "S4", "not in block S4")
-    p = _max_stat(s)
+    p = _in_block(s, "ASC_S", "S4", "not in block S4")[0]
     i = s[p]
     out = list(s)
     out[p] = p
@@ -175,10 +177,9 @@ def xi_S4(s: Seq) -> MapResult:
 
 
 def xi_S4_inv(t: Seq, i: int) -> Seq:
-    _in_block(t, "ASC_P", "Pc", "top value must repeat")
-    _require(0 <= i < ealm(t),
+    m = _in_block(t, "ASC_P", "Pc", "top value must repeat")[0]
+    _require(0 <= i < t[m],  # the top value repeats, so t has an entry at m
              f"index {i} not below entry-after-last-maximal of {tuple(t)!r}")
-    m = _max_stat(t)
     out = list(t)
     out[m - 1] = i
     return Seq(out)
@@ -190,8 +191,7 @@ def s2_reduce(s: Seq) -> MapResult:
     The removed value rides along as the side index; asc and max survive,
     rep drops by one.
     """
-    _in_block(s, "ASC_S", "S2", "not in block S2")
-    p = _max_stat(s)
+    p = _in_block(s, "ASC_S", "S2", "not in block S2")[0]
     i = s[p]
     out = [v for idx, v in enumerate(s) if idx != p]
     return MapResult(Seq(out), i)
@@ -200,7 +200,7 @@ def s2_reduce(s: Seq) -> MapResult:
 def s2_insert(t: Seq, i: int) -> Seq:
     p = _pass(t, "ASC_S")[0]
     _require(len(t) > p, f"identity run cannot absorb an entry: {tuple(t)!r}")
-    _require(ealm(t) <= i <= p - 1,
+    _require(t[p] <= i <= p - 1,
              f"index {i} outside [ealm, max-1] for {tuple(t)!r}")
     out = list(t)
     out.insert(p, i)
@@ -213,8 +213,7 @@ def s3_reduce(s: Seq) -> MapResult:
     Values above the prefix top shift down by one; asc and rep both drop
     by one while max is preserved.
     """
-    _in_block(s, "ASC_S", "S3", "not in block S3")
-    p = _max_stat(s)
+    p = _in_block(s, "ASC_S", "S3", "not in block S3")[0]
     i = s[p]
     out = [v - (1 if v > p else 0)
            for idx, v in enumerate(s) if idx != p]
@@ -223,7 +222,8 @@ def s3_reduce(s: Seq) -> MapResult:
 
 def s3_insert(t: Seq, i: int) -> Seq:
     p = _pass(t, "ASC_P")[0]
-    _require(0 <= i < ealm(t),
+    # ealm, the entry after the maximals, is 0 on the identity run
+    _require(0 <= i < (t[p] if p < len(t) else 0),
              f"index {i} not below entry-after-last-maximal of {tuple(t)!r}")
     out = list(t[:p]) + [i] + [t[p]] + [v + (1 if v >= p else 0)
                                         for v in t[p + 1:]]
@@ -237,9 +237,10 @@ def ealm_shift(s: Seq, direction: str) -> Seq:
     renormalisation of values above the prefix top fires exactly when the
     moved entry collides with its right neighbour.
     """
-    label = classify(s, "ASC_S")
-    _require(label in ("S1", "S2", "S3"), f"block S4 is out of range: {tuple(s)!r}")
-    p = _max_stat(s)
+    found = _pass(s, "ASC_S")
+    _require(_label(s, "ASC_S", found) != "S4",
+             f"block S4 is out of range: {tuple(s)!r}")
+    p = found[0]
     i = s[p]
     out = list(s)
     if direction == "up":
@@ -267,9 +268,8 @@ def psi_F(s: Seq) -> Seq:
     Bijection from block F onto sequences one shorter; max drops by one,
     rep and the paired-maximal ordinal survive.
     """
-    _in_block(s, "T_F", "F", "not in block F")
-    j = mpair(s)
-    k1 = maximal_positions(s)[j + 1]
+    anchors, j = _in_block(s, "T_F", "F", "not in block F")
+    k1 = anchors[j + 1]
     if k1 == len(s):
         return Seq(s[:-1])
     invariant(s[k1] == k1)
@@ -490,9 +490,7 @@ def phi_G(s: Seq) -> Seq:
     Bijection from block G onto ascent sequences one shorter; zero drops by
     one, asc and the paired-zero ordinal survive.
     """
-    _in_block(s, "ASC_G", "G", "not in block G")
-    j = zpair(s)
-    zp = zero_positions(s)
+    _, zp, j = _in_block(s, "ASC_G", "G", "not in block G")
     out = list(s)
     popped = out.pop(zp[j + 1] - 1)
     invariant(popped == 0)

@@ -319,21 +319,40 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 # so a member is yielded from one frame, not through n nested ones.
 #
 # A step rule must stay a pure function of (state, m, prev, v), with a
-# hashable state: each walk keeps the admissible (v, next state) pairs of
-# every (state, m, prev) it meets in a dict of its own and reuses them, so
-# most nodes cost one lookup instead of a call per candidate value.  The
-# nodes at index n - 1 push no iterator: their leaves are emitted from the
-# cached list in the parent's frame.  PERM_ALL has nothing to prune, so
-# enumerate_class takes its tails from itertools.permutations; its rule
-# serves counting.count_table, which relies on the same purity: it merges
-# the prefixes that agree on (state, prev) and on the statistics it tracks,
-# and counts them together.
+# hashable state: extensions(step, perm, n, m) memoises the admissible
+# entries of every (state, prev) it meets at index m, so most nodes cost one
+# lookup instead of a call per candidate value.  Each walk builds one such
+# table per index; the nodes at index n - 1 push no iterator: their leaves
+# are emitted from the table in the parent's frame.  PERM_ALL has nothing to
+# prune, so enumerate_class takes its tails from itertools.permutations; its
+# rule serves counting, whose ranker reads the same tables and whose counter
+# reads them with the effect of each entry on the tracked statistics as
+# payload: it merges the prefixes that agree on (state, prev) and on those
+# statistics, and counts them together.
 
 
 def entry_range(perm: bool, n: int, m: int) -> range:
     """The values an entry at 0-based index m of a length-n member may take:
     1..n in a permutation, 0..m in an inversion sequence."""
     return range(1, n + 1) if perm else range(m + 1)
+
+
+def extensions(step, perm: bool, n: int, m: int, payload=None):
+    """(state, prev) -> the admissible entries at index m of a length-n
+    member after prev, as (v, next state, extra) in increasing v, where
+    extra is payload(state, prev, v), or None with no payload.  Memoised per
+    (state, prev), for as long as the caller holds the table."""
+    memo, values = {}, entry_range(perm, n, m)
+
+    def extend(state, prev):
+        found = memo.get((state, prev))
+        if found is None:
+            found = memo[state, prev] = tuple(
+                (v, nxt, payload and payload(state, prev, v))
+                for v in values
+                if (nxt := step(state, m, prev, v)) is not None)
+        return found
+    return extend
 
 
 def _inv_step(state, m, prev, v):
@@ -414,34 +433,25 @@ def _stream(n, prefix, step, state, perm):
     if len(vals) == n:
         yield tuple.__new__(cls, vals)
         return
-    memo = {}  # (state, m, prev) -> admissible [(v, next state)]
-
-    def children(state, m, prev):
-        key = (state, m, prev)
-        pairs = memo.get(key)
-        if pairs is None:
-            pairs = memo[key] = [
-                (v, nxt) for v in entry_range(perm, n, m)
-                if (nxt := step(state, m, prev, v)) is not None]
-        return pairs
-
+    tables = [extensions(step, perm, n, m) for m in range(n)]
     last = n - 1
-    top = children(state, len(vals), vals[-1] if vals else 0)
+    top = tables[len(vals)](state, vals[-1] if vals else 0)
     if len(vals) == last:
-        for v, _ in top:
+        for v, _, _ in top:
             vals.append(v)
             yield tuple.__new__(cls, vals)
             vals.pop()
         return
-    # one iterator over the cached pairs per open index below n - 1
+    # one iterator over the table's entries per open index below n - 1
+    leaves = tables[last]
     stack = [iter(top)]
     while stack:
-        for v, nxt in stack[-1]:
+        for v, nxt, _ in stack[-1]:
             vals.append(v)
             if len(vals) < last:
-                stack.append(iter(children(nxt, len(vals), v)))
+                stack.append(iter(tables[len(vals)](nxt, v)))
                 break
-            for w, _ in children(nxt, last, v):
+            for w, _, _ in leaves(nxt, v):
                 vals.append(w)
                 yield tuple.__new__(cls, vals)
                 vals.pop()

@@ -258,6 +258,71 @@ class TestRoundTrips:
                     assert decomp.psi_F_inv(decomp.psi_F(t)) == t
 
 
+# guarded map -> (its class, the scheme and the labels of its domain)
+GUARDED = {"phi_P": (ClassId.ASC, "ASC_P", ("P",)),
+           "xi_S4": (ClassId.ASC, "ASC_S", ("S4",)),
+           "s2_reduce": (ClassId.ASC, "ASC_S", ("S2",)),
+           "s3_reduce": (ClassId.ASC, "ASC_S", ("S3",)),
+           "ealm_shift": (ClassId.ASC, "ASC_S", ("S1", "S2", "S3")),
+           "psi_F": (ClassId.T21, "T_F", ("F",)),
+           "phi_G": (ClassId.ASC, "ASC_G", ("G",))}
+
+
+class TestOnePass:
+    """Each guarded map and its inverse test membership and read their
+    anchors off one validating pass of stats, and make no second one."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        for name in ("_asc_pass", "_t21_pass"):
+            def counted(*args, _real=getattr(stats, name)):
+                calls.append(args)
+                return _real(*args)
+            for module in (stats, decomp):
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def block(s, scheme):
+        try:
+            return decomp.classify(s, scheme)
+        except DomainError:  # the identity run has no ASC_S block
+            return None
+
+    @pytest.mark.parametrize("name", list(GUARDED))
+    def test_one_pass_per_call(self, name, passes):
+        cid, scheme, labels = GUARDED[name]
+        shape, forward, inverse = decomp.MAPS[name]
+
+        def once(f, *args):
+            passes.clear()
+            try:
+                return f(*args)
+            finally:
+                assert len(passes) == 1, (f.__name__, args, len(passes))
+
+        runs = 0
+        for n in range(2, 7):  # a drop from n = 1 leaves no sequence
+            for s in enumerate_class(cid, n):
+                if self.block(s, scheme) not in labels:
+                    continue
+                if shape == "drop":
+                    assert once(inverse, once(forward, s)) == s
+                elif shape == "reduce":
+                    r = once(forward, s)
+                    assert once(inverse, r.output, r.side_index) == s
+                else:
+                    for there, back in (("up", "down"), ("down", "up")):
+                        try:
+                            t = once(forward, s, there)
+                        except DomainError:  # already at the end of the range
+                            continue
+                        assert once(inverse, t, back) == s
+                runs += 1
+        assert runs
+
+
 class TestInvariantGuards:
     def test_package_has_no_assert_statements(self):
         # python -O strips assert statements; internal invariants go through

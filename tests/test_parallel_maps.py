@@ -25,7 +25,7 @@ compared with it under faults keyed to one input.
 import pytest
 
 from fishburn import bijections, decomp, harness, seqcore, stats
-from fishburn.decomp import MapResult, _check_J1, _max_stat
+from fishburn.decomp import MapResult, _check_J1
 from fishburn.errors import DomainError, UsageError, invariant
 from fishburn.seqcore import (ClassId, Perm, Seq, contains_bivincular_A,
                               contains_bivincular_B, enumerate_class,
@@ -366,7 +366,7 @@ def ref_mpair_shift(s, direction, _trace=None):
     next maximal is flush against the pair (block F) or separated from it.
     """
     _check_J1(s)
-    p = _max_stat(s)
+    p = len(maximal_positions(s))
     i = mpair(s)
     if direction == "up":
         _require(i < p - 1, f"paired maximal already next to top: {tuple(s)!r}")

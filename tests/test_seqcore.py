@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fishburn import genfun, harness, seqcore
+from fishburn import counting, genfun, harness, seqcore
 from fishburn.errors import DomainError, ResourceLimitError, UsageError
 from fishburn.seqcore import (
     ClassId,
@@ -210,6 +210,78 @@ class TestMemoisedWalk:
                     out.append((type(x), tuple(x)))
         want = [reference_listed(cid, n, p) for n, p in walks]
         assert all(want) and got == want
+
+
+def reachable(cid, n):
+    """[(m, the (state, prev) keys a member can reach at index m)], read off
+    the step rule by brute force."""
+    step, state = seqcore._RULES[cid]
+    perm, keys, out = cid.is_permutation_class, {(state, 0)}, []
+    for m in range(n):
+        out.append((m, sorted(keys, key=repr)))
+        keys = {(nxt, v) for state, prev in keys
+                for v in seqcore.entry_range(perm, n, m)
+                if (nxt := step(state, m, prev, v)) is not None}
+    return out
+
+
+class TestExtensionTable:
+    """seqcore.extensions, the one table of the step rules that the walk,
+    the counter and the ranker read."""
+
+    @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+    def test_matches_the_filtered_step_rule(self, cid):
+        step, _ = seqcore._RULES[cid]
+        perm = cid.is_permutation_class
+        for n in range(1, 7):
+            for m, keys in reachable(cid, n):
+                table = seqcore.extensions(step, perm, n, m)
+                for state, prev in keys:
+                    # entry_range counts up, so this is increasing v
+                    want = tuple(
+                        (v, nxt, None) for v in seqcore.entry_range(perm, n, m)
+                        if (nxt := step(state, m, prev, v)) is not None)
+                    assert table(state, prev) == want, (n, m, state, prev)
+                    assert table(state, prev) is table(state, prev)
+
+    @pytest.mark.parametrize("cid", [ClassId.T21, ClassId.PERM_AVOID_A],
+                             ids=lambda c: c.name)
+    def test_payload_runs_once_per_entry(self, cid):
+        step, _ = seqcore._RULES[cid]
+        perm, n = cid.is_permutation_class, 6
+        for m, keys in reachable(cid, n):
+            seen = []
+
+            def payload(state, prev, v):
+                seen.append((state, prev, v))
+                return "extra", v
+
+            table = seqcore.extensions(step, perm, n, m, payload)
+            for _ in range(3):
+                for key in keys:
+                    assert all(extra == ("extra", v)
+                               for v, _, extra in table(*key))
+            want = [(state, prev, v) for state, prev in keys
+                    for v, _, _ in seqcore.extensions(step, perm, n, m)(
+                        state, prev)]
+            assert sorted(seen, key=repr) == sorted(want, key=repr)
+
+    @pytest.mark.parametrize("module, run", [
+        (seqcore, lambda: list(enumerate_class(ClassId.T21, 5))),
+        (counting, lambda: counting.count_table(ClassId.T21, 5, ("asc",))),
+        (counting, lambda: counting.ranker(ClassId.T21, 5)),
+    ], ids=["enumerate_class", "count_table", "ranker"])
+    def test_every_reader_reads_it(self, monkeypatch, module, run):
+        read = []
+        real = seqcore.extensions
+
+        def spy(*args):
+            read.append(args[3])  # the index m
+            return real(*args)
+
+        monkeypatch.setattr(module, "extensions", spy)
+        run()
+        assert read
 
 
 class TestMembership:
