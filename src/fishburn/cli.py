@@ -62,9 +62,8 @@ def _stat_bundle(class_id: ClassId, obj) -> dict:
         raise UsageError(
             f"{obj.to_text()!r} is not a member of {class_id.name}")
     if class_id.is_permutation_class:
-        return stats.as_dict(stats.perm_stats(obj))
-    bundle = {**stats.as_dict(stats.scalar_stats(obj)),
-              **stats.as_dict(stats.set_stats(obj))}
+        return stats.perm_stats(obj)
+    bundle = {**stats.scalar_stats(obj), **stats.set_stats(obj)}
     bundle.update((name, getattr(stats, name)(obj))
                   for name, home in stats.MARKERS.items() if home is class_id)
     return bundle
@@ -74,7 +73,7 @@ def _cmd_stats(args) -> tuple:
     class_id = ClassId.from_name(args.class_name)
     obj = _parse_object(class_id, args.object)
     bundle = _stat_bundle(class_id, obj)
-    return 0, bundle, ([key, " ".join(map(str, val)) if isinstance(val, list)
+    return 0, bundle, ([key, " ".join(map(str, val)) if isinstance(val, tuple)
                         else val] for key, val in bundle.items())
 
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError, invariant
 from .seqcore import Seq
-from .stats import (_asc_pass, _mpos, _pair_index, _t21_pass, _zpos,
-                    maximal_positions, mpair, mpos, zero_positions, zpair,
-                    zpos)
+from .stats import (_asc_pass, _mpos, _pair_index, _t21_pass, _zero_pass,
+                    _zpos, maximal_positions, zero_positions)
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,6 @@ class MapResult:
 
     output: Seq
     side_index: int | None = None
-
-
-SUBSET_SCHEMES = ("ASC_S", "ASC_P", "T_J", "T_F", "ASC_R", "ASC_G")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -61,6 +57,7 @@ _OUTSIDE = {"ASC_S": "not an ascent sequence",
             "T_F": "not a nonempty drop-by-one-avoiding sequence",
             "ASC_R": "not an ascent sequence",
             "ASC_G": "not a nonempty ascent sequence"}
+SUBSET_SCHEMES = tuple(_OUTSIDE)
 
 
 def _pass(s, scheme: str, refusal: str | None = None) -> tuple:
@@ -79,16 +76,15 @@ def _pass(s, scheme: str, refusal: str | None = None) -> tuple:
     return p, zeros, _pair_index(s, zeros, pair, "no zero followed by 1")
 
 
-def classify(s: Seq, scheme: str, refusal: str | None = None) -> str:
+def classify(s: Seq, scheme: str) -> str:
     """Return the block label of ``s`` under one of the subset schemes,
-    off one pass that also tests membership (see _pass; refusal, when
-    given, replaces the refusal of a sequence outside the class)."""
+    off one pass that also tests membership (see _pass)."""
     scheme = scheme.strip().upper()
     if scheme not in _OUTSIDE:
         valid = ", ".join(SUBSET_SCHEMES)
         raise UsageError(
             f"unknown scheme {scheme!r}; expected one of: {valid}")
-    return _label(s, scheme, _pass(s, scheme, refusal))
+    return _label(s, scheme, _pass(s, scheme))
 
 
 def _label(s, scheme: str, found: tuple) -> str:
@@ -310,15 +306,15 @@ def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
         _require(i < len(kp) - 1,
                  f"paired maximal already next to top: {tuple(s)!r}")
         if _flush_after(s, kp, i):
-            label, out = "flush", _undo_M1(list(s))
+            label, out = "flush", _undo_M1(list(s), kp, i)
         else:
-            label, out = "separated", _undo_M2(list(s))
+            label, out = "separated", _undo_M2(list(s), kp, i)
     elif direction == "down":
         _require(i >= 1, f"paired maximal already first: {tuple(s)!r}")
         if kp[i] == kp[i - 1] + 1:
-            label, out = "undo_flush", _M1(list(s), i)
+            label, out = "undo_flush", _M1(list(s), kp, i)
         else:
-            label, out = "undo_separated", _M2(list(s), i)
+            label, out = "undo_separated", _M2(list(s), kp, i)
     else:
         raise UsageError(f"direction must be 'up' or 'down', got {direction!r}")
     if _trace is not None:
@@ -326,21 +322,21 @@ def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
     return Seq(out)
 
 
-def _M0(t: list) -> list:
+# Each step of the walks takes t, its anchors (maximal or zero positions)
+# and an ordinal: the pair index for a first or a rewind step, c otherwise.
+
+def _M0(t: list, kp, j: int) -> list:
     # Detach the paired maximal and park its partner next to the previous
     # maximal; lowers the paired ordinal by one and frees a critical slot.
-    j = mpair(tuple(t))
-    kp = maximal_positions(t)
     out = list(t)
     popped = out.pop(kp[j] - 1)
     invariant(popped == kp[j] - 1)
     out.insert(kp[j - 1], kp[j - 1] - 1)
     return out
 
-def _M1(t: list, c: int) -> list:
+def _M1(t: list, kp, c: int) -> list:
     # Flush case: maximals c-1 and c are adjacent.  Dissolve maximal c and
     # re-pair ordinal c-1, renormalising the values in between.
-    kp = maximal_positions(t)
     p = len(kp)
     x_c = kp[c] - 1
     out = list(t)
@@ -356,10 +352,9 @@ def _M1(t: list, c: int) -> list:
         out.append(top)
     return out
 
-def _M2(t: list, c: int) -> list:
+def _M2(t: list, kp, c: int) -> list:
     # Separated case: swap the neighbours of maximal c, drop the leftmost
     # copy of its value and re-pair ordinal c-1.
-    kp = maximal_positions(t)
     kc = kp[c]
     out = list(t)
     out[kc - 2], out[kc] = out[kc], out[kc - 2]
@@ -368,9 +363,7 @@ def _M2(t: list, c: int) -> list:
     out.insert(out.index(prev) + 1, prev)
     return out
 
-def _undo_M0(t: list) -> list:
-    c = mpair(tuple(t))
-    kp = maximal_positions(t)
+def _undo_M0(t: list, kp, c: int) -> list:
     crit = [l for l in range(kp[c] + 2, len(t) + 1) if t[l - 1] == l - 2]
     invariant(crit, "no critical maximal to restore")
     lstar = crit[0]
@@ -380,9 +373,7 @@ def _undo_M0(t: list) -> list:
     out.insert(lstar - 2, lstar - 2)
     return out
 
-def _undo_M1(t: list) -> list:
-    c1 = mpair(tuple(t))
-    kp = maximal_positions(t)
+def _undo_M1(t: list, kp, c1: int) -> list:
     q = kp[c1 + 1]
     w = kp[c1] - 1
     out = list(t)
@@ -400,9 +391,7 @@ def _undo_M1(t: list) -> list:
     out.insert(kp[c1], w + 1)
     return out
 
-def _undo_M2(t: list) -> list:
-    c1 = mpair(tuple(t))
-    kp = maximal_positions(t)
+def _undo_M2(t: list, kp, c1: int) -> list:
     K = kp[c1 + 1]
     out = list(t)
     popped = out.pop(kp[c1])
@@ -417,45 +406,50 @@ def _undo_M2(t: list) -> list:
 # flush step when anchors c - 1 and c are adjacent, by the apart step
 # otherwise.  The rewind undoes one step at a time: the flush step inside
 # the block (F or G), the first step once the position marker is one past
-# the pair marker, the apart step otherwise.  Each wrapper passes its marker
-# functions, anchors, steps (first, flush, apart) and label tag by name at
-# call time, so that patched and traced bindings are the ones run.
+# the pair marker, the apart step otherwise.  Each step makes one read:
+# the first of either walk takes the (anchors, pair index) of its wrapper's
+# guard pass, a later descent step a positions scan, a later rewind step one
+# validating pass of stats.  The wrappers pass these readers and the steps
+# (first, flush, apart) by name at call time, so that patched and traced
+# bindings are the ones run.
 
 
-def _descend(s, i, pair, anchors, steps, tag, _trace):
-    j = pair(s)
+def _descend(s, i, found, anchors, steps, tag, _trace):
+    at, j = found
     _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
     first, flush, apart = steps
-    cur = first(list(s))
+    cur = first(list(s), at, j)
     if _trace is not None:
         _trace.append((tag + "0", Seq(cur)))
     for c in range(j - 1, i, -1):
         at = anchors(cur)
         if at[c - 1] + 1 == at[c]:
-            cur, label = flush(cur, c), tag + "1"
+            cur, label = flush(cur, at, c), tag + "1"
         else:
-            cur, label = apart(cur, c), tag + "2"
+            cur, label = apart(cur, at, c), tag + "2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
     return Seq(cur)
 
 
-def _rewind(s, pair, pos, anchors, steps, tag, _trace):
+def _rewind(s, found, read, pos, steps, tag, _trace):
     undo_first, undo_flush, undo_apart = steps
-    i = pair(s)
+    i = found[1]
     cur = list(s)
     for _ in range(len(s) + 1):
-        if _flush_after(cur, anchors(cur), pair(cur)):
-            cur, label = undo_flush(cur), "undo_" + tag + "1"
-        elif pos(tuple(cur)) == pair(tuple(cur)) + 1:
-            cur = undo_first(cur)
+        at, j = found
+        if _flush_after(cur, at, j):
+            cur, label = undo_flush(cur, at, j), "undo_" + tag + "1"
+        elif pos(cur, at, j) == j + 1:
+            cur = undo_first(cur, at, j)
             if _trace is not None:
                 _trace.append(("undo_" + tag + "0", Seq(cur)))
             return MapResult(Seq(cur), i)
         else:
-            cur, label = undo_apart(cur), "undo_" + tag + "2"
+            cur, label = undo_apart(cur, at, j), "undo_" + tag + "2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
+        found = read(cur)
     anchor = "maximal" if tag == "M" else "zero"
     raise AssertionError(f"paired-{anchor} rewind did not terminate: {tuple(s)!r}")
 
@@ -467,16 +461,18 @@ def vartheta(s: Seq, i: int, _trace=None) -> Seq:
     the result lands in block J2 with its paired ordinal equal to ``i``.
     rep is preserved and max drops by one.
     """
-    _require(classify(s, "T_F") == "Fc",
+    found = _pass(s, "T_F")
+    _require(_label(s, "T_F", found) == "Fc",
              f"block F is out of range: {tuple(s)!r}")
-    return _descend(s, i, mpair, maximal_positions, (_M0, _M1, _M2), "M",
+    return _descend(s, i, found, maximal_positions, (_M0, _M1, _M2), "M",
                     _trace)
 
 
 def vartheta_inv(s: Seq, _trace=None) -> MapResult:
     """Rewind :func:`vartheta`; returns the source and the target ordinal."""
-    _require(_marked(s, "T_F")[2] != 0, f"no critical maximal: {tuple(s)!r}")
-    return _rewind(s, mpair, mpos, maximal_positions,
+    kp, j, pos = _marked(s, "T_F")
+    _require(pos != 0, f"no critical maximal: {tuple(s)!r}")
+    return _rewind(s, (kp, j), _t21_pass, _mpos,
                    (_undo_M0, _undo_M1, _undo_M2), "M", _trace)
 
 
@@ -539,9 +535,7 @@ def zpair_shift(s: Seq, direction: str) -> Seq:
         return Seq(out)
     raise UsageError(f"direction must be 'up' or 'down', got {direction!r}")
 
-def _Z0(t: list) -> list:
-    j = zpair(tuple(t))
-    zp = zero_positions(t)
+def _Z0(t: list, zp, j: int) -> list:
     out = list(t)
     for idx in range(zp[j - 1], zp[j] - 1):
         out[idx] += 1
@@ -550,10 +544,9 @@ def _Z0(t: list) -> list:
     out.insert(zp[j - 1], 1)
     return out
 
-def _Z1(t: list, c: int) -> list:
+def _Z1(t: list, zp, c: int) -> list:
     # Flush case: zeros c-1 and c are adjacent.  Move the c-th zero just
     # past the next zero (or to the end when there is none).
-    zp = zero_positions(t)
     out = list(t)
     popped = out.pop(zp[c] - 1)
     invariant(popped == 0)
@@ -563,10 +556,9 @@ def _Z1(t: list, c: int) -> list:
         out.append(0)
     return out
 
-def _Z2(t: list, c: int) -> list:
+def _Z2(t: list, zp, c: int) -> list:
     # Separated case: lift the entries between zeros c-1 and c, then either
     # move the trailing 1 or the whole zero-one block next to zero c-1.
-    zp = zero_positions(t)
     out = list(t)
     for idx in range(zp[c - 1], zp[c] - 1):
         out[idx] += 1
@@ -589,14 +581,13 @@ def theta_R(s: Seq, i: int, _trace=None) -> Seq:
     the result lands in block R2 with its paired ordinal equal to ``i``.
     asc is preserved and zero drops by one.
     """
-    _require(classify(s, "ASC_G") == "Gc",
+    found = _pass(s, "ASC_G")
+    _require(_label(s, "ASC_G", found) == "Gc",
              f"block G is out of range: {tuple(s)!r}")
-    return _descend(s, i, zpair, zero_positions, (_Z0, _Z1, _Z2), "Z",
+    return _descend(s, i, found[1:], zero_positions, (_Z0, _Z1, _Z2), "Z",
                     _trace)
 
-def _undo_Z0(t: list) -> list:
-    c = zpair(tuple(t))
-    zp = zero_positions(t)
+def _undo_Z0(t: list, zp, c: int) -> list:
     crit = [l for l in range(zp[c] + 2, len(t) + 1) if t[l - 1] == 1]
     invariant(crit, "no critical one to restore")
     lstar = crit[0]
@@ -608,9 +599,7 @@ def _undo_Z0(t: list) -> list:
     out.insert(lstar - 2, 0)
     return out
 
-def _undo_Z1(t: list) -> list:
-    c = zpair(tuple(t))
-    zp = zero_positions(t)
+def _undo_Z1(t: list, zp, c: int) -> list:
     out = list(t)
     if zp[c + 1] == len(t):
         popped = out.pop()
@@ -622,9 +611,7 @@ def _undo_Z1(t: list) -> list:
     out.insert(zp[c], 0)
     return out
 
-def _undo_Z2(t: list) -> list:
-    c = zpair(tuple(t))
-    zp = zero_positions(t)
+def _undo_Z2(t: list, zp, c: int) -> list:
     out = list(t)
     after = t[zp[c] + 1] if zp[c] + 1 < len(t) else None
     if after is not None and after >= 2:
@@ -651,8 +638,9 @@ def _undo_Z2(t: list) -> list:
 
 def theta_R_inv(s: Seq, _trace=None) -> MapResult:
     """Rewind :func:`theta_R`; returns the source and the target ordinal."""
-    _require(_marked(s, "ASC_G")[2] != 0, f"no critical one: {tuple(s)!r}")
-    return _rewind(s, zpair, zpos, zero_positions,
+    zp, j, pos = _marked(s, "ASC_G")
+    _require(pos != 0, f"no critical one: {tuple(s)!r}")
+    return _rewind(s, (zp, j), _zero_pass, _zpos,
                    (_undo_Z0, _undo_Z1, _undo_Z2), "Z", _trace)
 
 

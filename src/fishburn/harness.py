@@ -32,7 +32,6 @@ from .seqcore import ClassId, cap, check_class, check_size, enumerate_class
 
 CACHE_ENV = "FISHBURN_CACHE"
 
-_SEQ_SCALARS = ("asc", "rep", "zero", "max", "rmin", "nasc")
 _PERM_SCALARS = ("des", "ides", "iasc", "lmax", "lmin", "rmax")
 # statistics read off a profile entry x of a length-n object as n - 1 - x
 _DERIVED = {"nasc": "asc", "iasc": "ides"}
@@ -97,7 +96,7 @@ def _value_fn(class_id: ClassId, names: tuple):
     profile = stats.PERM_PROFILE if perm else stats.SEQ_PROFILE
     slots = []  # (marker or None, profile index, derived)
     for name in names:
-        if name in (_PERM_SCALARS if perm else _SEQ_SCALARS):
+        if name in (_PERM_SCALARS if perm else stats.SEQ_SCALARS):
             slots.append((None, *_slot(profile, name)))
         elif perm:
             raise UsageError(
@@ -113,7 +112,7 @@ def _value_fn(class_id: ClassId, names: tuple):
         else:
             raise UsageError(
                 f"unknown statistic {name!r}; usable: "
-                f"{', '.join(_SEQ_SCALARS + tuple(stats.MARKERS))}")
+                f"{', '.join(stats.SEQ_SCALARS + tuple(stats.MARKERS))}")
     kernel = getattr(stats, "perm_profile" if perm else "seq_profile")
     # plain profile entries only; itemgetter of one index returns no tuple
     if len(slots) > 1 and not any(mark or derived for mark, _, derived in slots):

@@ -37,56 +37,18 @@ The fused kernels seq_profile, perm_profile, seq_sets and perm_sets return
 the tuples named by SEQ_PROFILE, PERM_PROFILE, SEQ_SETS and PERM_SETS in one
 pass and do not validate: apply them only to enumerator output or to objects
 that have just passed seqcore.is_member.  scalar_stats and set_stats validate,
-then read a kernel, and perm_stats reads perm_sets; the tests compare both
-with plain references.
+then return a kernel's values in a dict keyed by SEQ_SCALARS (SEQ_PROFILE
+and nasc) or SEQ_SETS; perm_stats keys des, ides and iasc, then perm_sets
+by PERM_SETS.  The CLI merges these dicts, and the tests compare them with
+plain references.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 
 from .errors import DomainError
 from .seqcore import ClassId, Perm, Seq, is_inversion
-
-
-@dataclass(frozen=True)
-class ScalarStats:
-    asc: int
-    rep: int
-    zero: int
-    max: int
-    rmin: int
-    nasc: int
-
-
-@dataclass(frozen=True)
-class SetStats:
-    ASC: tuple
-    DIST: tuple
-    ZERO: tuple
-    MAX: tuple
-    RMIN: tuple
-    NASC: tuple
-
-
-@dataclass(frozen=True)
-class PermStats:
-    des: int
-    ides: int
-    iasc: int
-    DES: tuple
-    IDES: tuple
-    LMAX: tuple
-    LMIN: tuple
-    RMAX: tuple
-
-
-def as_dict(record) -> dict:
-    """The fields of a ScalarStats, SetStats or PermStats in declaration
-    order, each position tuple as a list."""
-    values = ((f.name, getattr(record, f.name)) for f in fields(record))
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 def _require_inversion(s) -> None:
@@ -102,26 +64,29 @@ def zero_positions(s) -> tuple:
     return tuple([i for i, v in enumerate(s, 1) if v == 0])
 
 
-def scalar_stats(s: Seq) -> ScalarStats:
-    _require_inversion(s)
-    profile = seq_profile(s)
-    return ScalarStats(*profile, nasc=len(s) - 1 - profile[0])
-
-
-def set_stats(s: Seq) -> SetStats:
-    _require_inversion(s)
-    return SetStats(*seq_sets(s))
-
-
-def perm_stats(p: Perm) -> PermStats:
-    des, ides, *extrema = perm_sets(p)
-    return PermStats(len(des), len(ides), len(p) - 1 - len(ides), des, ides, *extrema)
-
-
 SEQ_PROFILE = ("asc", "rep", "zero", "max", "rmin")
+SEQ_SCALARS = (*SEQ_PROFILE, "nasc")
 PERM_PROFILE = ("des", "ides", "lmax", "lmin", "rmax")
 SEQ_SETS = ("ASC", "DIST", "ZERO", "MAX", "RMIN", "NASC")
 PERM_SETS = ("DES", "IDES", "LMAX", "LMIN", "RMAX")
+
+
+def scalar_stats(s: Seq) -> dict:
+    _require_inversion(s)
+    profile = seq_profile(s)
+    return dict(zip(SEQ_SCALARS, (*profile, len(s) - 1 - profile[0])))
+
+
+def set_stats(s: Seq) -> dict:
+    _require_inversion(s)
+    return dict(zip(SEQ_SETS, seq_sets(s)))
+
+
+def perm_stats(p: Perm) -> dict:
+    sets = perm_sets(p)
+    des, ides = len(sets[0]), len(sets[1])
+    return {"des": des, "ides": ides, "iasc": len(p) - 1 - ides,
+            **dict(zip(PERM_SETS, sets))}
 
 
 def seq_profile(s: Seq) -> tuple:

@@ -29,8 +29,8 @@ def brute_force(cid, n):
 
 def brute_table(members, names):
     """The table of names over members, from the public statistics."""
-    return dict(Counter(tuple(getattr(stats.scalar_stats(s), name)
-                              for name in names) for s in members))
+    return dict(Counter(tuple(stats.scalar_stats(s)[name] for name in names)
+                        for s in members))
 
 
 def test_every_sequence_class_has_a_step_rule():
@@ -76,7 +76,7 @@ def test_marker_tables_against_brute_force(names):
     def value(s, name):
         if name in stats.MARKERS:
             return getattr(stats, name)(s)
-        return getattr(stats.scalar_stats(s), name)
+        return stats.scalar_stats(s)[name]
 
     for n in range(1, 7):
         want = Counter(tuple(value(s, name) for name in names)
@@ -141,9 +141,10 @@ def test_suffix_cases_against_brute_force():
         want = Counter()
         for s in brute_force(ClassId.ASC, n):
             sc = stats.scalar_stats(s)
-            if sc.max < n:
+            if sc["max"] < n:
                 want[decomp.classify(s, "ASC_S"),
-                     (sc.rep, sc.max, stats.ealm(s), sc.asc, sc.zero)] += 1
+                     (sc["rep"], sc["max"], stats.ealm(s), sc["asc"],
+                      sc["zero"])] += 1
         assert counting.count_cases(n) == dict(want), n
 
 

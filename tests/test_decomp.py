@@ -40,7 +40,7 @@ class TestClassify:
     def test_smallest_member_of_the_third_block(self):
         hits = [tuple(s)
                 for n in range(2, 5) for s in ascent_members(n)
-                if stats.scalar_stats(s).max < n
+                if stats.scalar_stats(s)["max"] < n
                 and decomp.classify(s, "ASC_S") == "S3"]
         assert hits[0] == (0, 1, 0, 1)
 
@@ -62,13 +62,13 @@ class TestClassify:
                 sc = stats.scalar_stats(s)
                 assert decomp.classify(s, "ASC_P") in labels["ASC_P"]
                 assert decomp.classify(s, "ASC_G") in labels["ASC_G"]
-                if sc.zero < n:  # needs a nonzero entry
+                if sc["zero"] < n:  # needs a nonzero entry
                     assert decomp.classify(s, "ASC_R") in labels["ASC_R"]
-                if sc.max < n:  # needs a non-maximal tail
+                if sc["max"] < n:  # needs a non-maximal tail
                     assert decomp.classify(s, "ASC_S") in {"S1", "S2", "S3", "S4"}
             for t in t21_members(n):
                 assert decomp.classify(t, "T_F") in labels["T_F"]
-                if stats.scalar_stats(t).max < n:
+                if stats.scalar_stats(t)["max"] < n:
                     assert decomp.classify(t, "T_J") in labels["T_J"]
 
     def test_errors(self):
@@ -205,7 +205,7 @@ class TestRoundTrips:
     def test_block_reductions(self):
         for n in range(2, 6):
             for s in ascent_members(n):
-                if stats.scalar_stats(s).max == n:
+                if stats.scalar_stats(s)["max"] == n:
                     continue
                 label = decomp.classify(s, "ASC_S")
                 if label == "S2":
@@ -222,19 +222,19 @@ class TestRoundTrips:
         for n in range(2, 7):
             for s in ascent_members(n):
                 st = stats.scalar_stats(s)
-                if st.max < n and decomp.classify(s, "ASC_S") != "S4":
+                if st["max"] < n and decomp.classify(s, "ASC_S") != "S4":
                     i = stats.ealm(s)
-                    if i < st.max - 1:
+                    if i < st["max"] - 1:
                         up = decomp.ealm_shift(s, "up")
                         assert decomp.ealm_shift(up, "down") == s
-                if (st.zero < n and decomp.classify(s, "ASC_R") == "R1"
-                        and stats.zpair(s) < st.zero - 1):
+                if (st["zero"] < n and decomp.classify(s, "ASC_R") == "R1"
+                        and stats.zpair(s) < st["zero"] - 1):
                     up = decomp.zpair_shift(s, "up")
                     assert decomp.zpair_shift(up, "down") == s
             for t in t21_members(n):
                 st = stats.scalar_stats(t)
-                if (st.max < n and decomp.classify(t, "T_J") == "J1"
-                        and stats.mpair(t) < st.max - 1):
+                if (st["max"] < n and decomp.classify(t, "T_J") == "J1"
+                        and stats.mpair(t) < st["max"] - 1):
                     up = decomp.mpair_shift(t, "up")
                     assert decomp.mpair_shift(up, "down") == t
 
@@ -268,20 +268,37 @@ GUARDED = {"phi_P": (ClassId.ASC, "ASC_P", ("P",)),
            "phi_G": (ClassId.ASC, "ASC_G", ("G",))}
 
 
+# the step surgeries of the walks, the rewinds and mpair_shift
+STEPS = ("_M0", "_M1", "_M2", "_undo_M0", "_undo_M1", "_undo_M2",
+         "_Z0", "_Z1", "_Z2", "_undo_Z0", "_undo_Z1", "_undo_Z2")
+
+
+def counted_calls(monkeypatch, names):
+    """The arguments of every call of the named functions of stats, through
+    stats or decomp."""
+    calls = []
+    for name in names:
+        def counted(*args, _real=getattr(stats, name)):
+            calls.append(args)
+            return _real(*args)
+        for module in (stats, decomp):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestOnePass:
     """Each guarded map and its inverse test membership and read their
-    anchors off one validating pass of stats, and make no second one."""
+    anchors off one validating pass of stats, and make no second one.  The
+    walks make one read per step, their guard's pass serving the first."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        calls = []
-        for name in ("_asc_pass", "_t21_pass"):
-            def counted(*args, _real=getattr(stats, name)):
-                calls.append(args)
-                return _real(*args)
-            for module in (stats, decomp):
-                monkeypatch.setattr(module, name, counted)
-        return calls
+        return counted_calls(monkeypatch, ("_asc_pass", "_t21_pass"))
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        return counted_calls(monkeypatch,
+                             ("maximal_positions", "zero_positions"))
 
     @staticmethod
     def block(s, scheme):
@@ -321,6 +338,45 @@ class TestOnePass:
                         assert once(inverse, t, back) == s
                 runs += 1
         assert runs
+
+    @pytest.mark.parametrize("walk, rewind, cid, pair", [
+        (decomp.vartheta, decomp.vartheta_inv, ClassId.T21, stats.mpair),
+        (decomp.theta_R, decomp.theta_R_inv, ClassId.ASC, stats.zpair)],
+        ids=("vartheta", "theta_R"))
+    def test_one_read_per_walk_step(self, walk, rewind, cid, pair, passes,
+                                    scans, monkeypatch):
+        reads = []  # the passes and scans made inside each step surgery
+        for name in STEPS:
+            def step(*args, _real=getattr(decomp, name)):
+                before = len(passes) + len(scans)
+                try:
+                    return _real(*args)
+                finally:
+                    reads.append(len(passes) + len(scans) - before)
+            monkeypatch.setattr(decomp, name, step)
+
+        def run(f, *args):
+            passes.clear()
+            scans.clear()
+            trace = []
+            try:
+                f(*args, _trace=trace)
+            except DomainError:  # refused: outside the domain or the range
+                pass
+            return len(trace)
+
+        for n in range(1, 7):
+            for s in enumerate_class(cid, n):
+                for i in range(-1, pair(s) + 1):
+                    steps = run(walk, s, i)
+                    assert (len(passes), len(scans)) == (1, max(steps - 1, 0))
+                steps = run(rewind, s)
+                assert (len(passes), len(scans)) == (max(steps, 1), 0)
+                if cid is ClassId.T21:
+                    for direction in ("up", "down"):
+                        run(decomp.mpair_shift, s, direction)
+                        assert (len(passes), len(scans)) == (1, 0)
+        assert reads and not any(reads)
 
 
 class TestInvariantGuards:

@@ -112,8 +112,8 @@ def brute_quadruple(order, point):
     for n in range(1, order + 1):
         for s in enumerate_class(ClassId.ASC, n):
             sc = stats.scalar_stats(s)
-            coeffs[n] += (point.x ** sc.rep) * (point.q ** sc.max) \
-                * (point.u ** sc.asc) * (point.z ** sc.zero)
+            coeffs[n] += (point.x ** sc["rep"]) * (point.q ** sc["max"]) \
+                * (point.u ** sc["asc"]) * (point.z ** sc["zero"])
     return genfun.TruncSeries(coeffs)
 
 
@@ -203,7 +203,7 @@ class TestSeriesFormulas:
             for n in range(1, 7):
                 for s in enumerate_class(ClassId.ASC, n):
                     sc = stats.scalar_stats(s)
-                    brute[n] += (q ** sc.zero) * (z ** sc.max)
+                    brute[n] += (q ** sc["zero"]) * (z ** sc["max"])
             assert f == genfun.TruncSeries(brute)
 
     def test_asczero_variants_agree(self):
@@ -227,7 +227,7 @@ class TestEvalGf:
         counts = Counter()
         for s in enumerate_class(ClassId.ASC, 3):
             sc = stats.scalar_stats(s)
-            counts[(sc.rep, sc.max)] += 1
+            counts[(sc["rep"], sc["max"])] += 1
         return genfun.DistTable(ClassId.ASC, 3, ("rep", "max"), dict(counts))
 
     def test_single_table(self):
@@ -375,9 +375,10 @@ def reference_case_profiles(order):
     for n in whole:
         for s in enumerate_class(ClassId.ASC, n):
             sc = stats.scalar_stats(s)
-            if sc.max == n:
+            if sc["max"] == n:
                 continue
-            key = (sc.rep, sc.max, stats.ealm(s), sc.asc, sc.zero)
+            key = (sc["rep"], sc["max"], stats.ealm(s), sc["asc"],
+                   sc["zero"])
             whole[n][key] += 1
             parts[decomp.classify(s, "ASC_S")][n][key] += 1
     return whole, parts
@@ -439,7 +440,7 @@ def sample_tables():
             counts = Counter()
             for s in enumerate_class(ClassId.ASC, n):
                 sc = stats.scalar_stats(s)
-                values = {"ealm": stats.ealm(s), **stats.as_dict(sc)}
+                values = {"ealm": stats.ealm(s), **sc}
                 counts[tuple(values[name] for name in names)] += 1
             tables.append(genfun.DistTable(ClassId.ASC, n, names, dict(counts)))
     return tables

@@ -6,7 +6,7 @@ copies that differ only in a threshold, a class or the anchor they follow
 (maximal entries or zeros).  The references below are those copies written
 out one by one, as separate functions with no shared kernel; the walks
 call the step surgeries `decomp._M0` ... `decomp._undo_Z2`, which were not
-merged.  `mpair_shift` now runs one of the steps `_M1`, `_M2`, `_undo_M1`,
+merged, and hand each step the anchors and the ordinal it takes.  `mpair_shift` now runs one of the steps `_M1`, `_M2`, `_undo_M1`,
 `_undo_M2`; its former surgery of its own is kept below as
 `ref_mpair_shift`.  Every map is compared with its reference over whole
 classes to n = 8: outputs, `_trace` lists, and the type and message of
@@ -313,17 +313,17 @@ def ref_vartheta(s, i, _trace=None):
     _require(not ref_in_F(s), f"block F is out of range: {tuple(s)!r}")
     j = ref_mpair(s)
     _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
-    cur = decomp._M0(list(s))
+    cur = decomp._M0(list(s), maximal_positions(s), j)
     if _trace is not None:
         _trace.append(("M0", Seq(cur)))
     c = j - 1
     while c > i:
         kp = maximal_positions(cur)
         if kp[c - 1] + 1 == kp[c]:
-            cur = decomp._M1(cur, c)
+            cur = decomp._M1(cur, kp, c)
             label = "M1"
         else:
-            cur = decomp._M2(cur, c)
+            cur = decomp._M2(cur, kp, c)
             label = "M2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
@@ -340,16 +340,17 @@ def ref_vartheta_inv(s, _trace=None):
     i = ref_mpair(s)
     cur = list(s)
     for _ in range(len(s) + 1):
+        found = maximal_positions(cur), ref_mpair(tuple(cur))
         if ref_in_F(cur):
-            cur = decomp._undo_M1(cur)
+            cur = decomp._undo_M1(cur, *found)
             label = "undo_M1"
-        elif mpos(tuple(cur)) == ref_mpair(tuple(cur)) + 1:
-            cur = decomp._undo_M0(cur)
+        elif mpos(tuple(cur)) == found[1] + 1:
+            cur = decomp._undo_M0(cur, *found)
             if _trace is not None:
                 _trace.append(("undo_M0", Seq(cur)))
             return MapResult(Seq(cur), i)
         else:
-            cur = decomp._undo_M2(cur)
+            cur = decomp._undo_M2(cur, *found)
             label = "undo_M2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
@@ -426,17 +427,17 @@ def ref_theta_R(s, i, _trace=None):
     _require(not ref_in_G(s), f"block G is out of range: {tuple(s)!r}")
     j = ref_zpair(s)
     _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
-    cur = decomp._Z0(list(s))
+    cur = decomp._Z0(list(s), zero_positions(s), j)
     if _trace is not None:
         _trace.append(("Z0", Seq(cur)))
     c = j - 1
     while c > i:
         zp = zero_positions(cur)
         if zp[c - 1] + 1 == zp[c]:
-            cur = decomp._Z1(cur, c)
+            cur = decomp._Z1(cur, zp, c)
             label = "Z1"
         else:
-            cur = decomp._Z2(cur, c)
+            cur = decomp._Z2(cur, zp, c)
             label = "Z2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
@@ -452,16 +453,17 @@ def ref_theta_R_inv(s, _trace=None):
     i = ref_zpair(s)
     cur = list(s)
     for _ in range(len(s) + 1):
+        found = zero_positions(cur), ref_zpair(tuple(cur))
         if ref_in_G(cur):
-            cur = decomp._undo_Z1(cur)
+            cur = decomp._undo_Z1(cur, *found)
             label = "undo_Z1"
-        elif zpos(tuple(cur)) == ref_zpair(tuple(cur)) + 1:
-            cur = decomp._undo_Z0(cur)
+        elif zpos(tuple(cur)) == found[1] + 1:
+            cur = decomp._undo_Z0(cur, *found)
             if _trace is not None:
                 _trace.append(("undo_Z0", Seq(cur)))
             return MapResult(Seq(cur), i)
         else:
-            cur = decomp._undo_Z2(cur)
+            cur = decomp._undo_Z2(cur, *found)
             label = "undo_Z2"
         if _trace is not None:
             _trace.append((label, Seq(cur)))
@@ -623,8 +625,8 @@ def ref_setvalued(source, map_name, perm_sets, seq_sets, max_n):
                 return {"n": n, "input": p, "output": s,
                         "detail": "image is not an ascent sequence"}
             ps, ss = perm_stats(p), set_stats(s)
-            want = tuple(getattr(ps, k) for k in perm_sets)
-            got = tuple(getattr(ss, k) for k in seq_sets)
+            want = tuple(ps[k] for k in perm_sets)
+            got = tuple(ss[k] for k in seq_sets)
             if want != got:
                 return {"n": n, "input": p, "output": s,
                         "expected": want, "actual": got}
@@ -651,7 +653,7 @@ def ref_transport(args, max_n):
 
 def ref_wanted(source, want, x):
     if want[0].isupper():
-        return tuple(getattr(perm_stats(x), k) for k in want)
+        return tuple(perm_stats(x)[k] for k in want)
     return harness._value_fn(source, want)(x)
 
 
