@@ -7,10 +7,10 @@ statistics read have the same extensions, with the same effect on those
 statistics, so one count stands for all of them.  A layer maps each key
 (state, prev, fields) to the number of prefixes it stands for, and the next
 layer extends every key by each admissible entry, read off the table of
-seqcore.extensions at that index, which the walk reads too: a
-transfer-matrix count
-(Flajolet and Sedgewick, Analytic Combinatorics, V.6) over the recursive
-construction of Bousquet-Mélou, Claesson, Dukes and Kitaev (JCTA 2010).
+seqcore.extensions at that index, which seqcore.graph reads too: a
+transfer-matrix count (Flajolet and Sedgewick, Analytic Combinatorics, V.6)
+over the recursive construction of Bousquet-Mélou, Claesson, Dukes and
+Kitaev (JCTA 2010).
 
 A tracker reads one statistic off the running fields.  Appending the entry v
 at 0-based index m after the entry prev updates each field as follows:
@@ -58,16 +58,13 @@ count_cases, whose reader reads the case off it.  The reader then runs once
 per distinct key: once per key of the table for the core (asc, rep, zero,
 max).
 
-The same layers also rank the members, by the recursive method of Nijenhuis
-and Wilf (Combinatorial Algorithms, 1978).  ranker(class_id, n) walks the
-step rule forward through seqcore.extensions, with no payload, to collect
-the reachable (state, prev) keys of each index, then backward to count the
-completions of each key: the number of ways to fill the indices after it.
-The members that agree with a member s up to index m and take a smaller
-entry there precede s, so the rank of s sums, over each index, the
-completions of the smaller admissible entries.  The offset of each entry is
-summed once per key, so a rank costs one lookup per entry, and a word that
-the rule refuses, or whose entry leaves entry_range, has no rank.
+The members are ranked by the recursive method of Nijenhuis and Wilf
+(Combinatorial Algorithms, 1978), over the nodes of seqcore.graph, which
+enumerate_class walks too.  The members that agree with a member s up to
+index m and take a smaller entry there precede s, so the rank of s sums,
+over each index, the completions of the smaller admissible entries, which
+each node holds per entry.  So a rank costs one lookup per entry, and a word
+that the rule refuses, or whose entry leaves entry_range, has no rank.
 """
 
 from __future__ import annotations
@@ -77,7 +74,7 @@ from collections import Counter
 from . import stats
 from .errors import UsageError
 from .seqcore import (ClassId, _RULES, _asc_step, check_class, check_size,
-                      extensions)
+                      extensions, graph)
 
 # tracker -> (the field it reads, whether the statistic is the size of that
 # field as a set, whether it is n minus the reading, and the field whose
@@ -260,29 +257,7 @@ def ranker(class_id: ClassId, n: int) -> tuple:
     """(rank, size): size is the number of members of class_id of length
     n, and rank(obj) the index of obj among them in lexicographic order, or
     None when obj is no such member."""
-    check_class(class_id)
-    check_size(n, "length")
-    step, start = _RULES[class_id]
-    perm = class_id.is_permutation_class
-    moves, keys = [], {(start, 0)}  # moves[m]: key -> its extensions at m
-    for m in range(n):
-        extend = extensions(step, perm, n, m)
-        moves.append({key: extend(*key) for key in keys})
-        keys = {(nxt, v) for found in moves[m].values()
-                for v, nxt, _ in found}
-    # the node of a key at index m maps each admissible entry v to (the
-    # completions of the entries below v, the node of the key after v)
-    completions, nodes = dict.fromkeys(keys, 1), dict.fromkeys(keys)
-    for m in range(n - 1, -1, -1):
-        below, counts = {}, {}
-        for key, found in moves[m].items():
-            node, total = {}, 0
-            for v, nxt, _ in found:
-                node[v] = total, nodes[nxt, v]
-                total += completions[nxt, v]
-            below[key], counts[key] = node, total
-        nodes, completions = below, counts
-    root = nodes[start, 0]
+    root, size = graph(class_id, n)
 
     def rank(obj):
         if len(obj) != n:
@@ -295,7 +270,7 @@ def ranker(class_id: ClassId, n: int) -> tuple:
             offset, node = found
             index += offset
         return index
-    return rank, completions[start, 0]
+    return rank, size
 
 
 def _case_step(state, m, prev, v):

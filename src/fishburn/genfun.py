@@ -315,7 +315,7 @@ def random_point(rng, constraint=None) -> SpecPoint:
 
 
 def fishburn_series(order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Series whose t^n coefficient is the common size of all five classes.
+    """Series whose t^n coefficient is the common size of all six classes.
 
     Computes sum over m >= 1 of prod_{i=1..m} (1 - (1-t)^i).  The m-th
     summand has no terms below t^m, so the sum stops at m = order.

@@ -314,21 +314,26 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 #                 placed; the state is the bit set of placed values
 #   PERM_AVOID_B  v unplaced and, at an ascent prev < v, v - 1 placed
 #   PERM_ALL      v unplaced; the state is the bit set of placed values
-# The prefix goes through the same range and rule, so a dead or out-of-range
-# prefix yields nothing.  The walk is depth-first over a stack of iterators,
-# so a member is yielded from one frame, not through n nested ones.
 #
 # A step rule must stay a pure function of (state, m, prev, v), with a
 # hashable state: extensions(step, perm, n, m) memoises the admissible
-# entries of every (state, prev) it meets at index m, so most nodes cost one
-# lookup instead of a call per candidate value.  Each walk builds one such
-# table per index; the nodes at index n - 1 push no iterator: their leaves
-# are emitted from the table in the parent's frame.  PERM_ALL has nothing to
-# prune, so enumerate_class takes its tails from itertools.permutations; its
-# rule serves counting, whose ranker reads the same tables and whose counter
-# reads them with the effect of each entry on the tracked statistics as
-# payload: it merges the prefixes that agree on (state, prev) and on those
-# statistics, and counts them together.
+# entries of every (state, prev) it meets at index m, so each key costs one
+# call per candidate value.  graph(class_id, n) reads those tables forward,
+# to collect the reachable (state, prev) keys of each index, then backward,
+# to build one node per key: a dict from each admissible entry v, in
+# increasing order, to (the completions of the smaller entries, the node
+# after v), with None after the last entry.  Nodes are shared by every
+# prefix that reaches their key, so the graph is held, not the members.
+# enumerate_class walks it depth-first from the node of the prefix, over a
+# stack of iterators, so a member is yielded from one frame, not through n
+# nested ones; a dead or out-of-range prefix finds no node and yields
+# nothing.  counting.ranker reads the completions of the same nodes (the
+# recursive method of Nijenhuis and Wilf, Combinatorial Algorithms, 1978).
+# PERM_ALL has nothing to prune, so enumerate_class takes its tails from
+# itertools.permutations; its rule serves the ranker and the counter, which
+# reads the extension tables with the effect of each entry on the tracked
+# statistics as payload: it merges the prefixes that agree on (state, prev)
+# and on those statistics, and counts them together.
 
 
 def entry_range(perm: bool, n: int, m: int) -> range:
@@ -421,40 +426,55 @@ _RULES = {
 }
 
 
-def _stream(n, prefix, step, state, perm):
-    cls = Perm if perm else Seq
-    for m, v in enumerate(prefix):
-        if v not in entry_range(perm, n, m):
+def graph(class_id: ClassId, n: int) -> tuple:
+    """(root, size): size is the number of members of class_id of length
+    n, and root the node of the empty prefix.  A node maps each admissible
+    entry v, in increasing order, to (the number of members that extend the
+    same prefix by a smaller entry, the node after v); the node after the
+    last entry is None."""
+    check_class(class_id)
+    check_size(n, "length")
+    step, start = _RULES[class_id]
+    perm = class_id.is_permutation_class
+    moves, keys = [], {(start, 0)}  # moves[m]: key -> its extensions at m
+    for m in range(n):
+        extend = extensions(step, perm, n, m)
+        moves.append({key: extend(*key) for key in keys})
+        keys = {(nxt, v) for found in moves[m].values()
+                for v, nxt, _ in found}
+    completions, nodes = dict.fromkeys(keys, 1), dict.fromkeys(keys)
+    for found_at in reversed(moves):
+        below, counts = {}, {}
+        for key, found in found_at.items():
+            node, total = {}, 0
+            for v, nxt, _ in found:
+                node[v] = total, nodes[nxt, v]
+                total += completions[nxt, v]
+            below[key], counts[key] = node, total
+        nodes, completions = below, counts
+    return nodes[start, 0], completions[start, 0]
+
+
+def _walk(class_id, n, prefix):
+    node, _ = graph(class_id, n)
+    for v in prefix:
+        found = node.get(v)
+        if found is None:
             return
-        state = step(state, m, prefix[m - 1] if m else 0, v)
-        if state is None:
-            return
+        node = found[1]
+    cls = Perm if class_id.is_permutation_class else Seq
     vals = list(prefix)
-    if len(vals) == n:
+    if node is None:
         yield tuple.__new__(cls, vals)
         return
-    tables = [extensions(step, perm, n, m) for m in range(n)]
-    last = n - 1
-    top = tables[len(vals)](state, vals[-1] if vals else 0)
-    if len(vals) == last:
-        for v, _, _ in top:
-            vals.append(v)
-            yield tuple.__new__(cls, vals)
-            vals.pop()
-        return
-    # one iterator over the table's entries per open index below n - 1
-    leaves = tables[last]
-    stack = [iter(top)]
+    stack = [iter(node.items())]
     while stack:
-        for v, nxt, _ in stack[-1]:
+        for v, (_, node) in stack[-1]:
             vals.append(v)
-            if len(vals) < last:
-                stack.append(iter(tables[len(vals)](nxt, v)))
+            if node is not None:
+                stack.append(iter(node.items()))
                 break
-            for w, _, _ in leaves(nxt, v):
-                vals.append(w)
-                yield tuple.__new__(cls, vals)
-                vals.pop()
+            yield tuple.__new__(cls, vals)
             vals.pop()
         else:
             stack.pop()
@@ -491,5 +511,4 @@ def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = No
         return iter(())
     if class_id is ClassId.PERM_ALL:
         return _stream_perm(n, prefix)
-    step, state = _RULES[class_id]
-    return _stream(n, prefix, step, state, class_id.is_permutation_class)
+    return _walk(class_id, n, prefix)

@@ -350,8 +350,8 @@ class TestEnumerate:
         assert got == ["1324"]  # 1342 has its 2 two places after the ascent 34
 
     def test_members_stay_lazy(self):
-        # main writes the members one at a time, so memory stays flat at any
-        # n; the CSV rows read the same stream of texts
+        # main writes the members one at a time, so they are never held;
+        # the CSV rows read the same stream of texts
         args = cli.build_parser().parse_args(
             ["enumerate", "--class", "ASC", "--n", "10"])
         _, texts, rows = args.handler(args)

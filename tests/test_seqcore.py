@@ -130,8 +130,8 @@ class TestEnumerationAgainstBruteForce:
 
 
 def reference_stream(n, prefix, step, state, perm):
-    """The walk without the memo and the leaf emission: a stack of child
-    generators that call the step rule for every candidate value."""
+    """The walk without the extension tables and the node graph: a stack of
+    child generators that call the step rule for every candidate value."""
     cls, lo = (Perm, 1) if perm else (Seq, 0)
     for m, v in enumerate(prefix):
         if not lo <= v <= (n if perm else m):
@@ -178,8 +178,9 @@ def typed(stream):
 
 
 class TestMemoisedWalk:
-    """The memoised walk with its leaf emission must yield exactly what the
-    plain walk over the same step rules yields."""
+    """The walk over the nodes of seqcore.graph, one node per reachable
+    (state, last entry) key, must yield exactly what the plain walk over the
+    same step rules yields."""
 
     @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
     def test_whole_streams(self, cid):
@@ -198,7 +199,7 @@ class TestMemoisedWalk:
 
     @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
     def test_interleaved_walks_share_nothing(self, cid):
-        # a memo shared between walks would hand the second walk children
+        # a graph shared between walks would hand the second walk children
         # cached for another length: permutations range over 1..n
         a, b = ((2,), (3, 1)) if cid.is_permutation_class else ((0, 1), (0, 0))
         walks = [(6, ()), (5, ()), (6, a), (4, b)]
@@ -226,8 +227,9 @@ def reachable(cid, n):
 
 
 class TestExtensionTable:
-    """seqcore.extensions, the one table of the step rules that the walk,
-    the counter and the ranker read."""
+    """seqcore.extensions, the one table of the step rules: the counter
+    reads it, and so does seqcore.graph, which the walk and the ranker
+    read."""
 
     @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
     def test_matches_the_filtered_step_rule(self, cid):
@@ -269,7 +271,8 @@ class TestExtensionTable:
     @pytest.mark.parametrize("module, run", [
         (seqcore, lambda: list(enumerate_class(ClassId.T21, 5))),
         (counting, lambda: counting.count_table(ClassId.T21, 5, ("asc",))),
-        (counting, lambda: counting.ranker(ClassId.T21, 5)),
+        # the ranker reads the table through seqcore.graph
+        (seqcore, lambda: counting.ranker(ClassId.T21, 5)),
     ], ids=["enumerate_class", "count_table", "ranker"])
     def test_every_reader_reads_it(self, monkeypatch, module, run):
         read = []
@@ -356,6 +359,46 @@ class TestLimits:
         with pytest.raises(UsageError) as caught:
             enumerate_class(cid, 3)
         assert str(caught.value) == f"expected a ClassId, got {cid!r}"
+
+
+class TestLaziness:
+    """enumerate_class refuses at call time, before any work, and builds its
+    graph at the first member, not before: the CLI makes every refusal
+    before it writes a member."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, real = [], seqcore.graph
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(seqcore, "graph", spy)
+        return calls
+
+    @pytest.mark.parametrize("args, kw, error", [
+        (("asc", 3), {}, UsageError),
+        ((ClassId.ASC, 0), {}, UsageError),
+        ((ClassId.ASC, 13), {}, ResourceLimitError),
+        ((ClassId.ASC, 3), {"limit": 0}, UsageError),
+        ((ClassId.ASC, 4), {"limit": 3}, ResourceLimitError),
+        ((ClassId.ASC, 3), {"prefix": (0, -1)}, UsageError),
+    ], ids=["class", "size", "cap", "bad-limit", "limit", "prefix"])
+    def test_refusals_come_at_call_time(self, built, args, kw, error):
+        with pytest.raises(error):
+            enumerate_class(*args, **kw)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "cid", [c for c in seqcore._RULES if c is not ClassId.PERM_ALL],
+        ids=lambda c: c.name)
+    def test_graph_waits_for_the_first_member(self, built, cid):
+        stream = enumerate_class(cid, 5)
+        assert built == []
+        first = next(stream)
+        assert built == [(cid, 5)]
+        assert first == listed(cid, 5)[0]
 
 
 class TestSizeTable:
