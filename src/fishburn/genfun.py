@@ -15,6 +15,14 @@ other factor per term.  The weighted sums that evaluate tables and profiles
 likewise reduce a table to one integer over one denominator, from power
 tables built once per point for all lengths.
 
+The closed forms share one shape: the m-th summand is t^(m+1) (r^(m+1) in
+series_G, with r = (x+u-xu) t) times a series of which only the
+coefficients below order - m matter.  Each summand is built at that lower
+order: the running product is kept divided by t^m, each new factor gives
+up its factor of t by an exact division (_over_t, which refuses a nonzero
+constant term), and the summands are shifted and added up once, over one
+denominator (_add_up).  Orders below 1 exist only inside this module.
+
 The case identities compare the closed forms with the five-marker profiles
 of the suffix cases, which counting.count_cases counts over the ASC step
 rule: nothing here enumerates a class.
@@ -104,7 +112,8 @@ class TruncSeries:
     @classmethod
     def _make(cls, num: list, den: int, order: int) -> "TruncSeries":
         """The series num / den (den > 0, exactly order + 1 numerators of a
-        checked order), brought to canonical form."""
+        checked order, or of a lower one inside the closed forms), brought
+        to canonical form."""
         g = gcd(den, *num)
         if g != 1:
             num = [v // g for v in num]
@@ -235,7 +244,7 @@ class TruncSeries:
         """
         if _check_order(order) > self.order:
             raise UsageError(f"cannot truncate order {self.order} to {order}")
-        return TruncSeries._make(list(self._num[:order + 1]), self._den, order)
+        return _cut(self, order)
 
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -314,25 +323,51 @@ def random_point(rng, constraint=None) -> SpecPoint:
             return point
 
 
+def _cut(f: TruncSeries, order: int) -> TruncSeries:
+    """f at a lower order, which inside this module may be 0."""
+    return TruncSeries._make(list(f._num[:order + 1]), f._den, order)
+
+
+def _over_t(f: TruncSeries) -> TruncSeries:
+    """f / t, exactly, one order lower: the factor of t that each new factor
+    of a summand carries.  A nonzero constant term breaks the summand shape."""
+    invariant(not f._num[0], "summand order bound violated")
+    return TruncSeries._make(list(f._num[1:]), f._den, f.order - 1)
+
+
+def _add_up(parts, order: int, base: Fraction = Fraction(1)) -> TruncSeries:
+    """sum_m (base t)^(m+1) parts[m](base t) at the given order, where
+    parts[m], the m-th summand over its factor t^(m+1), has order
+    order - m - 1.  One common denominator, one canonical form."""
+    den = lcm(*[p._den for p in parts])
+    num = [0] * (order + 1)
+    for m, p in enumerate(parts):
+        num[m + 1:] = map(add, num[m + 1:], map(mul, repeat(den // p._den), p._num))
+    a, b = base.numerator, base.denominator
+    return TruncSeries._make(
+        [v * a ** k * b ** (order - k) for k, v in enumerate(num)],
+        den * b ** order, order)
+
+
 def fishburn_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     """Series whose t^n coefficient is the common size of all six classes.
 
-    Computes sum over m >= 1 of prod_{i=1..m} (1 - (1-t)^i).  The m-th
-    summand has no terms below t^m, so the sum stops at m = order.
+    Computes sum over m >= 1 of prod_{i=1..m} (1 - (1-t)^i).  Each factor
+    carries t, so the m-th summand is t^m times the product of the factors
+    over t, which is built at order - m only.
     """
     order = _check_order(order)
     one = TruncSeries.one(order)
-    t = TruncSeries.monomial(1, 1, order)
-    shrink = one - t
-    shrink_pow = shrink          # (1-t)^m
-    partial = one                # running product over i <= m
-    total = TruncSeries.zero(order)
-    for m in range(1, order + 1):
-        partial = partial * (one - shrink_pow)
-        invariant(partial.vanishes_below(m), "summand order bound violated")
-        total = total + partial
-        shrink_pow = shrink_pow * shrink
-    return total
+    shrink = one - TruncSeries.monomial(1, 1, order)
+    shrink_pow = shrink          # (1-t)^(m+1), at order k + 1
+    running = one                # product over i <= m, over t^(m+1)
+    parts = []
+    for k in range(order - 1, -1, -1):
+        running = _cut(running, k) * _over_t(_cut(one, k + 1) - shrink_pow)
+        parts.append(running)
+        if k:
+            shrink_pow = _cut(shrink_pow, k) * _cut(shrink, k)
+    return _add_up(parts, order)
 
 
 def _affine(c: Fraction, f: Fraction, a: TruncSeries) -> TruncSeries:
@@ -354,8 +389,10 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
                    / ([x(1-u) + u a_m] [x + u(1-x) a_m])
                    * prod_{i<m} [1 + (zr-1) a_i] / [x + u(1-x) a_i]
 
-    with r = t (x+u-xu) and a_m = (1-qr)(1-r)^m.  The m-th summand has no
-    terms below t^(m+1), so the sum stops at m = order - 1.
+    with r = t (x+u-xu) and a_m = (1-qr)(1-r)^m.  The lead and each factor
+    of the product carry r, so the m-th summand is r^(m+1) times a series
+    in r built at order - m - 1 only; the sum is taken in r and rescaled
+    to t once.
     """
     order = _check_order(order)
     point = point or SpecPoint()
@@ -366,52 +403,49 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
             "inadmissible point: x + u - x*u = 0, which is the constant "
             "term of every denominator in the sum")
     one = TruncSeries.one(order)
-    r = TruncSeries.monomial(mix, 1, order)
+    r = TruncSeries.monomial(1, 1, order)     # the variable is r here
     shrink = one - r
     zr_less_one = r.scale(z) - one
-    lead = r.scale(z * q * mix)      # zq r (x+u-xu) x^m
-    a = one - r.scale(q)             # a_m
+    a = _cut(one - r.scale(q), order - 1)     # a_m, at order k
+    # the product over i < m, over r^m, times zq (x+u-xu)
+    running = _cut(TruncSeries.constant(z * q * mix, order), order - 1)
     # the two denominators are left + u a_m and right + u(1-x) a_m
     left, right, right_factor = x * (1 - u), x, u * (1 - x)
-    running = one                    # product over i < m
-    total = TruncSeries.zero(order)
-    for m in range(order):
+    parts = []
+    for m, k in enumerate(range(order - 1, -1, -1)):
         # one quotient and one full product serve the term and the next
         # running product, (1 + (zr-1) a_m) shared = shared + (zr-1) a_shared
         shared = running / _affine(right, right_factor, a)
         a_shared = a * shared
-        term = lead * a_shared / _affine(left, u, a)
-        invariant(term.vanishes_below(m + 1), "summand order bound violated")
-        total = total + term
-        running = shared + zr_less_one * a_shared
-        a = a * shrink
-        lead = lead.scale(x)
-    return total
+        parts.append((a_shared / _affine(left, u, a)).scale(x ** m))
+        if k:
+            running = _over_t(shared + _cut(zr_less_one, k) * a_shared)
+            a = _cut(a, k - 1) * _cut(shrink, k - 1)
+    return _add_up(parts, order, mix)
 
 
 def series_zeromax(order: int = DEFAULT_ORDER, q=1, z=1) -> TruncSeries:
     """Joint length series of (zero, max) on ascent sequences.
 
     Computes sum over m >= 0 of qzt prod_{i<m} [1 - (1-zt)(1-qt)(1-t)^i].
-    The formula is literally symmetric in q and z.
+    The formula is literally symmetric in q and z.  Each factor carries t,
+    so the m-th summand is t^(m+1) times a series built at order - m - 1.
     """
     order = _check_order(order)
     q, z = _as_fraction(q), _as_fraction(z)
     one = TruncSeries.one(order)
     t = TruncSeries.monomial(1, 1, order)
-    drop = (one - t.scale(z)) * (one - t.scale(q))   # (1-zt)(1-qt)
     shrink = one - t
-    shrink_pow = one                                 # (1-t)^m
-    lead = t.scale(q * z)
-    running = one
-    total = TruncSeries.zero(order)
-    for m in range(order):
-        term = lead * running
-        invariant(term.vanishes_below(m + 1), "summand order bound violated")
-        total = total + term
-        running = running * (one - drop * shrink_pow)
-        shrink_pow = shrink_pow * shrink
-    return total
+    # (1-zt)(1-qt)(1-t)^m, at order k
+    drop = _cut((one - t.scale(z)) * (one - t.scale(q)), order - 1)
+    running = _cut(TruncSeries.constant(q * z, order), order - 1)
+    parts = []
+    for k in range(order - 1, -1, -1):
+        parts.append(running)
+        if k:
+            running = _cut(running, k - 1) * _over_t(_cut(one, k) - drop)
+            drop = _cut(drop, k - 1) * _cut(shrink, k - 1)
+    return _add_up(parts, order)
 
 
 ASCZERO_VARIANTS = ("primitive", "alternative")
@@ -428,7 +462,8 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
                    * prod_{i<m} [1-(1-zt)(1-t)^(i+1)]
 
     Both denominators have constant term 1 regardless of u and z, so every
-    point is admissible.  Each m-th summand starts at t^(m+1).
+    point is admissible.  Each factor of a numerator product carries t, so
+    the m-th summand is t^(m+1) times a series built at order - m - 1.
     """
     order = _check_order(order)
     u, z = _as_fraction(u), _as_fraction(z)
@@ -436,31 +471,29 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
     t = TruncSeries.monomial(1, 1, order)
     shrink = one - t
     fading = one - t.scale(z)        # (1-zt)
-    total = TruncSeries.zero(order)
+    parts = []
     if variant == "primitive":
-        shrink_pow = one             # (1-t)^i
-        running = one                # product over i <= m
-        for m in range(order):
-            piece = fading * shrink_pow
-            running = running * (one - piece) / _affine(u, 1 - u, piece)
-            term = running.scale(u ** m)
-            invariant(term.vanishes_below(m + 1), "summand order bound violated")
-            total = total + term
-            shrink_pow = shrink_pow * shrink
-        return total
+        piece = fading               # (1-zt)(1-t)^m, at order k + 1
+        running = one                # product over i <= m, over t^(m+1)
+        for m, k in enumerate(range(order - 1, -1, -1)):
+            running = (_cut(running, k) * _over_t(_cut(one, k + 1) - piece)
+                       / _affine(u, 1 - u, _cut(piece, k)))
+            parts.append(running.scale(u ** m))
+            if k:
+                piece = _cut(piece, k) * _cut(shrink, k)
+        return _add_up(parts, order)
     if variant == "alternative":
-        shrink_pow = shrink          # (1-t)^(m+1)
-        running = one                # product over i < m
-        lead = t.scale(z)
-        for m in range(order):
+        shrink_pow = _cut(shrink, order - 1)   # (1-t)^(m+1), at order k
+        # the product over i < m, over t^m, times z
+        running = _cut(TruncSeries.constant(z, order), order - 1)
+        for k in range(order - 1, -1, -1):
             # one full product serves the term and the next running product
             shrunk = shrink_pow * running
-            term = lead * shrunk / _affine(1 - u, u, shrink_pow)
-            invariant(term.vanishes_below(m + 1), "summand order bound violated")
-            total = total + term
-            running = running - fading * shrunk
-            shrink_pow = shrink_pow * shrink
-        return total
+            parts.append(shrunk / _affine(1 - u, u, shrink_pow))
+            if k:
+                running = _over_t(running - _cut(fading, k) * shrunk)
+                shrink_pow = _cut(shrink_pow, k - 1) * _cut(shrink, k - 1)
+        return _add_up(parts, order)
     raise UsageError(
         f"unknown variant {variant!r}; expected one of: {', '.join(ASCZERO_VARIANTS)}")
 

@@ -162,7 +162,8 @@ def _store_table(path: Path, table: DistTable) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            # json.dump always takes the pure-Python encoder; dumps the C one
+            handle.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -318,17 +318,19 @@ def perm_transform(p: Perm, kind: str) -> Perm:
 # A step rule must stay a pure function of (state, m, prev, v), with a
 # hashable state: extensions(step, perm, n, m) memoises the admissible
 # entries of every (state, prev) it meets at index m, so each key costs one
-# call per candidate value.  graph(class_id, n) reads those tables forward,
-# to collect the reachable (state, prev) keys of each index, then backward,
-# to build one node per key: a dict from each admissible entry v, in
-# increasing order, to (the completions of the smaller entries, the node
-# after v), with None after the last entry.  Nodes are shared by every
-# prefix that reaches their key, so the graph is held, not the members.
-# enumerate_class walks it depth-first from the node of the prefix, over a
-# stack of iterators, so a member is yielded from one frame, not through n
-# nested ones; a dead or out-of-range prefix finds no node and yields
-# nothing.  counting.ranker reads the completions of the same nodes (the
-# recursive method of Nijenhuis and Wilf, Combinatorial Algorithms, 1978).
+# call per candidate value.  graph(class_id, n, *prefix) runs the prefix
+# through the step rule, then reads those tables forward from its key and
+# index, to collect the reachable (state, prev) keys of each later index,
+# then backward, to build one node per key: a dict from each admissible
+# entry v, in increasing order, to (the completions of the smaller entries,
+# the node after v), with None after the last entry.  Nodes are shared by
+# every prefix that reaches their key, so the graph is held, not the
+# members.  enumerate_class walks it depth-first from the prefix's node,
+# over a stack of iterators, so a member is yielded from one frame, not
+# through n nested ones; a prefix that the rule refuses, or that no member
+# extends, yields nothing.  counting.ranker reads the completions of the
+# nodes of the empty prefix (the recursive method of Nijenhuis and Wilf,
+# Combinatorial Algorithms, 1978).
 # PERM_ALL has nothing to prune, so enumerate_class takes its tails from
 # itertools.permutations; its rule serves the ranker and the counter, which
 # reads the extension tables with the effect of each entry on the tracked
@@ -426,21 +428,28 @@ _RULES = {
 }
 
 
-def graph(class_id: ClassId, n: int) -> tuple:
+def graph(class_id: ClassId, n: int, *prefix) -> tuple:
     """(root, size): size is the number of members of class_id of length
-    n, and root the node of the empty prefix.  A node maps each admissible
-    entry v, in increasing order, to (the number of members that extend the
-    same prefix by a smaller entry, the node after v); the node after the
-    last entry is None."""
+    n that begin with the entries prefix (at most n of them), and root the
+    node after them.  A node maps each admissible entry v, in increasing
+    order, to (the number of members that extend the same prefix by a
+    smaller entry, the node after v); the node after the last entry is
+    None.  A prefix that the step rule refuses gives (None, 0)."""
     check_class(class_id)
     check_size(n, "length")
-    step, start = _RULES[class_id]
-    perm = class_id.is_permutation_class
-    moves, keys = [], {(start, 0)}  # moves[m]: key -> its extensions at m
-    for m in range(n):
+    step, state = _RULES[class_id]
+    perm, prev = class_id.is_permutation_class, 0
+    for m, v in enumerate(prefix):
+        state = step(state, m, prev, v) if v in entry_range(perm, n, m) else None
+        if state is None:
+            return None, 0
+        prev = v
+    # moves[i]: key -> its extensions at index len(prefix) + i
+    moves, keys = [], {(state, prev)}
+    for m in range(len(prefix), n):
         extend = extensions(step, perm, n, m)
         moves.append({key: extend(*key) for key in keys})
-        keys = {(nxt, v) for found in moves[m].values()
+        keys = {(nxt, v) for found in moves[-1].values()
                 for v, nxt, _ in found}
     completions, nodes = dict.fromkeys(keys, 1), dict.fromkeys(keys)
     for found_at in reversed(moves):
@@ -452,16 +461,13 @@ def graph(class_id: ClassId, n: int) -> tuple:
                 total += completions[nxt, v]
             below[key], counts[key] = node, total
         nodes, completions = below, counts
-    return nodes[start, 0], completions[start, 0]
+    return nodes[state, prev], completions[state, prev]
 
 
 def _walk(class_id, n, prefix):
-    node, _ = graph(class_id, n)
-    for v in prefix:
-        found = node.get(v)
-        if found is None:
-            return
-        node = found[1]
+    node, size = graph(class_id, n, *prefix)
+    if not size:
+        return
     cls = Perm if class_id.is_permutation_class else Seq
     vals = list(prefix)
     if node is None:

@@ -11,7 +11,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fishburn.errors import DomainError, ResourceLimitError, UsageError
+from fishburn.errors import DomainError, ResourceLimitError, UsageError, invariant
 from fishburn.seqcore import ClassId, cap, enumerate_class
 from fishburn import decomp, genfun, stats
 
@@ -563,12 +563,14 @@ class TestAgainstFractionReferences:
                  for label, part in parts.items()})
 
 
-# --- one build per point --------------------------------------------------------
+# --- one build per point, summands at shrinking order ----------------------------
 #
 # series_G and series_asczero build their constant series once and series_G
 # shares one quotient per summand; check_case_identity evaluates each
-# specialisation of the whole profile once per point.  These are the bodies
-# they replaced, which must give the same canonical series.
+# specialisation of the whole profile once per point.  Every closed form
+# builds its m-th summand over t^(m+1) at order - m - 1 only, and adds the
+# summands up once.  These are the full-order bodies they replaced, which
+# must give the same canonical series.
 
 
 def ref_series_G(order, point):
@@ -621,6 +623,41 @@ def ref_series_asczero(order, u, z, variant):
     return total
 
 
+def ref_series_zeromax(order, q, z):
+    TruncSeries = genfun.TruncSeries
+    one = TruncSeries.one(order)
+    t = TruncSeries.monomial(1, 1, order)
+    drop = (one - t.scale(z)) * (one - t.scale(q))
+    shrink = one - t
+    shrink_pow = one
+    lead = t.scale(q * z)
+    running = one
+    total = TruncSeries.zero(order)
+    for m in range(order):
+        term = lead * running
+        invariant(term.vanishes_below(m + 1), "summand order bound violated")
+        total = total + term
+        running = running * (one - drop * shrink_pow)
+        shrink_pow = shrink_pow * shrink
+    return total
+
+
+def ref_fishburn_series(order):
+    TruncSeries = genfun.TruncSeries
+    one = TruncSeries.one(order)
+    t = TruncSeries.monomial(1, 1, order)
+    shrink = one - t
+    shrink_pow = shrink
+    partial = one
+    total = TruncSeries.zero(order)
+    for m in range(1, order + 1):
+        partial = partial * (one - shrink_pow)
+        invariant(partial.vanishes_below(m), "summand order bound violated")
+        total = total + partial
+        shrink_pow = shrink_pow * shrink
+    return total
+
+
 def ref_check_case_identity(case, order, point):
     """check_case_identity with every inner series rebuilt at each use."""
     TruncSeries = genfun.TruncSeries
@@ -656,10 +693,15 @@ def ref_check_case_identity(case, order, point):
 length_points = points.filter(genfun.admissible_for_length_series)
 
 
+# x = q = 1, where every a_m is a power of 1 - r
+unit_point = genfun.SpecPoint(x=1, q=1, u=Fraction(-7, 3), z=Fraction(5, 2))
+
+
 class TestOneBuildPerPoint:
     @settings(deadline=None, max_examples=30)
     @given(length_points)
     @example(PIN_POINTS["mixed"])
+    @example(unit_point)
     def test_series_G_matches_the_old_build(self, point):
         for order in range(1, MAX_ORDER + 1):
             assert repr(genfun.series_G(order, point)) == repr(
@@ -668,12 +710,51 @@ class TestOneBuildPerPoint:
     @settings(deadline=None, max_examples=30)
     @given(points)
     @example(special_point)
+    @example(unit_point)
     def test_series_asczero_matches_the_old_build(self, point):
         for order in range(1, MAX_ORDER + 1):
             for variant in genfun.ASCZERO_VARIANTS:
                 assert repr(genfun.series_asczero(
                     order, point.u, point.z, variant)) == repr(
                     ref_series_asczero(order, point.u, point.z, variant))
+
+    @settings(deadline=None, max_examples=30)
+    @given(points)
+    @example(PIN_POINTS["mixed"])
+    @example(unit_point)
+    def test_series_zeromax_matches_the_old_build(self, point):
+        for order in range(1, MAX_ORDER + 1):
+            assert repr(genfun.series_zeromax(order, point.q, point.z)) == repr(
+                ref_series_zeromax(order, point.q, point.z))
+
+    def test_fishburn_series_matches_the_old_build(self):
+        for order in range(1, MAX_ORDER + 1):
+            assert repr(genfun.fishburn_series(order)) == repr(
+                ref_fishburn_series(order))
+
+    def test_the_division_by_t_keeps_the_summand_shape(self):
+        f = genfun.TruncSeries((0, 0, Fraction(3, 2)))
+        assert genfun._over_t(f) == genfun.TruncSeries((0, Fraction(3, 2)))
+        # inside genfun a summand's last factor has order 0
+        assert genfun._over_t(genfun._over_t(f)).coeffs == (Fraction(3, 2),)
+        with pytest.raises(AssertionError, match="summand order bound violated"):
+            genfun._over_t(genfun.TruncSeries((Fraction(1, 5), 0, 2)))
+
+    @pytest.mark.parametrize("build", [
+        genfun.fishburn_series,
+        genfun.series_G,
+        genfun.series_zeromax,
+        lambda order: genfun.series_asczero(order, variant="primitive"),
+        lambda order: genfun.series_asczero(order, variant="alternative"),
+        genfun.TruncSeries.one,
+        lambda order: genfun.TruncSeries((1, 2)).truncate(order),
+    ], ids=["fishburn", "G", "zeromax", "primitive", "alternative", "one",
+            "truncate"])
+    def test_public_orders_still_refuse_zero(self, build):
+        with pytest.raises(UsageError) as caught:
+            build(0)
+        assert str(caught.value) == (
+            "series order must be a positive integer, got 0")
 
     @settings(deadline=None, max_examples=30)
     @given(length_points, st.integers(1, MAX_ORDER - 1),

@@ -287,6 +287,54 @@ class TestExtensionTable:
         assert read
 
 
+class TestPrefixGraph:
+    """graph(class_id, n, *prefix) runs the prefix through the step rule and
+    builds the nodes after it only, so a deep prefix costs its completions,
+    not the whole class."""
+
+    @pytest.mark.parametrize(
+        "cid", [c for c in seqcore._RULES if c is not ClassId.PERM_ALL],
+        ids=lambda c: c.name)
+    def test_no_table_below_the_prefix(self, monkeypatch, cid):
+        n = 7
+        member = listed(cid, n)[len(listed(cid, n)) // 3]
+        refused = (2, 2) if cid.is_permutation_class else (0, 2)
+        read, real = [], seqcore.extensions
+
+        def spy(*args):
+            read.append(args[3])  # the index m
+            return real(*args)
+
+        monkeypatch.setattr(seqcore, "extensions", spy)
+        for k in range(n + 1):
+            read.clear()
+            got = listed(cid, n, prefix=member[:k])
+            assert member in got
+            assert sorted(set(read)) == list(range(k, n)), k
+        read.clear()
+        assert listed(cid, n, prefix=refused) == [] and read == []
+
+    @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+    def test_prefixed_stream_is_the_filtered_stream(self, cid):
+        for n in range(1, 8):
+            whole = listed(cid, n)
+            by_prefix = {}
+            for x in whole:
+                for k in range(n + 1):
+                    by_prefix.setdefault(x[:k], []).append(x)
+            for prefix, want in by_prefix.items():
+                assert listed(cid, n, prefix=prefix) == want, prefix
+
+    def test_graph_of_a_prefix(self):
+        root, size = seqcore.graph(ClassId.ASC, 4)
+        assert size == 15
+        node, size = seqcore.graph(ClassId.ASC, 4, 0, 1)
+        assert (node, size) == (root[0][1][1][1], 10)
+        assert seqcore.graph(ClassId.ASC, 4, 0, 1, 0, 2) == (None, 1)
+        assert seqcore.graph(ClassId.ASC, 4, 0, 2) == (None, 0)
+        assert seqcore.graph(ClassId.PERM_ALL, 3, 4) == (None, 0)
+
+
 class TestMembership:
     def test_ascent_condition(self):
         assert is_member(ClassId.ASC, Seq((0, 1, 0, 2, 3, 2, 3, 1)))
