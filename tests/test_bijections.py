@@ -5,7 +5,8 @@ from bisect import bisect_left
 import pytest
 
 from fishburn.errors import DomainError
-from fishburn.seqcore import ClassId, Perm, Seq, enumerate_class
+from fishburn.seqcore import (ClassId, Perm, Seq, contains_bivincular_A,
+                              contains_bivincular_B, enumerate_class)
 from fishburn import bijections as bj
 from fishburn import stats
 
@@ -374,3 +375,56 @@ class TestUpsilon:
     def test_rejects_non_members(self):
         with pytest.raises(DomainError):
             bj.upsilon(Seq((0, 2)))
+
+
+# The exact refusal of every guard on the empty object and on non-members of
+# its domain: one whose entries leave their bounds and, where the domain is
+# narrower than the inversion sequences, one inversion sequence outside it.
+GUARD_REFUSALS = [
+    ("beta", (), "not in the subtraction domain: ()"),
+    ("beta", (0, 2), "not in the subtraction domain: (0, 2)"),
+    ("beta", (0, 0, 2), "not in the subtraction domain: (0, 0, 2)"),
+    ("gamma", (), "not in the subtraction domain: ()"),
+    ("gamma", (1,), "not in the subtraction domain: (1,)"),
+    ("gamma", (0, 0, 1), "not in the subtraction domain: (0, 0, 1)"),
+    ("bv_decode", (), "not an inversion sequence: ()"),
+    ("bv_decode", (0, 2), "not an inversion sequence: (0, 2)"),
+] + [(name, s, f"not an ascent sequence: {s!r}")
+     for name in ("beta_inv", "gamma_inv", "psi_inv", "phi_inv", "upsilon")
+     for s in ((), (1,), (0, 0, 2))]
+
+
+@pytest.mark.parametrize("name, s, message", GUARD_REFUSALS)
+def test_guard_refusals(name, s, message):
+    with pytest.raises(DomainError) as info:
+        getattr(bj, name)(Seq(s))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name, p", [("psi", (2, 3, 1)), ("phi", (1, 3, 2)),
+                                     ("psi", (3, 4, 1, 2))])
+def test_pattern_refusals(name, p):
+    with pytest.raises(DomainError) as info:
+        getattr(bj, name)(Perm(p))
+    assert str(info.value) == (
+        f"{Perm(p).to_text()} contains the forbidden pattern")
+
+
+def test_the_empty_permutation_contains_neither_pattern():
+    assert contains_bivincular_A(Perm(())) is False
+    assert contains_bivincular_B(Perm(())) is False
+
+
+@pytest.mark.parametrize("name, s, p", [
+    ("psi_inv", (0, 1), (2, 3, 1)),  # contains the pattern of A
+    ("phi_inv", (0, 1), (1, 3, 2)),  # contains the pattern of B
+])
+def test_decode_into_the_pattern_breaks_the_invariant(monkeypatch, name, s,
+                                                      p):
+    # an AssertionError raised by hand, so it holds under python -O too
+    monkeypatch.setattr(bj, "bv_decode", lambda _: Perm(p))
+    with pytest.raises(AssertionError) as info:
+        getattr(bj, name)(Seq(s))
+    assert str(info.value) == (
+        f"decoded permutation {Perm(p).to_text()} contains the forbidden "
+        "pattern")
