@@ -34,9 +34,12 @@ parts below and above v are left when bits v - 1 and v + 1 of free are set.
 from __future__ import annotations
 
 from .errors import DomainError, invariant
-from .seqcore import (Perm, Seq, contains_bivincular_A, contains_bivincular_B,
-                      is_ascent, is_b_class, is_c_class, is_inversion,
-                      perm_transform)
+from .seqcore import ClassId, Perm, Seq, is_inversion, perm_transform, rule_runner
+
+# each domain's step rule, read over a word: None when the word leaves it
+_in_asc, _in_b, _in_c, _avoids_a, _avoids_b = map(rule_runner, (
+    ClassId.ASC, ClassId.B, ClassId.C, ClassId.PERM_AVOID_A,
+    ClassId.PERM_AVOID_B))
 
 
 def lehmer_code(p: Perm) -> Seq:
@@ -115,59 +118,58 @@ def _pass(s, shift, step, _trace):
     return Seq._wrap(tuple(out))
 
 
-def _guarded_pass(member, refusal, shift, step):
+def _guarded_pass(domain, refusal, shift, step):
     """The pass as a public map, refusing non-members of its domain."""
     def guarded(s: Seq, _trace=None) -> Seq:
-        if not member(s):
+        if not s or domain(s) is None:
             raise DomainError(f"{refusal}: {tuple(s)!r}")
         return _pass(s, shift, step, _trace)
     return guarded
 
 
-beta = _guarded_pass(is_b_class, "not in the subtraction domain", 1, -1)
-beta_inv = _guarded_pass(is_ascent, "not an ascent sequence", 1, 1)
-gamma = _guarded_pass(is_c_class, "not in the subtraction domain", 0, -1)
-gamma_inv = _guarded_pass(is_ascent, "not an ascent sequence", 0, 1)
+beta = _guarded_pass(_in_b, "not in the subtraction domain", 1, -1)
+beta_inv = _guarded_pass(_in_asc, "not an ascent sequence", 1, 1)
+gamma = _guarded_pass(_in_c, "not in the subtraction domain", 0, -1)
+gamma_inv = _guarded_pass(_in_asc, "not an ascent sequence", 0, 1)
 
 
 # --- composed bijections: the code, then beta (psi) or gamma (phi) ---------
 
-def _encode(p, in_class, shift):
+def _encode(p, name, avoids, in_class, shift):
+    if not p:
+        raise DomainError(f"{name} is defined for non-empty permutations")
+    if avoids(p) is None:
+        raise DomainError(f"{p.to_text()} contains the forbidden pattern")
     code = bv_code(p)
-    if not in_class(code):
+    if in_class(code) is None:
         raise AssertionError(f"code of {p.to_text()} left the expected class: {tuple(code)!r}")
     return _pass(code, shift, -1, None)  # the subtraction pass of beta or gamma
 
 
-def _decode(s, add, contains):
+def _decode(s, add, avoids):
     p = bv_decode(add(s))
-    if contains(p):
+    if avoids(p) is None:
         raise AssertionError(f"decoded permutation {p.to_text()} contains the forbidden pattern")
     return p
 
 
 def psi(p: Perm) -> Seq:
-    if contains_bivincular_A(p):
-        raise DomainError(f"{p.to_text()} contains the forbidden pattern")
-    return _encode(p, is_b_class, 1)
+    return _encode(p, "psi", _avoids_a, _in_b, 1)
 
 
 def psi_inv(s: Seq) -> Perm:
-    return _decode(s, beta_inv, contains_bivincular_A)
+    return _decode(s, beta_inv, _avoids_a)
 
 
 def phi(p: Perm) -> Seq:
-    if contains_bivincular_B(p):
-        raise DomainError(f"{p.to_text()} contains the forbidden pattern")
-    return _encode(p, is_c_class, 0)
+    return _encode(p, "phi", _avoids_b, _in_c, 0)
 
 
 def phi_inv(s: Seq) -> Perm:
-    return _decode(s, gamma_inv, contains_bivincular_B)
+    return _decode(s, gamma_inv, _avoids_b)
 
 
 def upsilon(s: Seq) -> Seq:
     """Self-map of ascent sequences swapping asc with rep and
     sending (zero, max) to (rmin, zero)."""
-    p = psi_inv(s)
-    return phi(perm_transform(p, "inverse_then_complement"))
+    return phi(perm_transform(psi_inv(s)))

@@ -1,25 +1,15 @@
-"""Ground types and exhaustive enumeration for Fishburn-counted classes.
+"""Ground types, the step rules and exhaustive enumeration for
+Fishburn-counted classes.
 
 Two value types: Seq (a finite sequence of non-negative integers, reported
 with 1-based positions) and Perm (a permutation of {1..n}).  On top of them,
-membership predicates and lexicographic enumerators for eight classes:
-
-  INV           inversion sequences, 0 <= s_i < i
-  ASC           ascent sequences, s_1 = 0 and s_i <= asc(prefix) + 1
-  T21           inversion sequences with no earlier entry equal to a later
-                entry plus one
-  B             inversion sequences where every non-ascent position either
-                ends the run of maximal entries for good or bans the value
-                i-1 from the suffix
-  C             inversion sequences where a non-ascent at position i bans
-                the value i from the suffix
-  PERM_ALL      all permutations
-  PERM_AVOID_A  permutations with no ascent pair followed (two or more
-                positions later) by the value just below the ascent bottom
-  PERM_AVOID_B  permutations with no ascent pair followed (two or more
-                positions later) by the value just below the ascent top
-
-All six restricted classes are counted by the Fishburn numbers
+eight classes, each defined once, by the step rule that admits an entry
+after a prefix: INV (the inversion sequences), ASC (the ascent sequences),
+T21, B, C, PERM_ALL (all permutations), PERM_AVOID_A and PERM_AVOID_B; the
+comment above entry_range states each class and its rule.  Membership
+(is_member, is_inversion, the two pattern tests and the guards of
+bijections), lexicographic enumeration, counting and ranking all read those
+rules.  The six restricted classes are counted by the Fishburn numbers
 1, 2, 5, 15, 53, 217, 1014, ...
 
 Enumeration is in lexicographic order and accepts a fixed prefix so callers
@@ -28,6 +18,7 @@ can partition the stream; an infeasible prefix yields an empty stream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import Iterator
@@ -165,155 +156,52 @@ class ClassId(Enum):
         return self in (ClassId.PERM_ALL, ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B)
 
 
-def is_inversion(s) -> bool:
-    return len(s) >= 1 and all(0 <= v < i for i, v in enumerate(s, start=1))
-
-
-def is_ascent(s) -> bool:
-    """True iff each entry is at most one more than the running ascent count."""
-    if len(s) == 0 or s[0] != 0:
-        return False
-    asc = 0
-    for i in range(1, len(s)):
-        if not 0 <= s[i] <= asc + 1:
-            return False
-        if s[i] > s[i - 1]:
-            asc += 1
-    return True
-
-
-def is_t21(s) -> bool:
-    if not is_inversion(s):
-        return False
-    seen = set()
-    for v in s:
-        if v + 1 in seen:
-            return False
-        seen.add(v)
-    return True
-
-
-# B and C in one pass from the right each, over the bit set of the entries
-# after 0-based index i; v at i is an entry of an inversion sequence when
-# 0 <= v <= i, and starts a non-ascent when it is at least the entry after.
-
-def is_b_class(s) -> bool:
-    later, later_max, nxt = 0, False, -1
-    for i in range(len(s) - 1, -1, -1):
-        v = s[i]
-        if not 0 <= v <= i:
-            return False
-        if v >= nxt >= 0:
-            # a maximal entry at a non-ascent bans later maximal entries;
-            # any other entry at a non-ascent bans the later value i
-            if later_max if v == i else later >> i & 1:
-                return False
-        if v == i:
-            later_max = True
-        later |= 1 << v
-        nxt = v
-    return len(s) >= 1
-
-
-def is_c_class(s) -> bool:
-    later, nxt = 0, -1
-    for i in range(len(s) - 1, -1, -1):
-        v = s[i]
-        if not 0 <= v <= i:
-            return False
-        if v >= nxt >= 0 and later >> (i + 1) & 1:  # bans the value i + 1
-            return False
-        later |= 1 << v
-        nxt = v
-    return len(s) >= 1
-
-
-def _contains_bivincular(p: Perm, top: int) -> bool:
-    """Some ascent p_i < p_(i+1) is followed, two or more places later, by
-    the value just below p_(i+top)."""
-    pos = [0] * (len(p) + 1)  # pos[v] = 1-based position of value v
-    for i, v in enumerate(p):
-        pos[v] = i + 1
-    for i in range(len(p) - 1):
-        c = p[i + top]
-        if p[i] < p[i + 1] and c >= 2 and pos[c - 1] >= i + 3:
-            return True
-    return False
-
-
-def contains_bivincular_A(p: Perm) -> bool:
-    """Ascent bottom's predecessor value occurs two or more places later."""
-    return _contains_bivincular(p, 0)
-
-
-def contains_bivincular_B(p: Perm) -> bool:
-    """Ascent top's predecessor value occurs two or more places later."""
-    return _contains_bivincular(p, 1)
-
-
-_PREDICATES = {
-    ClassId.INV: is_inversion,
-    ClassId.ASC: is_ascent,
-    ClassId.T21: is_t21,
-    ClassId.B: is_b_class,
-    ClassId.C: is_c_class,
-    ClassId.PERM_ALL: lambda p: True,
-    ClassId.PERM_AVOID_A: lambda p: not contains_bivincular_A(p),
-    ClassId.PERM_AVOID_B: lambda p: not contains_bivincular_B(p),
-}
-
-
-def is_member(class_id: ClassId, obj) -> bool:
-    """Membership test; the object kind must match the class kind."""
-    if class_id.is_permutation_class:
-        if not isinstance(obj, Perm):
-            raise UsageError(f"{class_id.value} expects a Perm, got {type(obj).__name__}")
-    elif isinstance(obj, Perm):
-        raise UsageError(f"{class_id.value} expects a Seq, got a Perm")
-    if len(obj) == 0:
-        raise UsageError("membership is defined for non-empty objects")
-    return _PREDICATES[class_id](obj)
-
-
-def perm_transform(p: Perm, kind: str) -> Perm:
-    """Return the inverse, the complement, or the complement of the inverse."""
+def perm_transform(p: Perm) -> Perm:
+    """The complement of the inverse of p."""
+    # n - i is the complement of the inverse's entry i + 1; a slot that no
+    # entry writes (p is no permutation) holds n + 1, the complement of the
+    # inverse's unwritten 0
     n = len(p)
-    if kind == "inverse":
-        out = [0] * n
-        for i, v in enumerate(p):
-            out[v - 1] = i + 1
-        return Perm._wrap(tuple(out))
-    if kind == "complement":
-        return Perm._wrap(tuple(n + 1 - v for v in p))
-    if kind == "inverse_then_complement":
-        # n - i is the complement of the inverse's entry i + 1; a slot that
-        # no entry writes (p is no permutation) holds n + 1, the complement
-        # of the inverse's unwritten 0
-        out = [n + 1] * n
-        for i, v in enumerate(p):
-            out[v - 1] = n - i
-        return Perm._wrap(tuple(out))
-    raise UsageError(f"unknown transform {kind!r}")
+    out = [n + 1] * n
+    for i, v in enumerate(p):
+        out[v - 1] = n - i
+    return Perm._wrap(tuple(out))
 
 
-# --- enumeration ---------------------------------------------------------
+# --- the step rules: membership and enumeration --------------------------
 #
-# One prefix extension generates every class but PERM_ALL.  Appending v at
-# 0-based index m after the entry prev (0 at m = 0) needs v in the range of
-# entry_range (0..m for sequences, 1..n for permutations) and the class's
-# step rule step(state, m, prev, v) to return the next state, not None:
-#   INV           any v; the state never changes
-#   ASC           v <= asc + 1, with the ascent count as state (the range
-#                 already forces the first entry to 0)
-#   T21           v + 1 unused; the state is the bit set of used values
-#   B             v not banned, and v < m once a maximal entry has begun a
-#                 non-ascent; the state is (that flag, the bit set of
-#                 banned values)
-#   C             v not banned; the state is the bit set of banned values
-#   PERM_AVOID_A  v unplaced and, at an ascent prev < v, prev = 1 or prev - 1
-#                 placed; the state is the bit set of placed values
-#   PERM_AVOID_B  v unplaced and, at an ascent prev < v, v - 1 placed
+# Each class is defined once, by a step rule.  Appending v at 0-based index
+# m after the entry prev (0 at m = 0) needs v in the range of entry_range
+# (0..m for sequences, 1..n for permutations) and the class's step rule
+# step(state, m, prev, v) to return the next state, not None.  Each class,
+# with s_i (p_i) the entry at 1-based position i, and then its rule:
+#   INV           inversion sequences; any v, and the state never changes
+#   ASC           s_i <= asc(s_1..s_(i-1)) + 1: v <= asc + 1, with the
+#                 ascent count as state (the range already forces the first
+#                 entry to 0)
+#   T21           no entry equals a later entry plus one: v + 1 unused; the
+#                 state is the bit set of used values
+#   B             at each non-ascent s_i >= s_(i+1): if s_i = i - 1 is
+#                 maximal, no later entry s_j = j - 1 is maximal; otherwise
+#                 the value i - 1 occurs nowhere after s_i.  So v not
+#                 banned, and v < m once a maximal entry has begun a
+#                 non-ascent; the state is (that flag, the bit set of banned
+#                 values)
+#   C             at each non-ascent s_i >= s_(i+1), the value i occurs
+#                 nowhere after s_i: v not banned; the state is the bit set
+#                 of banned values
+#   PERM_AVOID_A  no ascent p_i < p_(i+1) is followed, two or more places
+#                 after p_i, by the value p_i - 1: v unplaced and, at an
+#                 ascent prev < v, prev = 1 or prev - 1 placed; the state is
+#                 the bit set of placed values
+#   PERM_AVOID_B  the same with the value p_(i+1) - 1: v unplaced and, at an
+#                 ascent prev < v, v - 1 placed
 #   PERM_ALL      v unplaced; the state is the bit set of placed values
+#
+# rule_runner(class_id) runs a word through the rule, entry by entry, and
+# stops at the first entry it refuses.  is_member, is_inversion, the pattern
+# tests and the guards of bijections read membership off it, and graph runs
+# a prefix through it.
 #
 # A step rule must stay a pure function of (state, m, prev, v), with a
 # hashable state: extensions(step, perm, n, m) memoises the admissible
@@ -428,6 +316,62 @@ _RULES = {
 }
 
 
+@functools.cache
+def rule_runner(class_id: ClassId):
+    """run(word, n=None): the (state, prev) key after the entries of word
+    under the step rule of class_id, or None at the first entry that leaves
+    its range (0..m at index m; 1..n in a permutation, with n = len(word)
+    by default) or that the rule refuses.  The empty word gives the initial
+    key.  One closure per class, built at the first call."""
+    step, start = _RULES[class_id]
+    perm = class_id.is_permutation_class
+
+    def run(word, n=None):
+        top = len(word) if n is None else n
+        state, prev = start, 0
+        for m, v in enumerate(word):
+            if not (1 <= v <= top if perm else 0 <= v <= m):
+                return None
+            state = step(state, m, prev, v)
+            if state is None:
+                return None
+            prev = v
+        return state, prev
+    return run
+
+
+_run_inv, _run_avoid_a, _run_avoid_b = map(rule_runner, (
+    ClassId.INV, ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B))
+
+
+def is_member(class_id: ClassId, obj) -> bool:
+    """Membership test; the object kind must match the class kind."""
+    if class_id.is_permutation_class:
+        if not isinstance(obj, Perm):
+            raise UsageError(f"{class_id.value} expects a Perm, got {type(obj).__name__}")
+    elif isinstance(obj, Perm):
+        raise UsageError(f"{class_id.value} expects a Seq, got a Perm")
+    if len(obj) == 0:
+        raise UsageError("membership is defined for non-empty objects")
+    return rule_runner(class_id)(obj) is not None
+
+
+def is_inversion(s) -> bool:
+    return len(s) >= 1 and _run_inv(s) is not None
+
+
+def contains_bivincular_A(p: Perm) -> bool:
+    """Some ascent's bottom has its predecessor value two or more places
+    after it: p is non-empty, and the rule of PERM_AVOID_A refuses it."""
+    return len(p) >= 1 and _run_avoid_a(p) is None
+
+
+def contains_bivincular_B(p: Perm) -> bool:
+    """Some ascent's top has its predecessor value two or more places after
+    the bottom: p is non-empty, and the rule of PERM_AVOID_B refuses it."""
+    return len(p) >= 1 and _run_avoid_b(p) is None
+
+
 def graph(class_id: ClassId, n: int, *prefix) -> tuple:
     """(root, size): size is the number of members of class_id of length
     n that begin with the entries prefix (at most n of them), and root the
@@ -437,15 +381,12 @@ def graph(class_id: ClassId, n: int, *prefix) -> tuple:
     None.  A prefix that the step rule refuses gives (None, 0)."""
     check_class(class_id)
     check_size(n, "length")
-    step, state = _RULES[class_id]
-    perm, prev = class_id.is_permutation_class, 0
-    for m, v in enumerate(prefix):
-        state = step(state, m, prev, v) if v in entry_range(perm, n, m) else None
-        if state is None:
-            return None, 0
-        prev = v
+    key = rule_runner(class_id)(prefix, n)
+    if key is None:
+        return None, 0
+    step, perm = _RULES[class_id][0], class_id.is_permutation_class
     # moves[i]: key -> its extensions at index len(prefix) + i
-    moves, keys = [], {(state, prev)}
+    moves, keys = [], {key}
     for m in range(len(prefix), n):
         extend = extensions(step, perm, n, m)
         moves.append({key: extend(*key) for key in keys})
@@ -461,7 +402,7 @@ def graph(class_id: ClassId, n: int, *prefix) -> tuple:
                 total += completions[nxt, v]
             below[key], counts[key] = node, total
         nodes, completions = below, counts
-    return nodes[state, prev], completions[state, prev]
+    return nodes[key], completions[key]
 
 
 def _walk(class_id, n, prefix):

@@ -410,6 +410,13 @@ def test_pattern_refusals(name, p):
         f"{Perm(p).to_text()} contains the forbidden pattern")
 
 
+
+@pytest.mark.parametrize("name", ["psi", "phi"])
+def test_the_empty_permutation_is_refused_up_front(name):
+    with pytest.raises(DomainError) as info:
+        getattr(bj, name)(Perm(()))
+    assert str(info.value) == f"{name} is defined for non-empty permutations"
+
 def test_the_empty_permutation_contains_neither_pattern():
     assert contains_bivincular_A(Perm(())) is False
     assert contains_bivincular_B(Perm(())) is False

@@ -15,7 +15,10 @@ every exception, invalid inputs included.
 The one-pass markers, positions, class tests, transform and block labels
 keep their former bodies below too (`ref_ealm` ... `ref_classify`),
 compared by value and by the type and message of every exception over INV,
-or every permutation, to n = 8 and on malformed inputs.
+or every permutation, to n = 8 and on malformed inputs.  The one-pass class
+tests of B and C are no longer in the package, which reads membership off
+the step rules; they are the references of tests/class_refs.py, and the
+class tests of the references below are read from there too.
 
 The four bijection checks of harness run one transport kernel; its two
 former copies, the scalar one and the set-valued one, are kept below and
@@ -24,15 +27,17 @@ compared with it under faults keyed to one input.
 
 import pytest
 
-from fishburn import bijections, decomp, harness, seqcore, stats
+from fishburn import bijections, decomp, harness, stats
 from fishburn.decomp import MapResult, _check_J1
 from fishburn.errors import DomainError, UsageError, invariant
-from fishburn.seqcore import (ClassId, Perm, Seq, contains_bivincular_A,
-                              contains_bivincular_B, enumerate_class,
-                              is_ascent, is_b_class, is_c_class, is_inversion,
-                              is_member, is_t21, perm_transform)
+from fishburn.seqcore import ClassId, Perm, Seq, enumerate_class, perm_transform
 from fishburn.stats import (maximal_positions, mpair, mpos, perm_stats,
                             set_stats, zero_positions, zpos)
+
+import class_refs
+from class_refs import (contains_bivincular_A, contains_bivincular_B,
+                        is_ascent, is_b_class, is_c_class, is_inversion,
+                        is_t21, ref_is_member)
 
 
 # --- reference markers --------------------------------------------------------
@@ -140,7 +145,7 @@ def ref_inverse_then_complement(p):
 
 
 def inverse_then_complement(p):
-    return perm_transform(p, "inverse_then_complement")
+    return perm_transform(p)
 
 
 def ref_in_F(s):
@@ -534,8 +539,8 @@ SEQ_KERNELS = ((stats.mpair, ref_mpair), (stats.zpair, ref_zpair),
                (stats.zpos, ref_zpos),
                (stats.maximal_positions, ref_maximal_positions),
                (stats.zero_positions, ref_zero_positions),
-               (seqcore.is_b_class, ref_is_b_class),
-               (seqcore.is_c_class, ref_is_c_class))
+               (class_refs.is_b_class, ref_is_b_class),
+               (class_refs.is_c_class, ref_is_c_class))
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -595,14 +600,15 @@ def test_paired_maximal_shift(n):
 # --- the transport check against its two former copies -----------------------
 
 def ref_pointwise(source, map_name, target, want, got, detail, max_n):
-    """The scalar copy: membership by is_member, no coverage check."""
+    """The scalar copy: membership by the class's hand-written predicate, no
+    coverage check."""
     want_of = harness._value_fn(source, want)
     got_of = harness._value_fn(target, got)
     for n in range(1, max_n + 1):
         seen = set()
         for x in enumerate_class(source, n):
             out = getattr(bijections, map_name)(x)
-            if not is_member(target, out):
+            if not ref_is_member(target, out):
                 return {"n": n, "input": x, "output": out, "detail": detail}
             expected, actual = want_of(x), got_of(out)
             if expected != actual:

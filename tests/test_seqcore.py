@@ -17,6 +17,9 @@ from fishburn.seqcore import (
     perm_transform,
 )
 
+from class_refs import (contains_bivincular_A, contains_bivincular_B,
+                        is_inversion, ref_is_member)
+
 FISHBURN_COUNTS = [1, 2, 5, 15, 53, 217, 1014]
 
 
@@ -94,12 +97,13 @@ class TestEnumerationOrder:
 
 
 def brute_force(cid, n):
-    """The class listed by filtering its ambient set with is_member."""
+    """The class listed by filtering its ambient set with the class's
+    hand-written predicate."""
     if cid.is_permutation_class:
         ambient = itertools.permutations(range(1, n + 1))
-        return [p for p in ambient if is_member(cid, Perm(p))]
+        return [p for p in ambient if ref_is_member(cid, Perm(p))]
     ambient = itertools.product(*[range(i) for i in range(1, n + 1)])
-    return [s for s in ambient if is_member(cid, Seq(s))]
+    return [s for s in ambient if ref_is_member(cid, Seq(s))]
 
 
 class TestEnumerationAgainstBruteForce:
@@ -366,6 +370,46 @@ class TestMembership:
             is_member(ClassId.ASC, Seq(()))
 
 
+
+def words(n):
+    """Every word of length n over 0..n+1."""
+    return map(Seq, itertools.product(range(n + 2), repeat=n))
+
+
+def permutations(n):
+    return map(Perm, itertools.permutations(range(1, n + 1)))
+
+
+class TestMembershipAgainstTheReferences:
+    """Membership by the step rules, through is_member and the one-line
+    readings of seqcore, against the hand-written predicates of class_refs:
+    the one check of the rules that does not read them."""
+
+    @pytest.mark.parametrize(
+        "cid", [cid for cid in ClassId if not cid.is_permutation_class],
+        ids=lambda c: c.name)
+    def test_sequence_classes(self, cid):
+        objs = itertools.chain(*map(words, range(1, 6)),
+                               enumerate_class(ClassId.INV, 8))
+        for s in objs:
+            assert is_member(cid, s) == ref_is_member(cid, s), s
+
+    @pytest.mark.parametrize(
+        "cid", [cid for cid in ClassId if cid.is_permutation_class],
+        ids=lambda c: c.name)
+    def test_permutation_classes(self, cid):
+        for p in itertools.chain(*map(permutations, range(1, 9))):
+            assert is_member(cid, p) == ref_is_member(cid, p), p
+
+    def test_one_line_readings(self):
+        for s in itertools.chain(*map(words, range(6))):
+            assert seqcore.is_inversion(s) == is_inversion(s), s
+        for p in itertools.chain(*map(permutations, range(8))):
+            assert (seqcore.contains_bivincular_A(p)
+                    == contains_bivincular_A(p)), p
+            assert (seqcore.contains_bivincular_B(p)
+                    == contains_bivincular_B(p)), p
+
 class TestLimits:
     def test_default_ceiling_on_sequences(self):
         with pytest.raises(ResourceLimitError):
@@ -521,24 +565,37 @@ class TestTextForms:
             Perm((1, 1, 2))
 
 
+def inverse(p):
+    return Perm(p.index(v) + 1 for v in range(1, len(p) + 1))
+
+
+def complement(p):
+    return Perm(len(p) + 1 - v for v in p)
+
+
 class TestPermTransform:
+    """perm_transform, the complement of the inverse, against the two maps
+    written as comprehensions."""
+
     def test_inverse_and_complement(self):
         p = Perm((6, 1, 8, 3, 2, 5, 4, 7))
-        assert tuple(perm_transform(p, "inverse")) == (2, 5, 4, 7, 6, 1, 8, 3)
-        assert tuple(perm_transform(p, "complement")) == (3, 8, 1, 6, 7, 4, 5, 2)
+        assert tuple(inverse(p)) == (2, 5, 4, 7, 6, 1, 8, 3)
+        assert tuple(complement(p)) == (3, 8, 1, 6, 7, 4, 5, 2)
+        assert tuple(perm_transform(p)) == (7, 4, 5, 2, 3, 8, 1, 6)
 
     def test_combined_kind_is_the_composition(self):
-        p = Perm((3, 1, 2))
-        both = perm_transform(p, "inverse_then_complement")
-        assert both == perm_transform(perm_transform(p, "inverse"), "complement")
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            perm_transform(Perm((1, 2)), "reverse")
+        for n in range(1, 7):
+            for p in enumerate_class(ClassId.PERM_ALL, n):
+                assert perm_transform(p) == complement(inverse(p))
 
     @given(st.integers(1, 7).flatmap(
         lambda n: st.permutations(list(range(1, n + 1)))))
     def test_involutions(self, vals):
         p = Perm(tuple(vals))
-        assert perm_transform(perm_transform(p, "inverse"), "inverse") == p
-        assert perm_transform(perm_transform(p, "complement"), "complement") == p
+        assert inverse(inverse(p)) == p
+        assert complement(complement(p)) == p
+        # the inverse of a complement is the reverse of the inverse, so two
+        # steps give the reverse-complement and four give p back
+        twice = perm_transform(perm_transform(p))
+        assert twice == complement(Perm(reversed(p)))
+        assert perm_transform(perm_transform(twice)) == p
