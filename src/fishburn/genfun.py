@@ -7,21 +7,22 @@ No floating point anywhere.
 
 Fractions are the interface, not the arithmetic.  A TruncSeries holds its
 coefficients in canonical integer form, numerators over one positive
-denominator with no factor common to all of them.  Every series operation,
-division included, works on those integers and normalises its result once;
-the Fraction coefficients are built only when read.  A product with a factor
-of few terms, such as t, 1 - t or 1 - zt, adds up one shifted multiple of the
-other factor per term.  The weighted sums that evaluate tables and profiles
-likewise reduce a table to one integer over one denominator, from power
-tables built once per point for all lengths.
+denominator with no factor common to all of them.  Every series operation
+works on those integers and normalises its result once; the Fraction
+coefficients are built only when read.  One quotient recurrence (_quotient)
+serves every division.  A product with a factor of few terms adds up one
+shifted multiple of the other factor per term.  The weighted sums that
+evaluate tables reduce each to one integer over one denominator, from power
+tables built once per point, to an exponent scanned once per table.
 
 The closed forms share one shape: the m-th summand is t^(m+1) (r^(m+1) in
-series_G, with r = (x+u-xu) t) times a series of which only the
-coefficients below order - m matter.  Each summand is built at that lower
-order: the running product is kept divided by t^m, each new factor gives
-up its factor of t by an exact division (_over_t, which refuses a nonzero
-constant term), and the summands are shifted and added up once, over one
-denominator (_add_up).  Orders below 1 exist only inside this module.
+series_G, with r = (x+u-xu) t) times a series built at order - m - 1 only.
+Each step is one list operation, with no throwaway series: a product by
+1 - t is a difference of shifted numerators (_shrunk); a new factor gives up
+its t in the step that multiplies it in (_over_t, _step_over_t, which refuse
+a nonzero constant term); a scaled division by c + g a_m is one quotient
+(_over_affine); and the summands are added up once, over one denominator
+(_add_up).  Orders below 1 exist only inside this module.
 
 The case identities compare the closed forms with the five-marker profiles
 of the suffix cases, which counting.count_cases counts over the ASC step
@@ -37,10 +38,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import counting
 from .errors import DomainError, ResourceLimitError, UsageError, invariant
@@ -100,14 +101,11 @@ class TruncSeries:
         # tuple() of lists, not of generators: a tuple built from a generator
         # is resized, and from order 10 on the resized tuples pile up in the
         # interpreter's tuple free list (about 0.3 MB of peak RSS)
-        self._set(tuple([v.numerator * (den // v.denominator) for v in vals]),
-                  den, order, tuple(vals))
-
-    def _set(self, num: tuple, den: int, order: int, coeffs) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_coeffs", coeffs)
+        _set_order(self, order)
+        _set_num(self, tuple([v.numerator * (den // v.denominator)
+                              for v in vals]))
+        _set_den(self, den)
+        _set_coeffs(self, tuple(vals))
 
     @classmethod
     def _make(cls, num: list, den: int, order: int) -> "TruncSeries":
@@ -118,8 +116,12 @@ class TruncSeries:
         if g != 1:
             num = [v // g for v in num]
             den //= g
+        # slot descriptors write past the guard, cheaper than __setattr__
         self = object.__new__(cls)
-        self._set(tuple(num), den, order, None)
+        _set_order(self, order)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
+        _set_coeffs(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -129,8 +131,8 @@ class TruncSeries:
     def coeffs(self) -> tuple:
         """The coefficients of t^0..t^order as normalised Fractions."""
         if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(
-                [Fraction(v, self._den) for v in self._num]))
+            _set_coeffs(self, tuple([Fraction(v, self._den)
+                                     for v in self._num]))
         return self._coeffs
 
     @classmethod
@@ -216,25 +218,9 @@ class TruncSeries:
             if c == 0:
                 raise DomainError("division of a series by zero")
             return self.scale(Fraction(1) / c)
-        s, d = self._num, other._num
-        if d[0] == 0:
-            raise DomainError(
-                "cannot invert a series whose constant term is zero")
         self._match(other)
-        # The integer series s / d has coefficient k = M_k / d_0^(k+1), where
-        # M_k = s_k d_0^k - sum_{j=1..k} d_j d_0^(j-1) M_(k-j) (Knuth, TAOCP
-        # vol. 2, 4.7); over d_0^(order+1) its numerator is M_k d_0^(order-k).
-        order = self.order
-        pows = [d[0] ** k for k in range(order + 2)]
-        scaled = list(map(mul, d[1:], pows))
-        quot = []
-        for k in range(order + 1):
-            quot.append(s[k] * pows[k] - sum(map(mul, scaled[:k], quot[::-1])))
-        # the denominator must be positive, and d_0^(order+1) may not be
-        lift = other._den if pows[-1] > 0 else -other._den
-        return TruncSeries._make(
-            [lift * m * p for m, p in zip(quot, pows[order::-1])],
-            self._den * abs(pows[-1]), order)
+        return _quotient(self._num, self._den, other._num, other._den,
+                         self.order)
 
     def truncate(self, order: int) -> "TruncSeries":
         """The same series cut at a lower order.
@@ -274,6 +260,41 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
+
+
+_set_order, _set_num, _set_den, _set_coeffs = [
+    TruncSeries.__dict__[name].__set__ for name in TruncSeries.__slots__]
+
+
+def _quotient(num, den, dnum, dden, order: int, scale=1) -> TruncSeries:
+    """(num / den) scale / (dnum / dden) at the given order, in canonical
+    form, from numerator lists: the one quotient recurrence, which serves
+    `/` and the fused divisions of the closed forms."""
+    if not dnum[0]:
+        raise DomainError("cannot invert a series whose constant term is zero")
+    # The integer series s / d has coefficient k = M_k / d_0^(k+1), where
+    # M_k = s_k d_0^k - sum_{j=1..k} d_j d_0^(j-1) M_(k-j) (Knuth, TAOCP
+    # vol. 2, 4.7); over d_0^(order+1) its numerator is M_k d_0^(order-k).
+    pows = [dnum[0] ** k for k in range(order + 2)]
+    scaled = list(map(mul, dnum[1:], pows))
+    back = []                  # M_(k-1), ..., M_0: newest first, as read
+    for k in range(order + 1):
+        back.insert(0, num[k] * pows[k] - sum(map(mul, scaled, back)))
+    # the denominator must be positive, and d_0^(order+1) may not be
+    lift = dden * scale.numerator if pows[-1] > 0 else -dden * scale.numerator
+    return TruncSeries._make(
+        [lift * m * p for m, p in zip(reversed(back), pows[order::-1])],
+        den * abs(pows[-1]) * scale.denominator, order)
+
+
+def _over_affine(f: TruncSeries, c: Fraction, g: Fraction, a: TruncSeries,
+                 scale=1) -> TruncSeries:
+    """f scale / (c + g a) in one division: the divisor stays a numerator
+    list over its denominator, and the scale goes into the quotient."""
+    dden = c.denominator * g.denominator * a._den
+    dnum = [v * g.numerator * c.denominator for v in a._num]
+    dnum[0] += c.numerator * g.denominator * a._den
+    return _quotient(f._num, f._den, dnum, dden, f.order, scale)
 
 
 @dataclass(frozen=True)
@@ -335,6 +356,25 @@ def _over_t(f: TruncSeries) -> TruncSeries:
     return TruncSeries._make(list(f._num[1:]), f._den, f.order - 1)
 
 
+def _step_over_t(f: TruncSeries, g: TruncSeries, z: Fraction) -> TruncSeries:
+    """(f + (zt - 1) g) / t, one order lower, in one list step: the next
+    running product of series_G and of the alternative series_asczero."""
+    den = lcm(f._den, g._den)
+    ff, fg = den // f._den * z.denominator, den // g._den
+    fz, fg = fg * z.numerator, fg * z.denominator
+    invariant(f._num[0] * ff == g._num[0] * fg, "summand order bound violated")
+    return TruncSeries._make(
+        [a * ff - b * fg + c * fz
+         for a, b, c in zip(f._num[1:], g._num[1:], g._num)],
+        den * z.denominator, f.order - 1)
+
+
+def _shrunk(f: TruncSeries, order: int) -> TruncSeries:
+    """f (1 - t) at a lower order: one difference of shifted numerators."""
+    return TruncSeries._make(
+        list(map(sub, f._num[:order + 1], chain((0,), f._num))), f._den, order)
+
+
 def _add_up(parts, order: int, base: Fraction = Fraction(1)) -> TruncSeries:
     """sum_m (base t)^(m+1) parts[m](base t) at the given order, where
     parts[m], the m-th summand over its factor t^(m+1), has order
@@ -358,24 +398,15 @@ def fishburn_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     """
     order = _check_order(order)
     one = TruncSeries.one(order)
-    shrink = one - TruncSeries.monomial(1, 1, order)
-    shrink_pow = shrink          # (1-t)^(m+1), at order k + 1
-    running = one                # product over i <= m, over t^(m+1)
+    shrink_pow = _shrunk(one, order)    # (1-t)^(m+1), at order k + 1
+    running = one                       # product over i <= m, over t^(m+1)
     parts = []
     for k in range(order - 1, -1, -1):
         running = _cut(running, k) * _over_t(_cut(one, k + 1) - shrink_pow)
         parts.append(running)
         if k:
-            shrink_pow = _cut(shrink_pow, k) * _cut(shrink, k)
+            shrink_pow = _shrunk(shrink_pow, k)
     return _add_up(parts, order)
-
-
-def _affine(c: Fraction, f: Fraction, a: TruncSeries) -> TruncSeries:
-    """c + f a, brought to canonical form once."""
-    num = [v * f.numerator * c.denominator for v in a._num]
-    num[0] += c.numerator * f.denominator * a._den
-    return TruncSeries._make(num, c.denominator * f.denominator * a._den,
-                             a.order)
 
 
 def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> TruncSeries:
@@ -404,8 +435,6 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
             "term of every denominator in the sum")
     one = TruncSeries.one(order)
     r = TruncSeries.monomial(1, 1, order)     # the variable is r here
-    shrink = one - r
-    zr_less_one = r.scale(z) - one
     a = _cut(one - r.scale(q), order - 1)     # a_m, at order k
     # the product over i < m, over r^m, times zq (x+u-xu)
     running = _cut(TruncSeries.constant(z * q * mix, order), order - 1)
@@ -415,12 +444,12 @@ def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> Trun
     for m, k in enumerate(range(order - 1, -1, -1)):
         # one quotient and one full product serve the term and the next
         # running product, (1 + (zr-1) a_m) shared = shared + (zr-1) a_shared
-        shared = running / _affine(right, right_factor, a)
+        shared = _over_affine(running, right, right_factor, a)
         a_shared = a * shared
-        parts.append((a_shared / _affine(left, u, a)).scale(x ** m))
+        parts.append(_over_affine(a_shared, left, u, a, x ** m))
         if k:
-            running = _over_t(shared + _cut(zr_less_one, k) * a_shared)
-            a = _cut(a, k - 1) * _cut(shrink, k - 1)
+            running = _step_over_t(shared, a_shared, z)
+            a = _shrunk(a, k - 1)
     return _add_up(parts, order, mix)
 
 
@@ -435,7 +464,6 @@ def series_zeromax(order: int = DEFAULT_ORDER, q=1, z=1) -> TruncSeries:
     q, z = _as_fraction(q), _as_fraction(z)
     one = TruncSeries.one(order)
     t = TruncSeries.monomial(1, 1, order)
-    shrink = one - t
     # (1-zt)(1-qt)(1-t)^m, at order k
     drop = _cut((one - t.scale(z)) * (one - t.scale(q)), order - 1)
     running = _cut(TruncSeries.constant(q * z, order), order - 1)
@@ -444,7 +472,7 @@ def series_zeromax(order: int = DEFAULT_ORDER, q=1, z=1) -> TruncSeries:
         parts.append(running)
         if k:
             running = _cut(running, k - 1) * _over_t(_cut(one, k) - drop)
-            drop = _cut(drop, k - 1) * _cut(shrink, k - 1)
+            drop = _shrunk(drop, k - 1)
     return _add_up(parts, order)
 
 
@@ -468,31 +496,29 @@ def series_asczero(order: int = DEFAULT_ORDER, u=1, z=1,
     order = _check_order(order)
     u, z = _as_fraction(u), _as_fraction(z)
     one = TruncSeries.one(order)
-    t = TruncSeries.monomial(1, 1, order)
-    shrink = one - t
-    fading = one - t.scale(z)        # (1-zt)
     parts = []
     if variant == "primitive":
-        piece = fading               # (1-zt)(1-t)^m, at order k + 1
-        running = one                # product over i <= m, over t^(m+1)
+        piece = one - TruncSeries.monomial(z, 1, order)  # (1-zt)(1-t)^m
+        running = one    # u^m times the product over i <= m, over t^(m+1)
         for m, k in enumerate(range(order - 1, -1, -1)):
-            running = (_cut(running, k) * _over_t(_cut(one, k + 1) - piece)
-                       / _affine(u, 1 - u, _cut(piece, k)))
-            parts.append(running.scale(u ** m))
+            running = _over_affine(
+                _cut(running, k) * _over_t(_cut(one, k + 1) - piece),
+                u, 1 - u, _cut(piece, k), u if m else 1)
+            parts.append(running)
             if k:
-                piece = _cut(piece, k) * _cut(shrink, k)
+                piece = _shrunk(piece, k)
         return _add_up(parts, order)
     if variant == "alternative":
-        shrink_pow = _cut(shrink, order - 1)   # (1-t)^(m+1), at order k
+        shrink_pow = _shrunk(one, order - 1)   # (1-t)^(m+1), at order k
         # the product over i < m, over t^m, times z
         running = _cut(TruncSeries.constant(z, order), order - 1)
         for k in range(order - 1, -1, -1):
             # one full product serves the term and the next running product
             shrunk = shrink_pow * running
-            parts.append(shrunk / _affine(1 - u, u, shrink_pow))
+            parts.append(_over_affine(shrunk, 1 - u, u, shrink_pow))
             if k:
-                running = _over_t(running - _cut(fading, k) * shrunk)
-                shrink_pow = _cut(shrink_pow, k - 1) * _cut(shrink, k - 1)
+                running = _step_over_t(running, shrunk, z)
+                shrink_pow = _shrunk(shrink_pow, k - 1)
         return _add_up(parts, order)
     raise UsageError(
         f"unknown variant {variant!r}; expected one of: {', '.join(ASCZERO_VARIANTS)}")
@@ -520,18 +546,21 @@ class DistTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
+    @cached_property
+    def top(self) -> int:      # the largest exponent, scanned once
+        return max(chain.from_iterable(self.counts), default=0)
+
 
 class _Powers:
-    """Power tables of some bases up to a largest exponent K, for the sums
-    of count * prod(base ** e) over {exponents: count} maps, exactly.
+    """Power tables of some bases up to a largest exponent `top`, for the
+    sums of count * prod(base ** e) over {exponents: count} maps, exactly.
 
-    A base a/b contributes the integer a^e b^(K-e) to a term, so every sum
-    is one integer over den = prod(b)^K.  One table serves every map whose
-    exponents stay within K: all lengths of a point at once.
+    A base a/b contributes the integer a^e b^(top-e) to a term, so every sum
+    is one integer over den = prod(b)^top.  One table serves every map whose
+    exponents stay within top: all lengths of a point at once.
     """
 
-    def __init__(self, bases, maps):
-        top = max(chain.from_iterable(chain(*maps)), default=0)
+    def __init__(self, bases, top: int):
         self.tables = [[b.numerator ** e * b.denominator ** (top - e)
                         for e in range(top + 1)] for b in bases]
         self.den = prod([b.denominator for b in bases]) ** top
@@ -572,10 +601,18 @@ def eval_gf(table, point: SpecPoint):
         groups.setdefault(tbl.stats, []).append(tbl)
     for names, group in groups.items():
         powers = _Powers(_marker_values(names, point),
-                         [tbl.counts for tbl in group])
+                         max([tbl.top for tbl in group]))
         for tbl in group:
             out[tbl.n] += Fraction(powers.total(tbl.counts), powers.den)
     return out
+
+
+class _Profile(dict):
+    """{n: Counter of five-marker keys} for the lengths 1..order."""
+
+    @cached_property
+    def top(self) -> int:      # the largest exponent, scanned once
+        return max(chain.from_iterable(chain(*self.values())), default=0)
 
 
 @lru_cache(maxsize=4)
@@ -588,8 +625,9 @@ def _case_profiles(order: int):
     suffix case S1..S4.  Counted over the step rule (counting.count_cases),
     with no enumeration.
     """
-    whole = {n: Counter() for n in range(1, order + 1)}
-    parts = {f"S{case}": {n: Counter() for n in whole} for case in range(1, 5)}
+    whole = _Profile({n: Counter() for n in range(1, order + 1)})
+    parts = {f"S{case}": _Profile({n: Counter() for n in whole})
+             for case in range(1, 5)}
     for n in whole:
         for (case, key), count in counting.count_cases(n).items():
             whole[n][key] += count
@@ -600,7 +638,7 @@ def _case_profiles(order: int):
 def _profile_series(profile, order: int, point: SpecPoint) -> TruncSeries:
     lengths = range(1, order + 1)
     powers = _Powers((point.x, point.q, point.w, point.u, point.z),
-                     [profile[n] for n in lengths])
+                     profile.top)
     return TruncSeries._make([0] + [powers.total(profile[n]) for n in lengths],
                              powers.den, order)
 

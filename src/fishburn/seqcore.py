@@ -95,7 +95,9 @@ class Perm(tuple):
     def __new__(cls, values=()):
         vals = tuple(values)
         n = len(vals)
-        if sorted(vals) != list(range(1, n + 1)):
+        # bools and floats sort like ints: refuse them first, as Seq does
+        if (any(not isinstance(v, int) or isinstance(v, bool) for v in vals)
+                or sorted(vals) != list(range(1, n + 1))):
             raise DomainError(f"not a permutation of 1..{n}: {vals!r}")
         return tuple.__new__(cls, vals)
 

@@ -248,6 +248,10 @@ EXACT = [
     ("series --which fishburn --order 0", 2,
      "",
      "error: series order must be a positive integer, got 0\n"),
+    ("series --which G --x 2 --u 2", 2,
+     "",
+     "error: inadmissible point: x + u - x*u = 0, which is the constant "
+     "term of every denominator in the sum\n"),
     ("series --which G --x abc", 2,
      "",
      "error: not an exact rational: 'abc' (write e.g. 2/3)\n"),

@@ -1,6 +1,7 @@
 """Truncated series arithmetic and the generating-function formulas."""
 
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -803,3 +804,217 @@ class TestOneBuildPerPoint:
                 assert got == want
                 assert [repr(r) for r in got] == [repr(r) for r in want]
             assert all(report.ok for report in want)
+
+
+# --- fused steps and one exponent scan per table --------------------------------
+#
+# The closed forms take each step as one list operation: a division by
+# c + g a_m with its scale (_over_affine, on the one quotient kernel), the
+# product by 1 - t at a lower order (_shrunk) and the running product's
+# (f + (zt - 1) g) / t (_step_over_t).  These are the composed series forms
+# they replaced, which must give the same canonical series.
+
+
+def _affine(c, f, a):
+    """c + f a, brought to canonical form once."""
+    num = [v * f.numerator * c.denominator for v in a._num]
+    num[0] += c.numerator * f.denominator * a._den
+    return genfun.TruncSeries._make(
+        num, c.denominator * f.denominator * a._den, a.order)
+
+
+def ref_over_affine(f, c, g, a, scale=1):
+    return (f / _affine(c, g, a)).scale(scale)
+
+
+def ref_shrunk(f, k):
+    one = genfun.TruncSeries.one(f.order)
+    t = genfun.TruncSeries.monomial(1, 1, f.order)
+    return genfun._cut(f, k) * genfun._cut(one - t, k)
+
+
+def ref_step_over_t(f, g, z):
+    k = f.order
+    one = genfun.TruncSeries.one(MAX_ORDER)
+    zt_less_one = genfun.TruncSeries.monomial(z, 1, MAX_ORDER) - one
+    return genfun._over_t(f + genfun._cut(zt_less_one, k) * g)
+
+
+def assert_same_step(got, want):
+    assert_canonical(got)
+    assert got == want and repr(got) == repr(want)
+
+
+class TestFusedSteps:
+    @settings(deadline=None, max_examples=30)
+    @given(length_points)
+    @example(PIN_POINTS["mixed"])
+    @example(unit_point)
+    def test_series_G_steps(self, point):
+        # the loop of series_G, each fused step against its composed form
+        x, q, u, z = point.x, point.q, point.u, point.z
+        order = MAX_ORDER
+        one = genfun.TruncSeries.one(order)
+        r = genfun.TruncSeries.monomial(1, 1, order)
+        a = genfun._cut(one - r.scale(q), order - 1)
+        running = genfun._cut(genfun.TruncSeries.constant(
+            z * q * (x + u - x * u), order), order - 1)
+        for m, k in enumerate(range(order - 1, -1, -1)):
+            shared = genfun._over_affine(running, x, u * (1 - x), a)
+            assert_same_step(shared, ref_over_affine(running, x, u * (1 - x), a))
+            a_shared = a * shared
+            assert_same_step(
+                genfun._over_affine(a_shared, x * (1 - u), u, a, x ** m),
+                ref_over_affine(a_shared, x * (1 - u), u, a, x ** m))
+            if k:
+                running = genfun._step_over_t(shared, a_shared, z)
+                assert_same_step(running, ref_step_over_t(shared, a_shared, z))
+                shrunk = genfun._shrunk(a, k - 1)
+                assert_same_step(shrunk, ref_shrunk(a, k - 1))
+                a = shrunk
+
+    @settings(deadline=None, max_examples=30)
+    @given(points)
+    @example(PIN_POINTS["mixed"])
+    @example(unit_point)
+    def test_series_asczero_steps(self, point):
+        # the loops of both variants, each fused step against its composed form
+        u, z = point.u, point.z
+        order = MAX_ORDER
+        one = genfun.TruncSeries.one(order)
+        piece = one - genfun.TruncSeries.monomial(z, 1, order)
+        running = one
+        for m, k in enumerate(range(order - 1, -1, -1)):
+            f = genfun._cut(running, k) * genfun._over_t(
+                genfun._cut(one, k + 1) - piece)
+            scale = u if m else 1
+            running = genfun._over_affine(
+                f, u, 1 - u, genfun._cut(piece, k), scale)
+            assert_same_step(running, ref_over_affine(
+                f, u, 1 - u, genfun._cut(piece, k), scale))
+            if k:
+                shrunk = genfun._shrunk(piece, k)
+                assert_same_step(shrunk, ref_shrunk(piece, k))
+                piece = shrunk
+        shrink_pow = genfun._shrunk(one, order - 1)
+        running = genfun._cut(genfun.TruncSeries.constant(z, order), order - 1)
+        for k in range(order - 1, -1, -1):
+            shrunk = shrink_pow * running
+            assert_same_step(
+                genfun._over_affine(shrunk, 1 - u, u, shrink_pow),
+                ref_over_affine(shrunk, 1 - u, u, shrink_pow))
+            if k:
+                nxt = genfun._step_over_t(running, shrunk, z)
+                assert_same_step(nxt, ref_step_over_t(running, shrunk, z))
+                running = nxt
+                shrink_pow = genfun._shrunk(shrink_pow, k - 1)
+
+    @settings(deadline=None)
+    @given(series_pairs(), coordinates, coordinates, coordinates)
+    def test_steps_on_any_operands(self, pair, c, g, z):
+        f, a = pair
+        if c + g * a.coefficient(0):
+            assert_same_step(genfun._over_affine(f, c, g, a, z),
+                             ref_over_affine(f, c, g, a, z))
+        else:
+            with pytest.raises(DomainError):
+                genfun._over_affine(f, c, g, a, z)
+        for k in range(f.order + 1):
+            assert_same_step(genfun._shrunk(f, k), ref_shrunk(f, k))
+        # the step keeps the summand shape only when f and g share their
+        # constant term; otherwise it is refused, under python -O as well
+        aligned = genfun.TruncSeries((a.coefficient(0),) + f.coeffs[1:], f.order)
+        assert_same_step(genfun._step_over_t(aligned, a, z),
+                         ref_step_over_t(aligned, a, z))
+        if f.coefficient(0) != a.coefficient(0):
+            with pytest.raises(AssertionError,
+                               match="summand order bound violated"):
+                genfun._step_over_t(f, a, z)
+
+    def test_a_zero_constant_term_is_refused_by_both_divisions(self):
+        message = "cannot invert a series whose constant term is zero"
+        f = genfun.TruncSeries((Fraction(1, 3), 2, -1), order=12)
+        a = genfun.TruncSeries((2, Fraction(5, 7), 1), order=12)
+        with pytest.raises(DomainError) as caught:
+            f / (a - genfun.TruncSeries.constant(2, 12))
+        assert str(caught.value) == message
+        # 4 - 2 a has constant term 0: the fused c + g a division refuses it
+        for scale in (1, Fraction(-3, 2)):
+            with pytest.raises(DomainError) as caught:
+                genfun._over_affine(f, Fraction(4), Fraction(-2), a, scale)
+            assert str(caught.value) == message
+        assert_same_step(genfun._over_affine(f, Fraction(5), Fraction(-2), a),
+                         ref_over_affine(f, Fraction(5), Fraction(-2), a))
+
+
+def scan_eval_gf(tables, point):
+    """eval_gf with the largest exponent scanned over every key of every
+    table of a group at each call, as before the exponent was kept."""
+    out = [Fraction(0)] * (max(tbl.n for tbl in tables) + 1)
+    groups = {}
+    for tbl in tables:
+        groups.setdefault(tbl.stats, []).append(tbl)
+    for names, group in groups.items():
+        top = max(itertools.chain.from_iterable(
+            itertools.chain(*[tbl.counts for tbl in group])), default=0)
+        powers = genfun._Powers(genfun._marker_values(names, point), top)
+        for tbl in group:
+            out[tbl.n] += Fraction(powers.total(tbl.counts), powers.den)
+    return out
+
+
+def scan_profile_series(profile, order, point):
+    lengths = range(1, order + 1)
+    top = max(itertools.chain.from_iterable(
+        itertools.chain(*[profile[n] for n in lengths])), default=0)
+    powers = genfun._Powers((point.x, point.q, point.w, point.u, point.z), top)
+    return genfun.TruncSeries._make(
+        [0] + [powers.total(profile[n]) for n in lengths], powers.den, order)
+
+
+# one group of mixed lengths with an empty table in it (its own exponent is
+# 0, the group's is not), an empty table alone in a group of its own, and a
+# table whose largest exponent is not in its first key
+EMPTY_IN_GROUP = genfun.DistTable(ClassId.ASC, 8, ("rep", "max", "asc", "zero"), {})
+EMPTY_ALONE = genfun.DistTable(ClassId.ASC, 7, ("max",), {})
+SKEWED = genfun.DistTable(ClassId.ASC, 9, ("rep", "max"), {(0, 1): 2, (3, 0): 1})
+MIXED_TABLES = [SAMPLE_TABLES[4], SAMPLE_TABLES[1], EMPTY_IN_GROUP,
+                SAMPLE_TABLES[5], *SAMPLE_TABLES[9:12], EMPTY_ALONE, SKEWED]
+
+
+class TestOneExponentScan:
+    def test_the_kept_exponent_is_the_scanned_one(self):
+        assert EMPTY_IN_GROUP.top == EMPTY_ALONE.top == 0
+        assert SKEWED.top == 3
+        for tbl in SAMPLE_TABLES:
+            assert tbl.top == max(itertools.chain.from_iterable(tbl.counts))
+        whole, parts = genfun._case_profiles(6)
+        for profile in (whole, *parts.values()):
+            assert profile.top == max(itertools.chain.from_iterable(
+                itertools.chain(*profile.values())))
+        assert genfun._Profile({1: Counter(), 2: Counter()}).top == 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(points)
+    @example(special_point)
+    @example(unit_point)
+    def test_eval_gf(self, point):
+        got = genfun.eval_gf(MIXED_TABLES, point)
+        assert got == scan_eval_gf(MIXED_TABLES, point)
+        assert all(type(v) is Fraction for v in got)
+        assert got[EMPTY_IN_GROUP.n] == got[EMPTY_ALONE.n] == 0
+        for tbl in MIXED_TABLES:
+            assert genfun.eval_gf(tbl, point) == scan_eval_gf([tbl], point)[tbl.n]
+
+    @settings(deadline=None, max_examples=40)
+    @given(points)
+    @example(special_point)
+    @example(unit_point)
+    def test_profile_series(self, point):
+        whole, parts = genfun._case_profiles(6)
+        empty = genfun._Profile({n: Counter() for n in range(1, 7)})
+        for profile in (whole, *parts.values(), empty):
+            got = genfun._profile_series(profile, 6, point)
+            assert_same_step(got, scan_profile_series(profile, 6, point))
+        assert genfun._profile_series(empty, 6, point) == (
+            genfun.TruncSeries.zero(6))

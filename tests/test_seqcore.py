@@ -564,6 +564,16 @@ class TestTextForms:
         with pytest.raises(DomainError):
             Perm((1, 1, 2))
 
+    @pytest.mark.parametrize("values", [(True,), (2.0, 1.0), (2, True),
+                                        (1, "2"), ("a", 1)])
+    def test_perm_refuses_entries_that_are_not_ints(self, values):
+        # bools and floats sort like the ints they equal, and a str next to
+        # an int does not sort at all: each is refused before the sort
+        with pytest.raises(DomainError) as caught:
+            Perm(values)
+        assert str(caught.value) == (
+            f"not a permutation of 1..{len(values)}: {values!r}")
+
 
 def inverse(p):
     return Perm(p.index(v) + 1 for v in range(1, len(p) + 1))
