@@ -201,6 +201,23 @@ EXACT = [
     ("apply --map xi_S4 --direction inverse 0,1,1 --format csv", 2,
      "",
      "error: map 'xi_S4' needs --side-index here\n"),
+    # the guard of each family of decomposition maps refuses a non-member
+    # and a member outside the map's block
+    ("apply --map phi_G 0,1,0,1", 2,
+     "",
+     "error: not in block G: (0, 1, 0, 1)\n"),
+    ("apply --map xi_S4 0,2", 2,
+     "",
+     "error: not in block S4: (0, 2)\n"),
+    ("apply --map mpair_shift --direction up 0,1,0", 2,
+     "",
+     "error: drop-by-one pattern present: (0, 1, 0)\n"),
+    ("apply --map zpair_shift --direction up 0,2", 2,
+     "",
+     "error: not an ascent sequence: (0, 2)\n"),
+    ("apply --map vartheta --side-index 0 0,1,1,0", 2,
+     "",
+     "error: not a nonempty drop-by-one-avoiding sequence: (0, 1, 1, 0)\n"),
     ("table --class ASC --n 4 --stats rep,max", 0,
      '{"class": "ASC", "n": 4, "stats": ["rep", "max"], '
      '"total": 15, "counts": [[[0, 4], 1], [[1, 1], 1], [[1, 2], '

@@ -5,6 +5,7 @@ domain/codomain/injectivity ledger for every map at larger sizes.
 """
 
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from fishburn.errors import DomainError, UsageError, invariant
 from fishburn.seqcore import ClassId, Seq, enumerate_class
 from fishburn import decomp, stats
+
+from test_parallel_maps import MALFORMED, outcome
 
 
 def ascent_members(n):
@@ -256,6 +259,38 @@ class TestRoundTrips:
             for t in t21_members(n):
                 if decomp.classify(t, "T_F") == "F":
                     assert decomp.psi_F_inv(decomp.psi_F(t)) == t
+
+
+# the sha256 of the outcome list below, recorded before the guard passes of
+# stats took the refusal text of their caller
+MAPS_DIGEST = "097a0ca42ddf560e245a41b0ae5955544aa7fff5fc02f58457a488f30deb0938"
+
+
+def map_calls():
+    """Every forward and inverse of decomp.MAPS, called as the CLI calls
+    them, on every INV member of length 1..6 and on malformed input: a
+    shift takes up and down, a reduce inverse or a walk forward takes the
+    side index -1..3."""
+    inputs = [s for n in range(1, 7) for s in enumerate_class(ClassId.INV, n)]
+    inputs += [Seq(values) for values in MALFORMED]
+    for shape, forward, inverse in decomp.MAPS.values():
+        for s in inputs:
+            if shape == "shift":
+                for direction in ("up", "down"):
+                    yield forward, s, direction
+                continue
+            for fn in (forward, inverse):
+                if shape != "drop" and (fn is inverse) == (shape == "reduce"):
+                    for i in range(-1, 4):
+                        yield fn, s, i
+                else:
+                    yield fn, s
+
+
+def test_every_map_outcome_matches_its_digest():
+    """Each value and each refusal, type and text, of every map is pinned."""
+    got = [outcome(*call) for call in map_calls()]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == MAPS_DIGEST
 
 
 # guarded map -> (its class, the scheme and the labels of its domain)
