@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError, invariant
 from .seqcore import Seq
-from .stats import (_asc_pass, _mpos, _pair_index, _t21_pass, _zero_pass,
-                    _zpos, maximal_positions, zero_positions)
+from .stats import (_asc_pass, _mpos, _t21_pass, _zero_pass, _zpos,
+                    maximal_positions, zero_positions)
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,14 @@ def _flush_after(s, anchors: tuple, j: int) -> bool:
     return k1 == len(s) or k1 + 1 in anchors
 
 
-# scheme -> the refusal of a sequence outside its class
-_OUTSIDE = {"ASC_S": "not an ascent sequence",
-            "ASC_P": "not a nonempty ascent sequence",
-            "T_J": "drop-by-one pattern present",
-            "T_F": "not a nonempty drop-by-one-avoiding sequence",
-            "ASC_R": "not an ascent sequence",
-            "ASC_G": "not a nonempty ascent sequence"}
+# scheme -> the refusal of a sequence outside its class, which the pass
+# follows with the sequence
+_OUTSIDE = {"ASC_S": "not an ascent sequence:",
+            "ASC_P": "not a nonempty ascent sequence:",
+            "T_J": "drop-by-one pattern present:",
+            "T_F": "not a nonempty drop-by-one-avoiding sequence:",
+            "ASC_R": "not an ascent sequence:",
+            "ASC_G": "not a nonempty ascent sequence:"}
 SUBSET_SCHEMES = tuple(_OUTSIDE)
 
 
@@ -64,23 +65,18 @@ def _pass(s, scheme: str, refusal: str | None = None) -> tuple:
     """The one pass of stats that tests that s is in the class of scheme
     and reads its anchors: (maximal positions, mpair) of stats._t21_pass
     on T21, (number of maximals, zero positions, zpair) of stats._asc_pass
-    on ASC.  A sequence outside the class is refused with refusal, or with
-    the scheme's own refusal."""
-    try:
-        if scheme[0] == "T":
-            return _t21_pass(s)
-        p, zeros, pair = _asc_pass(s, scheme)
-    except DomainError:
-        raise DomainError(
-            f"{refusal or _OUTSIDE[scheme]}: {tuple(s)!r}") from None
-    return p, zeros, _pair_index(s, zeros, pair, "no zero followed by 1")
+    on ASC.  The pass refuses a sequence outside the class with refusal, or
+    with the scheme's own refusal, followed by the sequence."""
+    if scheme[0] == "T":
+        return _t21_pass(s, refusal or _OUTSIDE[scheme])
+    return _asc_pass(s, refusal or _OUTSIDE[scheme])
 
 
 def classify(s: Seq, scheme: str) -> str:
     """Return the block label of ``s`` under one of the subset schemes,
     off one pass that also tests membership (see _pass)."""
-    scheme = scheme.strip().upper()
-    if scheme not in _OUTSIDE:
+    if not (isinstance(scheme, str)
+            and (scheme := scheme.strip().upper()) in _OUTSIDE):
         valid = ", ".join(SUBSET_SCHEMES)
         raise UsageError(
             f"unknown scheme {scheme!r}; expected one of: {valid}")
@@ -118,7 +114,7 @@ def _in_block(s, scheme: str, label: str, refusal: str) -> tuple:
     unless its block is label."""
     found = _pass(s, scheme, refusal)
     if _label(s, scheme, found) != label:
-        raise DomainError(f"{refusal}: {tuple(s)!r}")
+        raise DomainError(f"{refusal} {tuple(s)!r}")
     return found
 
 
@@ -146,7 +142,7 @@ def phi_P(s: Seq) -> Seq:
     Bijection onto ascent sequences one shorter; lowers asc and max by one,
     keeps rep, zero and the entry after the last maximal.
     """
-    q = _in_block(s, "ASC_P", "P", "top value repeats or not ascent")[0]
+    q = _in_block(s, "ASC_P", "P", "top value repeats or not ascent:")[0]
     out = [v - (1 if v > q - 1 else 0)
            for idx, v in enumerate(s) if idx != q - 1]
     return Seq(out)
@@ -165,7 +161,7 @@ def xi_S4(s: Seq) -> MapResult:
     the prefix-top value later on.  Returns the promoted sequence together
     with the displaced entry; asc and rep are untouched.
     """
-    p = _in_block(s, "ASC_S", "S4", "not in block S4")[0]
+    p = _in_block(s, "ASC_S", "S4", "not in block S4:")[0]
     i = s[p]
     out = list(s)
     out[p] = p
@@ -173,7 +169,7 @@ def xi_S4(s: Seq) -> MapResult:
 
 
 def xi_S4_inv(t: Seq, i: int) -> Seq:
-    m = _in_block(t, "ASC_P", "Pc", "top value must repeat")[0]
+    m = _in_block(t, "ASC_P", "Pc", "top value must repeat:")[0]
     _require(0 <= i < t[m],  # the top value repeats, so t has an entry at m
              f"index {i} not below entry-after-last-maximal of {tuple(t)!r}")
     out = list(t)
@@ -187,7 +183,7 @@ def s2_reduce(s: Seq) -> MapResult:
     The removed value rides along as the side index; asc and max survive,
     rep drops by one.
     """
-    p = _in_block(s, "ASC_S", "S2", "not in block S2")[0]
+    p = _in_block(s, "ASC_S", "S2", "not in block S2:")[0]
     i = s[p]
     out = [v for idx, v in enumerate(s) if idx != p]
     return MapResult(Seq(out), i)
@@ -209,7 +205,7 @@ def s3_reduce(s: Seq) -> MapResult:
     Values above the prefix top shift down by one; asc and rep both drop
     by one while max is preserved.
     """
-    p = _in_block(s, "ASC_S", "S3", "not in block S3")[0]
+    p = _in_block(s, "ASC_S", "S3", "not in block S3:")[0]
     i = s[p]
     out = [v - (1 if v > p else 0)
            for idx, v in enumerate(s) if idx != p]
@@ -264,7 +260,7 @@ def psi_F(s: Seq) -> Seq:
     Bijection from block F onto sequences one shorter; max drops by one,
     rep and the paired-maximal ordinal survive.
     """
-    anchors, j = _in_block(s, "T_F", "F", "not in block F")
+    anchors, j = _in_block(s, "T_F", "F", "not in block F:")
     k1 = anchors[j + 1]
     if k1 == len(s):
         return Seq(s[:-1])
@@ -286,13 +282,6 @@ def psi_F_inv(t: Seq) -> Seq:
     return Seq(out)
 
 
-def _check_J1(s) -> tuple:
-    """(maximal positions, mpair) of s in block J1; refuses any other s."""
-    anchors, j, pos = _marked(s, "T_J")
-    _require(pos == 0, f"critical maximal present: {tuple(s)!r}")
-    return anchors, j
-
-
 def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
     """Move the paired-maximal ordinal one step up or down inside block J1.
 
@@ -301,7 +290,8 @@ def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
     apart one outside it); down, from paired ordinal i, takes the flush step
     when maximals i-1 and i are adjacent and the apart step otherwise.
     """
-    kp, i = _check_J1(s)
+    kp, i, pos = _marked(s, "T_J")
+    _require(pos == 0, f"critical maximal present: {tuple(s)!r}")
     if direction == "up":
         _require(i < len(kp) - 1,
                  f"paired maximal already next to top: {tuple(s)!r}")
@@ -416,6 +406,8 @@ def _undo_M2(t: list, kp, c1: int) -> list:
 
 def _descend(s, i, found, anchors, steps, tag, _trace):
     at, j = found
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise DomainError(f"target ordinal must be an integer, got {i!r}")
     _require(0 <= i < j, f"target ordinal {i} not below paired ordinal {j}")
     first, flush, apart = steps
     cur = first(list(s), at, j)
@@ -486,7 +478,7 @@ def phi_G(s: Seq) -> Seq:
     Bijection from block G onto ascent sequences one shorter; zero drops by
     one, asc and the paired-zero ordinal survive.
     """
-    _, zp, j = _in_block(s, "ASC_G", "G", "not in block G")
+    _, zp, j = _in_block(s, "ASC_G", "G", "not in block G:")
     out = list(s)
     popped = out.pop(zp[j + 1] - 1)
     invariant(popped == 0)
@@ -501,19 +493,14 @@ def phi_G_inv(t: Seq) -> Seq:
         out.insert(zp[j + 1] - 1, 0)
     return Seq(out)
 
-def _check_R1(s) -> tuple:
-    """(zero positions, zpair) of s in block R1; refuses any other s."""
-    zeros, j, pos = _marked(s, "ASC_R")
-    _require(pos == 0, f"critical one present: {tuple(s)!r}")
-    return zeros, j
-
 def zpair_shift(s: Seq, direction: str) -> Seq:
     """Move the paired-zero ordinal one step up or down inside block R1.
 
     asc and zero are preserved; the trailing 1 travels from the old paired
     zero to the new one, with the entries in between renormalised.
     """
-    zp, m = _check_R1(s)
+    zp, m, pos = _marked(s, "ASC_R")
+    _require(pos == 0, f"critical one present: {tuple(s)!r}")
     out = list(s)
     if direction == "up":
         _require(m < len(zp) - 1, f"paired zero already next to top: {tuple(s)!r}")

@@ -673,7 +673,8 @@ def check_case_identity(case: int, order: int = DEFAULT_ORDER,
     population at modified points.  Requires w != 1 and q != 0.
     """
     order = _check_order(order)
-    if case not in (1, 2, 3, 4):
+    if (not isinstance(case, int) or isinstance(case, bool)
+            or case not in (1, 2, 3, 4)):
         raise UsageError(f"case must be 1..4, got {case!r}")
     if point is None:
         raise UsageError("a point with all five marker values is required")

@@ -29,9 +29,10 @@ position is 1-based.
          no such position exists
   zpos   the same with zeros and entries equal to 1
 
-mpair (resp. zpair) is expected to exist for every non-increasing
-(resp. not-all-zero) input; if that ever fails the statistic raises
-DomainError rather than inventing a value.
+mpair (resp. zpair) exists for every member that is not the increasing
+(resp. all-zero) sequence; the pass that reads it checks this with an
+errors.invariant, which stays active under python -O, rather than
+inventing a value.
 
 The fused kernels seq_profile, perm_profile, seq_sets and perm_sets return
 the tuples named by SEQ_PROFILE, PERM_PROFILE, SEQ_SETS and PERM_SETS in one
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import DomainError
+from .errors import DomainError, invariant
 from .seqcore import ClassId, Perm, Seq, is_inversion
 
 
@@ -193,31 +194,11 @@ MARKERS = {"ealm": ClassId.ASC, "zpair": ClassId.ASC, "zpos": ClassId.ASC,
            "mpair": ClassId.T21, "mpos": ClassId.T21}
 
 
-def _pair_index(s, anchors: list, pair: int | None, missing: str) -> int:
-    """The pair marker, given pair, the largest index of an anchor whose
-    entry is followed at once by that entry (maximals) or by 1 (zeros), or
-    None.  When every entry is an anchor none is, and the marker is 0;
-    otherwise one must be, so only a sequence outside the class, which the
-    passes below refuse first, reaches the DomainError:
-
-    - T21 (maximal anchors): the entries before the first non-maximal
-      position j are 0, 1, ..., j-2; the entry at j is at most j-2 and may
-      not be one less than an earlier entry, so it is j-2, the maximal entry
-      just before it.
-    - ASC (zero anchors): an all-zero prefix has no ascent, so the first
-      nonzero entry is a 1, and the entry before it is a 0.
-    """
-    if pair is not None:
-        return pair
-    if len(anchors) == len(s):
-        return 0
-    raise DomainError(f"{missing} in {tuple(s)!r}")
-
-
-def _t21_pass(s) -> tuple:
+def _t21_pass(s, refusal="mpair needs a drop-by-one-avoiding sequence, got"):
     """(maximal positions, mpair) of s, in one pass from the left that also
     tests that s is in T21: each entry v at 0-based index i has
-    0 <= v <= i, and v + 1 is not an earlier entry."""
+    0 <= v <= i, and v + 1 is not an earlier entry.  A sequence outside T21
+    is refused with refusal, followed by s."""
     anchors, pair, seen = [], None, 0  # seen: bit set of the earlier entries
     for i, v in enumerate(s):
         if not 0 <= v <= i or seen >> (v + 1) & 1:
@@ -229,16 +210,22 @@ def _t21_pass(s) -> tuple:
         seen |= 1 << v
     else:
         if s:
-            return anchors, _pair_index(s, anchors, pair, "no paired maximal")
-    raise DomainError(f"mpair needs a drop-by-one-avoiding sequence, got {tuple(s)!r}")
+            if pair is None:
+                # Only the increasing sequence: the entries before the first
+                # non-maximal position j are 0, 1, ..., j-2, and the entry
+                # at j, at most j-2 and not one less than an earlier entry,
+                # is j-2, the maximal entry just before it.
+                invariant(len(anchors) == len(s), "no paired maximal")
+                pair = 0
+            return anchors, pair
+    raise DomainError(f"{refusal} {tuple(s)!r}")
 
 
-def _asc_pass(s, marker: str) -> tuple:
-    """(number of maximals, zero positions, the largest index of a zero
-    followed at once by 1 or None) of s, in one pass from the left that also
-    tests that s is an ascent sequence: each entry is at least 0 and at most
-    one more than the ascents before it, so the first is 0.  marker names
-    the caller in the refusal."""
+def _asc_pass(s, refusal: str) -> tuple:
+    """(number of maximals, zero positions, zpair) of s, in one pass from
+    the left that also tests that s is an ascent sequence: each entry is at
+    least 0 and at most one more than the ascents before it, so the first
+    is 0.  A sequence outside ASC is refused with refusal, followed by s."""
     # asc and prev start at -1, so the first entry must be 0 and leaves asc 0
     p, zeros, pair, asc, prev = 0, [], None, -1, -1
     for i, v in enumerate(s):
@@ -255,18 +242,23 @@ def _asc_pass(s, marker: str) -> tuple:
         prev = v
     else:
         if s:
+            if pair is None:
+                # Only the all-zero sequence: an all-zero prefix has no
+                # ascent, so the first nonzero entry is a 1 after a 0.
+                invariant(len(zeros) == len(s), "no zero followed by 1")
+                pair = 0
             return p, zeros, pair
-    raise DomainError(f"{marker} needs an ascent sequence, got {tuple(s)!r}")
+    raise DomainError(f"{refusal} {tuple(s)!r}")
 
 
 def _zero_pass(s) -> tuple:
     """(zero positions, zpair) of s."""
-    _, zeros, pair = _asc_pass(s, "zpair")
-    return zeros, _pair_index(s, zeros, pair, "no zero followed by 1")
+    return _asc_pass(s, "zpair needs an ascent sequence, got")[1:]
 
 
 def ealm(s: Seq) -> int:
-    p = _asc_pass(s, "ealm")[0]  # the maximals form the identity prefix
+    # the maximals form the identity prefix
+    p = _asc_pass(s, "ealm needs an ascent sequence, got")[0]
     return 0 if p == len(s) else s[p]  # the entry at 1-based position p + 1
 
 

@@ -80,6 +80,13 @@ class TestClassify:
         with pytest.raises(DomainError):
             decomp.classify(Seq((0, 1)), "ASC_S")  # identity run has no tail
 
+    def test_scheme_that_is_no_string(self):
+        with pytest.raises(UsageError) as caught:
+            decomp.classify(Seq((0, 1)), 3)
+        assert str(caught.value) == (
+            "unknown scheme 3; expected one of: "
+            "ASC_S, ASC_P, T_J, T_F, ASC_R, ASC_G")
+
 
 class TestWorkedValues:
     def test_maximal_dropping_map(self):
@@ -168,6 +175,18 @@ class TestWorkedValues:
         assert decomp.phi_G_inv(Seq((0, 1))) == Seq((0, 1, 0))
         assert decomp.zpair_shift(Seq((0, 1, 0, 0)), "up") == Seq((0, 0, 1, 0))
         assert decomp.zpair_shift(Seq((0, 0, 1, 0)), "down") == Seq((0, 1, 0, 0))
+
+    # the walks from the smallest member of each domain with paired ordinal 1
+    @pytest.mark.parametrize("walk, s", [
+        (decomp.vartheta, Seq((0, 1, 1))), (decomp.theta_R, Seq((0, 0, 1)))],
+        ids=("vartheta", "theta_R"))
+    @pytest.mark.parametrize("i", [0.5, True, False])
+    def test_walks_refuse_a_target_ordinal_that_is_no_integer(self, walk, s,
+                                                               i):
+        with pytest.raises(DomainError) as caught:
+            walk(s, i)
+        assert str(caught.value) == (
+            f"target ordinal must be an integer, got {i!r}")
 
     def test_zero_detaching_map(self):
         got = decomp.theta_R_inv(Seq((0, 1, 2, 0, 0, 1, 2, 4, 1, 2, 0, 2)))

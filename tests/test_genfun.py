@@ -272,6 +272,11 @@ class TestCaseIdentities:
     def test_errors(self):
         with pytest.raises(UsageError):
             genfun.check_case_identity(5, order=6, point=genfun.SpecPoint())
+        # equal to 1, but no case number: refused, not looked up as S1.0
+        for case in (True, 1.0):
+            with pytest.raises(UsageError) as caught:
+                genfun.check_case_identity(case, 3, genfun.SpecPoint(w=2))
+            assert str(caught.value) == f"case must be 1..4, got {case!r}"
         with pytest.raises(DomainError):
             genfun.check_case_identity(
                 1, order=6, point=genfun.SpecPoint(w=1))

@@ -28,7 +28,7 @@ compared with it under faults keyed to one input.
 import pytest
 
 from fishburn import bijections, decomp, harness, stats
-from fishburn.decomp import MapResult, _check_J1
+from fishburn.decomp import MapResult
 from fishburn.errors import DomainError, UsageError, invariant
 from fishburn.seqcore import ClassId, Perm, Seq, enumerate_class, perm_transform
 from fishburn.stats import (maximal_positions, mpair, mpos, perm_stats,
@@ -371,7 +371,10 @@ def ref_mpair_shift(s, direction, _trace=None):
     rep and max are preserved; the local surgery depends on whether the
     next maximal is flush against the pair (block F) or separated from it.
     """
-    _check_J1(s)
+    _require(is_t21(s), f"drop-by-one pattern present: {tuple(s)!r}")
+    _require(len(s) > len(ref_maximal_positions(s)),
+             f"identity run excluded: {tuple(s)!r}")
+    _require(ref_mpos(s) == 0, f"critical maximal present: {tuple(s)!r}")
     p = len(maximal_positions(s))
     i = mpair(s)
     if direction == "up":

@@ -135,14 +135,6 @@ class TestMarkers:
         # not an inversion sequence, so is_t21 refuses it first
         with pytest.raises(DomainError, match="drop-by-one-avoiding"):
             stats.mpair(Seq((0, 2)))
-        # the pair guard itself, which no member of T21 or ASC reaches
-        s = (0, 2)
-        with pytest.raises(DomainError, match="no paired maximal"):
-            stats._pair_index(s, stats.maximal_positions(s), None,
-                              "no paired maximal")
-        with pytest.raises(DomainError, match="no zero followed by 1"):
-            stats._pair_index(s, stats.zero_positions(s), None,
-                              "no zero followed by 1")
 
     def test_markers_total_on_their_classes(self):
         for n in range(1, 7):
