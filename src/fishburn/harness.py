@@ -35,11 +35,17 @@ CACHE_ENV = "FISHBURN_CACHE"
 _PERM_SCALARS = ("des", "ides", "iasc", "lmax", "lmin", "rmax")
 # statistics read off a profile entry x of a length-n object as n - 1 - x
 _DERIVED = {"nasc": "asc", "iasc": "ides"}
-# the statistics that the table checks read, of which each (class, n) has
-# one table: (asc, rep, zero, max) on sequences, Foata's (des, ides) on
-# permutations
+# the core of each class, of which each (class, n) has one table: the
+# statistics that the table checks read of it.  main3 reads Levande's
+# (rep, max) of T21; foata and inv_sym read Foata's (asc, rep) of INV, and
+# foata (des, iasc) of PERM_ALL.  No check reads B, C or the avoiders: they
+# keep the core of their kind.
 _SEQ_CORE = ("asc", "rep", "zero", "max")
 _PERM_CORE = ("des", "ides")
+_CORES = {ClassId.ASC: _SEQ_CORE, ClassId.B: _SEQ_CORE, ClassId.C: _SEQ_CORE,
+          ClassId.T21: ("rep", "max"), ClassId.INV: ("asc", "rep"),
+          ClassId.PERM_ALL: _PERM_CORE, ClassId.PERM_AVOID_A: _PERM_CORE,
+          ClassId.PERM_AVOID_B: _PERM_CORE}
 
 
 def cache_dir() -> Path:
@@ -131,7 +137,7 @@ def _value_fn(class_id: ClassId, names: tuple):
 def _table_stats(class_id: ClassId, names: tuple) -> tuple:
     """Statistics of the table that serves names: the class's core when
     every name is a core statistic or derived from one, else names."""
-    core = _PERM_CORE if class_id.is_permutation_class else _SEQ_CORE
+    core = _CORES[class_id]
     if all(_DERIVED.get(name, name) in core for name in names):
         return core
     return names
@@ -206,14 +212,14 @@ def _marginal(table: DistTable, names: tuple) -> DistTable:
 def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) -> DistTable:
     """Exact joint distribution of the named statistics over a class.
 
-    When every name is a core statistic of the class, (asc, rep, zero, max)
-    on sequences or (des, ides) on permutations, or derived from one (nasc,
-    iasc), the table is the marginal of the class's core table at n;
-    otherwise (rmin, a permutation record or a marker is named) it is a
-    table of its own.  Every core table, and a table of rmin or of ealm or
-    zpair over ASC, is counted layer by layer over the step rules
-    (counting.count_table); the tables of the permutation records and of
-    mpair, mpos and zpos are enumerated.  Either table is cached on disk
+    When every name is a core statistic of the class, one that its table
+    checks read (see _CORES), or derived from one (nasc, iasc), the table
+    is the marginal of the class's core table at n; otherwise (rmin, zero
+    on T21, a permutation record or a marker is named, say) it is a table
+    of its own.  Every core table, and a table of other sequence fields or
+    of ealm or zpair over ASC, is counted layer by layer over the step
+    rules (counting.count_table); the tables of the permutation records and
+    of mpair, mpos and zpos are enumerated.  Either table is cached on disk
     under one JSON file per (class, n, table statistics, code-version) key;
     set the FISHBURN_CACHE environment variable to move the cache directory.
     """

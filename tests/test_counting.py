@@ -118,6 +118,14 @@ def test_core_tables_against_enumeration(cid):
         assert got.counts == enumerated(cid, n, core), n
 
 
+@pytest.mark.parametrize("cid", list(ClassId), ids=lambda c: c.name)
+def test_each_class_core_against_enumeration(cid):
+    core = harness._CORES[cid]
+    for n in range(1, 8):
+        got = harness.dist_table(cid, n, core, use_cache=False)
+        assert got.counts == enumerated(cid, n, core), n
+
+
 @pytest.mark.parametrize("cid", SEQUENCE_CLASSES, ids=lambda c: c.name)
 def test_against_brute_force(cid):
     """Membership by the hand-written predicates of class_refs is the one

@@ -163,6 +163,35 @@ class TestCache:
                         (ClassId.ASC, ("asc", "rmin")),
                         (ClassId.PERM_ALL, ("des", "ides"))]
 
+    def test_t21_and_inv_cores_are_the_pairs_their_checks_read(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+        runs = []
+        real = counting.count_table
+
+        def counted(class_id, n, names):
+            runs.append((class_id, names))
+            return real(class_id, n, names)
+
+        monkeypatch.setattr(counting, "count_table", counted)
+        requests = [(ClassId.T21, ("max", "rep")), (ClassId.T21, ("rep",)),
+                    (ClassId.INV, ("rep", "asc")), (ClassId.INV, ("nasc",)),
+                    (ClassId.T21, ("asc", "zero")),
+                    (ClassId.T21, ("asc", "zero"))]
+        for cid, names in requests:
+            harness.dist_table(cid, 5, names)
+        assert sorted(path.name.rsplit("_", 1)[0]
+                      for path in tmp_path.iterdir()) == [
+            "INV_n5_asc-rep", "T21_n5_asc-zero", "T21_n5_rep-max"]
+        # (asc, zero) is off the T21 core: counted once into its own file,
+        # then served from it
+        assert runs == [(ClassId.T21, ("rep", "max")),
+                        (ClassId.INV, ("asc", "rep")),
+                        (ClassId.T21, ("asc", "zero"))]
+        got = harness.dist_table(ClassId.T21, 5, ("asc", "zero"))
+        assert got.counts == harness._compute_table(
+            ClassId.T21, 5, ("asc", "zero")).counts
+
     def test_code_version_covers_this_module(self, tmp_path, monkeypatch):
         before = harness._code_version()
         edited = tmp_path / "harness.py"

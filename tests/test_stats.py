@@ -314,6 +314,36 @@ def named_tables():
     return sorted(pairs, key=repr)
 
 
+def table_reads():
+    """Every (class, statistics) pair the checks of harness._CHECKS read
+    through dist_table: the tables of _agree, and the two that gf_G and
+    gf_zeromax build in their bodies."""
+    pairs = {(ClassId.ASC, ("rep", "max", "asc", "zero")),
+             (ClassId.ASC, ("zero", "max"))}
+    for fn, _ in harness._CHECKS.values():
+        if getattr(fn, "func", None) is harness._agree:
+            pairs.update(fn.args[0])
+    return pairs
+
+
+def test_each_core_is_what_the_table_checks_read():
+    """A class's core is the statistics of its marker-free table reads,
+    each derived name (nasc, iasc) taken at its base; a class that no
+    check reads keeps the core of its kind, that of ASC or PERM_ALL."""
+    read = {}
+    for cid, names in table_reads():
+        if not any(name in stats.MARKERS for name in names):
+            read.setdefault(cid, set()).update(
+                harness._DERIVED.get(name, name) for name in names)
+    assert set(read) == {ClassId.ASC, ClassId.T21, ClassId.INV,
+                         ClassId.PERM_ALL}
+    assert set(harness._CORES) == set(ClassId)
+    for cid, core in harness._CORES.items():
+        kind = ClassId.PERM_ALL if cid.is_permutation_class else ClassId.ASC
+        assert len(set(core)) == len(core), cid
+        assert set(core) == read.get(cid, read[kind]), cid
+
+
 class TestFusedKernels:
     @pytest.mark.parametrize("class_id", KERNEL_MAX_N, ids=lambda c: c.name)
     def test_seq_profile_matches_scalar_stats(self, class_id):
