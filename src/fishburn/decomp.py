@@ -171,7 +171,7 @@ def xi_S4(s: Seq) -> MapResult:
 def xi_S4_inv(t: Seq, i: int) -> Seq:
     m = _in_block(t, "ASC_P", "Pc", "top value must repeat:")[0]
     _require(0 <= i < t[m],  # the top value repeats, so t has an entry at m
-             "index {} not below entry-after-last-maximal of", t, i)
+             "index {} outside [0, ealm-1] for", t, i)
     out = list(t)
     out[m - 1] = i
     return Seq(out)
@@ -215,7 +215,7 @@ def s3_insert(t: Seq, i: int) -> Seq:
     p = _pass(t, "ASC_P")[0]
     # ealm, the entry after the maximals, is 0 on the identity run
     _require(0 <= i < (t[p] if p < len(t) else 0),
-             "index {} not below entry-after-last-maximal of", t, i)
+             "index {} outside [0, ealm-1] for", t, i)
     out = list(t[:p]) + [i] + [t[p]] + [v + (1 if v >= p else 0)
                                         for v in t[p + 1:]]
     return Seq(out)
@@ -406,7 +406,8 @@ def _descend(s, i, found, anchors, steps, tag, _trace):
     if not isinstance(i, int) or isinstance(i, bool):
         raise DomainError(f"target ordinal must be an integer, got {i!r}")
     if not 0 <= i < j:
-        raise DomainError(f"target ordinal {i} not below paired ordinal {j}")
+        raise DomainError(f"target ordinal {i} outside [0, {j - 1}], the "
+                          f"ordinals below paired ordinal {j}")
     first, flush, apart = steps
     cur = first(list(s), at, j)
     if _trace is not None:

@@ -1,15 +1,18 @@
 """The hand-written class predicates, kept as the references of the step
-rules.
+rules, and the references and helpers that more than one test module reads.
 
 The package defines each class once, by its step rule in seqcore._RULES,
 which membership, enumeration, counting and ranking all read.  These
 predicates are the former second definitions, kept verbatim: each one reads
 the class off the whole object, with no rule state, so a wrong step rule
-shows up against them.  They are the membership of the brute-force
-references of the tests.
+shows up against them.  They are the membership of brute_force, the one
+reference of enumeration.
 """
 
-from fishburn.seqcore import ClassId, Perm
+import functools
+import itertools
+
+from fishburn.seqcore import ClassId, Perm, Seq
 
 
 def is_inversion(s) -> bool:
@@ -114,3 +117,31 @@ def ref_is_member(class_id: ClassId, obj) -> bool:
     """The class's predicate on obj: a Perm for a permutation class, a
     sequence for the others."""
     return _PREDICATES[class_id](obj)
+
+
+@functools.cache
+def brute_force(class_id: ClassId, n: int) -> tuple:
+    """The members of length n, in lexicographic order: the permutations of
+    1..n or the inversion sequences of length n, filtered by the class's
+    predicate.  Kept for the session, as several tests read each one."""
+    if class_id.is_permutation_class:
+        ambient = map(Perm, itertools.permutations(range(1, n + 1)))
+    else:
+        ambient = map(Seq, itertools.product(*map(range, range(1, n + 1))))
+    return tuple([x for x in ambient if ref_is_member(class_id, x)])
+
+
+def outcome(fn, *args, traced=False):
+    """What a call did: its result's repr, or the type and message of the
+    exception it raised, together with the trace it left."""
+    trace = [] if traced else None
+    kwargs = {"_trace": trace} if traced else {}
+    try:
+        return "returned", repr(fn(*args, **kwargs)), trace
+    except Exception as exc:  # every exception is part of the contract
+        return "raised", type(exc), str(exc), trace
+
+
+# inputs outside every class, for the refusals and the values of kernels
+# that do not refuse them
+MALFORMED = ((), (1,), (0, 2), (5,), (0, 0, 3))

@@ -10,71 +10,17 @@ from fishburn.seqcore import (ClassId, Perm, Seq, contains_bivincular_A,
 from fishburn import bijections as bj
 from fishburn import stats
 
+from class_refs import outcome
+
 PI = Perm((6, 1, 8, 3, 2, 5, 4, 7))
 
 
 # --- reference encoder ------------------------------------------------------
 #
-# The slice-surgery form of the labeled-interval code.  A slice is a tuple of
-# (lo, hi, label) triples holding disjoint intervals in decreasing value
-# order with strictly increasing labels; the intervals cover exactly the
-# values not yet placed, plus 0.  Each step removes the placed value from its
-# interval by one of four cases, so this form is independent of the run/label
-# rule the module implements.
-
-def _slice_step(slc, val):
-    """Remove val from the slice it lies in and relabel.
-
-    The four cases split on whether val is interior, the top, the bottom,
-    or the whole of its interval.  Whenever the interval list to the right
-    of the hit is reindexed, the label list is treated as extended by one
-    more value (last label + 1), so the final interval's label always
-    increments.
-    """
-    v = next(idx for idx, (lo, hi, _) in enumerate(slc) if lo <= val <= hi)
-    lo, hi, lab = slc[v]
-    pre = slc[:v]
-    tail = slc[v + 1:]
-    last_label = slc[-1][2]
-
-    if lo < val < hi:
-        shifted = _zip_shift(((lo, val - 1),) + tuple((a, b) for a, b, _ in tail),
-                             tuple(l for _, _, l in tail) + (last_label + 1,))
-        return pre + ((val + 1, hi, lab),) + shifted
-    if lo < val == hi:
-        shifted = _zip_shift(((lo, val - 1),) + tuple((a, b) for a, b, _ in tail),
-                             tuple(l for _, _, l in tail) + (last_label + 1,))
-        return pre + shifted
-    # val == lo: the last interval always contains 0, which is never
-    # placed, so the hit interval cannot be the last one here.
-    assert v < len(slc) - 1
-    kept = tail[:-1] + ((tail[-1][0], tail[-1][1], tail[-1][2] + 1),)
-    if val == lo < hi:
-        return pre + ((val + 1, hi, lab),) + kept
-    return pre + kept
-
-
-def _zip_shift(intervals, labels):
-    return tuple((a, b, l) for (a, b), l in zip(intervals, labels))
-
-
-def reference_slices(p):
-    slc = ((0, len(p), 0),)
-    out = [slc]
-    for v in p[:-1]:
-        slc = _slice_step(slc, v)
-        out.append(slc)
-    return out
-
-
-def reference_code(p):
-    return Seq(next(l for lo, hi, l in slc if lo <= v <= hi)
-               for slc, v in zip(reference_slices(p), p))
-
-
-# The run-list form of the same code: the runs [lo, hi] of the values not yet
-# placed, plus 0, kept bottom-up, the run of each value found by bisection,
-# and a fresh label list built at each step.
+# The labeled-interval code in run-list form: the runs [lo, hi] of the values
+# not yet placed, plus 0, kept bottom-up, the run of each value found by
+# bisection, and a fresh label list built at each step.  A slice lists
+# (lo, hi, label) top down.
 
 def _ref_relabel(labels, i, hit, lower, upper):
     return [i + 1] + [b for b in labels if (b != hit or upper) and (b != i or lower)]
@@ -97,39 +43,6 @@ def ref_bv_slices(p):
 
 def ref_bv_code(p):
     return Seq(labels[r] for _, labels, r in _ref_walk(p))
-
-
-# The bit-set form, read step by step: bv_code's loop as a generator, and
-# the slices it passes through.  A slice lists (lo, hi, label) top down.
-
-def _walk(p):
-    """Yield each step's free set, its labels bottom-up (one list, edited
-    after the yield) and the rank of the run of p[i]."""
-    free, labels = (2 << len(p)) - 1, [0]
-    for i, v in enumerate(p):
-        r = (free & ~(free << 1) & ((2 << v) - 1)).bit_count() - 1
-        yield free, labels, r
-        free ^= 1 << v
-        bj._relabel(labels, i, r, free >> (v - 1) & 1, free >> (v + 1) & 1)
-
-
-def bv_slices(p):
-    """All n slices of the permutation, starting from ((0, n, 0),)."""
-    bits = lambda x: [v for v in range(len(p) + 1) if x >> v & 1]
-    return [tuple(zip(bits(free & ~(free << 1)), bits(free & ~(free >> 1)), labels))[::-1]
-            for free, labels, _ in _walk(p)]
-
-
-def walk_code(p):
-    """The code as the walk yields it."""
-    return Seq._wrap(tuple([labels[r] for _, labels, r in _walk(p)]))
-
-
-def _outcome(fn, p):
-    try:
-        return "returned", fn(p)
-    except Exception as exc:  # the type and message are part of the contract
-        return "raised", type(exc), str(exc)
 
 
 def reference_lehmer_code(p):
@@ -168,7 +81,7 @@ class TestIntervalCode:
 
     def test_slices_of_worked_example(self):
         # each slice is a tuple of (low, high, label) triples
-        assert bv_slices(PI) == [
+        assert ref_bv_slices(PI) == [
             ((0, 8, 0),),
             ((7, 8, 0), (0, 5, 1)),
             ((7, 8, 0), (2, 5, 1), (0, 0, 2)),
@@ -197,36 +110,28 @@ class TestIntervalCode:
                         == [ss[k] for k in self.SEQ_SIDE])
 
     def test_decode_inverts(self):
-        for n in range(1, 6):
-            for p in enumerate_class(ClassId.PERM_ALL, n):
-                assert bj.bv_decode(bj.bv_code(p)) == p
-
-    def test_matches_the_reference_encoder(self):
         for n in range(1, 8):
             codes = set()
             for p in enumerate_class(ClassId.PERM_ALL, n):
-                code = reference_code(p)
-                assert bj.bv_code(p) == code
-                assert bv_slices(p) == reference_slices(p)
+                code = bj.bv_code(p)
                 assert bj.bv_decode(code) == p
                 codes.add(code)
             # the bijectivity that lets bv_decode look every label up
             assert codes == set(enumerate_class(ClassId.INV, n))
 
-    def test_matches_the_run_list_encoder(self):
+    def test_matches_the_reference_encoder(self):
         for n in range(1, 9):
             for p in enumerate_class(ClassId.PERM_ALL, n):
                 assert bj.bv_code(p) == ref_bv_code(p)
-                assert bv_slices(p) == ref_bv_slices(p)
 
-    def test_matches_the_walk(self):
-        """Values on every permutation to n = 8, and the exceptions on
-        malformed input."""
-        perms = [p for n in range(1, 9)
-                 for p in enumerate_class(ClassId.PERM_ALL, n)]
-        malformed = [Perm._wrap(v) for v in ((), (1,), (0, 2), (5,))]
-        for p in perms + malformed:
-            assert _outcome(bj.bv_code, p) == _outcome(walk_code, p), p
+    def test_outcomes_on_malformed_input(self):
+        got = [outcome(bj.bv_code, Perm._wrap(v))
+               for v in ((), (1,), (0, 2), (5,))]
+        assert got == [
+            ("returned", "Seq(())", None),
+            ("returned", "Seq((0,))", None),
+            ("raised", ValueError, "negative shift count", None),
+            ("raised", ValueError, "list.remove(x): x not in list", None)]
 
     def test_decode_rejects_non_inversion_sequences(self):
         for s in ((), (1,), (0, 2), (0, 1, 3)):

@@ -7,9 +7,9 @@ import pytest
 
 from fishburn import counting, decomp, genfun, harness, seqcore, stats
 from fishburn.errors import UsageError
-from fishburn.seqcore import ClassId, Perm, Seq
+from fishburn.seqcore import ClassId, Perm
 
-from class_refs import ref_is_member
+from class_refs import brute_force, ref_is_member
 
 SEQUENCE_CLASSES = [cid for cid in seqcore._RULES
                     if not cid.is_permutation_class]
@@ -19,14 +19,6 @@ PERMUTATION_CLASSES = [ClassId.PERM_ALL, ClassId.PERM_AVOID_A,
 
 def enumerated(cid, n, names):
     return harness._compute_table(cid, n, names).counts
-
-
-def brute_force(cid, n):
-    """The class listed by filtering every inversion sequence with the
-    class's hand-written predicate."""
-    ambient = map(Seq, itertools.product(*[range(i) for i in
-                                           range(1, n + 1)]))
-    return [s for s in ambient if ref_is_member(cid, s)]
 
 
 def brute_table(members, names):

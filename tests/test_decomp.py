@@ -14,7 +14,7 @@ from fishburn.errors import DomainError, UsageError, invariant
 from fishburn.seqcore import ClassId, Seq, enumerate_class
 from fishburn import decomp, stats
 
-from test_parallel_maps import MALFORMED, outcome
+from class_refs import MALFORMED, outcome
 
 
 def ascent_members(n):
@@ -280,9 +280,10 @@ class TestRoundTrips:
                     assert decomp.psi_F_inv(decomp.psi_F(t)) == t
 
 
-# the sha256 of the outcome list below, recorded before the guard passes of
-# stats took the refusal text of their caller
-MAPS_DIGEST = "097a0ca42ddf560e245a41b0ae5955544aa7fff5fc02f58457a488f30deb0938"
+# the sha256 of the outcome list below (36,876 outcomes), recorded when the
+# refusals of a side index outside its range came to name the range: 4,160
+# refusals of _descend, xi_S4_inv and s3_insert changed text, nothing else
+MAPS_DIGEST = "12a0b1b182b9a37609da7413ed1b4208abf64711e38bdc6b85f3996a763f029e"
 
 
 def map_calls():

@@ -178,17 +178,16 @@ def ref_perm_stats(p):
     pos = [0] * (n + 2)
     for i, v in enumerate(p):
         pos[v] = i + 1
-    des = tuple(i for i in range(1, n) if p[i - 1] > p[i])
-    ides = tuple(i for i in range(2, n + 1) if p[i - 1] < n and pos[p[i - 1] + 1] < i)
-    lmax = tuple(i for i in range(1, n + 1) if all(p[i - 1] > p[j] for j in range(i - 1)))
-    lmin = tuple(i for i in range(1, n + 1) if all(p[i - 1] < p[j] for j in range(i - 1)))
-    rmax = tuple(i for i in range(1, n + 1) if all(p[i - 1] > p[j] for j in range(i, n)))
+    des = tuple([i for i in range(1, n) if p[i - 1] > p[i]])
+    ides = tuple([i for i in range(2, n + 1) if p[i - 1] < n and pos[p[i - 1] + 1] < i])
+    lmax = tuple([i for i in range(1, n + 1) if p[i - 1] > max(p[:i - 1], default=0)])
+    lmin = tuple([i for i in range(1, n + 1) if p[i - 1] < min(p[:i - 1], default=n + 1)])
+    rmax = tuple([i for i in range(1, n + 1) if p[i - 1] > max(p[i:], default=0)])
     return dict(DES=des, IDES=ides, LMAX=lmax, LMIN=lmin, RMAX=rmax,
                 des=len(des), ides=len(ides), iasc=n - 1 - len(ides))
 
 
-# Two more references, the former bodies of set_stats and perm_stats: DIST
-# by a search of the suffix, and the right-to-left maxima by a second pass.
+# The former body of set_stats: DIST by a search of the suffix.
 
 def ref_set_stats(s):
     if not is_inversion(s):
@@ -206,33 +205,6 @@ def ref_set_stats(s):
     return dict(ASC=ascent_positions(s), DIST=dist,
                 ZERO=stats.zero_positions(s), MAX=stats.maximal_positions(s),
                 RMIN=tuple(reversed(rmin)), NASC=nasc)
-
-
-def ref_running_perm_stats(p):
-    n = len(p)
-    pos = [0] * (n + 2)
-    for i, v in enumerate(p):
-        pos[v] = i + 1
-    des = tuple(i for i in range(1, n) if p[i - 1] > p[i])
-    ides = tuple(i for i in range(2, n + 1) if p[i - 1] < n and pos[p[i - 1] + 1] < i)
-    lmax, lmin, rmax = [], [], []
-    hi, lo = 0, n + 1
-    for i, v in enumerate(p, start=1):  # running extrema from the left
-        if v > hi:
-            lmax.append(i)
-            hi = v
-        if v < lo:
-            lmin.append(i)
-            lo = v
-    hi = 0
-    for i in range(n, 0, -1):  # and from the right
-        if p[i - 1] > hi:
-            rmax.append(i)
-            hi = p[i - 1]
-    rmax.reverse()
-    return dict(DES=des, IDES=ides, LMAX=tuple(lmax), LMIN=tuple(lmin),
-                RMAX=tuple(rmax), des=len(des), ides=len(ides),
-                iasc=n - 1 - len(ides))
 
 
 class TestAgainstReferences:
@@ -253,9 +225,12 @@ class TestAgainstReferences:
                         stats.scalar_stats(s)
 
     def test_perm_stats_on_every_permutation(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             for p in enumerate_class(ClassId.PERM_ALL, n):
-                assert stats.perm_stats(p) == ref_perm_stats(p)
+                want = ref_perm_stats(p)
+                assert stats.perm_stats(p) == want
+                assert stats.perm_sets(p) == tuple(
+                    want[name] for name in stats.PERM_SETS)
 
     def test_set_kernel_on_every_inversion_sequence(self):
         for n in range(1, 8):
@@ -269,14 +244,6 @@ class TestAgainstReferences:
         for s in ((1,), (0, 2), (0, 1, 3), (1, 0)):
             with pytest.raises(DomainError):
                 stats.set_stats(Seq(s))
-
-    def test_perm_kernel_against_running_extrema(self):
-        for n in range(1, 9):
-            for p in enumerate_class(ClassId.PERM_ALL, n):
-                want = ref_running_perm_stats(p)
-                assert stats.perm_stats(p) == want
-                assert stats.perm_sets(p) == tuple(
-                    want[name] for name in stats.PERM_SETS)
 
 
 KERNEL_MAX_N = {ClassId.ASC: 8, ClassId.T21: 8, ClassId.B: 8, ClassId.C: 8,
