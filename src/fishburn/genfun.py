@@ -15,8 +15,10 @@ shifted multiple of the other factor per term.  The weighted sums that
 evaluate tables reduce each to one integer over one denominator, from power
 tables built once per point, to an exponent scanned once per table.
 
-The closed forms share one shape: the m-th summand is t^(m+1) (r^(m+1) in
-series_G, with r = (x+u-xu) t) times a series built at order - m - 1 only.
+The closed forms (series_G, series_zeromax and the two series_asczero
+variants; fishburn_series is series_zeromax at q = z = 1) share one shape:
+the m-th summand is t^(m+1) (r^(m+1) in series_G, with r = (x+u-xu) t)
+times a series built at order - m - 1 only.
 Each step is one list operation, with no throwaway series: a product by
 1 - t is a difference of shifted numerators (_shrunk); a new factor gives up
 its t in the step that multiplies it in (_over_t, _step_over_t, which refuse
@@ -78,7 +80,7 @@ class TruncSeries:
     gcd(_den, *_num) == 1.  That form is unique for a given coefficient
     vector, so equality and hashing compare it directly.  Every operation
     works on the integers and normalises its result once; `coeffs`, the
-    tuple of Fraction coefficients, is built on its first read and kept.
+    tuple of Fraction coefficients, is built anew on each read.
 
     Instances are immutable.  Arithmetic is exact and closed at the common
     order; mixing two different orders is refused rather than silently
@@ -86,7 +88,7 @@ class TruncSeries:
     term, otherwise a DomainError is raised.
     """
 
-    __slots__ = ("order", "_num", "_den", "_coeffs")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, coeffs=(), order=None):
         vals = [_as_fraction(c) for c in coeffs]
@@ -105,7 +107,6 @@ class TruncSeries:
         _set_num(self, tuple([v.numerator * (den // v.denominator)
                               for v in vals]))
         _set_den(self, den)
-        _set_coeffs(self, tuple(vals))
 
     @classmethod
     def _make(cls, num: list, den: int, order: int) -> "TruncSeries":
@@ -121,7 +122,6 @@ class TruncSeries:
         _set_order(self, order)
         _set_num(self, tuple(num))
         _set_den(self, den)
-        _set_coeffs(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -130,10 +130,7 @@ class TruncSeries:
     @property
     def coeffs(self) -> tuple:
         """The coefficients of t^0..t^order as normalised Fractions."""
-        if self._coeffs is None:
-            _set_coeffs(self, tuple([Fraction(v, self._den)
-                                     for v in self._num]))
-        return self._coeffs
+        return tuple([Fraction(v, self._den) for v in self._num])
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
@@ -235,7 +232,7 @@ class TruncSeries:
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise UsageError(f"coefficient index {k} outside 0..{self.order}")
-        return self.coeffs[k]
+        return Fraction(self._num[k], self._den)
 
     def vanishes_below(self, k: int) -> bool:
         """True when every coefficient of t^0..t^(k-1) is zero (always for
@@ -262,7 +259,7 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
 
 
-_set_order, _set_num, _set_den, _set_coeffs = [
+_set_order, _set_num, _set_den = [
     TruncSeries.__dict__[name].__set__ for name in TruncSeries.__slots__]
 
 
@@ -392,21 +389,12 @@ def _add_up(parts, order: int, base: Fraction = Fraction(1)) -> TruncSeries:
 def fishburn_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     """Series whose t^n coefficient is the common size of all six classes.
 
-    Computes sum over m >= 1 of prod_{i=1..m} (1 - (1-t)^i).  Each factor
-    carries t, so the m-th summand is t^m times the product of the factors
-    over t, which is built at order - m only.
+    Computes sum over m >= 1 of prod_{i=1..m} (1 - (1-t)^i): series_zeromax
+    at q = z = 1, summand by summand.  There its lead qzt is the first factor
+    1 - (1-t) = t, and its factor 1 - (1-zt)(1-qt)(1-t)^i is factor i + 2
+    here, so the m-th summand here is summand m - 1 of series_zeromax.
     """
-    order = _check_order(order)
-    one = TruncSeries.one(order)
-    shrink_pow = _shrunk(one, order)    # (1-t)^(m+1), at order k + 1
-    running = one                       # product over i <= m, over t^(m+1)
-    parts = []
-    for k in range(order - 1, -1, -1):
-        running = _cut(running, k) * _over_t(_cut(one, k + 1) - shrink_pow)
-        parts.append(running)
-        if k:
-            shrink_pow = _shrunk(shrink_pow, k)
-    return _add_up(parts, order)
+    return series_zeromax(order, 1, 1)
 
 
 def series_G(order: int = DEFAULT_ORDER, point: SpecPoint | None = None) -> TruncSeries:

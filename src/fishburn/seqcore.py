@@ -7,10 +7,11 @@ eight classes, each defined once, by the step rule that admits an entry
 after a prefix: INV (the inversion sequences), ASC (the ascent sequences),
 T21, B, C, PERM_ALL (all permutations), PERM_AVOID_A and PERM_AVOID_B; the
 comment above entry_range states each class and its rule.  Membership
-(is_member, is_inversion, the two pattern tests and the guards of
-bijections), lexicographic enumeration, counting and ranking all read those
-rules.  The six restricted classes are counted by the Fishburn numbers
-1, 2, 5, 15, 53, 217, 1014, ...
+(is_member, is_inversion, the two pattern tests, the guards of bijections,
+and Perm itself, through the rule of PERM_ALL), lexicographic enumeration
+(a PERM_ALL prefix too), counting and ranking all read those rules.  The
+six restricted classes are counted by the Fishburn numbers 1, 2, 5, 15, 53,
+217, 1014, ...
 
 Enumeration is in lexicographic order and accepts a fixed prefix so callers
 can partition the stream; an infeasible prefix yields an empty stream.
@@ -95,9 +96,9 @@ class Perm(tuple):
     def __new__(cls, values=()):
         vals = tuple(values)
         n = len(vals)
-        # bools and floats sort like ints: refuse them first, as Seq does
+        # refuse bools as Seq does, and floats and strs, which break the rule
         if (any(not isinstance(v, int) or isinstance(v, bool) for v in vals)
-                or sorted(vals) != list(range(1, n + 1))):
+                or _run_perm(vals) is None):
             raise DomainError(f"not a permutation of 1..{n}: {vals!r}")
         return tuple.__new__(cls, vals)
 
@@ -202,8 +203,8 @@ def perm_transform(p: Perm) -> Perm:
 #
 # rule_runner(class_id) runs a word through the rule, entry by entry, and
 # stops at the first entry it refuses.  is_member, is_inversion, the pattern
-# tests and the guards of bijections read membership off it, and graph runs
-# a prefix through it.
+# tests, the guards of bijections and Perm read membership off it, and graph
+# and the PERM_ALL stream run a prefix through it.
 #
 # A step rule must stay a pure function of (state, m, prev, v), with a
 # hashable state: extensions(step, perm, n, m) memoises the admissible
@@ -342,8 +343,8 @@ def rule_runner(class_id: ClassId):
     return run
 
 
-_run_inv, _run_avoid_a, _run_avoid_b = map(rule_runner, (
-    ClassId.INV, ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B))
+_run_inv, _run_avoid_a, _run_avoid_b, _run_perm = map(rule_runner, (
+    ClassId.INV, ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B, ClassId.PERM_ALL))
 
 
 def is_member(class_id: ClassId, obj) -> bool:
@@ -433,7 +434,7 @@ def _walk(class_id, n, prefix):
 
 def _stream_perm(n, prefix):
     base = tuple(prefix)
-    if len(set(base)) != len(base) or any(not 1 <= v <= n for v in base):
+    if _run_perm(base, n) is None:
         return
     rest = sorted(set(range(1, n + 1)) - set(base))
     for tail in itertools.permutations(rest):

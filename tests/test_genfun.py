@@ -59,6 +59,11 @@ class TestTruncSeries:
             genfun.fishburn_series(-1)
         with pytest.raises(ResourceLimitError):
             genfun.fishburn_series(13)
+        f = genfun.TruncSeries((1, 2, 3))
+        for k in (-1, 3):
+            with pytest.raises(UsageError) as caught:
+                f.coefficient(k)
+            assert str(caught.value) == f"coefficient index {k} outside 0..2"
 
     @given(series(), series(), series())
     def test_ring_axioms(self, a, b, c):
@@ -268,37 +273,39 @@ class TestCaseIdentities:
 
 def reference_mul(a, b):
     out = [Fraction(0)] * (a.order + 1)
+    bc = b.coeffs                       # built on each read: read it once
     for i, x in enumerate(a.coeffs):
         if not x:
             continue
         for j in range(a.order + 1 - i):
-            y = b.coeffs[j]
+            y = bc[j]
             if y:
                 out[i + j] += x * y
     return genfun.TruncSeries(out, a.order)
 
 
 def reference_inverse(a):
-    lead = a.coeffs[0]
+    ac = a.coeffs
+    lead = ac[0]
     out = [Fraction(0)] * (a.order + 1)
     out[0] = Fraction(1) / lead
     for k in range(1, a.order + 1):
         acc = Fraction(0)
         for j in range(1, k + 1):
-            if a.coeffs[j]:
-                acc += a.coeffs[j] * out[k - j]
+            if ac[j]:
+                acc += ac[j] * out[k - j]
         out[k] = -acc / lead
     return genfun.TruncSeries(out, a.order)
 
 
 def reference_quotient(a, b):
     """a / b by long division, coefficient by coefficient."""
-    out = []
+    out, ac, bc = [], a.coeffs, b.coeffs
     for k in range(a.order + 1):
-        acc = a.coeffs[k]
+        acc = ac[k]
         for j in range(1, k + 1):
-            acc -= b.coeffs[j] * out[k - j]
-        out.append(acc / b.coeffs[0])
+            acc -= bc[j] * out[k - j]
+        out.append(acc / bc[0])
     return out
 
 
@@ -313,6 +320,9 @@ def assert_series_of(got, want):
     assert_canonical(got)
     assert got.coeffs == tuple(want)
     assert all(type(c) is Fraction for c in got.coeffs)
+    # coefficient(k) reads the integers, not coeffs
+    read = [got.coefficient(k) for k in range(got.order + 1)]
+    assert read == list(want) and all(type(c) is Fraction for c in read)
     built = genfun.TruncSeries(want, got.order)
     assert got == built and hash(got) == hash(built)
     assert repr(got) == repr(built)

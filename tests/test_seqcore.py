@@ -520,12 +520,21 @@ class TestTextForms:
             Perm((1, 3))
         with pytest.raises(DomainError):
             Perm((1, 1, 2))
+        # Perm reads the rule of PERM_ALL; its former body is the reference
+        for n in range(6):
+            for word in itertools.product(range(n + 2), repeat=n):
+                want = sorted(word) == list(range(1, n + 1))
+                try:
+                    assert Perm(word) == word and want, word
+                except DomainError as exc:
+                    assert not want, word
+                    assert str(exc) == f"not a permutation of 1..{n}: {word!r}"
 
     @pytest.mark.parametrize("values", [(True,), (2.0, 1.0), (2, True),
                                         (1, "2"), ("a", 1)])
     def test_perm_refuses_entries_that_are_not_ints(self, values):
-        # bools and floats sort like the ints they equal, and a str next to
-        # an int does not sort at all: each is refused before the sort
+        # a bool passes the rule as the int it equals, and a float or a str
+        # breaks the rule's range test or bit shifts: each is refused first
         with pytest.raises(DomainError) as caught:
             Perm(values)
         assert str(caught.value) == (
