@@ -81,7 +81,7 @@ def _cmd_stats(args) -> tuple:
 
 # name -> (shape, forward, inverse): the bijections, whose shape is the kind
 # of object they take and whose inverses have names of their own, then the
-# decomposition maps with the shapes of decomp.MAPS
+# decomposition maps, the first three fields of each row of decomp.MAPS
 _MAPS = {
     "theta_lehmer": ("perm", bijections.lehmer_code, None),
     "bv": ("perm", bijections.bv_code, None),
@@ -95,7 +95,7 @@ _MAPS = {
     "phi": ("perm", bijections.phi, None),
     "phi_inv": ("seq", bijections.phi_inv, None),
     "upsilon": ("seq", bijections.upsilon, None),
-    **decomp.MAPS,
+    **{name: row[:3] for name, row in decomp.MAPS.items()},
 }
 _TRACEABLE = frozenset(
     name for name, (_, forward, _) in _MAPS.items()

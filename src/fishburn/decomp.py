@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError, invariant
-from .seqcore import Seq
+from .seqcore import ClassId, Seq
 from .stats import (_asc_pass, _mpos, _t21_pass, _zero_pass, _zpos,
                     maximal_positions, zero_positions)
 
@@ -628,23 +628,56 @@ def theta_R_inv(s: Seq, _trace=None) -> MapResult:
                    (_undo_Z0, _undo_Z1, _undo_Z2), "Z", _trace)
 
 
-# name -> (shape, forward, inverse) of every length-reducing map, in the
-# order of the lemma ledger.  The shape fixes how the pair is called:
+# name -> (shape, forward, inverse, class, domain block, codomain,
+# side-index range, statistic deltas, marker) of every length-reducing map:
+# how the pair is called, and the lemma it proves.  The shape fixes the
+# calls:
 #   drop    forward(s) -> t and inverse(t) -> s, with t one shorter;
 #   reduce  forward(s) -> MapResult(t, i) and inverse(t, i) -> s;
 #   shift   forward(s, "up" | "down"); a shift is its own inverse, run in the
 #           other direction;
 #   walk    forward(s, i) -> t and inverse(t) -> MapResult(s, i).
+# A block is (scheme, *labels) of classify.  A codomain is (length drop,
+# block or None for the whole class, its description); a shift has none.
+# A side-index range (lo, hi) is read off the sequence the index is paired
+# with; each bound is 0, a scalar statistic or a marker.  Each delta is the
+# input's statistic less its image's, and the marker is a marker of stats.
 MAPS = {
-    "phi_P": ("drop", phi_P, phi_P_inv),
-    "xi_S4": ("reduce", xi_S4, xi_S4_inv),
-    "s2_reduce": ("reduce", s2_reduce, s2_insert),
-    "s3_reduce": ("reduce", s3_reduce, s3_insert),
-    "ealm_shift": ("shift", ealm_shift, ealm_shift),
-    "psi_F": ("drop", psi_F, psi_F_inv),
-    "mpair_shift": ("shift", mpair_shift, mpair_shift),
-    "vartheta": ("walk", vartheta, vartheta_inv),
-    "phi_G": ("drop", phi_G, phi_G_inv),
-    "zpair_shift": ("shift", zpair_shift, zpair_shift),
-    "theta_R": ("walk", theta_R, theta_R_inv),
+    "phi_P": ("drop", phi_P, phi_P_inv, ClassId.ASC, ("ASC_P", "P"),
+              (1, None, "an ascent sequence of length n-1"), None,
+              {"asc": 1, "max": 1, "rep": 0, "zero": 0}, "ealm"),
+    "xi_S4": ("reduce", xi_S4, xi_S4_inv, ClassId.ASC, ("ASC_S", "S4"),
+              (0, ("ASC_P", "Pc"),
+               "in the complement of the single-submaximal subset"),
+              (0, "ealm"), {"asc": 0, "rep": 0, "max": -1}, "ealm"),
+    "s2_reduce": ("reduce", s2_reduce, s2_insert, ClassId.ASC,
+                  ("ASC_S", "S2"),
+                  (1, ("ASC_S", "S1", "S2", "S3", "S4"),
+                   "a shorter non-identity-run ascent sequence"),
+                  ("ealm", "max"), {"asc": 0, "max": 0, "rep": 1}, "ealm"),
+    "s3_reduce": ("reduce", s3_reduce, s3_insert, ClassId.ASC,
+                  ("ASC_S", "S3"),
+                  (1, None, "an ascent sequence of length n-1"),
+                  (0, "ealm"), {"asc": 1, "max": 0, "rep": 1}, "ealm"),
+    "ealm_shift": ("shift", ealm_shift, ealm_shift, ClassId.ASC,
+                   ("ASC_S", "S1", "S2", "S3"), None,
+                   (0, "max"), {"rep": 0, "max": 0}, "ealm"),
+    "psi_F": ("drop", psi_F, psi_F_inv, ClassId.T21, ("T_F", "F"),
+              (1, None, "a (2-1)-avoiding sequence of length n-1"), None,
+              {"max": 1, "rep": 0}, "mpair"),
+    "mpair_shift": ("shift", mpair_shift, mpair_shift, ClassId.T21,
+                    ("T_J", "J1"), None,
+                    (0, "max"), {"rep": 0, "max": 0}, "mpair"),
+    "vartheta": ("walk", vartheta, vartheta_inv, ClassId.T21, ("T_F", "Fc"),
+                 (0, ("T_J", "J2"), "the displaced subset"),
+                 (0, "mpair"), {"rep": 0, "max": 1}, "mpair"),
+    "phi_G": ("drop", phi_G, phi_G_inv, ClassId.ASC, ("ASC_G", "G"),
+              (1, None, "an ascent sequence of length n-1"), None,
+              {"zero": 1, "asc": 0}, "zpair"),
+    "zpair_shift": ("shift", zpair_shift, zpair_shift, ClassId.ASC,
+                    ("ASC_R", "R1"), None,
+                    (0, "zero"), {"asc": 0, "zero": 0}, "zpair"),
+    "theta_R": ("walk", theta_R, theta_R_inv, ClassId.ASC, ("ASC_G", "Gc"),
+                (0, ("ASC_R", "R2"), "the displaced subset"),
+                (0, "zpair"), {"asc": 0, "zero": 1}, "zpair"),
 }

@@ -90,29 +90,22 @@ class TruncSeries:
 
     __slots__ = ("order", "_num", "_den")
 
-    def __init__(self, coeffs=(), order=None):
+    def __new__(cls, coeffs=(), order=None):
         vals = [_as_fraction(c) for c in coeffs]
         if order is None:
             order = len(vals) - 1
         _check_order(order)
         del vals[order + 1:]
         vals.extend([Fraction(0)] * (order + 1 - len(vals)))
-        # over the lcm of reduced denominators the numerators are coprime
-        # to it already, so this is the canonical form
         den = lcm(*[v.denominator for v in vals])
-        # tuple() of lists, not of generators: a tuple built from a generator
-        # is resized, and from order 10 on the resized tuples pile up in the
-        # interpreter's tuple free list (about 0.3 MB of peak RSS)
-        _set_order(self, order)
-        _set_num(self, tuple([v.numerator * (den // v.denominator)
-                              for v in vals]))
-        _set_den(self, den)
+        return cls._make([v.numerator * (den // v.denominator) for v in vals],
+                         den, order)
 
     @classmethod
     def _make(cls, num: list, den: int, order: int) -> "TruncSeries":
         """The series num / den (den > 0, exactly order + 1 numerators of a
         checked order, or of a lower one inside the closed forms), brought
-        to canonical form."""
+        to canonical form: the one writer of the slots."""
         g = gcd(den, *num)
         if g != 1:
             num = [v // g for v in num]
@@ -120,6 +113,9 @@ class TruncSeries:
         # slot descriptors write past the guard, cheaper than __setattr__
         self = object.__new__(cls)
         _set_order(self, order)
+        # tuple() of a list, not of a generator: a tuple built from a
+        # generator is resized, and from order 10 on the resized tuples pile
+        # up in the interpreter's tuple free list (about 0.3 MB of peak RSS)
         _set_num(self, tuple(num))
         _set_den(self, den)
         return self

@@ -467,49 +467,9 @@ def _chk_class_counts(max_n, perm_max_n):
 #           the codomain with marker i and the statistics moved by the
 #           deltas; the inverse recovers (s, i) and the images cover the
 #           codomain.
-# A block is (scheme, *labels) of decomp.classify.  A level is the members
-# of one class at one length, with their labels under each scheme, which
-# classify gives once per member when a block first asks.  A codomain is
-# (length drop, block or None for the whole class, its description).  A
-# side-index range (lo, hi) is read off the sequence the index is paired
-# with; each bound is 0, a scalar statistic or a marker.
-
-# lemma -> (class, domain block, codomain, side-index range,
-#           statistic deltas, marker)
-_LEDGER = {
-    "phi_P": (ClassId.ASC, ("ASC_P", "P"),
-              (1, None, "an ascent sequence of length n-1"), None,
-              {"asc": 1, "max": 1, "rep": 0, "zero": 0}, "ealm"),
-    "xi_S4": (ClassId.ASC, ("ASC_S", "S4"),
-              (0, ("ASC_P", "Pc"),
-               "in the complement of the single-submaximal subset"),
-              (0, "ealm"), {"asc": 0, "rep": 0, "max": -1}, "ealm"),
-    "s2_reduce": (ClassId.ASC, ("ASC_S", "S2"),
-                  (1, ("ASC_S", "S1", "S2", "S3", "S4"),
-                   "a shorter non-identity-run ascent sequence"),
-                  ("ealm", "max"), {"asc": 0, "max": 0, "rep": 1}, "ealm"),
-    "s3_reduce": (ClassId.ASC, ("ASC_S", "S3"),
-                  (1, None, "an ascent sequence of length n-1"),
-                  (0, "ealm"), {"asc": 1, "max": 0, "rep": 1}, "ealm"),
-    "ealm_shift": (ClassId.ASC, ("ASC_S", "S1", "S2", "S3"), None,
-                   (0, "max"), {"rep": 0, "max": 0}, "ealm"),
-    "psi_F": (ClassId.T21, ("T_F", "F"),
-              (1, None, "a (2-1)-avoiding sequence of length n-1"), None,
-              {"max": 1, "rep": 0}, "mpair"),
-    "mpair_shift": (ClassId.T21, ("T_J", "J1"), None,
-                    (0, "max"), {"rep": 0, "max": 0}, "mpair"),
-    "vartheta": (ClassId.T21, ("T_F", "Fc"),
-                 (0, ("T_J", "J2"), "the displaced subset"),
-                 (0, "mpair"), {"rep": 0, "max": 1}, "mpair"),
-    "phi_G": (ClassId.ASC, ("ASC_G", "G"),
-              (1, None, "an ascent sequence of length n-1"), None,
-              {"zero": 1, "asc": 0}, "zpair"),
-    "zpair_shift": (ClassId.ASC, ("ASC_R", "R1"), None,
-                    (0, "zero"), {"asc": 0, "zero": 0}, "zpair"),
-    "theta_R": (ClassId.ASC, ("ASC_G", "Gc"),
-                (0, ("ASC_R", "R2"), "the displaced subset"),
-                (0, "zpair"), {"asc": 0, "zero": 1}, "zpair"),
-}
+# A level is the members of one class at one length, with their labels
+# under each scheme, which decomp.classify gives once per member when a
+# block first asks.
 
 # schemes that cannot classify the run of maximals (or of zeros) itself,
 # and the statistic that equals the length exactly on that run
@@ -543,7 +503,7 @@ def _block(class_id, level, block):
 
 @dataclass(frozen=True)
 class _Row:
-    """A _LEDGER row at one length n: the maps and marker bound now on
+    """A decomp.MAPS row at one length n: the maps and marker bound now on
     decomp and stats (so patched and traced bindings run), the domain block
     and codomain in enumeration order, and readers of the side-index range
     and of the statistics of deltas, in order (then zero, for a reduce)."""
@@ -562,8 +522,8 @@ class _Row:
 def _resolve(name, n, levels) -> _Row:
     """The row of name at length n; levels maps each class to its levels at
     n and n - 1."""
-    shape, forward, inverse = decomp.MAPS[name]
-    class_id, block, codomain, side, deltas, marker = _LEDGER[name]
+    (shape, forward, inverse, class_id, block, codomain, side, deltas,
+     marker) = decomp.MAPS[name]
     domain = _block(class_id, levels[class_id][0], block)
     drop, target_block, description = codomain or (0, None, None)
     target = levels[class_id][drop]
@@ -692,7 +652,7 @@ def _chk_lemma_suite(max_n):
     below = {cls: _level(cls, 1) for cls in classes}
     for n in range(2, max_n + 1):
         levels = {cls: (_level(cls, n), below[cls]) for cls in classes}
-        for name, (shape, _, _) in decomp.MAPS.items():
+        for name, (shape, *_) in decomp.MAPS.items():
             found = _VERIFIERS[shape](_resolve(name, n, levels))
             if found:
                 return found

@@ -293,7 +293,7 @@ def map_calls():
     side index -1..3."""
     inputs = [s for n in range(1, 7) for s in enumerate_class(ClassId.INV, n)]
     inputs += [Seq(values) for values in MALFORMED]
-    for shape, forward, inverse in decomp.MAPS.values():
+    for shape, forward, inverse, *_ in decomp.MAPS.values():
         for s in inputs:
             if shape == "shift":
                 for direction in ("up", "down"):
@@ -365,7 +365,7 @@ class TestOnePass:
     @pytest.mark.parametrize("name", list(GUARDED))
     def test_one_pass_per_call(self, name, passes):
         cid, scheme, labels = GUARDED[name]
-        shape, forward, inverse = decomp.MAPS[name]
+        shape, forward, inverse, *_ = decomp.MAPS[name]
 
         def once(f, *args):
             passes.clear()
