@@ -251,6 +251,10 @@ class TruncSeries:
     def __hash__(self):
         return hash((self.order, self._num, self._den))
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _make: the slots refuse setattr
+        return TruncSeries._make, (list(self._num), self._den, self.order)
+
     def __repr__(self):
         return f"TruncSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
 

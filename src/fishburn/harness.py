@@ -19,11 +19,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import bijections, counting, decomp, stats
-from .errors import ResourceLimitError, UsageError
+from .errors import DomainError, ResourceLimitError, UsageError
 from .genfun import (DistTable, SpecPoint, admissible_for_case_identity,
                      admissible_for_length_series, check_case_identity,
                      eval_gf, fishburn_series, random_point, series_G,
@@ -313,7 +313,10 @@ def _pointwise(source, map_name, target, want, got, detail, max_n):
         rank, size = counting.ranker(target, n)
         seen = bytearray(size)
         for x in enumerate_class(source, n):
-            out = getattr(bijections, map_name)(x)
+            try:
+                out = getattr(bijections, map_name)(x)
+            except DomainError as refusal:  # the map refused a member
+                return {"n": n, "input": x, "detail": str(refusal)}
             at = rank(out)
             if at is None:
                 return {"n": n, "input": x, "output": out, "detail": detail}
@@ -451,22 +454,19 @@ def _chk_class_counts(max_n, perm_max_n):
 
 # --- lemma_suite -----------------------------------------------------------
 #
-# Each decomposition map has one of four shapes (decomp.MAPS), and one
-# verifier per shape checks its lemma over every sequence of length n:
-#   drop    forward is a bijection from the domain block onto the codomain:
-#           it moves the statistics by the deltas, keeps the marker and
-#           round trips, and the images cover the codomain.
-#   reduce  forward is a bijection from the domain block onto the pairs
-#           (t, i) with t in the codomain and i in the side-index range of t;
-#           i is the marker of the input, the statistics move by the deltas,
-#           and zero also drops by one exactly when i is 0.
+# Each decomposition map has one of four shapes (decomp.MAPS); two
+# verifiers check the lemmas over every sequence of length n:
+#   drop, reduce, walk   forward is one bijection from the pairs (s, i) of
+#           the domain block onto the pairs (t, j) of the codomain.  Only a
+#           walk sets i, over the side-index range of s, and only a reduce
+#           sets j, over that of t; an unset index is None.  A pair's marker
+#           is its index when set, else its sequence's; the two markers
+#           match, the statistics move by the deltas (zero by one more when
+#           j is 0), the inverse gives back (s, i) and the images cover the
+#           codomain.  A reduce's j is also the marker of s.
 #   shift   up and down move the marker by one inside the domain block,
 #           keep the statistics (every delta is 0) and undo each other; the
 #           block's count at fixed statistics must not depend on the marker.
-#   walk    for each side index i in the range of s, forward sends s into
-#           the codomain with marker i and the statistics moved by the
-#           deltas; the inverse recovers (s, i) and the images cover the
-#           codomain.
 # A level is the members of one class at one length, with their labels
 # under each scheme, which decomp.classify gives once per member when a
 # block first asks.
@@ -503,10 +503,12 @@ def _block(class_id, level, block):
 
 @dataclass(frozen=True)
 class _Row:
-    """A decomp.MAPS row at one length n: the maps and marker bound now on
-    decomp and stats (so patched and traced bindings run), the domain block
-    and codomain in enumeration order, and readers of the side-index range
-    and of the statistics of deltas, in order (then zero, for a reduce)."""
+    """A decomp.MAPS row at one length n: its shape, the maps (as maps of
+    pairs but for a shift, see _pairs) and marker bound now on decomp and
+    stats (so patched and traced bindings run), the domain block and
+    codomain in enumeration order, and readers of the side-index range and
+    of the statistics of deltas, in order (then zero, for a reduce)."""
+    shape: str
     fail: Callable  # **detail -> the counterexample
     forward: Callable
     inverse: Callable
@@ -519,11 +521,31 @@ class _Row:
     deltas: dict
 
 
+_unpacked = attrgetter("output", "side_index")  # a MapResult as (t, j)
+
+
+def _pairs(shape, forward, inverse) -> tuple:
+    """The forward and inverse of a drop, reduce or walk as maps of
+    (sequence, side index) pairs, an unset index None: a walk's forward
+    reads an index, and a reduce's forward writes one."""
+    if shape == "walk":
+        return (lambda s, i: (forward(s, i), None),
+                lambda t, _: _unpacked(inverse(t)))
+    if shape == "reduce":
+        return (lambda s, _: _unpacked(forward(s)),
+                lambda t, j: (inverse(t, j), None))
+    return lambda s, _: (forward(s), None), lambda t, _: (inverse(t), None)
+
+
 def _resolve(name, n, levels) -> _Row:
     """The row of name at length n; levels maps each class to its levels at
     n and n - 1."""
     (shape, forward, inverse, class_id, block, codomain, side, deltas,
      marker) = decomp.MAPS[name]
+    forward = getattr(decomp, forward.__name__)
+    inverse = getattr(decomp, inverse.__name__)
+    if shape != "shift":
+        forward, inverse = _pairs(shape, forward, inverse)
     domain = _block(class_id, levels[class_id][0], block)
     drop, target_block, description = codomain or (0, None, None)
     target = levels[class_id][drop]
@@ -532,60 +554,53 @@ def _resolve(name, n, levels) -> _Row:
     lo, hi = side or (0, 0)
     lo, hi = _reader(class_id, lo), _reader(class_id, hi)
     names = (*deltas, "zero") if shape == "reduce" else tuple(deltas)
-    return _Row(partial(dict, map=name, n=n),
-                getattr(decomp, forward.__name__),
-                getattr(decomp, inverse.__name__), getattr(stats, marker),
-                domain, targets, description, lambda s: range(lo(s), hi(s)),
-                _value_fn(class_id, names), deltas)
+    return _Row(shape, partial(dict, map=name, n=n), forward, inverse,
+                getattr(stats, marker), domain, targets, description,
+                lambda s: range(lo(s), hi(s)), _value_fn(class_id, names),
+                deltas)
 
 
 def _moved(a, b, deltas) -> bool:
     """Each value of a equals that of b plus its delta, in order."""
-    return all(x == y + d for x, y, d in zip(a, b, deltas.values()))
+    return all(x == y + d for x, y, d in zip(a, b, deltas))
 
 
-def _verify_drop(row):
+def _verify_bijection(row):
+    walk, reduce = row.shape == "walk", row.shape == "reduce"
+    unset = (None,)
+    # the deltas when j is not 0, and when it is: zero moves one more (a
+    # drop's or walk's values read no zero, and zip stops before it)
+    moves = (*row.deltas.values(), 0), (*row.deltas.values(), 1)
+
+    def failed(s, i, detail, **output):
+        index = {} if i is None else {"side_index": i}
+        return row.fail(input=s, **index, **output, detail=detail)
+
+    forward, inverse, mark, side, values = (
+        row.forward, row.inverse, row.mark, row.side, row.values)
     target_set, images = set(row.targets), set()
     for s in row.domain:
-        out = row.forward(s)
-        if out not in target_set:
-            return row.fail(input=s, output=out,
-                            detail=f"output not {row.codomain}")
-        if (row.mark(s) != row.mark(out)
-                or not _moved(row.values(s), row.values(out), row.deltas)):
-            return row.fail(input=s, output=out,
-                            detail="statistic contract violated")
-        if row.inverse(out) != s:
-            return row.fail(input=s, detail="round trip failed")
-        images.add(out)
-    if images != target_set:
+        for i in side(s) if walk else unset:
+            t, j = pair = forward(s, i)
+            if t not in target_set:
+                where = "outside" if walk else "not"
+                return failed(s, i, f"output {where} {row.codomain}",
+                              output=t)
+            m = mark(s) if i is None else i  # the marker of (s, i)
+            if j is not None and (j != m or j not in side(t)):
+                return failed(s, j, "side index out of range")
+            if (m != (mark(t) if j is None else j)
+                    or not _moved(values(s), values(t), moves[j == 0])):
+                return failed(s, i, "statistic contract violated", output=t)
+            if inverse(t, j) != (s, i):
+                return failed(s, i, "round trip failed")
+            images.add(pair)
+    want = {(t, j) for t in row.targets
+            for j in (side(t) if reduce else unset)}
+    if images != want:
+        pairs = " pairs" if reduce else ""
         return row.fail(detail=f"image covers {len(images)} of "
-                               f"{len(target_set)}")
-    return None
-
-
-def _verify_reduce(row):
-    target_set, pairs = set(row.targets), set()
-    for s in row.domain:
-        res = row.forward(s)
-        out, i = res.output, res.side_index
-        if out not in target_set:
-            return row.fail(input=s, output=out,
-                            detail=f"output not {row.codomain}")
-        if i != row.mark(s) or i not in row.side(out):
-            return row.fail(input=s, side_index=i,
-                            detail="side index out of range")
-        if not _moved(row.values(s), row.values(out),
-                      {**row.deltas, "zero": int(i == 0)}):
-            return row.fail(input=s, output=out,
-                            detail="statistic contract violated")
-        if row.inverse(out, i) != s:
-            return row.fail(input=s, detail="round trip failed")
-        pairs.add((out, i))
-    want = {(t, i) for t in row.targets for i in row.side(t)}
-    if pairs != want:
-        return row.fail(detail=f"image covers {len(pairs)} of "
-                               f"{len(want)} pairs")
+                               f"{len(want)}{pairs}")
     return None
 
 
@@ -605,7 +620,8 @@ def _verify_shift(row):
                 continue
             moved = shift(s, there)
             if (moved not in member_set or row.mark(moved) != i + step
-                    or not _moved(row.values(moved), kept, row.deltas)):
+                    or not _moved(row.values(moved), kept,
+                                   row.deltas.values())):
                 return row.fail(input=s, output=moved,
                                 detail=f"{there} contract violated")
             if shift(moved, back) != s:
@@ -620,40 +636,17 @@ def _verify_shift(row):
     return None
 
 
-def _verify_walk(row):
-    target_set, outputs = set(row.targets), set()
-    for s in row.domain:
-        for i in row.side(s):
-            out = row.forward(s, i)
-            if out not in target_set:
-                return row.fail(input=s, side_index=i, output=out,
-                                detail=f"output outside {row.codomain}")
-            if (row.mark(out) != i
-                    or not _moved(row.values(s), row.values(out), row.deltas)):
-                return row.fail(input=s, side_index=i, output=out,
-                                detail="statistic contract violated")
-            res = row.inverse(out)
-            if res.output != s or res.side_index != i:
-                return row.fail(input=s, side_index=i,
-                                detail="round trip failed")
-            outputs.add(out)
-    if outputs != target_set:
-        return row.fail(detail=f"image covers {len(outputs)} of "
-                               f"{len(target_set)}")
-    return None
-
-
-_VERIFIERS = {"drop": _verify_drop, "reduce": _verify_reduce,
-              "shift": _verify_shift, "walk": _verify_walk}
-
-
 def _chk_lemma_suite(max_n):
     classes = (ClassId.ASC, ClassId.T21)
     below = {cls: _level(cls, 1) for cls in classes}
     for n in range(2, max_n + 1):
         levels = {cls: (_level(cls, n), below[cls]) for cls in classes}
         for name, (shape, *_) in decomp.MAPS.items():
-            found = _VERIFIERS[shape](_resolve(name, n, levels))
+            verify = _verify_shift if shape == "shift" else _verify_bijection
+            try:
+                found = verify(_resolve(name, n, levels))
+            except DomainError as refusal:  # decomp refused a member
+                found = {"map": name, "n": n, "detail": str(refusal)}
             if found:
                 return found
         below = {cls: pair[0] for cls, pair in levels.items()}

@@ -1,8 +1,10 @@
 """Truncated series arithmetic and the generating-function formulas."""
 
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -64,6 +66,15 @@ class TestTruncSeries:
             with pytest.raises(UsageError) as caught:
                 f.coefficient(k)
             assert str(caught.value) == f"coefficient index {k} outside 0..2"
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_and_pickles(self, round_trip):
+        f = genfun.TruncSeries([1, "1/2", 3])
+        g = round_trip(f)
+        assert g == f and hash(g) == hash(f)
+        assert (g.order, g.coeffs) == (2, (1, Fraction(1, 2), 3))
 
     @given(series(), series(), series())
     def test_ring_axioms(self, a, b, c):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fishburn.errors import ResourceLimitError, UsageError
+from fishburn.errors import DomainError, ResourceLimitError, UsageError
 from fishburn.seqcore import ClassId, Seq
 from fishburn import (bijections, counting, decomp, genfun, harness, seqcore,
                       stats)
@@ -385,6 +385,10 @@ def _raised_side_index(_, out):
     return dataclasses.replace(out, side_index=out.side_index + 1)
 
 
+def _refused(x, _):
+    raise DomainError(f"refused {tuple(x)!r}")
+
+
 def _bumped(index):
     return lambda _, out: out[:index] + (out[index] + 1,) + out[index + 1:]
 
@@ -452,6 +456,49 @@ FAULTS = {
                    _raised_side_index,
                    {"map": "xi_S4", "n": 4, "input": [0, 0, 1, 0],
                     "side_index": 1, "detail": "side index out of range"}),
+    # (0, 1, 1) of block Pc is never enumerated, so the image of (0, 0, 1)
+    # falls outside the codomain of xi_S4
+    "reduce_codomain": ("lemma_suite", 5, harness, "enumerate_class",
+                        _on_table(ClassId.ASC, 3),
+                        lambda _, out: tuple(s for s in out
+                                             if s != (0, 1, 1)),
+                        {"map": "xi_S4", "n": 3, "input": [0, 0, 1],
+                         "output": [0, 1, 1],
+                         "detail": "output not in the complement of the "
+                                   "single-submaximal subset"}),
+    "reduce_contract": ("lemma_suite", 5, stats, "seq_profile",
+                        _on((0, 0, 0)),
+                        _bumped(stats.SEQ_PROFILE.index("asc")),
+                        {"map": "s2_reduce", "n": 3, "input": [0, 0, 0],
+                         "output": [0, 0],
+                         "detail": "statistic contract violated"}),
+    # (0, 0, 0, 0) of block S2 is never enumerated, so no member reduces
+    # onto ((0, 0, 0), 0)
+    "reduce_coverage": ("lemma_suite", 5, harness, "enumerate_class",
+                        _on_table(ClassId.ASC, 4),
+                        lambda _, out: tuple(s for s in out
+                                             if s != (0, 0, 0, 0)),
+                        {"map": "s2_reduce", "n": 4,
+                         "detail": "image covers 4 of 5 pairs"}),
+    "walk_contract": ("lemma_suite", 5, stats, "zpair", _on((0, 1, 1)),
+                      _plus_one,
+                      {"map": "theta_R", "n": 3, "input": [0, 0, 1],
+                       "side_index": 0, "output": [0, 1, 1],
+                       "detail": "statistic contract violated"}),
+    "walk_round_trip": ("lemma_suite", 5, decomp, "theta_R_inv",
+                        _on((0, 1, 1)), _raised_side_index,
+                        {"map": "theta_R", "n": 3, "input": [0, 0, 1],
+                         "side_index": 0, "detail": "round trip failed"}),
+    # a map's refusal is a failure of its lemma: zpair read one low on
+    # (0, 0, 1), whose paired zero is next to the top, asks for a shift up
+    "refusal": ("lemma_suite", 5, stats, "zpair", _on((0, 0, 1)),
+                lambda _, out: out - 1,
+                {"map": "zpair_shift", "n": 3,
+                 "detail": "paired zero already next to top: (0, 0, 1)"}),
+    "pointwise_refusal": ("lehmer_quadruple", 4, bijections, "lehmer_code",
+                          _on((2, 1, 3)), _refused,
+                          {"n": 3, "input": [2, 1, 3],
+                           "detail": "refused (2, 1, 3)"}),
     # a block member enumerated twice: each of its shifts holds, but its
     # stratum is counted twice at one marker.  (0, 1, 2, 2) lies in S1 and
     # in Pc, so no earlier lemma sees the repeat.  No fault on one map or
