@@ -445,6 +445,17 @@ class TestInvariantGuards:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_decomp_refuses_through_require(self):
+        # every refusal of a decomposition map names the refused sequence
+        # through errors.require, so decomp raises no DomainError itself
+        path = Path(decomp.__file__)
+        found = [node.lineno
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Raise) and node.exc is not None
+                 and "DomainError" in {n.id for n in ast.walk(node.exc)
+                                       if isinstance(n, ast.Name)}]
+        assert found == []
+
     def test_invariant_raises_assertion_error(self):
         invariant(True, "never raised")
         with pytest.raises(AssertionError,

@@ -495,6 +495,13 @@ FAULTS = {
                 lambda _, out: out - 1,
                 {"map": "zpair_shift", "n": 3,
                  "detail": "paired zero already next to top: (0, 0, 1)"}),
+    # mpair read one high on (0, 0, 1), whose paired ordinal is 0, offers
+    # vartheta a target ordinal below it; the walk refuses the member by name
+    "walk_refusal": ("lemma_suite", 3, stats, "mpair", _on((0, 0, 1)),
+                     _plus_one,
+                     {"map": "vartheta", "n": 3,
+                      "detail": "index 0 outside [0, mpair-1] for "
+                                "(0, 0, 1)"}),
     "pointwise_refusal": ("lehmer_quadruple", 4, bijections, "lehmer_code",
                           _on((2, 1, 3)), _refused,
                           {"n": 3, "input": [2, 1, 3],
