@@ -33,7 +33,7 @@ parts below and above v are left when bits v - 1 and v + 1 of free are set.
 
 from __future__ import annotations
 
-from .errors import DomainError, invariant
+from .errors import DomainError, invariant, require
 from .seqcore import ClassId, Perm, Seq, is_inversion, perm_transform, rule_runner
 
 # each domain's step rule, read over a word: None when the word leaves it
@@ -76,8 +76,7 @@ def bv_code(p: Perm) -> Seq:
 def bv_decode(s: Seq) -> Perm:
     """Unique permutation whose code is s.  Paths in the steps' split tree
     (0 below, 1 the placed value, 2 above) sort in value order."""
-    if not is_inversion(s):
-        raise DomainError(f"not an inversion sequence: {tuple(s)!r}")
+    require(is_inversion(s), "not an inversion sequence:", s)
     runs, labels, paths = [()], [0], []
     for i, hit in enumerate(s):
         # labels.index is total: bv_code maps S_n onto the inversion sequences
@@ -121,16 +120,15 @@ def _pass(s, shift, step, _trace):
 def _guarded_pass(domain, refusal, shift, step):
     """The pass as a public map, refusing non-members of its domain."""
     def guarded(s: Seq, _trace=None) -> Seq:
-        if not s or domain(s) is None:
-            raise DomainError(f"{refusal}: {tuple(s)!r}")
+        require(s and domain(s) is not None, refusal, s)
         return _pass(s, shift, step, _trace)
     return guarded
 
 
-beta = _guarded_pass(_in_b, "not in the subtraction domain", 1, -1)
-beta_inv = _guarded_pass(_in_asc, "not an ascent sequence", 1, 1)
-gamma = _guarded_pass(_in_c, "not in the subtraction domain", 0, -1)
-gamma_inv = _guarded_pass(_in_asc, "not an ascent sequence", 0, 1)
+beta = _guarded_pass(_in_b, "not in the subtraction domain:", 1, -1)
+beta_inv = _guarded_pass(_in_asc, "not an ascent sequence:", 1, 1)
+gamma = _guarded_pass(_in_c, "not in the subtraction domain:", 0, -1)
+gamma_inv = _guarded_pass(_in_asc, "not an ascent sequence:", 0, 1)
 
 
 # --- composed bijections: the code, then beta (psi) or gamma (phi) ---------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, UsageError, invariant
+from .errors import UsageError, invariant, require
 from .seqcore import ClassId, Seq
 from .stats import (_asc_pass, _mpos, _t21_pass, _zero_pass, _zpos,
                     maximal_positions, zero_positions)
@@ -34,14 +34,6 @@ class MapResult:
 
     output: Seq
     side_index: int | None = None
-
-
-def _require(cond: bool, refusal: str, s, *values) -> None:
-    """Refuse s unless cond, with refusal, its {} fields filled by values,
-    followed by s.  The text is formatted only on refusal, as the anchor
-    passes of stats do."""
-    if not cond:
-        raise DomainError(f"{refusal.format(*values)} {tuple(s)!r}")
 
 
 def _flush_after(s, anchors: tuple, j: int) -> bool:
@@ -92,11 +84,11 @@ def _label(s, scheme: str, found: tuple) -> str:
     if scheme == "T_F":
         return "F" if _flush_after(s, *found) else "Fc"
     if scheme == "T_J":
-        _require(n > len(found[0]), "identity run has no tail to classify:", s)
+        require(n > len(found[0]), "identity run has no tail to classify:", s)
         return "J1" if _mpos(s, *found) == 0 else "J2"
     p, zeros, j = found
     if scheme == "ASC_S":
-        _require(n > p, "identity run has no tail to classify:", s)
+        require(n > p, "identity run has no tail to classify:", s)
         if n == p + 1:
             return "S1"
         if s[p] >= s[p + 1]:
@@ -106,7 +98,7 @@ def _label(s, scheme: str, found: tuple) -> str:
         return "P" if s.count(p - 1) == 1 else "Pc"
     if scheme == "ASC_G":
         return "G" if _flush_after(s, zeros, j) else "Gc"
-    _require(n > len(zeros), "all-zero run has no nonzero entry:", s)
+    require(n > len(zeros), "all-zero run has no nonzero entry:", s)
     return "R1" if _zpos(s, zeros, j) == 0 else "R2"
 
 
@@ -114,7 +106,7 @@ def _in_block(s, scheme: str, label: str, refusal: str) -> tuple:
     """The pass of s under scheme (see _pass); refuses s, with refusal,
     unless its block is label."""
     found = _pass(s, scheme, refusal)
-    _require(_label(s, scheme, found) == label, refusal, s)
+    require(_label(s, scheme, found) == label, refusal, s)
     return found
 
 
@@ -128,7 +120,7 @@ def _marked(s, scheme: str) -> tuple:
     else:
         _, anchors, j = _pass(s, scheme)
         pos, refusal = _zpos, "all-zero run excluded:"
-    _require(len(s) > len(anchors), refusal, s)
+    require(len(s) > len(anchors), refusal, s)
     return anchors, j, pos(s, anchors, j)
 
 
@@ -170,8 +162,8 @@ def xi_S4(s: Seq) -> MapResult:
 
 def xi_S4_inv(t: Seq, i: int) -> Seq:
     m = _in_block(t, "ASC_P", "Pc", "top value must repeat:")[0]
-    _require(0 <= i < t[m],  # the top value repeats, so t has an entry at m
-             "index {} outside [0, ealm-1] for", t, i)
+    require(0 <= i < t[m],  # the top value repeats, so t has an entry at m
+            "index {} outside [0, ealm-1] for", t, i)
     out = list(t)
     out[m - 1] = i
     return Seq(out)
@@ -191,8 +183,8 @@ def s2_reduce(s: Seq) -> MapResult:
 
 def s2_insert(t: Seq, i: int) -> Seq:
     p = _pass(t, "ASC_S")[0]
-    _require(len(t) > p, "identity run cannot absorb an entry:", t)
-    _require(t[p] <= i <= p - 1, "index {} outside [ealm, max-1] for", t, i)
+    require(len(t) > p, "identity run cannot absorb an entry:", t)
+    require(t[p] <= i <= p - 1, "index {} outside [ealm, max-1] for", t, i)
     out = list(t)
     out.insert(p, i)
     return Seq(out)
@@ -214,11 +206,19 @@ def s3_reduce(s: Seq) -> MapResult:
 def s3_insert(t: Seq, i: int) -> Seq:
     p = _pass(t, "ASC_P")[0]
     # ealm, the entry after the maximals, is 0 on the identity run
-    _require(0 <= i < (t[p] if p < len(t) else 0),
-             "index {} outside [0, ealm-1] for", t, i)
+    require(0 <= i < (t[p] if p < len(t) else 0),
+            "index {} outside [0, ealm-1] for", t, i)
     out = list(t[:p]) + [i] + [t[p]] + [v + (1 if v >= p else 0)
                                         for v in t[p + 1:]]
     return Seq(out)
+
+
+def _up(direction: str) -> bool:
+    """Whether a shift steps up; refuses any direction but up or down."""
+    if direction not in ("up", "down"):
+        raise UsageError(
+            f"direction must be 'up' or 'down', got {direction!r}")
+    return direction == "up"
 
 
 def ealm_shift(s: Seq, direction: str) -> Seq:
@@ -229,22 +229,20 @@ def ealm_shift(s: Seq, direction: str) -> Seq:
     moved entry collides with its right neighbour.
     """
     found = _pass(s, "ASC_S")
-    _require(_label(s, "ASC_S", found) != "S4", "block S4 is out of range:", s)
+    require(_label(s, "ASC_S", found) != "S4", "block S4 is out of range:", s)
     p = found[0]
     i = s[p]
     out = list(s)
-    if direction == "up":
-        _require(i < p - 1, "entry already at top of range:", s)
+    if _up(direction):
+        require(i < p - 1, "entry already at top of range:", s)
         out[p] = i + 1
         if len(s) > p + 1 and s[p + 1] == i + 1:
             out = [v - 1 if v > p else v for v in out]
-    elif direction == "down":
-        _require(i >= 1, "entry already zero:", s)
+    else:
+        require(i >= 1, "entry already zero:", s)
         out[p] = i - 1
         if len(s) > p + 1 and s[p + 1] == i:
             out = [v + 1 if v >= p else v for v in out]
-    else:
-        raise UsageError(f"direction must be 'up' or 'down', got {direction!r}")
     return Seq(out)
 
 
@@ -289,21 +287,19 @@ def mpair_shift(s: Seq, direction: str, _trace=None) -> Seq:
     when maximals i-1 and i are adjacent and the apart step otherwise.
     """
     kp, i, pos = _marked(s, "T_J")
-    _require(pos == 0, "critical maximal present:", s)
-    if direction == "up":
-        _require(i < len(kp) - 1, "paired maximal already next to top:", s)
+    require(pos == 0, "critical maximal present:", s)
+    if _up(direction):
+        require(i < len(kp) - 1, "paired maximal already next to top:", s)
         if _flush_after(s, kp, i):
             label, out = "flush", _undo_M1(list(s), kp, i)
         else:
             label, out = "separated", _undo_M2(list(s), kp, i)
-    elif direction == "down":
-        _require(i >= 1, "paired maximal already first:", s)
+    else:
+        require(i >= 1, "paired maximal already first:", s)
         if kp[i] == kp[i - 1] + 1:
             label, out = "undo_flush", _M1(list(s), kp, i)
         else:
             label, out = "undo_separated", _M2(list(s), kp, i)
-    else:
-        raise UsageError(f"direction must be 'up' or 'down', got {direction!r}")
     if _trace is not None:
         _trace.append((label, Seq(out)))
     return Seq(out)
@@ -403,11 +399,9 @@ def _undo_M2(t: list, kp, c1: int) -> list:
 
 def _descend(s, i, found, anchors, steps, tag, _trace):
     at, j = found
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise DomainError(f"target ordinal must be an integer, got {i!r}")
-    if not 0 <= i < j:
-        raise DomainError(f"target ordinal {i} outside [0, {j - 1}], the "
-                          f"ordinals below paired ordinal {j}")
+    # the pair marker is mpair on the maximals (tag M), zpair on the zeros
+    require(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < j,
+            "index {!r} outside [0, {}pair-1] for", s, i, tag.lower())
     first, flush, apart = steps
     cur = first(list(s), at, j)
     if _trace is not None:
@@ -453,7 +447,7 @@ def vartheta(s: Seq, i: int, _trace=None) -> Seq:
     rep is preserved and max drops by one.
     """
     found = _pass(s, "T_F")
-    _require(_label(s, "T_F", found) == "Fc", "block F is out of range:", s)
+    require(_label(s, "T_F", found) == "Fc", "block F is out of range:", s)
     return _descend(s, i, found, maximal_positions, (_M0, _M1, _M2), "M",
                     _trace)
 
@@ -461,7 +455,7 @@ def vartheta(s: Seq, i: int, _trace=None) -> Seq:
 def vartheta_inv(s: Seq, _trace=None) -> MapResult:
     """Rewind :func:`vartheta`; returns the source and the target ordinal."""
     kp, j, pos = _marked(s, "T_F")
-    _require(pos != 0, "no critical maximal:", s)
+    require(pos != 0, "no critical maximal:", s)
     return _rewind(s, (kp, j), _t21_pass, _mpos,
                    (_undo_M0, _undo_M1, _undo_M2), "M", _trace)
 
@@ -498,10 +492,10 @@ def zpair_shift(s: Seq, direction: str) -> Seq:
     zero to the new one, with the entries in between renormalised.
     """
     zp, m, pos = _marked(s, "ASC_R")
-    _require(pos == 0, "critical one present:", s)
+    require(pos == 0, "critical one present:", s)
     out = list(s)
-    if direction == "up":
-        _require(m < len(zp) - 1, "paired zero already next to top:", s)
+    if _up(direction):
+        require(m < len(zp) - 1, "paired zero already next to top:", s)
         ki, ki1 = zp[m], zp[m + 1]
         invariant(s[ki] == 1)
         del out[ki]
@@ -509,16 +503,14 @@ def zpair_shift(s: Seq, direction: str) -> Seq:
             out[idx] -= 1
         out.insert(ki1 - 1, 1)
         return Seq(out)
-    if direction == "down":
-        _require(m >= 1, "paired zero already first:", s)
-        km = zp[m]
-        invariant(s[km] == 1)
-        del out[km]
-        for idx in range(zp[m - 1], km - 1):
-            out[idx] += 1
-        out.insert(zp[m - 1], 1)
-        return Seq(out)
-    raise UsageError(f"direction must be 'up' or 'down', got {direction!r}")
+    require(m >= 1, "paired zero already first:", s)
+    km = zp[m]
+    invariant(s[km] == 1)
+    del out[km]
+    for idx in range(zp[m - 1], km - 1):
+        out[idx] += 1
+    out.insert(zp[m - 1], 1)
+    return Seq(out)
 
 def _Z0(t: list, zp, j: int) -> list:
     out = list(t)
@@ -567,7 +559,7 @@ def theta_R(s: Seq, i: int, _trace=None) -> Seq:
     asc is preserved and zero drops by one.
     """
     found = _pass(s, "ASC_G")
-    _require(_label(s, "ASC_G", found) == "Gc", "block G is out of range:", s)
+    require(_label(s, "ASC_G", found) == "Gc", "block G is out of range:", s)
     return _descend(s, i, found[1:], zero_positions, (_Z0, _Z1, _Z2), "Z",
                     _trace)
 
@@ -623,7 +615,7 @@ def _undo_Z2(t: list, zp, c: int) -> list:
 def theta_R_inv(s: Seq, _trace=None) -> MapResult:
     """Rewind :func:`theta_R`; returns the source and the target ordinal."""
     zp, j, pos = _marked(s, "ASC_G")
-    _require(pos != 0, "no critical one:", s)
+    require(pos != 0, "no critical one:", s)
     return _rewind(s, (zp, j), _zero_pass, _zpos,
                    (_undo_Z0, _undo_Z1, _undo_Z2), "Z", _trace)
 

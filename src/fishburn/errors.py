@@ -3,9 +3,10 @@
 Three failure families, kept distinct so the CLI can map them to exit codes:
 bad mathematical input (DomainError), bad usage of an API or command
 (UsageError), and work that would exceed a configured size limit
-(ResourceLimitError).  Broken internal invariants raise AssertionError
-through `invariant`, which, unlike an `assert` statement, survives
-``python -O``.
+(ResourceLimitError).  A map refuses a sequence outside its domain through
+`require`, which names the sequence.  Broken internal invariants raise
+AssertionError through `invariant`, which, unlike an `assert` statement,
+survives ``python -O``.
 """
 
 
@@ -33,3 +34,11 @@ def invariant(condition, *message) -> None:
     """Raise AssertionError(*message) unless condition holds."""
     if not condition:
         raise AssertionError(*message)
+
+
+def require(condition, refusal: str, s, *values) -> None:
+    """Refuse s unless condition holds: raise DomainError with refusal, its
+    {} fields filled by values, followed by s.  The text is formatted only
+    on refusal."""
+    if not condition:
+        raise DomainError(f"{refusal.format(*values)} {tuple(s)!r}")

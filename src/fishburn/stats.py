@@ -48,13 +48,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import DomainError, invariant
+from .errors import DomainError, invariant, require
 from .seqcore import ClassId, Perm, Seq, is_inversion
-
-
-def _require_inversion(s) -> None:
-    if not is_inversion(s):
-        raise DomainError(f"not an inversion sequence: {tuple(s)!r}")
 
 
 def maximal_positions(s) -> tuple:
@@ -73,13 +68,13 @@ PERM_SETS = ("DES", "IDES", "LMAX", "LMIN", "RMAX")
 
 
 def scalar_stats(s: Seq) -> dict:
-    _require_inversion(s)
+    require(is_inversion(s), "not an inversion sequence:", s)
     profile = seq_profile(s)
     return dict(zip(SEQ_SCALARS, (*profile, len(s) - 1 - profile[0])))
 
 
 def set_stats(s: Seq) -> dict:
-    _require_inversion(s)
+    require(is_inversion(s), "not an inversion sequence:", s)
     return dict(zip(SEQ_SETS, seq_sets(s)))
 
 

@@ -221,8 +221,7 @@ EXACT = [
     # a side index outside its range is refused with the range
     ("apply --map vartheta --side-index -1 0,0,2,2,0", 2,
      "",
-     "error: target ordinal -1 outside [0, 0], the ordinals below paired "
-     "ordinal 1\n"),
+     "error: index -1 outside [0, mpair-1] for (0, 0, 2, 2, 0)\n"),
     ("table --class ASC --n 4 --stats rep,max", 0,
      '{"class": "ASC", "n": 4, "stats": ["rep", "max"], '
      '"total": 15, "counts": [[[0, 4], 1], [[1, 1], 1], [[1, 2], '

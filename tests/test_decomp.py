@@ -185,8 +185,9 @@ class TestWorkedValues:
                                                                i):
         with pytest.raises(DomainError) as caught:
             walk(s, i)
+        pair = "mpair" if walk is decomp.vartheta else "zpair"
         assert str(caught.value) == (
-            f"target ordinal must be an integer, got {i!r}")
+            f"index {i!r} outside [0, {pair}-1] for {tuple(s)!r}")
 
     def test_zero_detaching_map(self):
         got = decomp.theta_R_inv(Seq((0, 1, 2, 0, 0, 1, 2, 4, 1, 2, 0, 2)))
@@ -281,9 +282,10 @@ class TestRoundTrips:
 
 
 # the sha256 of the outcome list below (36,876 outcomes), recorded when the
-# refusals of a side index outside its range came to name the range: 4,160
-# refusals of _descend, xi_S4_inv and s3_insert changed text, nothing else
-MAPS_DIGEST = "12a0b1b182b9a37609da7413ed1b4208abf64711e38bdc6b85f3996a763f029e"
+# walks came to refuse a target ordinal through errors.require, naming the
+# sequence: 1,910 side-index refusals of vartheta and theta_R changed text
+# (955 each), nothing else
+MAPS_DIGEST = "09bf05ddb8b3a3dd0be6489054b1d5b897364defe5b7c21afe2590c6cf56b5f8"
 
 
 def map_calls():

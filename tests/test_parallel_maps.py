@@ -290,8 +290,7 @@ def ref_vartheta(s, i, _trace=None):
              f"not a nonempty drop-by-one-avoiding sequence: {tuple(s)!r}")
     _require(not ref_in_F(s), f"block F is out of range: {tuple(s)!r}")
     j = ref_mpair(s)
-    _require(0 <= i < j, f"target ordinal {i} outside [0, {j - 1}], "
-                         f"the ordinals below paired ordinal {j}")
+    _require(0 <= i < j, f"index {i} outside [0, mpair-1] for {tuple(s)!r}")
     cur = decomp._M0(list(s), maximal_positions(s), j)
     if _trace is not None:
         _trace.append(("M0", Seq(cur)))
@@ -408,8 +407,7 @@ def ref_theta_R(s, i, _trace=None):
              f"not a nonempty ascent sequence: {tuple(s)!r}")
     _require(not ref_in_G(s), f"block G is out of range: {tuple(s)!r}")
     j = ref_zpair(s)
-    _require(0 <= i < j, f"target ordinal {i} outside [0, {j - 1}], "
-                         f"the ordinals below paired ordinal {j}")
+    _require(0 <= i < j, f"index {i} outside [0, zpair-1] for {tuple(s)!r}")
     cur = decomp._Z0(list(s), zero_positions(s), j)
     if _trace is not None:
         _trace.append(("Z0", Seq(cur)))
