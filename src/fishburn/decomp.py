@@ -36,6 +36,11 @@ class MapResult:
     side_index: int | None = None
 
 
+def _index_in(i, lo: int, hi: int) -> bool:
+    # a side index or target ordinal: an int, and not a bool, in [lo, hi)
+    return isinstance(i, int) and not isinstance(i, bool) and lo <= i < hi
+
+
 def _flush_after(s, anchors: tuple, j: int) -> bool:
     # The anchor after the j-th is last or is immediately followed by another
     # anchor.  On maximals this is block F, on zeros block G.
@@ -162,8 +167,8 @@ def xi_S4(s: Seq) -> MapResult:
 
 def xi_S4_inv(t: Seq, i: int) -> Seq:
     m = _in_block(t, "ASC_P", "Pc", "top value must repeat:")[0]
-    require(0 <= i < t[m],  # the top value repeats, so t has an entry at m
-            "index {} outside [0, ealm-1] for", t, i)
+    require(_index_in(i, 0, t[m]),  # the top value repeats, so t[m] exists
+            "index {!r} outside [0, ealm-1] for", t, i)
     out = list(t)
     out[m - 1] = i
     return Seq(out)
@@ -184,7 +189,8 @@ def s2_reduce(s: Seq) -> MapResult:
 def s2_insert(t: Seq, i: int) -> Seq:
     p = _pass(t, "ASC_S")[0]
     require(len(t) > p, "identity run cannot absorb an entry:", t)
-    require(t[p] <= i <= p - 1, "index {} outside [ealm, max-1] for", t, i)
+    require(_index_in(i, t[p], p), "index {!r} outside [ealm, max-1] for",
+            t, i)
     out = list(t)
     out.insert(p, i)
     return Seq(out)
@@ -206,8 +212,8 @@ def s3_reduce(s: Seq) -> MapResult:
 def s3_insert(t: Seq, i: int) -> Seq:
     p = _pass(t, "ASC_P")[0]
     # ealm, the entry after the maximals, is 0 on the identity run
-    require(0 <= i < (t[p] if p < len(t) else 0),
-            "index {} outside [0, ealm-1] for", t, i)
+    require(_index_in(i, 0, t[p] if p < len(t) else 0),
+            "index {!r} outside [0, ealm-1] for", t, i)
     out = list(t[:p]) + [i] + [t[p]] + [v + (1 if v >= p else 0)
                                         for v in t[p + 1:]]
     return Seq(out)
@@ -400,8 +406,8 @@ def _undo_M2(t: list, kp, c1: int) -> list:
 def _descend(s, i, found, anchors, steps, tag, _trace):
     at, j = found
     # the pair marker is mpair on the maximals (tag M), zpair on the zeros
-    require(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < j,
-            "index {!r} outside [0, {}pair-1] for", s, i, tag.lower())
+    require(_index_in(i, 0, j), "index {!r} outside [0, {}pair-1] for", s, i,
+            tag.lower())
     first, flush, apart = steps
     cur = first(list(s), at, j)
     if _trace is not None:

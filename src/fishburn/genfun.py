@@ -10,10 +10,10 @@ coefficients in canonical integer form, numerators over one positive
 denominator with no factor common to all of them.  Every series operation
 works on those integers and normalises its result once; the Fraction
 coefficients are built only when read.  One quotient recurrence (_quotient)
-serves every division.  A product with a factor of few terms adds up one
-shifted multiple of the other factor per term.  The weighted sums that
-evaluate tables reduce each to one integer over one denominator, from power
-tables built once per point, to an exponent scanned once per table.
+serves every division, and one kernel of diagonal sums every product of
+two series.  The weighted sums that evaluate tables reduce each to one
+integer over one denominator, from power tables built once per point, to an
+exponent scanned once per table.
 
 The closed forms (series_G, series_zeromax and the two series_asczero
 variants; fishburn_series is series_zeromax at q = z = 1) share one shape:
@@ -184,19 +184,8 @@ class TruncSeries:
             return self.scale(other)
         self._match(other)
         na, nb = self._num, other._num
-        size = self.order + 1
-        if na.count(0) < nb.count(0):
-            na, nb = nb, na
-        if 2 * (size - na.count(0)) <= self.order:
-            # few terms (t, 1 - t, 1 - zt, ...): add each term's multiple of
-            # the other factor, O(order) per term, not the O(order^2)
-            # diagonal sums
-            num = [0] * size
-            for i, c in enumerate(na):
-                if c:
-                    num[i:] = map(add, num[i:], map(mul, repeat(c), nb[:size - i]))
-        else:
-            num = [sum(map(mul, na[:k + 1], nb[k::-1])) for k in range(size)]
+        num = [sum(map(mul, na[:k + 1], nb[k::-1]))
+               for k in range(self.order + 1)]
         return TruncSeries._make(num, self._den * other._den, self.order)
 
     __rmul__ = scale

@@ -235,6 +235,15 @@ EXACT = [
      "",
      "error: unknown statistic 'bogus'; usable: asc, rep, zero, "
      "max, rmin, nasc, ealm, zpair, zpos, mpair, mpos\n"),
+    # the set-valued names read by the transports are no table statistics
+    ("table --class ASC --n 3 --stats ASC", 2,
+     "",
+     "error: unknown statistic 'ASC'; usable: asc, rep, zero, "
+     "max, rmin, nasc, ealm, zpair, zpos, mpair, mpos\n"),
+    ("table --class PERM_ALL --n 3 --stats DES", 2,
+     "",
+     "error: statistic 'DES' does not apply to PERM_ALL; usable: des, "
+     "ides, iasc, lmax, lmin, rmax\n"),
     ("table --class INV --n 12 --stats asc --format csv", 3,
      "",
      "resource limit: length 12 exceeds the cap of 9 for INV\n"),

@@ -176,18 +176,23 @@ class TestWorkedValues:
         assert decomp.zpair_shift(Seq((0, 1, 0, 0)), "up") == Seq((0, 0, 1, 0))
         assert decomp.zpair_shift(Seq((0, 0, 1, 0)), "down") == Seq((0, 1, 0, 0))
 
-    # the walks from the smallest member of each domain with paired ordinal 1
-    @pytest.mark.parametrize("walk, s", [
-        (decomp.vartheta, Seq((0, 1, 1))), (decomp.theta_R, Seq((0, 0, 1)))],
-        ids=("vartheta", "theta_R"))
+    # the walks from the smallest member of each domain with paired ordinal
+    # 1, and the reduce inverses from a sequence whose range holds 0 and 1:
+    # each refuses a float or a bool in its own guard, which names the range
+    @pytest.mark.parametrize("walk, s, bounds", [
+        (decomp.vartheta, Seq((0, 1, 1)), "[0, mpair-1]"),
+        (decomp.theta_R, Seq((0, 0, 1)), "[0, zpair-1]"),
+        (decomp.xi_S4_inv, Seq((0, 1, 2, 2)), "[0, ealm-1]"),
+        (decomp.s2_insert, Seq((0, 1, 2, 0)), "[ealm, max-1]"),
+        (decomp.s3_insert, Seq((0, 1, 2, 2)), "[0, ealm-1]")],
+        ids=("vartheta", "theta_R", "xi_S4_inv", "s2_insert", "s3_insert"))
     @pytest.mark.parametrize("i", [0.5, True, False])
     def test_walks_refuse_a_target_ordinal_that_is_no_integer(self, walk, s,
-                                                               i):
+                                                               bounds, i):
         with pytest.raises(DomainError) as caught:
             walk(s, i)
-        pair = "mpair" if walk is decomp.vartheta else "zpair"
         assert str(caught.value) == (
-            f"index {i!r} outside [0, {pair}-1] for {tuple(s)!r}")
+            f"index {i!r} outside {bounds} for {tuple(s)!r}")
 
     def test_zero_detaching_map(self):
         got = decomp.theta_R_inv(Seq((0, 1, 2, 0, 0, 1, 2, 4, 1, 2, 0, 2)))

@@ -471,8 +471,9 @@ class TestAgainstFractionReferences:
     @example((_FEW["drop"], _FEW["t"]))
     @example((genfun.TruncSeries.zero(12), _DENSE))
     def test_product(self, pair):
-        # a factor of few terms takes the term-by-term path, any other
-        # product the diagonal sums: the same canonical series either way
+        # every product of two series takes the one kernel of diagonal sums;
+        # factors of few terms (t, 1 - t, 1 - zt) stay among the inputs, as
+        # the closed forms and the case identities multiply by them
         a, b = pair
         got, want = a * b, reference_mul(a, b)
         assert got == want and hash(got) == hash(want)
