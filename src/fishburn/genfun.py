@@ -46,8 +46,8 @@ from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 from . import counting
-from .errors import DomainError, ResourceLimitError, UsageError, invariant
-from .seqcore import ClassId, cap, check_size
+from .errors import DomainError, UsageError, invariant
+from .seqcore import ClassId, within_cap
 
 DEFAULT_ORDER = 9
 
@@ -65,11 +65,7 @@ def _as_fraction(value) -> Fraction:
 
 
 def _check_order(order) -> int:
-    limit = cap("series")
-    if check_size(order, "series order") > limit:
-        raise ResourceLimitError(
-            f"series order {order} exceeds the cap of {limit}")
-    return order
+    return within_cap(order, "series", "series order")
 
 
 class TruncSeries:

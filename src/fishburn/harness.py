@@ -28,7 +28,8 @@ from .genfun import (DistTable, SpecPoint, admissible_for_case_identity,
                      admissible_for_length_series, check_case_identity,
                      eval_gf, fishburn_series, random_point, series_G,
                      series_asczero, series_zeromax)
-from .seqcore import ClassId, cap, check_class, check_size, enumerate_class
+from .seqcore import (ClassId, check_class, check_size, enumerate_class,
+                      within_cap)
 
 CACHE_ENV = "FISHBURN_CACHE"
 
@@ -74,14 +75,6 @@ def _source_digest(paths: tuple) -> str:
     for path in paths:
         digest.update(Path(path).read_bytes())
     return digest.hexdigest()[:12]
-
-
-def _check_length(class_id: ClassId, n) -> int:
-    limit = cap("table", class_id)
-    if check_size(n, "length") > limit:
-        raise ResourceLimitError(
-            f"length {n} exceeds the cap of {limit} for {class_id.name}")
-    return n
 
 
 def _slot(profile: tuple, name: str) -> tuple:
@@ -163,18 +156,21 @@ def _store_table(path: Path, table: DistTable) -> None:
         "counts": [[list(key), count]
                    for key, count in sorted(table.counts.items())],
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # write-then-rename so concurrent readers never see a partial file
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # write-then-rename so concurrent readers never see a partial file
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             # json.dump always takes the pure-Python encoder; dumps the C one
             handle.write(json.dumps(payload))
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # exit 2: exit 1 is kept for a failed check
+        raise UsageError(f"cannot write the table cache in {path.parent}: "
+                         f"{exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _load_table(path: Path, class_id: ClassId, n: int, names: tuple):
@@ -222,8 +218,9 @@ def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) ->
     of mpair, mpos and zpos are enumerated.  Either table is cached on disk
     under one JSON file per (class, n, table statistics, code-version) key;
     set the FISHBURN_CACHE environment variable to move the cache directory.
+    A cache directory that cannot be written is a UsageError.
     """
-    n = _check_length(check_class(class_id), n)
+    within_cap(n, "table", "length", check_class(class_id))
     names = tuple(stat_names)
     if not names:
         raise UsageError("at least one statistic name is required")
@@ -428,13 +425,9 @@ def _chk_class_counts(max_n, perm_max_n):
     """Every class is counted over the step rules, the sequence classes as
     the total of their asc table and the avoiders of their des table.  The
     reference series refuses max_n past the "series" cap of seqcore.CAPS,
-    and perm_max_n is refused past the "enumerate n!" cap, the reach of the
-    enumeration that the avoider counts stand in for."""
-    limit = cap("enumerate", ClassId.PERM_AVOID_A)
-    if perm_max_n > limit:
-        raise ResourceLimitError(
-            f"length {perm_max_n} exceeds the enumeration limit {limit} "
-            f"for the avoider classes")
+    and within_cap refuses perm_max_n past the "enumerate n!" cap, the
+    reach of the enumeration that the avoider counts stand in for."""
+    within_cap(perm_max_n, "enumerate", "length", ClassId.PERM_AVOID_A)
     reference = fishburn_series(max(max_n, perm_max_n, 1))
     jobs = [(cls, max_n, ("asc",)) for cls in
             (ClassId.ASC, ClassId.T21, ClassId.B, ClassId.C)]
@@ -758,7 +751,7 @@ def run_check(name: str, **params) -> CheckReport:
                        _jsonable(counterexample), elapsed)
 
 
-def spot_check_cache(rng=None) -> CheckReport:
+def spot_check_cache(rng: random.Random) -> CheckReport:
     """Recompute one randomly chosen cached table of this code version by
     enumeration and compare.
 
@@ -768,9 +761,8 @@ def spot_check_cache(rng=None) -> CheckReport:
     Past the largest default max_n of the checks a counted table is
     recounted instead.  A file whose class, n, statistics or version differ
     from the key of its name fails unrecomputed.  Passes vacuously when the
-    cache is empty.
+    cache is empty.  rng draws the file, so a seeded one repeats the draw.
     """
-    rng = rng or random.Random()
     start = time.perf_counter()
     # only files of this code version are ever read by dist_table
     pattern = f"*_{_code_version()}.json"
@@ -784,7 +776,7 @@ def spot_check_cache(rng=None) -> CheckReport:
         with open(picked) as handle:
             payload = json.load(handle)
         class_id = ClassId[payload["class"]]
-        n = _check_length(class_id, payload["n"])
+        n = within_cap(payload["n"], "table", "length", class_id)
         names = tuple(payload["stats"])
         cached = {tuple(k): c for k, c in payload["counts"]}
         # dist_table serves a file only to the key of its name

@@ -26,7 +26,8 @@ from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError, UsageError
 
-# The size table, the one copy of how far each kind of work goes:
+# The size table, the one copy of how far each kind of work goes, read only
+# by within_cap:
 #   enumerate  the length ceiling of enumerate_class (its `limit` overrides it)
 #   table      the length cap of harness.dist_table
 #   series     the order cap of genfun's truncated series
@@ -36,12 +37,22 @@ CAPS = {"enumerate": 12, "enumerate n!": 10, "table": 12, "table n!": 9,
         "series": 12}
 
 
-def cap(kind: str, class_id: ClassId | None = None) -> int:
-    """The CAPS entry of kind for class_id, read at each call."""
-    if class_id is ClassId.INV or (class_id is not None
-                                   and class_id.is_permutation_class):
-        kind += " n!"
-    return CAPS[kind]
+def within_cap(value, kind: str, what: str, class_id: ClassId | None = None,
+               limit: int | None = None) -> int:
+    """value, a size that check_size passes, if it is at most limit (a
+    positive int) or, without one, the CAPS entry of kind for class_id, read
+    at each call; else ResourceLimitError, naming class_id when given."""
+    check_size(value, what)
+    if limit is None:
+        factorial = class_id is not None and (class_id is ClassId.INV
+                                              or class_id.is_permutation_class)
+        limit = CAPS[f"{kind} n!" if factorial else kind]
+    else:
+        check_size(limit, "limit")
+    if value > limit:
+        named = "" if class_id is None else f" for {class_id.name}"
+        raise ResourceLimitError(f"{what} {value} exceeds the cap of {limit}{named}")
+    return value
 
 
 def check_class(class_id) -> ClassId:
@@ -445,15 +456,9 @@ def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = No
     """Yield every length-n member once, lexicographically, extending prefix.
 
     `limit`, a positive int, overrides the default length ceiling, the
-    "enumerate" entry of CAPS; exceeding it raises ResourceLimitError.
+    "enumerate" entry of CAPS; within_cap refuses a longer n.
     """
-    check_class(class_id)
-    check_size(n, "length")
-    ceiling = (cap("enumerate", class_id) if limit is None
-               else check_size(limit, "limit"))
-    if n > ceiling:
-        raise ResourceLimitError(
-            f"length {n} exceeds the enumeration limit {ceiling} for {class_id.value}")
+    within_cap(n, "enumerate", "length", check_class(class_id), limit)
     prefix = tuple(prefix)
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in prefix):
         raise UsageError(f"prefix must hold integers >= 0, got {prefix!r}")

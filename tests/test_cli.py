@@ -82,15 +82,13 @@ EXACT = [
      "t21, b, c, perm_all, perm_avoid_a, perm_avoid_b\n"),
     ("enumerate --class ASC --n 13 --format csv", 3,
      "",
-     "resource limit: length 13 exceeds the enumeration limit 12 for asc"
-     "\n"),
+     "resource limit: length 13 exceeds the cap of 12 for ASC\n"),
     ("enumerate --class ASC --n 0", 2,
      "",
      "error: length must be a positive integer, got 0\n"),
     ("enumerate --class INV --n 11", 3,
      "",
-     "resource limit: length 11 exceeds the enumeration limit 10 for inv"
-     "\n"),
+     "resource limit: length 11 exceeds the cap of 10 for INV\n"),
     ("stats --class ASC 0,1,0,2,3,2,4,1,5", 0,
      '{"asc": 5, "rep": 3, "zero": 2, "max": 2, "rmin": 3, '
      '"nasc": 3, "ASC": [1, 3, 4, 6, 8], "DIST": [5, 6, 7, 8, 9], '
@@ -399,8 +397,7 @@ class TestEnumerate:
         assert err.startswith("resource limit:")
 
     @pytest.mark.parametrize("limit, code, err", [
-        ("2", 3, "resource limit: length 3 exceeds the enumeration limit 2 "
-                 "for asc\n"),
+        ("2", 3, "resource limit: length 3 exceeds the cap of 2 for ASC\n"),
         ("-5", 2, "error: limit must be a positive integer, got -5\n"),
         ("0", 2, "error: limit must be a positive integer, got 0\n")])
     def test_limit(self, capsys, limit, code, err):
@@ -661,6 +658,22 @@ class TestCheck:
         lines = out.strip().splitlines()
         assert lines[0].split(",")[:3] == ["name", "verdict", "seconds"]
         assert lines[1].startswith("inv_sym,pass")
+
+    @pytest.mark.parametrize("under, reason", [
+        ("", "File exists"), ("/tables", "Not a directory")],
+        ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("argv", [
+        "table --class ASC --n 3 --stats asc",
+        "check --name conjecture1 --max-n 3"], ids=["table", "check"])
+    def test_unwritable_cache_is_a_usage_error(
+            self, capsys, tmp_path, monkeypatch, argv, under, reason):
+        # a regular file stands where the cache directory would be made
+        blocker = tmp_path / "cache"
+        blocker.write_text("")
+        monkeypatch.setenv("FISHBURN_CACHE", f"{blocker}{under}")
+        assert run(capsys, *argv.split()) == (
+            2, "", f"error: cannot write the table cache in "
+                   f"{blocker}{under}: {reason}\n")
 
 
 class TestParserBasics:

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fishburn.errors import DomainError, ResourceLimitError, UsageError, invariant
-from fishburn.seqcore import ClassId, cap, enumerate_class
+from fishburn.seqcore import CAPS, ClassId, enumerate_class
 from fishburn import decomp, genfun, stats
 
-MAX_ORDER = cap("series")
+MAX_ORDER = CAPS["series"]
 
 FISHBURN_COUNTS = [0, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240, 201608, 1422074]
 

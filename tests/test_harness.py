@@ -84,6 +84,19 @@ class TestCache:
             "version": harness._code_version(),
             "counts": [[[i, i % 7], 31 * i] for i in range(rows)]})
 
+    def test_failed_rename_is_refused_and_cleaned_up(self, tmp_path,
+                                                     monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(harness.os, "replace", refuse)
+        path = tmp_path / "table.json"
+        with pytest.raises(UsageError) as caught:
+            harness._store_table(
+                path, genfun.DistTable(ClassId.ASC, 1, ("asc",), {(0,): 1}))
+        assert str(caught.value) == (
+            f"cannot write the table cache in {tmp_path}: Permission denied")
+        assert list(tmp_path.iterdir()) == []  # the temporary file is gone
+
     def test_corrupt_file_is_recomputed(self, tmp_path, monkeypatch):
         t, path = self.table_path(tmp_path, monkeypatch)
         path.write_text("{ not json")
@@ -653,11 +666,15 @@ def test_avoider_count_fault_is_reported_as_pinned(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("params", [{"max_n": 13, "perm_max_n": 1},
-                                    {"max_n": 1, "perm_max_n": 11}])
+@pytest.mark.parametrize("params", [
+    ({"max_n": 13, "perm_max_n": 1}, "series order 13 exceeds the cap of 12"),
+    ({"max_n": 1, "perm_max_n": 11},
+     "length 11 exceeds the cap of 10 for PERM_AVOID_A")])
 def test_class_counts_keep_their_caps(params):
-    with pytest.raises(ResourceLimitError):
-        harness.run_check("class_counts", **params)
+    sizes, refusal = params
+    with pytest.raises(ResourceLimitError) as caught:
+        harness.run_check("class_counts", **sizes)
+    assert str(caught.value) == refusal
 
 
 # The cache is filled through the counter and the spot check recomputes by

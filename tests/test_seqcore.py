@@ -428,22 +428,31 @@ class TestSizeTable:
     lowered entry lowers the cap of its layer: a copy of a cap held
     anywhere else, even a name bound at import, keeps the old value."""
 
-    @pytest.mark.parametrize("entry, run", [
-        ("enumerate", lambda n: next(enumerate_class(ClassId.ASC, n))),
-        ("enumerate n!", lambda n: next(enumerate_class(ClassId.PERM_ALL, n))),
+    @pytest.mark.parametrize("entry, run, refusal", [
+        ("enumerate", lambda n: next(enumerate_class(ClassId.ASC, n)),
+         "length 5 exceeds the cap of 4 for ASC"),
+        ("enumerate n!", lambda n: next(enumerate_class(ClassId.PERM_ALL, n)),
+         "length 5 exceeds the cap of 4 for PERM_ALL"),
+        ("enumerate n!", lambda n: harness.run_check(
+            "class_counts", max_n=1, perm_max_n=n),
+         "length 5 exceeds the cap of 4 for PERM_AVOID_A"),
         ("table", lambda n: harness.dist_table(ClassId.T21, n, ("rep",),
-                                               use_cache=False)),
+                                               use_cache=False),
+         "length 5 exceeds the cap of 4 for T21"),
         ("table n!", lambda n: harness.dist_table(ClassId.INV, n, ("asc",),
-                                                  use_cache=False)),
-        ("series", genfun.fishburn_series),
-        ("series", genfun.series_G)],
-        ids=["enumerate", "enumerate-perm", "table", "table-inv",
-             "fishburn_series", "series_G"])
-    def test_a_lowered_entry_is_refused_past(self, monkeypatch, entry, run):
+                                                  use_cache=False),
+         "length 5 exceeds the cap of 4 for INV"),
+        ("series", genfun.fishburn_series, "series order 5 exceeds the cap of 4"),
+        ("series", genfun.series_G, "series order 5 exceeds the cap of 4")],
+        ids=["enumerate", "enumerate-perm", "class_counts", "table",
+             "table-inv", "fishburn_series", "series_G"])
+    def test_a_lowered_entry_is_refused_past(self, monkeypatch, entry, run,
+                                             refusal):
         monkeypatch.setitem(seqcore.CAPS, entry, 4)
         run(4)
-        with pytest.raises(ResourceLimitError, match=r"(limit|cap of) 4\b"):
+        with pytest.raises(ResourceLimitError) as caught:
             run(5)
+        assert str(caught.value) == refusal
 
 
 class TestTextForms:
