@@ -81,7 +81,8 @@ class TruncSeries:
     Instances are immutable.  Arithmetic is exact and closed at the common
     order; mixing two different orders is refused rather than silently
     truncating.  Division requires the divisor to have a nonzero constant
-    term, otherwise a DomainError is raised.
+    term, otherwise a DomainError is raised.  Both operands of * and / are
+    series; scale is the one product by a rational.
     """
 
     __slots__ = ("order", "_num", "_den")
@@ -177,14 +178,12 @@ class TruncSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            return self.scale(other)
+            return NotImplemented
         self._match(other)
         na, nb = self._num, other._num
         num = [sum(map(mul, na[:k + 1], nb[k::-1]))
                for k in range(self.order + 1)]
         return TruncSeries._make(num, self._den * other._den, self.order)
-
-    __rmul__ = scale
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse, defined only for a unit constant term."""
@@ -192,10 +191,7 @@ class TruncSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
-            c = _as_fraction(other)
-            if c == 0:
-                raise DomainError("division of a series by zero")
-            return self.scale(Fraction(1) / c)
+            return NotImplemented
         self._match(other)
         return _quotient(self._num, self._den, other._num, other._den,
                          self.order)

@@ -447,19 +447,19 @@ def _chk_class_counts(max_n, perm_max_n):
 
 # --- lemma_suite -----------------------------------------------------------
 #
-# Each decomposition map has one of four shapes (decomp.MAPS); two
-# verifiers check the lemmas over every sequence of length n:
-#   drop, reduce, walk   forward is one bijection from the pairs (s, i) of
-#           the domain block onto the pairs (t, j) of the codomain.  Only a
-#           walk sets i, over the side-index range of s, and only a reduce
-#           sets j, over that of t; an unset index is None.  A pair's marker
-#           is its index when set, else its sequence's; the two markers
-#           match, the statistics move by the deltas (zero by one more when
-#           j is 0), the inverse gives back (s, i) and the images cover the
-#           codomain.  A reduce's j is also the marker of s.
-#   shift   up and down move the marker by one inside the domain block,
-#           keep the statistics (every delta is 0) and undo each other; the
-#           block's count at fixed statistics must not depend on the marker.
+# Each decomposition map has one of four shapes (decomp.MAPS), and one
+# verifier checks each as one bijection from the pairs (s, i) of its domain
+# onto the pairs (t, j) of its codomain, over every sequence of length n.
+# Only a walk sets i, over the side-index range of s, and only a reduce sets
+# j, over that of t; an unset index is None.  A shift is up, from the block
+# members below the top of their side range onto those above its bottom,
+# and down is its inverse.  A pair's marker is its index when set, else its
+# sequence's; the image's marker is the input's, or one more for a shift,
+# the statistics move by the deltas (zero by one more when j is 0), the
+# inverse gives back (s, i), no pair is met twice and the images cover the
+# codomain, counted with multiplicity.  A reduce's j is also the marker of s.
+# So a shift block has one count at every marker, at fixed statistics: up
+# carries each marker level injectively into the next, and onto it.
 # A level is the members of one class at one length, with their labels
 # under each scheme, which decomp.classify gives once per member when a
 # block first asks.
@@ -496,19 +496,19 @@ def _block(class_id, level, block):
 
 @dataclass(frozen=True)
 class _Row:
-    """A decomp.MAPS row at one length n: its shape, the maps (as maps of
-    pairs but for a shift, see _pairs) and marker bound now on decomp and
-    stats (so patched and traced bindings run), the domain block and
-    codomain in enumeration order, and readers of the side-index range and
-    of the statistics of deltas, in order (then zero, for a reduce)."""
+    """A decomp.MAPS row at one length n: its shape, the maps as maps of
+    pairs (see _pairs) and marker bound now on decomp and stats (so patched
+    and traced bindings run), the domain and codomain in enumeration order,
+    and readers of the side-index range and of the statistics of deltas, in
+    order (then zero, for a reduce)."""
     shape: str
     fail: Callable  # **detail -> the counterexample
     forward: Callable
     inverse: Callable
     mark: Callable
     domain: list
-    targets: list         # the codomain (a shift reads none)
-    codomain: str | None  # its description
+    targets: list  # the codomain
+    codomain: str  # its description
     side: Callable
     values: Callable
     deltas: dict
@@ -518,15 +518,18 @@ _unpacked = attrgetter("output", "side_index")  # a MapResult as (t, j)
 
 
 def _pairs(shape, forward, inverse) -> tuple:
-    """The forward and inverse of a drop, reduce or walk as maps of
-    (sequence, side index) pairs, an unset index None: a walk's forward
-    reads an index, and a reduce's forward writes one."""
+    """The forward and inverse of a row as maps of (sequence, side index)
+    pairs, an unset index None: a walk's forward reads an index, a reduce's
+    forward writes one, and a shift's forward is up and its inverse down."""
     if shape == "walk":
         return (lambda s, i: (forward(s, i), None),
                 lambda t, _: _unpacked(inverse(t)))
     if shape == "reduce":
         return (lambda s, _: _unpacked(forward(s)),
                 lambda t, j: (inverse(t, j), None))
+    if shape == "shift":
+        return (lambda s, _: (forward(s, "up"), None),
+                lambda t, _: (inverse(t, "down"), None))
     return lambda s, _: (forward(s), None), lambda t, _: (inverse(t), None)
 
 
@@ -535,20 +538,24 @@ def _resolve(name, n, levels) -> _Row:
     n and n - 1."""
     (shape, forward, inverse, class_id, block, codomain, side, deltas,
      marker) = decomp.MAPS[name]
-    forward = getattr(decomp, forward.__name__)
-    inverse = getattr(decomp, inverse.__name__)
-    if shape != "shift":
-        forward, inverse = _pairs(shape, forward, inverse)
-    domain = _block(class_id, levels[class_id][0], block)
-    drop, target_block, description = codomain or (0, None, None)
-    target = levels[class_id][drop]
-    targets = (_block(class_id, target, target_block) if target_block
-               else target[0])
+    forward, inverse = _pairs(shape, getattr(decomp, forward.__name__),
+                              getattr(decomp, inverse.__name__))
+    mark = getattr(stats, marker)
     lo, hi = side or (0, 0)
     lo, hi = _reader(class_id, lo), _reader(class_id, hi)
+    domain = _block(class_id, levels[class_id][0], block)
+    if shape == "shift":  # up moves a marker below the top to one above lo
+        targets = [t for t in domain if mark(t) > lo(t)]
+        domain = [s for s in domain if mark(s) < hi(s) - 1]
+        description = "in the block above the bottom of its range"
+    else:
+        drop, target_block, description = codomain
+        target = levels[class_id][drop]
+        targets = (_block(class_id, target, target_block) if target_block
+                   else target[0])
     names = (*deltas, "zero") if shape == "reduce" else tuple(deltas)
-    return _Row(shape, partial(dict, map=name, n=n), forward, inverse,
-                getattr(stats, marker), domain, targets, description,
+    return _Row(shape, partial(dict, map=name, n=n), forward, inverse, mark,
+                domain, targets, description,
                 lambda s: range(lo(s), hi(s)), _value_fn(class_id, names),
                 deltas)
 
@@ -560,9 +567,10 @@ def _moved(a, b, deltas) -> bool:
 
 def _verify_bijection(row):
     walk, reduce = row.shape == "walk", row.shape == "reduce"
+    lift = row.shape == "shift"  # up raises the marker by one
     unset = (None,)
     # the deltas when j is not 0, and when it is: zero moves one more (a
-    # drop's or walk's values read no zero, and zip stops before it)
+    # drop's, walk's or shift's values read no zero, and zip stops before it)
     moves = (*row.deltas.values(), 0), (*row.deltas.values(), 1)
 
     def failed(s, i, detail, **output):
@@ -582,50 +590,19 @@ def _verify_bijection(row):
             m = mark(s) if i is None else i  # the marker of (s, i)
             if j is not None and (j != m or j not in side(t)):
                 return failed(s, j, "side index out of range")
-            if (m != (mark(t) if j is None else j)
+            if (m + lift != (mark(t) if j is None else j)
                     or not _moved(values(s), values(t), moves[j == 0])):
                 return failed(s, i, "statistic contract violated", output=t)
             if inverse(t, j) != (s, i):
                 return failed(s, i, "round trip failed")
+            if pair in images:
+                return failed(s, i, "image collision")
             images.add(pair)
-    want = {(t, j) for t in row.targets
-            for j in (side(t) if reduce else unset)}
-    if images != want:
+    # a member listed twice is counted twice, so no image set covers it
+    want = sum(len(side(t)) if reduce else 1 for t in row.targets)
+    if len(images) != want:
         pairs = " pairs" if reduce else ""
-        return row.fail(detail=f"image covers {len(images)} of "
-                               f"{len(want)}{pairs}")
-    return None
-
-
-def _verify_shift(row):
-    # the round trip from s is the opposite shift made from its image
-    shift = lru_cache(maxsize=None)(row.forward)
-    member_set = set(row.domain)
-    profile, sides = Counter(), {}  # sides: kept statistics -> side range
-    for s in row.domain:
-        kept, i = row.values(s), row.mark(s)
-        side = sides[kept] = row.side(s)
-        profile[(i, *kept)] += 1
-        for there, back, step, movable in (
-                ("up", "down", 1, i < side.stop - 1),
-                ("down", "up", -1, i > side.start)):
-            if not movable:
-                continue
-            moved = shift(s, there)
-            if (moved not in member_set or row.mark(moved) != i + step
-                    or not _moved(row.values(moved), kept,
-                                   row.deltas.values())):
-                return row.fail(input=s, output=moved,
-                                detail=f"{there} contract violated")
-            if shift(moved, back) != s:
-                return row.fail(input=s,
-                                detail=f"{back}({there}) round trip failed")
-    for _, *kept in sorted(profile):
-        side = sides[tuple(kept)]
-        if any(profile[(j, *kept)] != profile[(side.start, *kept)]
-               for j in side):
-            where = ", ".join(f"{k}={v}" for k, v in zip(row.deltas, kept))
-            return row.fail(detail=f"count depends on the marker at {where}")
+        return row.fail(detail=f"image covers {len(images)} of {want}{pairs}")
     return None
 
 
@@ -634,10 +611,9 @@ def _chk_lemma_suite(max_n):
     below = {cls: _level(cls, 1) for cls in classes}
     for n in range(2, max_n + 1):
         levels = {cls: (_level(cls, n), below[cls]) for cls in classes}
-        for name, (shape, *_) in decomp.MAPS.items():
-            verify = _verify_shift if shape == "shift" else _verify_bijection
+        for name in decomp.MAPS:
             try:
-                found = verify(_resolve(name, n, levels))
+                found = _verify_bijection(_resolve(name, n, levels))
             except DomainError as refusal:  # decomp refused a member
                 found = {"map": name, "n": n, "detail": str(refusal)}
             if found:

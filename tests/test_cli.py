@@ -216,6 +216,20 @@ EXACT = [
     ("apply --map vartheta --side-index 0 0,1,1,0", 2,
      "",
      "error: not a nonempty drop-by-one-avoiding sequence: (0, 1, 1, 0)\n"),
+    # a direction or a side index that the map's shape does not take, and
+    # a map of no name
+    ("apply --map xi_S4 --direction up 0,0,1", 2,
+     "",
+     "error: map 'xi_S4' takes --direction forward or inverse, not 'up'\n"),
+    ("apply --map phi_P --side-index 1 0,1,2", 2,
+     "",
+     "error: map 'phi_P' does not take --side-index\n"),
+    ("apply --map nope 0", 2,
+     "",
+     "error: unknown map 'nope'; available: theta_lehmer, bv, bv_inv, "
+     "beta, beta_inv, gamma, gamma_inv, psi, psi_inv, phi, phi_inv, "
+     "upsilon, phi_P, xi_S4, s2_reduce, s3_reduce, ealm_shift, psi_F, "
+     "mpair_shift, vartheta, phi_G, zpair_shift, theta_R\n"),
     # a side index outside its range is refused with the range
     ("apply --map vartheta --side-index -1 0,0,2,2,0", 2,
      "",
@@ -242,6 +256,9 @@ EXACT = [
      "",
      "error: statistic 'DES' does not apply to PERM_ALL; usable: des, "
      "ides, iasc, lmax, lmin, rmax\n"),
+    ("table --class ASC --n 3 --stats ,", 2,
+     "",
+     "error: at least one statistic name is required\n"),
     ("table --class INV --n 12 --stats asc --format csv", 3,
      "",
      "resource limit: length 12 exceeds the cap of 9 for INV\n"),
@@ -267,6 +284,13 @@ EXACT = [
      "0,0\r\n1,7/3\r\n2,154/9\r\n3,3703/27\r\n4,90727/81\r\n",
      'point: {"x": "2", "q": "7", "u": "2/9", "z": "1/3", '
      '"w": "10"}\n'),
+    # the two variants of the (asc, zero) series agree
+    ("series --which asczero1 --order 4 --u 2/3 --z 3", 0,
+     '["0", "3", "11", "127/3", "1529/9"]\n',
+     ""),
+    ("series --which asczero2 --order 4 --u 2/3 --z 3 --format csv", 0,
+     "0,0\r\n1,3\r\n2,11\r\n3,127/3\r\n4,1529/9\r\n",
+     ""),
     ("series --which zeromax --order 4 --x 2 --format csv", 2,
      "",
      "error: series 'zeromax' does not take --x; markers: q, z\n"),

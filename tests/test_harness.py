@@ -453,7 +453,7 @@ FAULTS = {
     "shift": ("lemma_suite", 5, decomp, "mpair_shift", _on((0, 1, 1, 1)),
               _unmoved,
               {"map": "mpair_shift", "n": 4, "input": [0, 0, 0, 3],
-               "detail": "down(up) round trip failed"}),
+               "detail": "round trip failed"}),
     "walk": ("lemma_suite", 5, decomp, "theta_R", _on((0, 1, 0, 0, 1)),
              _unmoved,
              {"map": "theta_R", "n": 5, "input": [0, 1, 0, 0, 1],
@@ -519,26 +519,37 @@ FAULTS = {
                           _on((2, 1, 3)), _refused,
                           {"n": 3, "input": [2, 1, 3],
                            "detail": "refused (2, 1, 3)"}),
-    # a block member enumerated twice: each of its shifts holds, but its
-    # stratum is counted twice at one marker.  (0, 1, 2, 2) lies in S1 and
-    # in Pc, so no earlier lemma sees the repeat.  No fault on one map or
-    # statistic reaches this failure: the shifts into and out of a member
-    # check its marker and statistics first, and a member that no shift
-    # moves is counted where only one marker value occurs.
+    # a member enumerated twice is counted twice against one image.
+    # (0, 1, 2, 2) lies in S1 and in Pc, the codomain of xi_S4, so the
+    # images of its level cover 5 of the 7 pairs counted there
     "marker_count": ("lemma_suite", 5, harness, "enumerate_class",
                      _on_table(ClassId.ASC, 4),
                      lambda _, out: (*out, Seq((0, 1, 2, 2))),
-                     {"map": "ealm_shift", "n": 4,
-                      "detail": "count depends on the marker at rep=1, "
-                                "max=3"}),
-    # the same with a member at marker 0: (0, 1, 0, 0) lies in S2, where the
-    # side range of ealm_shift starts; a range cut at 1 never counts it
+                     {"map": "xi_S4", "n": 4,
+                      "detail": "image covers 5 of 7 pairs"}),
+    # and one that a map's domain holds twice meets its image twice:
+    # (0, 1, 0, 0) lies in S2, at the bottom of the range of ealm_shift,
+    # and in P, the domain of phi_P
     "marker_floor": ("lemma_suite", 5, harness, "enumerate_class",
                      _on_table(ClassId.ASC, 4),
                      lambda _, out: (*out, Seq((0, 1, 0, 0))),
-                     {"map": "ealm_shift", "n": 4,
-                      "detail": "count depends on the marker at rep=2, "
-                                "max=2"}),
+                     {"map": "phi_P", "n": 4, "input": [0, 1, 0, 0],
+                      "detail": "image collision"}),
+    # a repeat that no shift block holds: (0, 0, 1, 1) lies in S4, the
+    # domain of xi_S4
+    "repeat": ("lemma_suite", 5, harness, "enumerate_class",
+               _on_table(ClassId.ASC, 4),
+               lambda _, out: (*out, Seq((0, 0, 1, 1))),
+               {"map": "xi_S4", "n": 4, "input": [0, 0, 1, 1],
+                "detail": "image collision"}),
+    # and one in the codomain of a walk: (0, 0, 0, 2) lies in J2, and in Fc
+    # with mpair 0, so no index to walk, and the images of vartheta cover 5
+    # of the 6 members counted
+    "walk_coverage": ("lemma_suite", 5, harness, "enumerate_class",
+                      _on_table(ClassId.T21, 4),
+                      lambda _, out: (*out, Seq((0, 0, 0, 2))),
+                      {"map": "vartheta", "n": 4,
+                       "detail": "image covers 5 of 6"}),
     # the count of (0, 0, 1, 1), core (1, 2, 2, 1), with zero raised: the
     # first key of either table whose counts differ is (1, 2, 2, 1), now
     # empty in the core, against (2, 1, 1, 2) read as (rep, asc, max, zero)
@@ -762,6 +773,9 @@ def _is_case_part(label):
         profile is genfun._case_profiles(order)[1][label])
 
 
+# the first random point at seed 3
+_SEED_3_POINT = {"x": "2/5", "q": "3", "u": "3/5", "z": "4/5", "w": "1/5"}
+
 SERIES_FAULTS = {
     # name: (check, parameters, module, function, which calls to corrupt,
     #        corruption, the counterexample the check must report)
@@ -793,6 +807,31 @@ SERIES_FAULTS = {
                            "w": "1/5"},
                  "case": 3, "order": 5, "first_bad_power": 5,
                  "expected": "1086577/390625", "actual": "695952/390625"}),
+    # the swapped point of gf_G is the one whose w is 1: the random points
+    # draw w from the rationals
+    "symmetry": ("gf_G", {"order": 5, "points": 2, "seed": 3, "sym_order": 6},
+                 harness, "series_G", lambda order, point: point.w == 1,
+                 _bump_coefficient(3),
+                 {"point_index": 0, "point": _SEED_3_POINT,
+                  "detail": "asymmetric under (x,q)<->(u,z) at order 6"}),
+    # of the two calls per point, only the one whose q exceeds z
+    "zeromax_symmetry": ("gf_zeromax", {"order": 5, "points": 2, "seed": 3},
+                         harness, "series_zeromax",
+                         lambda order, q, z: q > z, _bump_coefficient(2),
+                         {"point_index": 0, "point": _SEED_3_POINT,
+                          "detail": "coefficients not symmetric in q and z"}),
+    "asczero_variants": ("gf_asczero", {"order": 5, "points": 2, "seed": 3},
+                         harness, "series_asczero",
+                         lambda *args: args[3] == "alternative",
+                         _bump_coefficient(3),
+                         {"point_index": 0, "point": _SEED_3_POINT,
+                          "detail": "the two variants disagree"}),
+    # gf_asczero calls series_G only for its x = q = 1 comparison
+    "asczero_G": ("gf_asczero", {"order": 5, "points": 2, "seed": 3},
+                  harness, "series_G", lambda *_: True, _bump_coefficient(3),
+                  {"point_index": 0, "point": _SEED_3_POINT,
+                   "detail": "variants disagree with the four-marker series "
+                             "at x=q=1"}),
 }
 
 
