@@ -196,6 +196,41 @@ EXACT = [
      "--format csv", 0,
      'map,input,output,side_index\r\nxi_S4,"0,1,1","0,0,1",\r\n',
      ""),
+    # the other pair outputs: each reduce forward and each walk inverse
+    # writes its sequence and its side index
+    ("apply --map s2_reduce 0,1,2,2,0", 0,
+     '{"map": "s2_reduce", "input": "0,1,2,2,0", "output": "0,1,2,0", '
+     '"side_index": 2}\n',
+     ""),
+    ("apply --map s2_reduce 0,1,2,2,0 --format csv", 0,
+     'map,input,output,side_index\r\ns2_reduce,"0,1,2,2,0","0,1,2,0",2\r\n',
+     ""),
+    ("apply --map s3_reduce 0,1,2,1,2", 0,
+     '{"map": "s3_reduce", "input": "0,1,2,1,2", "output": "0,1,2,2", '
+     '"side_index": 1}\n',
+     ""),
+    ("apply --map s3_reduce 0,1,2,1,2 --format csv", 0,
+     'map,input,output,side_index\r\ns3_reduce,"0,1,2,1,2","0,1,2,2",1\r\n',
+     ""),
+    ("apply --map vartheta --direction inverse --trace 0,0,1,3,4", 0,
+     '{"map": "vartheta", "input": "0,0,1,3,4", "output": "0,1,2,3,3", '
+     '"side_index": 0, "trace": [["undo_M1", "0,1,1,2,4"], ["undo_M1", '
+     '"0,1,2,2,3"], ["undo_M0", "0,1,2,3,3"]]}\n',
+     ""),
+    ("apply --map vartheta --direction inverse --trace 0,0,1,3,4 "
+     "--format csv", 0,
+     'map,input,output,side_index\r\nvartheta,"0,0,1,3,4","0,1,2,3,3",0\r\n'
+     'trace,undo_M1,"0,1,1,2,4"\r\n'
+     'trace,undo_M1,"0,1,2,2,3"\r\n'
+     'trace,undo_M0,"0,1,2,3,3"\r\n',
+     ""),
+    ("apply --map theta_R --direction inverse 0,1,1,0,0", 0,
+     '{"map": "theta_R", "input": "0,1,1,0,0", "output": "0,0,0,0,1", '
+     '"side_index": 0}\n',
+     ""),
+    ("apply --map theta_R --direction inverse 0,1,1,0,0 --format csv", 0,
+     'map,input,output,side_index\r\ntheta_R,"0,1,1,0,0","0,0,0,0,1",0\r\n',
+     ""),
     ("apply --map xi_S4 --direction inverse 0,1,1 --format csv", 2,
      "",
      "error: map 'xi_S4' needs --side-index here\n"),

@@ -41,7 +41,7 @@ class TestTruncSeries:
         f = genfun.TruncSeries((0, 1, 2, 5))
         assert f.as_integers() == [0, 1, 2, 5]
         with pytest.raises(UsageError):
-            genfun.TruncSeries((Fraction(1, 2),)).as_integers()
+            genfun.TruncSeries((Fraction(1, 2), 0)).as_integers()
 
     def test_monomial_and_vanishing(self):
         m = genfun.TruncSeries.monomial(Fraction(7), 2, 4)
@@ -66,6 +66,35 @@ class TestTruncSeries:
             with pytest.raises(UsageError) as caught:
                 f.coefficient(k)
             assert str(caught.value) == f"coefficient index {k} outside 0..2"
+
+    @pytest.mark.parametrize("call, error, text", [
+        (lambda: setattr(genfun.TruncSeries((1, 0)), "order", 2),
+         AttributeError, "TruncSeries is immutable"),
+        (lambda: genfun.TruncSeries.monomial(1, -1, 3),
+         UsageError, "monomial power must be nonnegative"),
+        (lambda: genfun.TruncSeries((1,), order=3)
+         * genfun.TruncSeries((1,), order=4),
+         UsageError, "order mismatch: 3 vs 4"),
+        (lambda: genfun.TruncSeries((1,), order=3).truncate(5),
+         UsageError, "cannot truncate order 3 to 5"),
+        (lambda: genfun.TruncSeries((Fraction(1, 2), 0)).as_integers(),
+         UsageError, "coefficient of t^0 is not an integer: 1/2"),
+        (lambda: genfun.eval_gf(genfun.DistTable(ClassId.ASC, 1, ("rmin",),
+                                                 {(0,): 1}),
+                                genfun.SpecPoint()),
+         UsageError, "statistic 'rmin' has no marker variable; usable: "
+                     "asc, ealm, max, mpair, rep, zero, zpair"),
+        (lambda: genfun.series_asczero(3, variant="x"),
+         UsageError, "unknown variant 'x'; expected one of: primitive, "
+                     "alternative"),
+        (lambda: genfun.check_case_identity(1, 3),
+         UsageError, "a point with all five marker values is required"),
+    ], ids=["immutable", "monomial", "mismatch", "truncate", "integers",
+            "marker", "variant", "point"])
+    def test_refusal_texts(self, call, error, text):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == text
 
     @pytest.mark.parametrize("expression, refusal", [
         (lambda f: f * 2, "*: 'TruncSeries' and 'int'"),
