@@ -125,7 +125,7 @@ def _no_side_index(args, name):
 
 
 def _apply_named_map(name, obj, args, trace):
-    """The map's image of obj: a sequence or permutation, or a MapResult."""
+    """obj's image: a sequence, a permutation, or a (sequence, index) pair."""
     shape, forward, inverse = _MAPS[name]
     traced = {"_trace": trace} if name in _TRACEABLE else {}
     if shape in ("perm", "seq"):
@@ -145,7 +145,7 @@ def _apply_named_map(name, obj, args, trace):
     inverting = _forward_or_inverse(args, name) == "inverse"
     fn = inverse if inverting else forward
     # a reduce inverse and a walk forward take the side index; a reduce
-    # forward and a walk inverse hand it back in a MapResult
+    # forward and a walk inverse hand it back, paired with the sequence
     if shape != "drop" and inverting == (shape == "reduce"):
         return fn(obj, _require_side_index(args, name), **traced)
     _no_side_index(args, name)
@@ -168,8 +168,8 @@ def _cmd_apply(args) -> tuple:
     trace = [] if args.trace else None
     out = _apply_named_map(name, obj, args, trace)
     side = {}
-    if isinstance(out, decomp.MapResult):
-        out, side = out.output, {"side_index": out.side_index}
+    if type(out) is tuple:  # a pair: Seq and Perm are tuples of a subclass
+        out, side = out[0], {"side_index": out[1]}
     payload = {"map": name, "input": obj.to_text(), "output": out.to_text(),
                **side}
     if trace is not None:

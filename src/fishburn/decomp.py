@@ -16,24 +16,10 @@ Conventions shared with :mod:`fishburn.stats`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UsageError, invariant, require
 from .seqcore import ClassId, Seq
 from .stats import (_asc_pass, _mpos, _t21_pass, _zero_pass, _zpos,
                     maximal_positions, zero_positions)
-
-
-@dataclass(frozen=True)
-class MapResult:
-    """Output of a decomposition map.
-
-    ``side_index`` carries the detached marker value for maps whose codomain
-    is a set of (sequence, integer) pairs; it is None for plain maps.
-    """
-
-    output: Seq
-    side_index: int | None = None
 
 
 def _index_in(i, lo: int, hi: int) -> bool:
@@ -81,6 +67,11 @@ def classify(s: Seq, scheme: str) -> str:
         raise UsageError(
             f"unknown scheme {scheme!r}; expected one of: {valid}")
     return _label(s, scheme, _pass(s, scheme))
+
+
+# scheme -> the statistic that equals the length exactly on the run that
+# _label refuses under it: the run of maximals, or of zeros
+GUARDS = {"ASC_S": "max", "T_J": "max", "ASC_R": "zero"}
 
 
 def _label(s, scheme: str, found: tuple) -> str:
@@ -151,7 +142,7 @@ def phi_P_inv(t: Seq) -> Seq:
     return Seq(out)
 
 
-def xi_S4(s: Seq) -> MapResult:
+def xi_S4(s: Seq) -> tuple:
     """Promote the entry after the maximal prefix to a new maximal.
 
     Defined on the block whose tail ascends off the prefix and still uses
@@ -162,7 +153,7 @@ def xi_S4(s: Seq) -> MapResult:
     i = s[p]
     out = list(s)
     out[p] = p
-    return MapResult(Seq(out), i)
+    return Seq(out), i
 
 
 def xi_S4_inv(t: Seq, i: int) -> Seq:
@@ -174,7 +165,7 @@ def xi_S4_inv(t: Seq, i: int) -> Seq:
     return Seq(out)
 
 
-def s2_reduce(s: Seq) -> MapResult:
+def s2_reduce(s: Seq) -> tuple:
     """Detach the entry after the maximal prefix when the tail steps down.
 
     The removed value rides along as the side index; asc and max survive,
@@ -183,7 +174,7 @@ def s2_reduce(s: Seq) -> MapResult:
     p = _in_block(s, "ASC_S", "S2", "not in block S2:")[0]
     i = s[p]
     out = [v for idx, v in enumerate(s) if idx != p]
-    return MapResult(Seq(out), i)
+    return Seq(out), i
 
 
 def s2_insert(t: Seq, i: int) -> Seq:
@@ -196,7 +187,7 @@ def s2_insert(t: Seq, i: int) -> Seq:
     return Seq(out)
 
 
-def s3_reduce(s: Seq) -> MapResult:
+def s3_reduce(s: Seq) -> tuple:
     """Remove the ascent entry after the maximal prefix, closing the gap.
 
     Values above the prefix top shift down by one; asc and rep both drop
@@ -206,7 +197,7 @@ def s3_reduce(s: Seq) -> MapResult:
     i = s[p]
     out = [v - (1 if v > p else 0)
            for idx, v in enumerate(s) if idx != p]
-    return MapResult(Seq(out), i)
+    return Seq(out), i
 
 
 def s3_insert(t: Seq, i: int) -> Seq:
@@ -435,7 +426,7 @@ def _rewind(s, found, read, pos, steps, tag, _trace):
             cur = undo_first(cur, at, j)
             if _trace is not None:
                 _trace.append(("undo_" + tag + "0", Seq(cur)))
-            return MapResult(Seq(cur), i)
+            return Seq(cur), i
         else:
             cur, label = undo_apart(cur, at, j), "undo_" + tag + "2"
         if _trace is not None:
@@ -458,7 +449,7 @@ def vartheta(s: Seq, i: int, _trace=None) -> Seq:
                     _trace)
 
 
-def vartheta_inv(s: Seq, _trace=None) -> MapResult:
+def vartheta_inv(s: Seq, _trace=None) -> tuple:
     """Rewind :func:`vartheta`; returns the source and the target ordinal."""
     kp, j, pos = _marked(s, "T_F")
     require(pos != 0, "no critical maximal:", s)
@@ -618,7 +609,7 @@ def _undo_Z2(t: list, zp, c: int) -> list:
         raise AssertionError(f"malformed paired-zero neighbourhood: {t!r}")
     return out
 
-def theta_R_inv(s: Seq, _trace=None) -> MapResult:
+def theta_R_inv(s: Seq, _trace=None) -> tuple:
     """Rewind :func:`theta_R`; returns the source and the target ordinal."""
     zp, j, pos = _marked(s, "ASC_G")
     require(pos != 0, "no critical one:", s)
@@ -631,10 +622,10 @@ def theta_R_inv(s: Seq, _trace=None) -> MapResult:
 # how the pair is called, and the lemma it proves.  The shape fixes the
 # calls:
 #   drop    forward(s) -> t and inverse(t) -> s, with t one shorter;
-#   reduce  forward(s) -> MapResult(t, i) and inverse(t, i) -> s;
+#   reduce  forward(s) -> (t, i) and inverse(t, i) -> s;
 #   shift   forward(s, "up" | "down"); a shift is its own inverse, run in the
 #           other direction;
-#   walk    forward(s, i) -> t and inverse(t) -> MapResult(s, i).
+#   walk    forward(s, i) -> t and inverse(t) -> (s, i).
 # A block is (scheme, *labels) of classify.  A codomain is (length drop,
 # block or None for the whole class, its description); a shift has none.
 # A side-index range (lo, hi) is read off the sequence the index is paired

@@ -211,11 +211,6 @@ class TruncSeries:
             raise UsageError(f"coefficient index {k} outside 0..{self.order}")
         return Fraction(self._num[k], self._den)
 
-    def vanishes_below(self, k: int) -> bool:
-        """True when every coefficient of t^0..t^(k-1) is zero (always for
-        k <= 0, as there are none)."""
-        return k <= 0 or not any(self._num[:k])
-
     def as_integers(self) -> list:
         """Coefficients as ints; refuses if any coefficient is fractional."""
         for i, c in enumerate(self.coeffs):

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from . import bijections, counting, decomp, stats
@@ -33,9 +33,6 @@ from .seqcore import (ClassId, check_class, check_size, enumerate_class,
 
 CACHE_ENV = "FISHBURN_CACHE"
 
-_PERM_SCALARS = ("des", "ides", "iasc", "lmax", "lmin", "rmax")
-# statistics read off a profile entry x of a length-n object as n - 1 - x
-_DERIVED = {"nasc": "asc", "iasc": "ides"}
 # the core of each class, of which each (class, n) has one table: the
 # statistics that the table checks read of it.  main3 reads Levande's
 # (rep, max) of T21; foata and inv_sym read Foata's (asc, rep) of INV, and
@@ -79,7 +76,7 @@ def _source_digest(paths: tuple) -> str:
 
 def _slot(profile: tuple, name: str) -> tuple:
     """(index in profile, whether name is derived as n - 1 - x from it)."""
-    base = _DERIVED.get(name, name)
+    base = stats.DERIVED.get(name, name)
     return profile.index(base), base != name
 
 
@@ -95,12 +92,12 @@ def _value_fn(class_id: ClassId, names: tuple):
     profile = stats.PERM_PROFILE if perm else stats.SEQ_PROFILE
     slots = []  # (marker or None, profile index, derived)
     for name in names:
-        if name in (_PERM_SCALARS if perm else stats.SEQ_SCALARS):
+        if name in (stats.PERM_SCALARS if perm else stats.SEQ_SCALARS):
             slots.append((None, *_slot(profile, name)))
         elif perm:
             raise UsageError(
                 f"statistic {name!r} does not apply to {class_id.name}; "
-                f"usable: {', '.join(_PERM_SCALARS)}")
+                f"usable: {', '.join(stats.PERM_SCALARS)}")
         elif name in stats.MARKERS:
             home = stats.MARKERS[name]
             if class_id is not home:
@@ -131,7 +128,7 @@ def _table_stats(class_id: ClassId, names: tuple) -> tuple:
     """Statistics of the table that serves names: the class's core when
     every name is a core statistic or derived from one, else names."""
     core = _CORES[class_id]
-    if all(_DERIVED.get(name, name) in core for name in names):
+    if all(stats.DERIVED.get(name, name) in core for name in names):
         return core
     return names
 
@@ -462,11 +459,8 @@ def _chk_class_counts(max_n, perm_max_n):
 # carries each marker level injectively into the next, and onto it.
 # A level is the members of one class at one length, with their labels
 # under each scheme, which decomp.classify gives once per member when a
-# block first asks.
-
-# schemes that cannot classify the run of maximals (or of zeros) itself,
-# and the statistic that equals the length exactly on that run
-_GUARDS = {"ASC_S": "max", "T_J": "max", "ASC_R": "zero"}
+# block first asks, and none to the run of anchors that it refuses (the
+# members whose statistic of decomp.GUARDS is the length).
 
 
 def _reader(class_id, name):
@@ -487,7 +481,7 @@ def _block(class_id, level, block):
     (objs, labels), (scheme, *wanted) = level, block
     tags = labels.get(scheme)
     if tags is None:
-        guard = _reader(class_id, _GUARDS.get(scheme, 0))  # 0: no guard
+        guard = _reader(class_id, decomp.GUARDS.get(scheme, 0))  # 0: none
         tags = labels[scheme] = [
             decomp.classify(s, scheme) if guard(s) < len(s) else None
             for s in objs]
@@ -514,19 +508,14 @@ class _Row:
     deltas: dict
 
 
-_unpacked = attrgetter("output", "side_index")  # a MapResult as (t, j)
-
-
 def _pairs(shape, forward, inverse) -> tuple:
     """The forward and inverse of a row as maps of (sequence, side index)
     pairs, an unset index None: a walk's forward reads an index, a reduce's
     forward writes one, and a shift's forward is up and its inverse down."""
     if shape == "walk":
-        return (lambda s, i: (forward(s, i), None),
-                lambda t, _: _unpacked(inverse(t)))
+        return lambda s, i: (forward(s, i), None), lambda t, _: inverse(t)
     if shape == "reduce":
-        return (lambda s, _: _unpacked(forward(s)),
-                lambda t, j: (inverse(t, j), None))
+        return lambda s, _: forward(s), lambda t, j: (inverse(t, j), None)
     if shape == "shift":
         return (lambda s, _: (forward(s, "up"), None),
                 lambda t, _: (inverse(t, "down"), None))

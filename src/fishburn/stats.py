@@ -63,6 +63,9 @@ def zero_positions(s) -> tuple:
 SEQ_PROFILE = ("asc", "rep", "zero", "max", "rmin")
 SEQ_SCALARS = (*SEQ_PROFILE, "nasc")
 PERM_PROFILE = ("des", "ides", "lmax", "lmin", "rmax")
+PERM_SCALARS = ("des", "ides", "iasc", "lmax", "lmin", "rmax")
+# scalars read off a profile entry x of a length-n object as n - 1 - x
+DERIVED = {"nasc": "asc", "iasc": "ides"}
 SEQ_SETS = ("ASC", "DIST", "ZERO", "MAX", "RMIN", "NASC")
 PERM_SETS = ("DES", "IDES", "LMAX", "LMIN", "RMAX")
 

@@ -27,7 +27,6 @@ reference and compared with it under faults keyed to one input.
 import pytest
 
 from fishburn import bijections, decomp, harness, stats
-from fishburn.decomp import MapResult
 from fishburn.errors import DomainError, UsageError, invariant
 from fishburn.seqcore import ClassId, Perm, Seq, enumerate_class, perm_transform
 from fishburn.stats import (maximal_positions, mpair, mpos, perm_stats,
@@ -326,7 +325,7 @@ def ref_vartheta_inv(s, _trace=None):
             cur = decomp._undo_M0(cur, *found)
             if _trace is not None:
                 _trace.append(("undo_M0", Seq(cur)))
-            return MapResult(Seq(cur), i)
+            return Seq(cur), i
         else:
             cur = decomp._undo_M2(cur, *found)
             label = "undo_M2"
@@ -442,7 +441,7 @@ def ref_theta_R_inv(s, _trace=None):
             cur = decomp._undo_Z0(cur, *found)
             if _trace is not None:
                 _trace.append(("undo_Z0", Seq(cur)))
-            return MapResult(Seq(cur), i)
+            return Seq(cur), i
         else:
             cur = decomp._undo_Z2(cur, *found)
             label = "undo_Z2"

@@ -301,7 +301,7 @@ def test_each_core_is_what_the_table_checks_read():
     for cid, names in table_reads():
         if not any(name in stats.MARKERS for name in names):
             read.setdefault(cid, set()).update(
-                harness._DERIVED.get(name, name) for name in names)
+                stats.DERIVED.get(name, name) for name in names)
     assert set(read) == {ClassId.ASC, ClassId.T21, ClassId.INV,
                          ClassId.PERM_ALL}
     assert set(harness._CORES) == set(ClassId)
