@@ -38,12 +38,12 @@ Marker conventions, used consistently by every function here:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import gcd, lcm, prod
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from . import counting
 from .errors import DomainError, UsageError, invariant
@@ -270,19 +270,18 @@ def _over_affine(f: TruncSeries, c: Fraction, g: Fraction, a: TruncSeries,
     return _quotient(f._num, f._den, dnum, dden, f.order, scale)
 
 
-@dataclass(frozen=True)
-class SpecPoint:
+class SpecPoint(NamedTuple("SpecPoint", [(name, Fraction) for name in "xquzw"])):
     """An exact rational value for each marker variable."""
 
-    x: Fraction = Fraction(1)
-    q: Fraction = Fraction(1)
-    u: Fraction = Fraction(1)
-    z: Fraction = Fraction(1)
-    w: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in "xquzw":
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+    def __new__(cls, x=1, q=1, u=1, z=1, w=1):
+        return super().__new__(cls, *map(_as_fraction, (x, q, u, z, w)))
+
+    def replace(self, **changes) -> "SpecPoint":
+        """The point with some markers changed, each coerced as in __new__
+        (which _replace would skip)."""
+        return SpecPoint(**{**self._asdict(), **changes})
 
     def as_dict(self) -> dict:
         return {name: str(getattr(self, name)) for name in "xquzw"}
@@ -493,7 +492,6 @@ MARKER_VARS = {"rep": "x", "max": "q", "asc": "u", "zero": "z",
                "ealm": "w", "mpair": "w", "zpair": "w"}
 
 
-@dataclass(frozen=True)
 class DistTable:
     """Joint distribution of some statistics over one class at one length.
 
@@ -502,10 +500,8 @@ class DistTable:
     the class cardinality at length n.
     """
 
-    class_id: ClassId
-    n: int
-    stats: tuple
-    counts: dict
+    def __init__(self, class_id: ClassId, n: int, stats: tuple, counts: dict):
+        self.class_id, self.n, self.stats, self.counts = class_id, n, stats, counts
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -617,8 +613,7 @@ def _whole_series(order: int, point: SpecPoint) -> TruncSeries:
     return _profile_series(_case_profiles(order)[0], order, point)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     case: int
     order: int
     point: SpecPoint
@@ -652,7 +647,7 @@ def check_case_identity(case: int, order: int = DEFAULT_ORDER,
     lhs = _profile_series(_case_profiles(order)[1][f"S{case}"], order, point)
 
     def inner(**changes) -> TruncSeries:
-        return _whole_series(order, replace(point, **changes))
+        return _whole_series(order, point.replace(**changes))
 
     one = TruncSeries.one(order)
     t = TruncSeries.monomial(1, 1, order)

@@ -16,11 +16,11 @@ import tempfile
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bijections, counting, decomp, stats
 from .errors import DomainError, ResourceLimitError, UsageError
@@ -236,8 +236,7 @@ def dist_table(class_id: ClassId, n: int, stat_names, use_cache: bool = True) ->
     return table if served == names else _marginal(table, names)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     parameters: dict
     verdict: str                 # "pass" or "fail"
@@ -488,8 +487,7 @@ def _block(class_id, level, block):
     return [s for s, tag in zip(objs, tags) if tag in wanted]
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(NamedTuple):
     """A decomp.MAPS row at one length n: its shape, the maps as maps of
     pairs (see _pairs) and marker bound now on decomp and stats (so patched
     and traced bindings run), the domain and codomain in enumeration order,

@@ -70,10 +70,15 @@ SEQ_SETS = ("ASC", "DIST", "ZERO", "MAX", "RMIN", "NASC")
 PERM_SETS = ("DES", "IDES", "LMAX", "LMIN", "RMAX")
 
 
+def _derived(values: dict, n: int) -> dict:
+    """values and, after them, each DERIVED scalar of a base among them."""
+    return {**values, **{name: n - 1 - values[base]
+                         for name, base in DERIVED.items() if base in values}}
+
+
 def scalar_stats(s: Seq) -> dict:
     require(is_inversion(s), "not an inversion sequence:", s)
-    profile = seq_profile(s)
-    return dict(zip(SEQ_SCALARS, (*profile, len(s) - 1 - profile[0])))
+    return _derived(dict(zip(SEQ_PROFILE, seq_profile(s))), len(s))
 
 
 def set_stats(s: Seq) -> dict:
@@ -83,8 +88,7 @@ def set_stats(s: Seq) -> dict:
 
 def perm_stats(p: Perm) -> dict:
     sets = perm_sets(p)
-    des, ides = len(sets[0]), len(sets[1])
-    return {"des": des, "ides": ides, "iasc": len(p) - 1 - ides,
+    return {**_derived({"des": len(sets[0]), "ides": len(sets[1])}, len(p)),
             **dict(zip(PERM_SETS, sets))}
 
 

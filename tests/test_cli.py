@@ -750,6 +750,19 @@ class TestParserBasics:
         got = run_json(capsys, "enumerate", "--class", "asc", "--n", "2")
         assert got == ["0,0", "0,1"]
 
+    def test_import_loads_no_unused_module(self):
+        # a fresh interpreter without site, so only the package's own
+        # imports count: these modules cost start-up time and memory, and
+        # csv is imported by the one branch that writes CSV
+        src = Path(fishburn.__file__).resolve().parents[1]
+        unused = ("dataclasses", "inspect", "csv", "ast", "dis", "tokenize")
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "import fishburn.cli, fishburn.harness; "
+                f"print(sorted(set({unused!r}) & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
     def test_console_script_is_installed(self, tmp_path, monkeypatch):
         # Without an installed package (a run from the checkout with
         # PYTHONPATH=src), build the script pip would write from pyproject.

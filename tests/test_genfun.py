@@ -7,7 +7,6 @@ import math
 import pickle
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -95,13 +94,18 @@ class TestTruncSeries:
         (lambda f: f * 2, "*: 'TruncSeries' and 'int'"),
         (lambda f: 2 * f, "*: 'int' and 'TruncSeries'"),
         (lambda f: f * Fraction(1, 2), "*: 'TruncSeries' and 'Fraction'"),
-        (lambda f: f / 2, "/: 'TruncSeries' and 'int'")],
-        ids=["f*2", "2*f", "f*half", "f/2"])
+        (lambda f: f / 2, "/: 'TruncSeries' and 'int'"),
+        (lambda f: f + 1, "+: 'TruncSeries' and 'int'"),
+        (lambda f: f - 1, "-: 'TruncSeries' and 'int'")],
+        ids=["f*2", "2*f", "f*half", "f/2", "f+1", "f-1"])
     def test_scalar_operands_are_refused(self, expression, refusal):
-        # * and / take two series; scale is the one product by a rational
+        # +, -, * and / take two series; scale is the one product by a
+        # rational, and a series equals no scalar
+        f = genfun.TruncSeries((1, 2, 3))
         with pytest.raises(TypeError) as caught:
-            expression(genfun.TruncSeries((1, 2, 3)))
+            expression(f)
         assert str(caught.value) == f"unsupported operand type(s) for {refusal}"
+        assert (f == 1) is False
 
     @pytest.mark.parametrize("round_trip", [
         copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
@@ -150,6 +154,26 @@ class TestSpecPoint:
             p = genfun.random_point(
                 rng, constraint=genfun.admissible_for_length_series)
             assert genfun.admissible_for_length_series(p)
+
+    def test_replace_coerces_as_the_constructor_does(self):
+        point = genfun.SpecPoint(x=Fraction(2, 3))
+        moved = point.replace(w=1)
+        assert type(moved.w) is Fraction and moved.w == Fraction(1)
+        assert moved == genfun.SpecPoint(x=Fraction(2, 3), w="1")
+        with pytest.raises(UsageError):
+            point.replace(q=0.5)
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_and_pickles(self, round_trip):
+        # the copy is rebuilt through SpecPoint.__new__ from its markers
+        point = genfun.SpecPoint(x=Fraction(2, 3), q=3, w="-1/2")
+        got = round_trip(point)
+        assert type(got) is genfun.SpecPoint
+        assert got == point and hash(got) == hash(point)
+        assert got.as_dict() == {"x": "2/3", "q": "3", "u": "1", "z": "1",
+                                 "w": "-1/2"}
 
     def test_admissibility_rejects_the_pole(self):
         # x = u = 2 makes a denominator factor vanish at weight one
@@ -714,7 +738,7 @@ def ref_check_case_identity(case, order, point):
     lhs = genfun._profile_series(parts[f"S{case}"], order, point)
 
     def inner(**changes):
-        return genfun._profile_series(whole, order, replace(point, **changes))
+        return genfun._profile_series(whole, order, point.replace(**changes))
 
     one = TruncSeries.one(order)
     t = TruncSeries.monomial(1, 1, order)
@@ -850,7 +874,7 @@ class TestOneBuildPerPoint:
                     for case in (1, 2, 3, 4)]
             # four specialisations of the whole profile, asked for nine times
             # (at w = 0 two of them coincide)
-            distinct = {replace(point, **changes) for changes in (
+            distinct = {point.replace(**changes) for changes in (
                 {}, {"w": 1}, {"w": 0}, {"q": point.q * point.w, "w": 1})}
             info = genfun._whole_series.cache_info()
             assert (info.misses, info.hits) == (len(distinct), 9 - len(distinct))

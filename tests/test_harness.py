@@ -58,6 +58,11 @@ class TestDistTable:
 
 
 class TestCache:
+    def test_default_directory_is_under_home(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FISHBURN_CACHE", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert harness.cache_dir() == tmp_path / ".cache" / "fishburn"
+
     def table_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
         t = harness.dist_table(ClassId.ASC, 4, ("rep", "max"))
