@@ -45,7 +45,18 @@ zpos have no tracker, and every other marker table is enumerated.
 The fields a request needs are packed side by side into one int, so that
 the counts and bit sets of one entry move with one AND, one OR and one ADD.
 
-One layer loop, _count, serves two requests.  count_table reads the
+Two layer loops serve three requests.  The first, _walk_sizes, serves
+sizes, the number of members of each length, which reads no statistic: its
+layers are keyed by (state, prev) alone, and it calls the step rule itself,
+with no extensions memo.  The memo is keyed by (state, prev) too, so each of
+its entries would be read once, by the one layer key it was made for, and
+never again.  Nor is the last layer stored: each key there only adds its
+count once per admissible entry.  Over a sequence class, whose entries at
+index m range over 0..m at every length, one walk counts every length; over
+a permutation class, whose entries range over 1..n, it takes one walk per
+length.
+
+The second, _count, serves two requests.  count_table reads the
 trackers of a profile or marker table.  count_cases reads the five-marker
 profile (rep, max, ealm, asc, zero) of each suffix case S1..S4 of the ascent
 sequences, the populations of the case identities in genfun: its step rule
@@ -74,7 +85,7 @@ from collections import Counter
 from . import stats
 from .errors import UsageError
 from .seqcore import (ClassId, _RULES, _asc_step, check_class, check_size,
-                      extensions, graph)
+                      entry_range, extensions, graph)
 
 # tracker -> (the field it reads, whether the statistic is the size of that
 # field as a set, whether it is n minus the reading, and the field whose
@@ -251,6 +262,36 @@ def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
     layout = _Layout(names, n)
     return dict(_count(step, state, n, layout, layout.reader(names),
                        class_id.is_permutation_class))
+
+
+def _walk_sizes(step, start, top, perm):
+    """The number of prefixes of each length 1..top that the step rule grows
+    from the state start, its entries ranging as in a length-top member."""
+    layer, totals = {(start, 0): 1}, []
+    for m in range(top):
+        values, grown, total = entry_range(perm, top, m), {}, 0
+        for (state, prev), count in layer.items():
+            for v in values:
+                nxt = step(state, m, prev, v)
+                if nxt is not None:
+                    total += count
+                    if m < top - 1:
+                        grown[nxt, v] = grown.get((nxt, v), 0) + count
+        layer = grown
+        totals.append(total)
+    return totals
+
+
+def sizes(class_id: ClassId, top: int) -> list:
+    """[the number of members of class_id of length n for n in 1..top],
+    counted layer by layer over (rule state, last entry) alone."""
+    check_class(class_id)
+    check_size(top, "top")
+    step, start = _RULES[class_id]
+    if class_id.is_permutation_class:
+        return [_walk_sizes(step, start, n, True)[-1]
+                for n in range(1, top + 1)]
+    return _walk_sizes(step, start, top, False)
 
 
 def ranker(class_id: ClassId, n: int) -> tuple:

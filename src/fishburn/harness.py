@@ -418,26 +418,23 @@ def _chk_case_identities(order, points, seed):
 
 
 def _chk_class_counts(max_n, perm_max_n):
-    """Every class is counted over the step rules, the sequence classes as
-    the total of their asc table and the avoiders of their des table.  The
+    """Every class is counted over the step rules by counting.sizes, the
+    sequence classes up to max_n and the avoiders up to perm_max_n.  The
     reference series refuses max_n past the "series" cap of seqcore.CAPS,
     and within_cap refuses perm_max_n past the "enumerate n!" cap, the
     reach of the enumeration that the avoider counts stand in for."""
     within_cap(perm_max_n, "enumerate", "length", ClassId.PERM_AVOID_A)
     reference = fishburn_series(max(max_n, perm_max_n, 1))
-    jobs = [(cls, max_n, ("asc",)) for cls in
-            (ClassId.ASC, ClassId.T21, ClassId.B, ClassId.C)]
-    jobs += [(cls, perm_max_n, ("des",)) for cls in
-             (ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B)]
+    counts = [(cls, counting.sizes(cls, max_n)) for cls in
+              (ClassId.ASC, ClassId.T21, ClassId.B, ClassId.C)]
+    counts += [(cls, counting.sizes(cls, perm_max_n)) for cls in
+               (ClassId.PERM_AVOID_A, ClassId.PERM_AVOID_B)]
     for n in range(1, max(max_n, perm_max_n) + 1):
-        for cls, top, names in jobs:
-            if n > top:
-                continue
-            count = sum(counting.count_table(cls, n, names).values())
-            expected = reference.coefficient(n)
-            if count != expected:
+        expected = reference.coefficient(n)
+        for cls, found in counts:
+            if n <= len(found) and found[n - 1] != expected:
                 return {"n": n, "class": cls, "expected": int(expected),
-                        "actual": count}
+                        "actual": found[n - 1]}
     return None
 
 

@@ -250,7 +250,8 @@ def extensions(step, perm: bool, n: int, m: int, payload=None):
     """(state, prev) -> the admissible entries at index m of a length-n
     member after prev, as (v, next state, extra) in increasing v, where
     extra is payload(state, prev, v), or None with no payload.  Memoised per
-    (state, prev), for as long as the caller holds the table."""
+    (state, prev), for as long as the caller holds the table; the memo pays
+    only when several keys of the caller share a (state, prev)."""
     memo, values = {}, entry_range(perm, n, m)
 
     def extend(state, prev):

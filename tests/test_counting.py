@@ -182,6 +182,32 @@ def test_the_fold_reads_each_core_key_once(cid, monkeypatch):
     assert sum(table.values()) == genfun.fishburn_series(9).coefficient(9)
 
 
+# --- the class sizes ----------------------------------------------------------
+
+@pytest.mark.parametrize("cid", list(ClassId), ids=lambda c: c.name)
+def test_sizes_against_brute_force(cid):
+    """The members that the predicates of class_refs keep are the one
+    reference of counting.sizes: every n <= 7, and n <= 8 for the six
+    Fishburn-counted classes."""
+    top = 7 if cid in (ClassId.INV, ClassId.PERM_ALL) else 8
+    assert counting.sizes(cid, top) == [len(brute_force(cid, n))
+                                        for n in range(1, top + 1)]
+    assert counting.sizes(cid, 1) == [1]
+
+
+@pytest.mark.parametrize("cid, top, refusal", [
+    ("asc", 3, "expected a ClassId, got 'asc'"),
+    (None, 3, "expected a ClassId, got None"),
+    (ClassId.ASC, 0, "top must be a positive integer, got 0"),
+    (ClassId.PERM_AVOID_B, -1, "top must be a positive integer, got -1"),
+    (ClassId.C, True, "top must be a positive integer, got True"),
+    (ClassId.C, 2.0, "top must be a positive integer, got 2.0")])
+def test_sizes_refuse_a_bad_class_or_top(cid, top, refusal):
+    with pytest.raises(UsageError) as caught:
+        counting.sizes(cid, top)
+    assert str(caught.value) == refusal
+
+
 # --- the ranker ---------------------------------------------------------------
 
 def _size(cid, n):

@@ -381,8 +381,8 @@ def _on(value):
 
 
 def _on_table(*request):
-    """The run for one set of arguments: the counter's (class, n, names), or
-    the enumeration of one (class, n)."""
+    """The run for one set of arguments: the counter's (class, n, names),
+    the class sizes' (class, top), or the enumeration of one (class, n)."""
     return lambda *args: args == request
 
 
@@ -655,13 +655,18 @@ def test_marker_only_reader_runs_no_profile_kernel(monkeypatch):
     assert got == (stats.ealm(s), kernel(s)[max_index]) and calls == [s]
 
 
+def _one_more_at(n):
+    """One member too many at length n in a list of class sizes."""
+    return lambda _, out: [count + (length == n)
+                           for length, count in enumerate(out, start=1)]
+
+
 def test_class_count_fault_is_reported_as_pinned(tmp_path, monkeypatch):
     # the sequence classes are counted, not enumerated: one count too many
     # of C at n = 5
     monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
-    _inject(monkeypatch, counting, "count_table",
-            _on_table(ClassId.C, 5, ("asc",)),
-            lambda _, out: {**out, (0,): out[(0,)] + 1})
+    _inject(monkeypatch, counting, "sizes", _on_table(ClassId.C, 6),
+            _one_more_at(5))
     report = harness.run_check("class_counts", max_n=6, perm_max_n=4)
     assert report.verdict == "fail"
     assert report.as_dict()["counterexample"] == {
@@ -673,12 +678,25 @@ def test_avoider_count_fault_is_reported_as_pinned(tmp_path, monkeypatch):
     # the avoiders are counted too, up to perm_max_n: one count too many of
     # PERM_AVOID_B at n = 4, the top size
     monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
-    _inject(monkeypatch, counting, "count_table",
-            _on_table(ClassId.PERM_AVOID_B, 4, ("des",)),
-            lambda _, out: {**out, (0,): out[(0,)] + 1})
+    _inject(monkeypatch, counting, "sizes",
+            _on_table(ClassId.PERM_AVOID_B, 4), _one_more_at(4))
     report = harness.run_check("class_counts", max_n=2, perm_max_n=4)
     assert report.as_dict()["counterexample"] == {
         "n": 4, "class": "PERM_AVOID_B", "expected": 15, "actual": 16}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_class_counts_neither_tabulate_nor_enumerate(tmp_path, monkeypatch):
+    # the sizes need no statistic, so no table is counted, enumerated or
+    # cached
+    def refused(*args, **kwargs):
+        raise AssertionError(f"called with {args!r}")
+
+    monkeypatch.setenv("FISHBURN_CACHE", str(tmp_path))
+    monkeypatch.setattr(counting, "count_table", refused)
+    for module in (harness, seqcore):
+        monkeypatch.setattr(module, "enumerate_class", refused)
+    assert harness.run_check("class_counts").passed
     assert list(tmp_path.iterdir()) == []
 
 
