@@ -6,11 +6,13 @@ rule state, on their last entry and on the running fields that the requested
 statistics read have the same extensions, with the same effect on those
 statistics, so one count stands for all of them.  A layer maps each key
 (state, prev, fields) to the number of prefixes it stands for, and the next
-layer extends every key by each admissible entry, read off the table of
-seqcore.extensions at that index, which seqcore.graph reads too: a
-transfer-matrix count (Flajolet and Sedgewick, Analytic Combinatorics, V.6)
-over the recursive construction of Bousquet-Mélou, Claesson, Dukes and
-Kitaev (JCTA 2010).
+layer extends every key by each admissible entry, read off the extension
+table of that index, _extensions, memoised per (state, prev), since the
+keys that differ only in their fields share it: a transfer-matrix count
+(Flajolet and Sedgewick, Analytic Combinatorics, V.6) over the recursive
+construction of Bousquet-Mélou, Claesson, Dukes and Kitaev (JCTA 2010).
+_count is the one reader of that table; seqcore.graph, which meets each
+(index, state, prev) key once, calls the step rule itself.
 
 A tracker reads one statistic off the running fields.  Appending the entry v
 at 0-based index m after the entry prev updates each field as follows:
@@ -48,13 +50,12 @@ the counts and bit sets of one entry move with one AND, one OR and one ADD.
 Two layer loops serve three requests.  The first, _walk_sizes, serves
 sizes, the number of members of each length, which reads no statistic: its
 layers are keyed by (state, prev) alone, and it calls the step rule itself,
-with no extensions memo.  The memo is keyed by (state, prev) too, so each of
-its entries would be read once, by the one layer key it was made for, and
-never again.  Nor is the last layer stored: each key there only adds its
-count once per admissible entry.  Over a sequence class, whose entries at
-index m range over 0..m at every length, one walk counts every length; over
-a permutation class, whose entries range over 1..n, it takes one walk per
-length.
+with no extension table, whose memo, keyed by (state, prev) too, would make
+each entry for the one layer key that reads it, once.  Nor is the last
+layer stored: each key there only adds its count once per admissible
+entry.  Over a sequence class, whose entries at index m range over 0..m at
+every length, one walk counts every length; over a permutation class, whose
+entries range over 1..n, it takes one walk per length.
 
 The second, _count, serves two requests.  count_table reads the
 trackers of a profile or marker table.  count_cases reads the five-marker
@@ -85,7 +86,7 @@ from collections import Counter
 from . import stats
 from .errors import UsageError
 from .seqcore import (ClassId, _RULES, _asc_step, check_class, check_size,
-                      entry_range, extensions, graph)
+                      entry_range, graph)
 
 # tracker -> (the field it reads, whether the statistic is the size of that
 # field as a set, whether it is n minus the reading, and the field whose
@@ -182,10 +183,14 @@ class _Layout:
 
 
 def _extensions(step, layout, perm, m):
-    """seqcore.extensions at index m, with the ops of each entry as its
-    payload: those of each (prev, v) are computed once and shared, and
-    ides, which reads the state, is added to them per (state, prev, v)."""
-    ops, ides = {}, layout.at.get("ides")
+    """(state, prev) -> the admissible entries at index m of a length-n
+    member after prev, as (v, next state, the ops of v) in increasing v.
+    Memoised per (state, prev) for as long as _count holds the table, since
+    the layer keys that differ only in their fields share one entry.  The
+    ops of each (prev, v) are computed once and shared, and ides, which
+    reads the state, is added to them per (state, prev, v)."""
+    memo, ops, ides = {}, {}, layout.at.get("ides")
+    values = entry_range(perm, layout.n, m)
 
     def entry_ops(state, prev, v):
         found = ops.get((prev, v))
@@ -195,7 +200,15 @@ def _extensions(step, layout, perm, m):
             keep, put, add = found
             return keep, put, add + (1 << ides)
         return found
-    return extensions(step, perm, layout.n, m, entry_ops)
+
+    def extend(state, prev):
+        found = memo.get((state, prev))
+        if found is None:
+            found = memo[state, prev] = tuple(
+                (v, nxt, entry_ops(state, prev, v)) for v in values
+                if (nxt := step(state, m, prev, v)) is not None)
+        return found
+    return extend
 
 
 def _count(step, state, n, layout, read, perm=False,
@@ -266,7 +279,9 @@ def count_table(class_id: ClassId, n: int, names: tuple) -> dict:
 
 def _walk_sizes(step, start, top, perm):
     """The number of prefixes of each length 1..top that the step rule grows
-    from the state start, its entries ranging as in a length-top member."""
+    from the state start, its entries ranging as in a length-top member.
+    It calls the step rule once per layer key and candidate, with no memo
+    (see the module docstring)."""
     layer, totals = {(start, 0): 1}, []
     for m in range(top):
         values, grown, total = entry_range(perm, top, m), {}, 0

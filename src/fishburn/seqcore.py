@@ -14,7 +14,9 @@ six restricted classes are counted by the Fishburn numbers 1, 2, 5, 15, 53,
 217, 1014, ...
 
 Enumeration is in lexicographic order and accepts a fixed prefix so callers
-can partition the stream; an infeasible prefix yields an empty stream.
+can partition the stream; an infeasible prefix, or one longer than the
+length, yields an empty stream.  It walks the node graph of graph, built
+from the step rule by one recursion that meets each reachable key once.
 """
 
 from __future__ import annotations
@@ -218,25 +220,24 @@ def perm_transform(p: Perm) -> Perm:
 # and the PERM_ALL stream run a prefix through it.
 #
 # A step rule must stay a pure function of (state, m, prev, v), with a
-# hashable state: extensions(step, perm, n, m) memoises the admissible
-# entries of every (state, prev) it meets at index m, so each key costs one
-# call per candidate value.  graph(class_id, n, *prefix) runs the prefix
-# through the step rule, then reads those tables forward from its key and
-# index, to collect the reachable (state, prev) keys of each later index,
-# then backward, to build one node per key: a dict from each admissible
-# entry v, in increasing order, to (the completions of the smaller entries,
-# the node after v), with None after the last entry.  Nodes are shared by
-# every prefix that reaches their key, so the graph is held, not the
-# members.  enumerate_class walks it depth-first from the prefix's node,
-# over a stack of iterators, so a member is yielded from one frame, not
-# through n nested ones; a prefix that the rule refuses, or that no member
-# extends, yields nothing.  counting.ranker reads the completions of the
-# nodes of the empty prefix (the recursive method of Nijenhuis and Wilf,
-# Combinatorial Algorithms, 1978).
+# hashable state: graph(class_id, n, *prefix) runs the prefix through the
+# step rule, then builds one node per (index, state, prev) key reachable
+# from its key by one recursion, memoised per key for that call only, so
+# each key costs one call of the rule per candidate value.  A node is a dict
+# from each admissible entry v, in increasing order, to (the completions of
+# the smaller entries, the node after v), with None after the last entry.
+# Nodes are shared by every prefix that reaches their key, so the graph is
+# held, not the members, and the recursion is n - len(prefix) frames deep.
+# enumerate_class walks it depth-first from the prefix's node, over a stack
+# of iterators, so a member is yielded from one frame, not through n nested
+# ones; a prefix that the rule refuses, that no member extends or that is
+# longer than n yields nothing.  counting.ranker reads the completions of
+# the nodes of the empty prefix (the recursive method of Nijenhuis and
+# Wilf, Combinatorial Algorithms, 1978).
 # PERM_ALL has nothing to prune, so enumerate_class takes its tails from
 # itertools.permutations; its rule serves the ranker and the counter, which
-# reads the extension tables with the effect of each entry on the tracked
-# statistics as payload: it merges the prefixes that agree on (state, prev)
+# keeps its own extension table, with the effect of each entry on the
+# tracked statistics: it merges the prefixes that agree on (state, prev)
 # and on those statistics, and counts them together.
 
 
@@ -244,25 +245,6 @@ def entry_range(perm: bool, n: int, m: int) -> range:
     """The values an entry at 0-based index m of a length-n member may take:
     1..n in a permutation, 0..m in an inversion sequence."""
     return range(1, n + 1) if perm else range(m + 1)
-
-
-def extensions(step, perm: bool, n: int, m: int, payload=None):
-    """(state, prev) -> the admissible entries at index m of a length-n
-    member after prev, as (v, next state, extra) in increasing v, where
-    extra is payload(state, prev, v), or None with no payload.  Memoised per
-    (state, prev), for as long as the caller holds the table; the memo pays
-    only when several keys of the caller share a (state, prev)."""
-    memo, values = {}, entry_range(perm, n, m)
-
-    def extend(state, prev):
-        found = memo.get((state, prev))
-        if found is None:
-            found = memo[state, prev] = tuple(
-                (v, nxt, payload and payload(state, prev, v))
-                for v in values
-                if (nxt := step(state, m, prev, v)) is not None)
-        return found
-    return extend
 
 
 def _inv_step(state, m, prev, v):
@@ -389,35 +371,38 @@ def contains_bivincular_B(p: Perm) -> bool:
 
 def graph(class_id: ClassId, n: int, *prefix) -> tuple:
     """(root, size): size is the number of members of class_id of length
-    n that begin with the entries prefix (at most n of them), and root the
-    node after them.  A node maps each admissible entry v, in increasing
-    order, to (the number of members that extend the same prefix by a
-    smaller entry, the node after v); the node after the last entry is
-    None.  A prefix that the step rule refuses gives (None, 0)."""
+    n that begin with the entries prefix, and root the node after them.  A
+    node maps each admissible entry v, in increasing order, to (the number
+    of members that extend the same prefix by a smaller entry, the node
+    after v); the node after the last entry is None.  A prefix that the
+    step rule refuses, or that is longer than n, gives (None, 0)."""
     check_class(class_id)
     check_size(n, "length")
     key = rule_runner(class_id)(prefix, n)
-    if key is None:
+    if key is None or len(prefix) > n:
         return None, 0
     step, perm = _RULES[class_id][0], class_id.is_permutation_class
-    # moves[i]: key -> its extensions at index len(prefix) + i
-    moves, keys = [], {key}
-    for m in range(len(prefix), n):
-        extend = extensions(step, perm, n, m)
-        moves.append({key: extend(*key) for key in keys})
-        keys = {(nxt, v) for found in moves[-1].values()
-                for v, nxt, _ in found}
-    completions, nodes = dict.fromkeys(keys, 1), dict.fromkeys(keys)
-    for found_at in reversed(moves):
-        below, counts = {}, {}
-        for key, found in found_at.items():
-            node, total = {}, 0
-            for v, nxt, _ in found:
-                node[v] = total, nodes[nxt, v]
-                total += completions[nxt, v]
-            below[key], counts[key] = node, total
-        nodes, completions = below, counts
-    return nodes[key], completions[key]
+    return _node(step, perm, n, {}, len(prefix), *key)
+
+
+def _node(step, perm, n, memo, m, state, prev):
+    """(node, completions) of the key (state, prev) at index m, built once
+    per key in memo.  graph hands in a fresh memo and drops it on return;
+    a closure that called itself would keep it in a reference cycle until
+    the collector ran."""
+    if m == n:
+        return None, 1
+    found = memo.get((m, state, prev))
+    if found is None:
+        node, total = {}, 0
+        for v in entry_range(perm, n, m):
+            nxt = step(state, m, prev, v)
+            if nxt is not None:
+                below, count = _node(step, perm, n, memo, m + 1, nxt, v)
+                node[v] = total, below
+                total += count
+        found = memo[m, state, prev] = node, total
+    return found
 
 
 def _walk(class_id, n, prefix):
@@ -463,8 +448,6 @@ def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = No
     prefix = tuple(prefix)
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in prefix):
         raise UsageError(f"prefix must hold integers >= 0, got {prefix!r}")
-    if len(prefix) > n:
-        return iter(())
     if class_id is ClassId.PERM_ALL:
         return _stream_perm(n, prefix)
     return _walk(class_id, n, prefix)

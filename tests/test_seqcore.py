@@ -1,7 +1,9 @@
 """Enumeration, membership and text forms for the core classes."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -90,7 +92,10 @@ class TestEnumerationOrder:
         assert listed(ClassId.ASC, 4, prefix=(0, 1))[0] == (0, 1, 0, 0)
 
     def test_prefix_longer_than_length_yields_nothing(self):
-        assert listed(ClassId.ASC, 2, prefix=(0, 0, 0)) == []
+        # members of length 3, so that only their length refuses them
+        for cid in ClassId:
+            for prefix in listed(cid, 3):
+                assert listed(cid, 2, prefix=prefix) == [], (cid, prefix)
 
     def test_dead_prefix_yields_nothing(self):
         assert listed(ClassId.ASC, 3, prefix=(0, 5)) == []
@@ -161,70 +166,105 @@ def reachable(cid, n):
 
 
 class TestExtensionTable:
-    """seqcore.extensions, the one table of the step rules: the counter
-    reads it, and so does seqcore.graph, which the walk and the ranker
-    read."""
+    """counting._extensions, the one extension table: the counter reads it
+    at each index, memoised per (state, prev), with the ops of each entry on
+    the tracked fields.  seqcore.graph calls the step rule itself (see
+    TestPrefixGraph)."""
+
+    @staticmethod
+    def layout(cid, n):
+        """A layout of every tracker of cid's kind, so each op is set."""
+        names = (counting._PERM_TRACKERS if cid.is_permutation_class else
+                 [t for t in counting.TRACKERS
+                  if t not in counting._PERM_TRACKERS])
+        return counting._Layout(tuple(names), n)
 
     @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
     def test_matches_the_filtered_step_rule(self, cid):
         step, _ = seqcore._RULES[cid]
         perm = cid.is_permutation_class
         for n in range(1, 7):
+            layout = self.layout(cid, n)
+            ides = layout.at.get("ides")
             for m, keys in reachable(cid, n):
-                table = seqcore.extensions(step, perm, n, m)
+                table = counting._extensions(step, layout, perm, m)
                 for state, prev in keys:
                     # entry_range counts up, so this is increasing v
-                    want = tuple(
-                        (v, nxt, None) for v in seqcore.entry_range(perm, n, m)
-                        if (nxt := step(state, m, prev, v)) is not None)
-                    assert table(state, prev) == want, (n, m, state, prev)
+                    want = []
+                    for v in seqcore.entry_range(perm, n, m):
+                        nxt = step(state, m, prev, v)
+                        if nxt is None:
+                            continue
+                        keep, put, add = layout.ops(m, prev, v)
+                        if ides is not None and state >> (v + 1) & 1:
+                            add += 1 << ides
+                        want.append((v, nxt, (keep, put, add)))
+                    assert table(state, prev) == tuple(want), (n, m, state, prev)
                     assert table(state, prev) is table(state, prev)
 
     @pytest.mark.parametrize("cid", [ClassId.T21, ClassId.PERM_AVOID_A],
                              ids=lambda c: c.name)
-    def test_payload_runs_once_per_entry(self, cid):
+    def test_payload_runs_once_per_entry(self, monkeypatch, cid):
+        """_Layout.ops runs once per (prev, v) at each index, however many
+        states share it and however often a key is read."""
         step, _ = seqcore._RULES[cid]
         perm, n = cid.is_permutation_class, 6
+        layout = self.layout(cid, n)
+        real, seen = layout.ops, []
+
+        def ops(m, prev, v):
+            seen.append((m, prev, v))
+            return real(m, prev, v)
+
+        monkeypatch.setattr(layout, "ops", ops)
         for m, keys in reachable(cid, n):
-            seen = []
-
-            def payload(state, prev, v):
-                seen.append((state, prev, v))
-                return "extra", v
-
-            table = seqcore.extensions(step, perm, n, m, payload)
+            seen.clear()
+            table = counting._extensions(step, layout, perm, m)
             for _ in range(3):
                 for key in keys:
-                    assert all(extra == ("extra", v)
-                               for v, _, extra in table(*key))
-            want = [(state, prev, v) for state, prev in keys
-                    for v, _, _ in seqcore.extensions(step, perm, n, m)(
-                        state, prev)]
-            assert sorted(seen, key=repr) == sorted(want, key=repr)
+                    table(*key)
+            want = {(m, prev, v) for state, prev in keys
+                    for v in seqcore.entry_range(perm, n, m)
+                    if step(state, m, prev, v) is not None}
+            assert sorted(seen) == sorted(want), m
 
-    @pytest.mark.parametrize("module, run", [
-        (seqcore, lambda: list(enumerate_class(ClassId.T21, 5))),
-        (counting, lambda: counting.count_table(ClassId.T21, 5, ("asc",))),
-        # the ranker reads the table through seqcore.graph
-        (seqcore, lambda: counting.ranker(ClassId.T21, 5)),
-    ], ids=["enumerate_class", "count_table", "ranker"])
-    def test_every_reader_reads_it(self, monkeypatch, module, run):
+    @pytest.mark.parametrize("run", [
+        lambda: counting.count_table(ClassId.T21, 5, ("asc",)),
+        lambda: counting.count_cases(5),
+    ], ids=["count_table", "count_cases"])
+    def test_every_reader_reads_it(self, monkeypatch, run):
         read = []
-        real = seqcore.extensions
+        real = counting._extensions
 
         def spy(*args):
             read.append(args[3])  # the index m
             return real(*args)
 
-        monkeypatch.setattr(module, "extensions", spy)
+        monkeypatch.setattr(counting, "_extensions", spy)
         run()
-        assert read
+        assert sorted(set(read)) == list(range(5))
 
 
 class TestPrefixGraph:
     """graph(class_id, n, *prefix) runs the prefix through the step rule and
     builds the nodes after it only, so a deep prefix costs its completions,
     not the whole class."""
+
+    @staticmethod
+    def spied(monkeypatch, cid):
+        """[(m, state, prev, v)] of each call that graph makes to the step
+        rule of cid.  rule_runner is built first, with the real rule: it is
+        cached per class, and would otherwise keep the spy."""
+        seqcore.rule_runner(cid)
+        step, start = seqcore._RULES[cid]
+        calls = []
+
+        def spy(state, m, prev, v):
+            calls.append((m, state, prev, v))
+            return step(state, m, prev, v)
+
+        monkeypatch.setitem(seqcore._RULES, cid, (spy, start))
+        return calls
 
     @pytest.mark.parametrize(
         "cid", [c for c in seqcore._RULES if c is not ClassId.PERM_ALL],
@@ -233,20 +273,37 @@ class TestPrefixGraph:
         n = 7
         member = listed(cid, n)[len(listed(cid, n)) // 3]
         refused = (2, 2) if cid.is_permutation_class else (0, 2)
-        read, real = [], seqcore.extensions
-
-        def spy(*args):
-            read.append(args[3])  # the index m
-            return real(*args)
-
-        monkeypatch.setattr(seqcore, "extensions", spy)
+        calls = self.spied(monkeypatch, cid)
         for k in range(n + 1):
-            read.clear()
+            calls.clear()
             got = listed(cid, n, prefix=member[:k])
             assert member in got
-            assert sorted(set(read)) == list(range(k, n)), k
-        read.clear()
-        assert listed(cid, n, prefix=refused) == [] and read == []
+            assert sorted({m for m, *_ in calls}) == list(range(k, n)), k
+        calls.clear()
+        assert listed(cid, n, prefix=refused) == [] and calls == []
+
+    @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+    def test_one_rule_call_per_key_and_candidate(self, monkeypatch, cid):
+        n = 6
+        perm = cid.is_permutation_class
+        want = [(m, state, prev, v) for m, keys in reachable(cid, n)
+                for state, prev in keys
+                for v in seqcore.entry_range(perm, n, m)]
+        calls = self.spied(monkeypatch, cid)
+        seqcore.graph(cid, n)
+        assert sorted(calls, key=repr) == sorted(want, key=repr)
+
+    @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+    def test_one_node_per_reachable_key(self, cid):
+        n = 6
+        root, _ = seqcore.graph(cid, n)
+        nodes, todo = {id(root): root}, [root]
+        while todo:
+            for _, below in todo.pop().values():
+                if below is not None and id(below) not in nodes:
+                    nodes[id(below)] = below
+                    todo.append(below)
+        assert len(nodes) == sum(len(keys) for _, keys in reachable(cid, n))
 
     @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
     def test_prefixed_stream_is_the_filtered_stream(self, cid):
@@ -267,6 +324,36 @@ class TestPrefixGraph:
         assert seqcore.graph(ClassId.ASC, 4, 0, 1, 0, 2) == (None, 1)
         assert seqcore.graph(ClassId.ASC, 4, 0, 2) == (None, 0)
         assert seqcore.graph(ClassId.PERM_ALL, 3, 4) == (None, 0)
+
+    @pytest.mark.parametrize("cid", list(seqcore._RULES), ids=lambda c: c.name)
+    def test_a_prefix_longer_than_n_has_no_member(self, cid):
+        for prefix in listed(cid, 3):
+            assert seqcore.graph(cid, 2, *prefix) == (None, 0), prefix
+
+    def test_only_the_nodes_outlive_the_call(self):
+        """The memo of a build is dropped when graph returns, not left in a
+        reference cycle for the collector.  Every object made while the
+        collector is off is in its youngest generation, which gc.collect(0)
+        reads; a full collection would also empty the interpreter's free
+        lists, which the tuples of the dropped memo went to."""
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            root, size = seqcore.graph(ClassId.C, 10)
+            held = tracemalloc.get_traced_memory()[0]
+            gc.collect(0)
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # 201,608: the Fishburn number at n = 10
+        assert size == 201608 and freed < held / 100, (freed, held)
+
+    def test_depth_is_the_length(self):
+        # one frame per index: INV, whose graph is the smallest, at n = 60
+        assert next(enumerate_class(ClassId.INV, 60, limit=60)) == (
+            Seq((0,) * 60))
 
 
 class TestMembership:
