@@ -5,15 +5,17 @@ returns (exit code, JSON payload, CSV rows), and `main` alone writes the
 result to stdout, once, after the handler returns, as JSON (default) or
 CSV; so an error writes nothing to stdout. The members that `enumerate`
 lists stay lazy, in either format: `main` writes them one at a time, and
-every refusal comes before the first. All numbers are exact, with
-rationals rendered as "p/q". Exit codes: 0 success / all checks pass, 1 a
-check failed, 2 usage or domain error, 3 resource limit exceeded.
+every refusal comes before the first. A reader that closes the pipe early
+ends the run quietly, with the handler's exit code. All numbers are exact,
+with rationals rendered as "p/q". Exit codes: 0 success / all checks pass,
+1 a check failed, 2 usage or domain error, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from collections.abc import Iterator
@@ -211,7 +213,7 @@ _SERIES = {
 
 
 def _series_point(args, allowed) -> SpecPoint:
-    given = {name: getattr(args, name) for name in ("x", "q", "u", "z", "w")
+    given = {name: getattr(args, name) for name in ("x", "q", "u", "z")
              if getattr(args, name) is not None}
     for name in given:
         if name not in allowed:
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="exact truncated power series")
     p.add_argument("--which", required=True, choices=tuple(_SERIES))
     p.add_argument("--order", type=int, default=genfun.DEFAULT_ORDER)
-    for marker in ("x", "q", "u", "z", "w"):
+    for marker in ("x", "q", "u", "z"):
         p.add_argument(f"--{marker}",
                        help=f"marker value as an exact rational, e.g. 2/3")
     p.add_argument("--seed", type=int,
@@ -365,20 +367,28 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json" and isinstance(payload, Iterator):
-        # a JSON list written member by member, as json.dump writes it
-        sys.stdout.write("[")
-        sep = ""
-        for item in payload:
-            sys.stdout.write(sep + json.dumps(item))
-            sep = ", "
-        sys.stdout.write("]\n")
-    elif args.format == "json":
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        import csv  # only a CSV run pays for the module
-        csv.writer(sys.stdout).writerows(rows)
+    try:
+        if args.format == "json" and isinstance(payload, Iterator):
+            # a JSON list written member by member, as json.dump writes it
+            sys.stdout.write("[")
+            sep = ""
+            for item in payload:
+                sys.stdout.write(sep + json.dumps(item))
+                sep = ", "
+            sys.stdout.write("]\n")
+        elif args.format == "json":
+            json.dump(payload, sys.stdout)
+            sys.stdout.write("\n")
+        else:
+            import csv  # only a CSV run pays for the module
+            csv.writer(sys.stdout).writerows(rows)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as `head` does): point stdout at
+        # devnull, so the flush at exit raises nothing, and keep the code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

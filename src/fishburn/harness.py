@@ -15,7 +15,6 @@ import random
 import tempfile
 import time
 from collections import Counter
-from collections.abc import Callable
 from functools import lru_cache, partial
 from fractions import Fraction
 from operator import itemgetter
@@ -484,25 +483,6 @@ def _block(class_id, level, block):
     return [s for s, tag in zip(objs, tags) if tag in wanted]
 
 
-class _Row(NamedTuple):
-    """A decomp.MAPS row at one length n: its shape, the maps as maps of
-    pairs (see _pairs) and marker bound now on decomp and stats (so patched
-    and traced bindings run), the domain and codomain in enumeration order,
-    and readers of the side-index range and of the statistics of deltas, in
-    order (then zero, for a reduce)."""
-    shape: str
-    fail: Callable  # **detail -> the counterexample
-    forward: Callable
-    inverse: Callable
-    mark: Callable
-    domain: list
-    targets: list  # the codomain
-    codomain: str  # its description
-    side: Callable
-    values: Callable
-    deltas: dict
-
-
 def _pairs(shape, forward, inverse) -> tuple:
     """The forward and inverse of a row as maps of (sequence, side index)
     pairs, an unset index None: a walk's forward reads an index, a reduce's
@@ -517,60 +497,57 @@ def _pairs(shape, forward, inverse) -> tuple:
     return lambda s, _: (forward(s), None), lambda t, _: (inverse(t), None)
 
 
-def _resolve(name, n, levels) -> _Row:
-    """The row of name at length n; levels maps each class to its levels at
-    n and n - 1."""
-    (shape, forward, inverse, class_id, block, codomain, side, deltas,
-     marker) = decomp.MAPS[name]
-    forward, inverse = _pairs(shape, getattr(decomp, forward.__name__),
-                              getattr(decomp, inverse.__name__))
-    mark = getattr(stats, marker)
-    lo, hi = side or (0, 0)
-    lo, hi = _reader(class_id, lo), _reader(class_id, hi)
-    domain = _block(class_id, levels[class_id][0], block)
-    if shape == "shift":  # up moves a marker below the top to one above lo
-        targets = [t for t in domain if mark(t) > lo(t)]
-        domain = [s for s in domain if mark(s) < hi(s) - 1]
-        description = "in the block above the bottom of its range"
-    else:
-        drop, target_block, description = codomain
-        target = levels[class_id][drop]
-        targets = (_block(class_id, target, target_block) if target_block
-                   else target[0])
-    names = (*deltas, "zero") if shape == "reduce" else tuple(deltas)
-    return _Row(shape, partial(dict, map=name, n=n), forward, inverse, mark,
-                domain, targets, description,
-                lambda s: range(lo(s), hi(s)), _value_fn(class_id, names),
-                deltas)
-
-
 def _moved(a, b, deltas) -> bool:
     """Each value of a equals that of b plus its delta, in order."""
     return all(x == y + d for x, y, d in zip(a, b, deltas))
 
 
-def _verify_bijection(row):
-    walk, reduce = row.shape == "walk", row.shape == "reduce"
-    lift = row.shape == "shift"  # up raises the marker by one
+def _verify_bijection(name, n, levels):
+    """The first counterexample to the row of name in decomp.MAPS at length
+    n, or None; levels maps each class to its levels at n and n - 1.  The
+    maps and the marker are bound now on decomp and stats, so patched and
+    traced bindings run."""
+    (shape, forward, inverse, class_id, block, codomain, bounds, deltas,
+     marker) = decomp.MAPS[name]
+    forward, inverse = _pairs(shape, getattr(decomp, forward.__name__),
+                              getattr(decomp, inverse.__name__))
+    mark = getattr(stats, marker)
+    lo, hi = bounds or (0, 0)
+    lo, hi = _reader(class_id, lo), _reader(class_id, hi)
+    domain = _block(class_id, levels[class_id][0], block)
+    if shape == "shift":  # up moves a marker below the top to one above lo
+        targets = [t for t in domain if mark(t) > lo(t)]
+        domain = [s for s in domain if mark(s) < hi(s) - 1]
+        codomain = "in the block above the bottom of its range"
+    else:
+        drop, target_block, codomain = codomain
+        target = levels[class_id][drop]
+        targets = (_block(class_id, target, target_block) if target_block
+                   else target[0])
+    walk, reduce = shape == "walk", shape == "reduce"
+    lift = shape == "shift"  # up raises the marker by one
+    values = _value_fn(class_id,
+                       (*deltas, "zero") if reduce else tuple(deltas))
     unset = (None,)
     # the deltas when j is not 0, and when it is: zero moves one more (a
     # drop's, walk's or shift's values read no zero, and zip stops before it)
-    moves = (*row.deltas.values(), 0), (*row.deltas.values(), 1)
+    moves = (*deltas.values(), 0), (*deltas.values(), 1)
+
+    def side(s):
+        return range(lo(s), hi(s))
 
     def failed(s, i, detail, **output):
         index = {} if i is None else {"side_index": i}
-        return row.fail(input=s, **index, **output, detail=detail)
+        return {"map": name, "n": n, "input": s, **index, **output,
+                "detail": detail}
 
-    forward, inverse, mark, side, values = (
-        row.forward, row.inverse, row.mark, row.side, row.values)
-    target_set, images = set(row.targets), set()
-    for s in row.domain:
+    target_set, images = set(targets), set()
+    for s in domain:
         for i in side(s) if walk else unset:
             t, j = pair = forward(s, i)
             if t not in target_set:
                 where = "outside" if walk else "not"
-                return failed(s, i, f"output {where} {row.codomain}",
-                              output=t)
+                return failed(s, i, f"output {where} {codomain}", output=t)
             m = mark(s) if i is None else i  # the marker of (s, i)
             if j is not None and (j != m or j not in side(t)):
                 return failed(s, j, "side index out of range")
@@ -583,10 +560,11 @@ def _verify_bijection(row):
                 return failed(s, i, "image collision")
             images.add(pair)
     # a member listed twice is counted twice, so no image set covers it
-    want = sum(len(side(t)) if reduce else 1 for t in row.targets)
+    want = sum(len(side(t)) if reduce else 1 for t in targets)
     if len(images) != want:
         pairs = " pairs" if reduce else ""
-        return row.fail(detail=f"image covers {len(images)} of {want}{pairs}")
+        return {"map": name, "n": n,
+                "detail": f"image covers {len(images)} of {want}{pairs}"}
     return None
 
 
@@ -597,7 +575,7 @@ def _chk_lemma_suite(max_n):
         levels = {cls: (_level(cls, n), below[cls]) for cls in classes}
         for name in decomp.MAPS:
             try:
-                found = _verify_bijection(_resolve(name, n, levels))
+                found = _verify_bijection(name, n, levels)
             except DomainError as refusal:  # decomp refused a member
                 found = {"map": name, "n": n, "detail": str(refusal)}
             if found:

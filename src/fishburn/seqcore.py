@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from enum import Enum
 from typing import Iterator
 
@@ -30,7 +31,8 @@ from .errors import DomainError, ResourceLimitError, UsageError
 
 # The size table, the one copy of how far each kind of work goes, read only
 # by within_cap:
-#   enumerate  the length ceiling of enumerate_class (its `limit` overrides it)
+#   enumerate  the length ceiling of enumerate_class (its `limit` overrides
+#              it, up to half the recursion limit: _node recurses per index)
 #   table      the length cap of harness.dist_table
 #   series     the order cap of genfun's truncated series
 # INV and the permutation classes take the lower "n!" entries: INV and
@@ -42,15 +44,16 @@ CAPS = {"enumerate": 12, "enumerate n!": 10, "table": 12, "table n!": 9,
 def within_cap(value, kind: str, what: str, class_id: ClassId | None = None,
                limit: int | None = None) -> int:
     """value, a size that check_size passes, if it is at most limit (a
-    positive int) or, without one, the CAPS entry of kind for class_id, read
-    at each call; else ResourceLimitError, naming class_id when given."""
+    positive int, clamped to half of sys.getrecursionlimit()) or, without
+    one, the CAPS entry of kind for class_id, read at each call; else
+    ResourceLimitError, naming class_id when given."""
     check_size(value, what)
     if limit is None:
         factorial = class_id is not None and (class_id is ClassId.INV
                                               or class_id.is_permutation_class)
         limit = CAPS[f"{kind} n!" if factorial else kind]
-    else:
-        check_size(limit, "limit")
+    else:  # _node recurses once per index; half leaves room for the caller
+        limit = min(check_size(limit, "limit"), sys.getrecursionlimit() // 2)
     if value > limit:
         named = "" if class_id is None else f" for {class_id.name}"
         raise ResourceLimitError(f"{what} {value} exceeds the cap of {limit}{named}")
@@ -442,7 +445,8 @@ def enumerate_class(class_id: ClassId, n: int, prefix=(), limit: int | None = No
     """Yield every length-n member once, lexicographically, extending prefix.
 
     `limit`, a positive int, overrides the default length ceiling, the
-    "enumerate" entry of CAPS; within_cap refuses a longer n.
+    "enumerate" entry of CAPS, up to half of sys.getrecursionlimit();
+    within_cap refuses a longer n.
     """
     within_cap(n, "enumerate", "length", check_class(class_id), limit)
     prefix = tuple(prefix)

@@ -89,6 +89,12 @@ EXACT = [
     ("enumerate --class INV --n 11", 3,
      "",
      "resource limit: length 11 exceeds the cap of 10 for INV\n"),
+    # a given limit is clamped to half the recursion limit: the graph of a
+    # longer walk would recurse past it
+    ("enumerate --class INV --n 1100 --limit 1100", 3,
+     "",
+     "resource limit: length 1100 exceeds the cap of "
+     f"{sys.getrecursionlimit() // 2} for INV\n"),
     ("stats --class ASC 0,1,0,2,3,2,4,1,5", 0,
      '{"asc": 5, "rep": 3, "zero": 2, "max": 2, "rmin": 3, '
      '"nasc": 3, "ASC": [1, 3, 4, 6, 8], "DIST": [5, 6, 7, 8, 9], '
@@ -612,6 +618,15 @@ class TestSeries:
         assert err1.startswith("point:")
         json.loads(err1.split("point:", 1)[1])
 
+    def test_no_series_takes_w(self, capsys):
+        # no series takes w, so there is no --w: argparse reads the prefix
+        # as --which
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["series", "--which", "G", "--order", "3", "--w", "2"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "invalid choice" in err
+
     def test_marker_rejected_when_inapplicable(self, capsys):
         code, _, err = run(capsys, "series", "--which", "zeromax",
                            "--order", "4", "--x", "2")
@@ -762,6 +777,22 @@ class TestParserBasics:
         out = subprocess.run([sys.executable, "-S", "-c", code],
                              capture_output=True, text=True, timeout=60)
         assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_pipe_ends_quietly(self, fmt):
+        # a reader that stops early, as `head -n 1` does (the JSON list is
+        # one line of some 4 MB, so read a few bytes of either format)
+        src = Path(fishburn.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with subprocess.Popen(
+                [sys.executable, "-m", "fishburn.cli", "enumerate",
+                 "--class", "ASC", "--n", "10", "--format", fmt],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            assert proc.stdout.read(64)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (0, b"")
 
     def test_console_script_is_installed(self, tmp_path, monkeypatch):
         # Without an installed package (a run from the checkout with

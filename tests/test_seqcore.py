@@ -493,7 +493,10 @@ class TestLaziness:
         ((ClassId.ASC, 3), {"limit": 0}, UsageError),
         ((ClassId.ASC, 4), {"limit": 3}, ResourceLimitError),
         ((ClassId.ASC, 3), {"prefix": (0, -1)}, UsageError),
-    ], ids=["class", "size", "cap", "bad-limit", "limit", "prefix"])
+        # a limit past half the recursion limit is clamped to it
+        ((ClassId.INV, 1100), {"limit": 1100}, ResourceLimitError),
+    ], ids=["class", "size", "cap", "bad-limit", "limit", "prefix",
+            "recursion"])
     def test_refusals_come_at_call_time(self, built, args, kw, error):
         with pytest.raises(error):
             enumerate_class(*args, **kw)
